@@ -316,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help=f"parallel worker processes (default ${WORKERS_ENV_VAR} or 1)",
+        help="parallel worker processes, capped at the trial and CPU counts "
+        f"(default ${WORKERS_ENV_VAR} or 1)",
     )
     p_sim.add_argument("--out", default=None, help="output prefix for summary/path CSVs")
     p_sim.add_argument(

@@ -53,6 +53,8 @@ __all__ = [
 
 MAX_PARTITIONS = 10**6
 
+_GATHER_BUDGET = 16 * 2**20
+
 
 class Group(Enum):
     """Treatment arm of one sample column."""
@@ -179,27 +181,27 @@ def _welch_core(a: np.ndarray, b: np.ndarray):
     return diff, t, df, degenerate
 
 
-def _two_sided_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _welch_rows(a: np.ndarray, b: np.ndarray, plus) -> tuple[np.ndarray, np.ndarray]:
+    """One- and two-sided Welch p-values per row from one t-CDF call.
+
+    ``plus`` (one bool, or one per row) is true where the one-sided p
+    scores mean(a) > mean(b).  With tail = stdtr(df, -|t|), the
+    two-sided p is min(2 tail, 1) and the one-sided p is the tail if the
+    directed difference is positive, else 1 - tail.  Rows without spread
+    get one-sided 0, 1/2 or 1 as that difference is >, = or < 0, and
+    two-sided 1 for equal means, else 0.
+    """
     diff, t, df, degenerate = _welch_core(a, b)
     with np.errstate(invalid="ignore"):
-        p = 2.0 * special.stdtr(df, -np.abs(t))
-    p = np.minimum(p, 1.0)
+        tail = special.stdtr(df, -np.abs(t))
+    signed = np.where(plus, diff, -diff)
+    one = np.where(signed > 0.0, tail, 1.0 - tail)
+    two = np.minimum(2.0 * tail, 1.0)
     if degenerate.any():
-        p[degenerate] = np.where(diff[degenerate] == 0.0, 1.0, 0.0)
-    return p
-
-
-def _one_sided_rows(a: np.ndarray, b: np.ndarray, plus_mask: np.ndarray) -> np.ndarray:
-    """Per-row one-sided Welch p, direction chosen row-wise by mask."""
-    diff, t, df, degenerate = _welch_core(a, b)
-    with np.errstate(invalid="ignore"):
-        upper = special.stdtr(df, -t)
-        lower = special.stdtr(df, t)
-    p = np.where(plus_mask, upper, lower)
-    if degenerate.any():
-        signed = np.where(plus_mask, diff, -diff)[degenerate]
-        p[degenerate] = np.where(signed > 0.0, 0.0, np.where(signed < 0.0, 1.0, 0.5))
-    return p
+        signed = signed[degenerate]
+        one[degenerate] = np.where(signed > 0.0, 0.0, np.where(signed < 0.0, 1.0, 0.5))
+        two[degenerate] = np.where(diff[degenerate] == 0.0, 1.0, 0.0)
+    return one, two
 
 
 def welch_p_two_sided(a, b) -> float:
@@ -211,7 +213,7 @@ def welch_p_two_sided(a, b) -> float:
     """
     row_a = _check_sample("a", a, 2)[None, :]
     row_b = _check_sample("b", b, 2)[None, :]
-    return float(_two_sided_rows(row_a, row_b)[0])
+    return float(_welch_rows(row_a, row_b, True)[1][0])
 
 
 def welch_p_one_sided(a, b, direction: Union[Sign, str]) -> float:
@@ -223,8 +225,8 @@ def welch_p_one_sided(a, b, direction: Union[Sign, str]) -> float:
     """
     row_a = _check_sample("a", a, 2)[None, :]
     row_b = _check_sample("b", b, 2)[None, :]
-    plus = np.array([_as_sign(direction) is Sign.PLUS])
-    return float(_one_sided_rows(row_a, row_b, plus)[0])
+    plus = _as_sign(direction) is Sign.PLUS
+    return float(_welch_rows(row_a, row_b, plus)[0][0])
 
 
 @lru_cache(maxsize=32)
@@ -252,37 +254,36 @@ def _partition_table(m: int, m_first: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _permutation_rows(
-    values: np.ndarray,
-    m_c: int,
-    m_l: int,
-    plus_mask: np.ndarray,
-    two_sided: bool,
-) -> tuple[np.ndarray, np.ndarray]:
+    values: np.ndarray, m_c: int, m_l: int, plus_mask: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank-calibrate each row of ``values`` over all relabelings.
 
     ``values`` has one row per gene and ``m_c + m_l`` columns with the
-    true control values first.  Returns (p_init, p_final) arrays where
-    p_init is the p-value under the true labels and p_final is the
-    fraction of relabelings scoring at least as extreme, i.e. the rank
-    #{relabelings with p <= p_init} / P.  Comparisons are exact since
-    every side comes from the same routine.
+    true control values first.  One pass scores every relabeling both
+    one-sided, in the row's ``plus_mask`` direction, and two-sided.
+    Returns (p_init, p_final, p_perm_two): the one-sided p under the
+    true labels, its rank #{relabelings with p <= p_init} / P, and the
+    same rank of the two-sided p.  Comparisons are exact since every
+    side comes from the same routine.
     """
     chosen, complement = _partition_table(m_c + m_l, m_c)
     count = chosen.shape[0]
     g = values.shape[0]
-    pseudo_control = values[:, chosen]
-    pseudo_low = values[:, complement]
-    flat_low = pseudo_low.reshape(g * count, m_l)
-    flat_control = pseudo_control.reshape(g * count, m_c)
-    if two_sided:
-        flat_p = _two_sided_rows(flat_low, flat_control)
-    else:
-        flat_mask = np.repeat(plus_mask, count)
-        flat_p = _one_sided_rows(flat_low, flat_control, flat_mask)
-    table = flat_p.reshape(g, count)
-    p_init = table[:, 0]
-    p_final = np.count_nonzero(table <= p_init[:, None], axis=1) / count
-    return p_init, p_final
+    flat_control = values[:, chosen].reshape(g * count, m_c)
+    flat_low = values[:, complement].reshape(g * count, m_l)
+    scores = _welch_rows(flat_low, flat_control, np.repeat(plus_mask, count))
+    one, two = (p.reshape(g, count) for p in scores)
+    p_final = np.count_nonzero(one <= one[:, :1], axis=1) / count
+    p_perm_two = np.count_nonzero(two <= two[:, :1], axis=1) / count
+    return one[:, 0], p_final, p_perm_two
+
+
+def _chunk_rows(count: int, m: int, chunk: Optional[int] = None) -> int:
+    """Gene rows per batch: the most whose gathered values, rows * count
+    * m float64s, fit in ``_GATHER_BUDGET``, at least 1, at most ``chunk``.
+    """
+    rows = max(1, _GATHER_BUDGET // (count * m * 8))
+    return rows if chunk is None else min(rows, chunk)
 
 
 def permutation_pvalue(
@@ -318,7 +319,7 @@ def permutation_pvalue(
             f"pooled sample has {values.size} values but m_c + m_l = {m_c + m_l}"
         )
     plus = np.array([_as_sign(sign) is Sign.PLUS])
-    _, p_final = _permutation_rows(values[None, :], m_c, m_l, plus, two_sided=False)
+    _, p_final, _ = _permutation_rows(values[None, :], m_c, m_l, plus)
     return float(p_final[0])
 
 
@@ -337,7 +338,7 @@ def high_dose_ordering(matrix: ExpressionMatrix) -> list[HighDoseRank]:
             "high-dose ordering needs at least 2 high-dose columns and "
             "2 other columns"
         )
-    p_high = _two_sided_rows(high, rest)
+    _, p_high = _welch_rows(high, rest, True)
     diff = high.mean(axis=1) - rest.mean(axis=1)
     order = np.lexsort((np.arange(matrix.n_genes), p_high))
     return [
@@ -382,7 +383,7 @@ def run_pipeline(
     methods: Optional[Sequence[Method]] = None,
     alpha_grid: Sequence[float] = DEFAULT_DOSAGE_ALPHAS,
     include_baselines: bool = True,
-    chunk: int = 512,
+    chunk: Optional[int] = None,
 ) -> PipelineResult:
     """Rank genes, calibrate p-values, run every method, and tabulate counts.
 
@@ -396,8 +397,9 @@ def run_pipeline(
 
     A level of exactly zero yields zero discoveries for every method by
     definition.  Levels must lie in [0, 1).  Gene rows are scored in
-    vectorized batches of ``chunk`` rows; results do not depend on the
-    batch size.
+    batches by one permutation pass each; batch size follows from the
+    partition count so gathered values stay within a fixed byte budget,
+    and ``chunk`` caps it.  Results do not depend on the batch size.
     """
     if methods is None:
         methods = default_methods()
@@ -407,7 +409,7 @@ def run_pipeline(
     for a in alphas:
         if not 0.0 <= a < 1.0:
             raise DomainError(f"alpha must lie in [0, 1), got {a}")
-    if chunk < 1:
+    if chunk is not None and chunk < 1:
         raise DomainError("chunk must be positive")
 
     ranks = high_dose_ordering(matrix)
@@ -422,18 +424,15 @@ def run_pipeline(
     ordered_pool = pooled[row_order]
 
     n = matrix.n_genes
+    grid_size = math.comb(m_c + m_l, m_c)
+    rows = _chunk_rows(grid_size, m_c + m_l, chunk)
     p_init = np.empty(n)
     p_final = np.empty(n)
     p_perm_two = np.empty(n)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        block = ordered_pool[start:stop]
-        mask_block = plus_mask[start:stop]
-        p_init[start:stop], p_final[start:stop] = _permutation_rows(
-            block, m_c, m_l, mask_block, two_sided=False
-        )
-        _, p_perm_two[start:stop] = _permutation_rows(
-            block, m_c, m_l, mask_block, two_sided=True
+    for start in range(0, n, rows):
+        batch = slice(start, start + rows)
+        p_init[batch], p_final[batch], p_perm_two[batch] = _permutation_rows(
+            ordered_pool[batch], m_c, m_l, plus_mask[batch]
         )
 
     records = tuple(
@@ -447,7 +446,6 @@ def run_pipeline(
         for j, r in enumerate(ranks)
     )
 
-    grid_size = math.comb(m_c + m_l, m_c)
     plain_pvals = OrderedPValues(p_final)
     shifted_pvals = shift_discrete_pvalues(plain_pvals, grid_size)
 
@@ -466,7 +464,7 @@ def run_pipeline(
             raise ContractError(
                 "baseline t-tests need at least 2 control and 2 low-dose columns"
             )
-        p_t_two = _two_sided_rows(low[row_order], control[row_order])
+        _, p_t_two = _welch_rows(low[row_order], control[row_order], True)
         baseline_inputs = {
             "BH-t": p_t_two,
             "Storey-t": p_t_two,

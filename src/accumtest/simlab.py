@@ -366,13 +366,15 @@ def collect_trial_frames(
 ) -> list[TrialFrame]:
     """Run all trials, optionally across processes, in trial order.
 
-    Results are keyed by trial index before assembly, so the output is
-    identical for any worker count.
+    The pool never exceeds the trial count or the CPU count, whatever
+    ``workers`` asks for.  Results are keyed by trial index before
+    assembly, so the output is identical for any worker count.
     """
     if workers is None:
         workers = default_workers()
+    workers = min(workers, config.trials, os.cpu_count() or 1)
     jobs = [(config, tuple(methods), include_paths, t) for t in range(config.trials)]
-    if workers <= 1 or config.trials == 1:
+    if workers <= 1:
         return [_trial_worker(job)[1] for job in jobs]
     frames: dict[int, TrialFrame] = {}
     with ProcessPoolExecutor(max_workers=workers) as pool:

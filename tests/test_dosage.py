@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from accumtest import (
     ContractError,
@@ -20,7 +21,12 @@ from accumtest import (
     welch_p_one_sided,
     welch_p_two_sided,
 )
-from accumtest.dosage import _partition_table
+from accumtest.dosage import (
+    _GATHER_BUDGET,
+    _chunk_rows,
+    _partition_table,
+    _permutation_rows,
+)
 
 import oracles
 
@@ -145,6 +151,23 @@ class TestPermutationPvalue:
             permutation_pvalue([1.0, 2.0, 3.0], 2, 2, Sign.PLUS)
         with pytest.raises(ContractError):
             permutation_pvalue([1.0, 2.0], 2, 0, Sign.PLUS)
+
+
+class TestTwoSidedPermutationRank:
+    @pytest.mark.parametrize("m_c,m_l", [(2, 2), (3, 3), (4, 3), (5, 5)])
+    def test_matches_brute_force_enumeration(self, m_c, m_l):
+        rng = np.random.Generator(np.random.Philox(key=10 * m_c + m_l))
+        pools = rng.normal(size=(6, m_c + m_l))
+        plus = np.array([True, False] * 3)
+        _, _, p_two = _permutation_rows(pools, m_c, m_l, plus)
+        chosen, complement = _partition_table(m_c + m_l, m_c)
+        for pool, got in zip(pools, p_two):
+            scores = [
+                welch_p_two_sided(pool[low], pool[ctrl])
+                for ctrl, low in zip(chosen, complement)
+            ]
+            want = sum(p <= scores[0] for p in scores) / len(scores)
+            assert got == want
 
 
 class TestPartitionTable:
@@ -273,6 +296,30 @@ class TestRunPipeline:
         b = run_pipeline(matrix, alpha_grid=(0.15,), chunk=512)
         assert a.records == b.records
         assert a.rows == b.rows
+
+    def test_chunk_rule_bounds_gathered_bytes(self):
+        assert _chunk_rows(math.comb(20, 10), 20) == 1
+        for m_c, m_l in [(2, 2), (3, 3), (6, 6), (9, 7), (8, 8), (10, 9), (20, 10)]:
+            count, m = math.comb(m_c + m_l, m_c), m_c + m_l
+            rows = _chunk_rows(count, m)
+            assert rows >= 1
+            if rows > 1:
+                assert rows * count * m * 8 <= _GATHER_BUDGET
+            assert _chunk_rows(count, m, chunk=3) == min(rows, 3)
+
+    def test_one_tcdf_element_per_relabeling(self, monkeypatch):
+        counted = []
+        stdtr = special.stdtr
+
+        def counting_stdtr(*args):
+            counted.append(np.broadcast(*args).size)
+            return stdtr(*args)
+
+        monkeypatch.setattr(special, "stdtr", counting_stdtr)
+        genes = 5
+        run_pipeline(gaussian_matrix(8, genes, 4, 4, 3), alpha_grid=(0.1,))
+        relabelings = math.comb(8, 4)
+        assert sum(counted) == genes * relabelings + genes + genes
 
     def test_planted_signal_beats_step_up_baselines(self):
         matrix = gaussian_matrix(

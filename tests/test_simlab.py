@@ -28,6 +28,7 @@ from accumtest import (
     seq_step,
     simulate_count_ratio,
 )
+import accumtest.simlab as simlab
 from accumtest.simlab import STAT_FDP, STAT_KHAT, STAT_POWER, TrialFrame
 
 import oracles
@@ -189,6 +190,33 @@ class TestCollectTrialFrames:
         seq = collect_trial_frames(self.config, methods, workers=1)
         par = collect_trial_frames(self.config, methods, workers=3)
         for a, b in zip(seq, par):
+            assert np.array_equal(a.stats, b.stats)
+
+    def test_pool_capped_by_trials_and_cpus(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(simlab, "ProcessPoolExecutor", SerialPool)
+        methods = default_methods()
+        seq = collect_trial_frames(self.config, methods, workers=1)
+        monkeypatch.setattr(simlab.os, "cpu_count", lambda: 64)
+        capped = collect_trial_frames(self.config, methods, workers=10_000)
+        monkeypatch.setattr(simlab.os, "cpu_count", lambda: 2)
+        collect_trial_frames(self.config, methods, workers=8)
+        assert sizes == [6, 2]
+        for a, b in zip(seq, capped):
             assert np.array_equal(a.stats, b.stats)
 
     def test_aggregate_means_in_range(self):
