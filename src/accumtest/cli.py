@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .dosage import read_expression_csv, run_pipeline
+from .dosage import DEFAULT_DOSAGE_ALPHAS, read_expression_csv, run_pipeline
 from .errors import AccumTestError, ContractError, DomainError, ValidationError
 from .accumfn import parse_spec
 from .power_theory import asymptotic_power, asymptotic_threshold, parse_curve
@@ -41,8 +41,8 @@ from .seqtest import (
     shift_discrete_pvalues,
 )
 from .simlab import (
+    _DEFAULT_ALPHAS,
     SimConfig,
-    WORKERS_ENV_VAR,
     default_methods,
     path_table_rows,
     power_table_rows,
@@ -175,13 +175,19 @@ def cmd_test(args: argparse.Namespace, argv: Sequence[str]) -> int:
         pvals = shift_discrete_pvalues(pvals, args.shift_grid)
     rule = Rule(args.rule)
     result = run_accumulation_test(pvals, spec, args.alpha, rule=rule, c=args.c)
-    print(f"k_hat = {result.k_hat}")
+    # Every reported value is computed before any is printed, so a failing
+    # metric leaves stdout empty instead of half a report.
+    report = [("k_hat", result.k_hat)]
     if pvals.null_mask is not None:
         mask = pvals.null_mask
-        print(f"fdp = {_fmt(fdp(result.k_hat, mask))}")
-        print(f"mfdp_c = {_fmt(args.mfdp_c)}")
-        print(f"mfdp = {_fmt(mfdp(result.k_hat, mask, args.mfdp_c))}")
-        print(f"power = {_fmt(power_of_cutoff(result.k_hat, mask))}")
+        report += [
+            ("fdp", fdp(result.k_hat, mask)),
+            ("mfdp_c", args.mfdp_c),
+            ("mfdp", mfdp(result.k_hat, mask, args.mfdp_c)),
+            ("power", power_of_cutoff(result.k_hat, mask)),
+        ]
+    for name, value in report:
+        print(f"{name} = {_fmt(value)}")
     if args.out:
         rows = [
             (k + 1, pvals.values[k], result.fdp_hat_path[k])
@@ -205,7 +211,7 @@ def cmd_simulate(args: argparse.Namespace, argv: Sequence[str]) -> int:
     )
     methods = default_methods(args.c)
     include_paths = bool(args.out) and not args.no_paths
-    agg = run_simulation(config, methods, include_paths, args.workers)
+    agg = run_simulation(config, methods, include_paths)
     header = ("method", "alpha", "mean_power", "se_power", "mean_fdp", "se_fdp")
     rows = power_table_rows(agg)
     if not args.out:
@@ -308,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--alpha-grid",
         type=_alpha_list,
-        default=(0.05, 0.075, 0.1, 0.125, 0.15, 0.175, 0.2, 0.225, 0.25),
+        default=_DEFAULT_ALPHAS,
         help="comma-separated target levels",
     )
     p_sim.add_argument("--c", type=float, default=2.0, help="C parameter for all methods")
@@ -316,8 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="parallel worker processes, capped at the trial and CPU counts "
-        f"(default ${WORKERS_ENV_VAR} or 1)",
+        help="accepted for compatibility and ignored; trials always run in one process",
     )
     p_sim.add_argument("--out", default=None, help="output prefix for summary/path CSVs")
     p_sim.add_argument(
@@ -340,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dos.add_argument(
         "--alpha-grid",
         type=_alpha_list,
-        default=(0.05, 0.1, 0.15, 0.2, 0.25, 0.3),
+        default=DEFAULT_DOSAGE_ALPHAS,
         help="comma-separated target levels in [0,1)",
     )
     p_dos.add_argument("--c", type=float, default=2.0, help="C parameter for all methods")

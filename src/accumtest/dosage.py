@@ -32,8 +32,13 @@ from scipy import special
 
 from .baselines import bh_select, storey_select
 from .errors import ContractError, DomainError, ValidationError
-from .seqtest import OrderedPValues, select_cutoff, shift_discrete_pvalues
-from .simlab import Method, default_methods
+from .seqtest import (
+    Method,
+    OrderedPValues,
+    default_methods,
+    select_cutoff,
+    shift_discrete_pvalues,
+)
 
 __all__ = [
     "Group",
@@ -449,15 +454,16 @@ def run_pipeline(
     plain_pvals = OrderedPValues(p_final)
     shifted_pvals = shift_discrete_pvalues(plain_pvals, grid_size)
 
+    levels = np.array(alphas)
+    positive = levels > 0.0
     rows: list[tuple[str, float, int]] = []
     names: list[str] = []
     for method in methods:
         names.append(method.name)
         inputs = plain_pvals if method.spec.bounded else shifted_pvals
-        path = method.path(inputs)
-        for alpha in alphas:
-            count = 0 if alpha == 0.0 else select_cutoff(path, alpha)
-            rows.append((method.name, alpha, int(count)))
+        counts = np.zeros(len(alphas), dtype=int)
+        counts[positive] = select_cutoff(method.path(inputs), levels[positive])
+        rows.extend((method.name, alpha, int(k)) for alpha, k in zip(alphas, counts))
 
     if include_baselines:
         if m_c < 2 or m_l < 2:

@@ -8,9 +8,10 @@ computed over p-values already arranged in their a-priori order.  The
 selected cutoff is the largest k whose path entry does not exceed the
 target level alpha; everything before it is rejected.  A conservative
 variant inflates the estimate to (c + sum h) / (1 + k) before
-thresholding.  Paths are stored as plain float arrays where index j
-corresponds to position k = j + 1; entries may be +inf when the
-accumulation function is unbounded and some p-value equals 1.
+thresholding.  A ``Method`` names one accumulation function together
+with the rule applied to it.  Paths are stored as plain float arrays
+where index j corresponds to position k = j + 1; entries may be +inf
+when the accumulation function is unbounded and some p-value equals 1.
 """
 
 from __future__ import annotations
@@ -21,13 +22,15 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .accumfn import AccumulationSpec, evaluate
+from .accumfn import AccumulationSpec, evaluate, forward_stop, hinge_exp, seq_step
 from .errors import ContractError, DomainError, ValidationError
 
 __all__ = [
     "Rule",
     "OrderedPValues",
     "CutoffResult",
+    "Method",
+    "default_methods",
     "estimated_fdp_path",
     "estimated_fdp_path_plus",
     "select_cutoff",
@@ -137,24 +140,71 @@ def estimated_fdp_path_plus(
     return (c + np.cumsum(h)) / (1.0 + k)
 
 
-def select_cutoff(path: Union[Sequence[float], np.ndarray], alpha: float) -> int:
+def select_cutoff(
+    path: Union[Sequence[float], np.ndarray],
+    alpha: Union[float, Sequence[float], np.ndarray],
+) -> Union[int, np.ndarray]:
     """Largest k with path[k] <= alpha, scanning every position.
 
     The scan is deliberately not first-crossing: a path may dip back
     under alpha after exceeding it, and the largest such k wins.  Ties
-    at exactly alpha count as rejections.  Returns 0 when no position
-    qualifies.
+    at exactly alpha count as rejections, NaN entries never do.  Returns
+    0 when no position qualifies.
+
+    ``alpha`` is one level, giving an ``int``, or a 1-d sequence of
+    levels, giving an int array with one cutoff per level.
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
+    levels = np.asarray(alpha, dtype=float)
+    if levels.ndim > 1:
+        raise DomainError("alpha must be one level or a 1-d sequence of levels")
+    if not np.all((levels > 0.0) & (levels < 1.0)):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     arr = np.asarray(path, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError("path must be a nonempty 1-d sequence")
-    hits = np.nonzero(arr <= alpha)[0]
-    if hits.size == 0:
-        return 0
-    return int(hits[-1]) + 1
+    # floor[j] = min(path[j:]) is nondecreasing, and floor[j] <= alpha
+    # exactly when some position at or after j qualifies.
+    floor = np.fmin.accumulate(arr[::-1])[::-1]
+    cutoffs = np.searchsorted(floor, levels, side="right")
+    return int(cutoffs) if levels.ndim == 0 else cutoffs
+
+
+def _plus_constant(spec: AccumulationSpec, c: Optional[float]) -> float:
+    """The plus-rule constant: ``c`` when given, else the spec's C parameter."""
+    if c is None:
+        c = spec.c_param
+    if c is None:
+        raise ContractError("the plus rule needs an explicit constant c")
+    return float(c)
+
+
+@dataclass(frozen=True)
+class Method:
+    """One named rejection rule: an accumulation function plus a rule.
+
+    ``c`` is the constant of the conservative rule and defaults to the
+    spec's own C parameter; it is ignored under ``Rule.PLAIN``.
+    """
+
+    name: str
+    spec: AccumulationSpec
+    rule: Rule = Rule.PLAIN
+    c: Optional[float] = None
+
+    def path(self, pvals: PValueInput) -> np.ndarray:
+        if self.rule is Rule.PLAIN:
+            return estimated_fdp_path(pvals, self.spec)
+        return estimated_fdp_path_plus(pvals, self.spec, _plus_constant(self.spec, self.c))
+
+
+def default_methods(c: float = 2.0) -> tuple[Method, ...]:
+    """The four standard methods at a common parameter C."""
+    return (
+        Method("ForwardStop", forward_stop()),
+        Method("HingeExp", hinge_exp(c)),
+        Method("SeqStep", seq_step(c)),
+        Method("SeqStep+", seq_step(c), rule=Rule.PLUS, c=c),
+    )
 
 
 def run_accumulation_test(
@@ -173,12 +223,8 @@ def run_accumulation_test(
         path = estimated_fdp_path(pvals, spec)
         used_c = None
     else:
-        if c is None:
-            c = spec.c_param
-        if c is None:
-            raise ContractError("the plus rule needs an explicit constant c")
-        path = estimated_fdp_path_plus(pvals, spec, c)
-        used_c = float(c)
+        used_c = _plus_constant(spec, c)
+        path = estimated_fdp_path_plus(pvals, spec, used_c)
     k_hat = select_cutoff(path, alpha)
     return CutoffResult(
         k_hat=k_hat, fdp_hat_path=path, rule=rule, alpha=float(alpha), c_param=used_c
@@ -213,7 +259,7 @@ def fdp(k: int, null_mask) -> float:
 def mfdp(k: int, null_mask, c: float) -> float:
     """Modified FDP with c added to the denominator: false / (c + k)."""
     c = float(c)
-    if c < 0.0:
+    if not c >= 0.0:
         raise DomainError(f"mfdp constant must be nonnegative, got {c}")
     mask = _require_mask(null_mask)
     k = _check_k(k, mask.size)

@@ -11,35 +11,25 @@ Reproducibility rules used throughout:
 
 * Trial ``t`` draws from a counter-based generator keyed by
   ``seed XOR mix64(t)``, so any subset of trials can be recomputed in
-  any order, on any number of workers, with identical results.
+  any order with identical results.
 * Aggregation stacks per-trial arrays in trial order and reduces with
-  fixed-shape array operations, keeping results bitwise independent of
-  scheduling.
+  fixed-shape array operations.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy import special
 
-from .accumfn import AccumulationSpec, forward_stop, hinge_exp, seq_step
 from .densities import AlternativeDensity
 from .errors import ContractError, DomainError
 from .power_theory import SignalCurve, validate_signal_curve
-from .seqtest import (
-    OrderedPValues,
-    Rule,
-    estimated_fdp_path,
-    estimated_fdp_path_plus,
-    fdp,
-    power_of_cutoff,
-    select_cutoff,
-)
+from .seqtest import Method, OrderedPValues, default_methods, select_cutoff
+# Not called here; kept as module attributes that the benchmark tracer wraps.
+from .seqtest import estimated_fdp_path, estimated_fdp_path_plus  # noqa: F401
 
 __all__ = [
     "SimConfig",
@@ -60,10 +50,7 @@ __all__ = [
     "simulate_count_ratio",
     "power_table_rows",
     "path_table_rows",
-    "WORKERS_ENV_VAR",
 ]
-
-WORKERS_ENV_VAR = "ACCUMTEST_WORKERS"
 
 _DEFAULT_ALPHAS = (0.05, 0.075, 0.1, 0.125, 0.15, 0.175, 0.2, 0.225, 0.25)
 
@@ -135,38 +122,6 @@ class SimConfig:
         object.__setattr__(self, "alpha_grid", grid)
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
-
-
-@dataclass(frozen=True)
-class Method:
-    """One named rejection rule: an accumulation function plus a rule.
-
-    ``c`` is the constant of the conservative rule and defaults to the
-    spec's own C parameter; it is ignored under ``Rule.PLAIN``.
-    """
-
-    name: str
-    spec: AccumulationSpec
-    rule: Rule = Rule.PLAIN
-    c: Optional[float] = None
-
-    def path(self, pvals) -> np.ndarray:
-        if self.rule is Rule.PLAIN:
-            return estimated_fdp_path(pvals, self.spec)
-        c = self.c if self.c is not None else self.spec.c_param
-        if c is None:
-            raise ContractError(f"method {self.name!r} needs a plus-rule constant")
-        return estimated_fdp_path_plus(pvals, self.spec, c)
-
-
-def default_methods(c: float = 2.0) -> tuple[Method, ...]:
-    """The four standard methods at a common parameter C."""
-    return (
-        Method("ForwardStop", forward_stop()),
-        Method("HingeExp", hinge_exp(c)),
-        Method("SeqStep", seq_step(c)),
-        Method("SeqStep+", seq_step(c), rule=Rule.PLUS, c=c),
-    )
 
 
 def generate_ranked_trial(config: SimConfig, trial_index: int) -> OrderedPValues:
@@ -251,30 +206,36 @@ def run_trial(
     alpha_grid: Sequence[float],
     include_paths: bool = False,
 ) -> TrialFrame:
-    """Apply every method at every level to one trial's p-values."""
+    """Apply every method at every level to one trial's p-values.
+
+    Power is the share of non-nulls within the cutoff and FDP the share
+    of nulls among the rejections (0 when nothing is rejected).
+    """
     if pvals.null_mask is None:
         raise ContractError("run_trial needs ground-truth labels")
-    mask = pvals.null_mask
     n = len(pvals)
+    # nulls_before[k] counts the nulls among the first k positions.
+    nulls_before = np.concatenate(([0], np.cumsum(pvals.null_mask)))
+    nonnull = n - nulls_before[-1]
+    if nonnull == 0:
+        raise ContractError("power is undefined without any non-null hypothesis")
     alphas = tuple(float(a) for a in alpha_grid)
+    levels = np.array(alphas)
     stats = np.empty((len(methods), len(alphas), 4))
     paths = np.empty((len(methods), n)) if include_paths else None
     for m, method in enumerate(methods):
         path = method.path(pvals)
         if include_paths:
             paths[m] = path
-        for a, alpha in enumerate(alphas):
-            k_hat = select_cutoff(path, alpha)
-            false_pos = int(np.count_nonzero(mask[:k_hat]))
-            stats[m, a] = (
-                k_hat,
-                false_pos,
-                power_of_cutoff(k_hat, mask),
-                fdp(k_hat, mask),
-            )
+        k_hat = select_cutoff(path, levels)
+        false_pos = nulls_before[k_hat]
+        stats[m, :, STAT_KHAT] = k_hat
+        stats[m, :, STAT_FALSE_POS] = false_pos
+        stats[m, :, STAT_POWER] = (k_hat - false_pos) / nonnull
+        stats[m, :, STAT_FDP] = false_pos / np.maximum(k_hat, 1)
     true_path = None
     if include_paths:
-        true_path = np.cumsum(mask) / np.arange(1, n + 1, dtype=float)
+        true_path = nulls_before[1:] / np.arange(1, n + 1, dtype=float)
     return TrialFrame(
         method_names=tuple(m.name for m in methods),
         alpha_grid=alphas,
@@ -344,43 +305,21 @@ def aggregate(frames: Sequence[TrialFrame]) -> AggregateResult:
     )
 
 
-def _trial_worker(args) -> tuple[int, TrialFrame]:
-    config, methods, include_paths, index = args
-    pvals = generate_ranked_trial(config, index)
-    return index, run_trial(pvals, methods, config.alpha_grid, include_paths)
-
-
-def default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def collect_trial_frames(
     config: SimConfig,
     methods: Sequence[Method],
     include_paths: bool = False,
     workers: Optional[int] = None,
 ) -> list[TrialFrame]:
-    """Run all trials, optionally across processes, in trial order.
+    """Run all trials serially, in trial order.
 
-    The pool never exceeds the trial count or the CPU count, whatever
-    ``workers`` asks for.  Results are keyed by trial index before
-    assembly, so the output is identical for any worker count.
+    ``workers`` is accepted for compatibility and ignored: trials always
+    run in this process.
     """
-    if workers is None:
-        workers = default_workers()
-    workers = min(workers, config.trials, os.cpu_count() or 1)
-    jobs = [(config, tuple(methods), include_paths, t) for t in range(config.trials)]
-    if workers <= 1:
-        return [_trial_worker(job)[1] for job in jobs]
-    frames: dict[int, TrialFrame] = {}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for index, frame in pool.map(_trial_worker, jobs):
-            frames[index] = frame
-    return [frames[t] for t in range(config.trials)]
+    return [
+        run_trial(generate_ranked_trial(config, t), methods, config.alpha_grid, include_paths)
+        for t in range(config.trials)
+    ]
 
 
 def run_simulation(
@@ -389,10 +328,13 @@ def run_simulation(
     include_paths: bool = True,
     workers: Optional[int] = None,
 ) -> AggregateResult:
-    """End-to-end protocol from trial generation through aggregation."""
+    """End-to-end protocol from trial generation through aggregation.
+
+    ``workers`` is accepted for compatibility and ignored.
+    """
     if methods is None:
         methods = default_methods()
-    frames = collect_trial_frames(config, methods, include_paths, workers)
+    frames = collect_trial_frames(config, methods, include_paths)
     return aggregate(frames)
 
 

@@ -73,6 +73,15 @@ class TestCmdTest:
         assert "power = 0.5" in out
         assert "mfdp = 0" in out
 
+    def test_bad_mfdp_constant_prints_no_partial_report(self, tmp_path, capsys):
+        path = write_pvalue_csv(
+            tmp_path, [(0.01, 0), (0.95, 1), (0.02, 0)], header="p,is_null"
+        )
+        args = ["test", path, "--method", "forwardstop", "--alpha", "0.2"]
+        for bad in ("nan", "-1"):
+            code, out, err = run_cli(args + ["--mfdp-c", bad], capsys)
+            assert code == 4 and out == "" and err.startswith("error:")
+
     def test_path_csv_round_trip(self, tmp_path, capsys):
         path = write_pvalue_csv(tmp_path, [0.01, 0.95, 0.02, 0.8, 0.9])
         out_path = str(tmp_path / "path.csv")

@@ -9,6 +9,7 @@ from accumtest import (
     ContractError,
     DomainError,
     ValidationError,
+    Method,
     OrderedPValues,
     Rule,
     estimated_fdp_path,
@@ -134,6 +135,29 @@ class TestSelectCutoff:
             with pytest.raises(DomainError):
                 select_cutoff([0.5], alpha)
 
+    def test_vector_of_levels_matches_loop_oracle(self):
+        rng = np.random.Generator(np.random.Philox(key=13))
+        levels = np.array([0.01, 0.05, 0.2, 0.2, 0.5, 0.37, 0.9, 0.999])
+        for _ in range(200):
+            path = rng.random(int(rng.integers(1, 40))) * 1.2
+            path[rng.random(path.size) < 0.1] = math.inf
+            path[rng.random(path.size) < 0.1] = math.nan
+            got = select_cutoff(path, levels)
+            assert got.shape == levels.shape
+            want = [oracles.brute_select(path, a) for a in levels]
+            assert got.tolist() == want
+            scalar = select_cutoff(path, float(levels[2]))
+            assert type(scalar) is int and scalar == want[2]
+
+    def test_nan_never_counts_as_a_hit(self):
+        assert select_cutoff([math.nan, math.nan], 0.5) == 0
+        assert select_cutoff([0.1, math.nan, 0.9, math.nan], [0.05, 0.5]).tolist() == [0, 1]
+
+    def test_bad_level_vectors_rejected(self):
+        for levels in ([[0.1, 0.2]], [0.1, 0.0], [0.2, 1.0], [0.3, math.nan]):
+            with pytest.raises(DomainError):
+                select_cutoff([0.5, 0.1], levels)
+
 
 class TestRunAccumulationTest:
     def test_result_invariants(self):
@@ -164,6 +188,8 @@ class TestRunAccumulationTest:
         spec = piecewise_constant([(0.0, 0.5, 0.4), (0.5, 1.0, 1.6)])
         with pytest.raises(ContractError):
             run_accumulation_test([0.5], spec, 0.3, rule=Rule.PLUS)
+        with pytest.raises(ContractError):
+            Method("custom", spec, rule=Rule.PLUS).path([0.5])
         res = run_accumulation_test([0.5], spec, 0.9, rule=Rule.PLUS, c=1.0)
         assert res.c_param == 1.0
 
@@ -183,8 +209,9 @@ class TestTruthMetrics:
             assert mfdp(k, self.mask, 0.0) == pytest.approx(fdp(k, self.mask))
 
     def test_mfdp_negative_c_rejected(self):
-        with pytest.raises(DomainError):
-            mfdp(1, self.mask, -0.5)
+        for c in (-0.5, math.nan):
+            with pytest.raises(DomainError):
+                mfdp(1, self.mask, c)
 
     def test_power_conventions(self):
         assert power_of_cutoff(4, self.mask) == 1.0

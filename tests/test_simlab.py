@@ -19,16 +19,18 @@ from accumtest import (
     child_seed,
     collect_trial_frames,
     default_methods,
+    fdp,
     forward_stop,
     generate_from_curve,
     generate_ranked_trial,
     normal_cdf,
     normal_quantile,
+    power_of_cutoff,
     run_trial,
+    select_cutoff,
     seq_step,
     simulate_count_ratio,
 )
-import accumtest.simlab as simlab
 from accumtest.simlab import STAT_FDP, STAT_KHAT, STAT_POWER, TrialFrame
 
 import oracles
@@ -148,6 +150,32 @@ class TestRunTrial:
         with pytest.raises(ContractError):
             run_trial(OrderedPValues([0.1]), self.methods, [0.5])
 
+    def test_all_null_mask_rejected(self):
+        pvals = OrderedPValues([0.01, 0.5, 0.9], null_mask=np.ones(3, dtype=bool))
+        with pytest.raises(ContractError):
+            run_trial(pvals, self.methods, [0.5])
+
+    def test_stats_equal_loop_over_public_metrics(self):
+        alphas = (0.05, 0.1, 0.2, 0.35, 0.6)
+        methods = default_methods(2.0)
+        config = SimConfig(n=150, n_nonnull=20, mu1=1.5, mu2=2.0, seed=4)
+        for t in range(8):
+            pvals = generate_ranked_trial(config, t)
+            mask = pvals.null_mask
+            frame = run_trial(pvals, methods, alphas)
+            want = np.empty_like(frame.stats)
+            for m, method in enumerate(methods):
+                path = method.path(pvals)
+                for a, alpha in enumerate(alphas):
+                    k = select_cutoff(path, alpha)
+                    want[m, a] = (
+                        k,
+                        np.count_nonzero(mask[:k]),
+                        power_of_cutoff(k, mask),
+                        fdp(k, mask),
+                    )
+            assert np.array_equal(frame.stats, want)
+
 
 class TestAggregate:
     def make_frame(self, power, fdp_value):
@@ -190,33 +218,6 @@ class TestCollectTrialFrames:
         seq = collect_trial_frames(self.config, methods, workers=1)
         par = collect_trial_frames(self.config, methods, workers=3)
         for a, b in zip(seq, par):
-            assert np.array_equal(a.stats, b.stats)
-
-    def test_pool_capped_by_trials_and_cpus(self, monkeypatch):
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(simlab, "ProcessPoolExecutor", SerialPool)
-        methods = default_methods()
-        seq = collect_trial_frames(self.config, methods, workers=1)
-        monkeypatch.setattr(simlab.os, "cpu_count", lambda: 64)
-        capped = collect_trial_frames(self.config, methods, workers=10_000)
-        monkeypatch.setattr(simlab.os, "cpu_count", lambda: 2)
-        collect_trial_frames(self.config, methods, workers=8)
-        assert sizes == [6, 2]
-        for a, b in zip(seq, capped):
             assert np.array_equal(a.stats, b.stats)
 
     def test_aggregate_means_in_range(self):
