@@ -19,6 +19,7 @@ out-of-range input data, 4 for numerical or precondition failures
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -41,37 +42,58 @@ from .seqtest import (
     shift_discrete_pvalues,
 )
 from .simlab import (
-    _DEFAULT_ALPHAS,
     SimConfig,
     default_methods,
-    path_table_rows,
-    power_table_rows,
+    path_table_columns,
+    power_table_columns,
     run_simulation,
 )
 from .validation import run_suite
 
 __all__ = ["main", "build_parser"]
 
+_WRITE_BLOCK_ROWS = 1 << 14
+
+
+def _format_column(column) -> list[str]:
+    """CSV text of one column whose cells share a type.
+
+    Strings are kept as they are, bools become 1/0, integers use ``str``
+    and floats 17 significant digits, which round-trips every double.
+    """
+    values = np.asarray(column)
+    kind = values.dtype.kind
+    if kind == "U":
+        return values.tolist()
+    if kind == "b":
+        return ["1" if v else "0" for v in values.tolist()]
+    if kind in "iu":
+        return [str(v) for v in values.tolist()]
+    if kind == "f":
+        return list(map("{:.17g}".format, values.tolist()))
+    raise TypeError(f"cannot write a column of dtype {values.dtype}")
+
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+    return _format_column([value])[0]
 
 
-def _write_csv(path: str, header: Sequence[str], rows) -> None:
-    with open(path, "w", newline="") as handle:
+def _write_csv(path: Optional[str], header: Sequence[str], columns) -> None:
+    """Write a table given column by column to ``path``, or to stdout if no path.
+
+    Rows are formatted and written in blocks, so the text held at once
+    stays small however long the table is.
+    """
+    arrays = [np.asarray(column) for column in columns]
+    n_rows = max((len(array) for array in arrays), default=0)
+    target = open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
+    with target as handle:
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(cell) if not isinstance(cell, str) else cell for cell in row) + "\n")
-
-
-def _print_csv(header: Sequence[str], rows) -> None:
-    print(",".join(header))
-    for row in rows:
-        print(",".join(_fmt(cell) if not isinstance(cell, str) else cell for cell in row))
+        for start in range(0, n_rows, _WRITE_BLOCK_ROWS):
+            block = slice(start, start + _WRITE_BLOCK_ROWS)
+            texts = [_format_column(array[block]) for array in arrays]
+            rows = zip(*texts, strict=True)
+            handle.write("".join(",".join(cells) + "\n" for cells in rows))
 
 
 def _jsonable(value):
@@ -124,7 +146,8 @@ def _read_pvalue_csv(path: str) -> OrderedPValues:
     """Load ordered p-values from a CSV with a ``p`` column.
 
     A column named ``is_null`` (values 0/1 or true/false) attaches
-    ground-truth labels used for FDP and power reporting.
+    ground-truth labels used for FDP and power reporting.  Cells are
+    split as the ``csv`` module splits them; blank rows are skipped.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -169,6 +192,9 @@ def _read_pvalue_csv(path: str) -> OrderedPValues:
 
 
 def cmd_test(args: argparse.Namespace, argv: Sequence[str]) -> int:
+    # Checked before any work: mfdp itself runs only when is_null is given.
+    if not args.mfdp_c >= 0.0:
+        raise DomainError(f"mfdp constant must be nonnegative, got {args.mfdp_c}")
     pvals = _read_pvalue_csv(args.input)
     spec = parse_spec(args.method)
     if args.shift_grid is not None:
@@ -189,11 +215,8 @@ def cmd_test(args: argparse.Namespace, argv: Sequence[str]) -> int:
     for name, value in report:
         print(f"{name} = {_fmt(value)}")
     if args.out:
-        rows = [
-            (k + 1, pvals.values[k], result.fdp_hat_path[k])
-            for k in range(len(pvals))
-        ]
-        _write_csv(args.out, ("k", "p", "fdp_hat"), rows)
+        columns = (np.arange(1, len(pvals) + 1), pvals.values, result.fdp_hat_path)
+        _write_csv(args.out, ("k", "p", "fdp_hat"), columns)
         manifest = args.out + ".manifest.json"
         _write_manifest(manifest, "test", argv, args, [args.input], [args.out])
     return 0
@@ -213,20 +236,20 @@ def cmd_simulate(args: argparse.Namespace, argv: Sequence[str]) -> int:
     include_paths = bool(args.out) and not args.no_paths
     agg = run_simulation(config, methods, include_paths)
     header = ("method", "alpha", "mean_power", "se_power", "mean_fdp", "se_fdp")
-    rows = power_table_rows(agg)
+    columns = power_table_columns(agg)
     if not args.out:
-        _print_csv(header, rows)
+        _write_csv(None, header, columns)
         return 0
     summary = f"{args.out}_summary.csv"
     outputs = [summary]
-    _write_csv(summary, header, rows)
+    _write_csv(summary, header, columns)
     if include_paths:
         paths = f"{args.out}_paths.csv"
         outputs.append(paths)
         _write_csv(
             paths,
             ("method", "k", "mean_fdp_hat", "mean_fdp_true"),
-            path_table_rows(agg),
+            path_table_columns(agg),
         )
     _write_manifest(f"{args.out}.manifest.json", "simulate", argv, args, [], outputs)
     return 0
@@ -249,13 +272,10 @@ def cmd_dosage(args: argparse.Namespace, argv: Sequence[str]) -> int:
         alpha_grid=args.alpha_grid,
         include_baselines=not args.no_baselines,
     )
-    header = ("method", "alpha", "discoveries")
+    _write_csv(args.out, ("method", "alpha", "discoveries"), zip(*result.rows))
     if args.out:
-        _write_csv(args.out, header, result.rows)
         manifest = args.out + ".manifest.json"
         _write_manifest(manifest, "dosage", argv, args, [args.input], [args.out])
-    else:
-        _print_csv(header, result.rows)
     return 0
 
 
@@ -306,15 +326,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo power/FDP study on ranked hypotheses")
     p_sim.add_argument("--seed", type=int, required=True, help="master seed (required)")
-    p_sim.add_argument("--n", type=int, default=1000, help="hypotheses per trial")
-    p_sim.add_argument("--n-nonnull", type=int, default=100, help="non-nulls per trial")
-    p_sim.add_argument("--mu1", type=float, default=3.0, help="ordering signal strength")
-    p_sim.add_argument("--mu2", type=float, default=3.0, help="tested signal strength")
-    p_sim.add_argument("--trials", type=int, default=50, help="number of trials")
+    p_sim.add_argument("--n", type=int, default=SimConfig.n, help="hypotheses per trial")
+    p_sim.add_argument(
+        "--n-nonnull", type=int, default=SimConfig.n_nonnull, help="non-nulls per trial"
+    )
+    p_sim.add_argument(
+        "--mu1", type=float, default=SimConfig.mu1, help="ordering signal strength"
+    )
+    p_sim.add_argument(
+        "--mu2", type=float, default=SimConfig.mu2, help="tested signal strength"
+    )
+    p_sim.add_argument(
+        "--trials", type=int, default=SimConfig.trials, help="number of trials"
+    )
     p_sim.add_argument(
         "--alpha-grid",
         type=_alpha_list,
-        default=_DEFAULT_ALPHAS,
+        default=SimConfig.alpha_grid,
         help="comma-separated target levels",
     )
     p_sim.add_argument("--c", type=float, default=2.0, help="C parameter for all methods")

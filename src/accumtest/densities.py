@@ -11,6 +11,11 @@ experiment can be written down exactly and the run replayed:
   ``z_t = Phi^{-1}(1 - t/2)``; it decreases strictly in t for mu != 0
   and is unbounded at t=0.
 * ``beta(a, b)``: the Beta density, nonincreasing iff a <= 1 <= b.
+  Its cdf is the regularized incomplete beta function
+  ``scipy.special.betainc`` and its pdf is
+  ``exp((a-1) log t + (b-1) log(1-t) - log B(a, b))`` from
+  ``scipy.special`` (``xlogy``, ``xlog1py``, ``betaln``), so the
+  module never imports ``scipy.stats``.
 * ``piecewise(pieces)``: constant levels on a partition of [0, 1].
 """
 
@@ -21,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
 
 from ._pieces import (
     Piece,
@@ -31,6 +35,8 @@ from ._pieces import (
     piece_total,
 )
 from .errors import DomainError, ValidationError
+
+# scipy is imported inside functions: loading it here would slow every CLI start.
 
 __all__ = ["DensityForm", "AlternativeDensity"]
 
@@ -104,6 +110,8 @@ class AlternativeDensity:
 
     def pdf(self, t):
         """Density value at ``t`` (scalar or array), points in [0, 1]."""
+        from scipy import special
+
         arr = np.asarray(t, dtype=float)
         flat = np.atleast_1d(arr)
         if flat.size and (np.isnan(flat).any() or flat.min() < 0 or flat.max() > 1):
@@ -116,7 +124,12 @@ class AlternativeDensity:
                 z = special.ndtri(1.0 - 0.5 * flat)
                 out = np.cosh(self.mu * z) * math.exp(-0.5 * self.mu**2)
         elif form is DensityForm.BETA:
-            out = stats.beta.pdf(flat, self.a, self.b)
+            a, b = self.a, self.b
+            with np.errstate(divide="ignore"):
+                log_pdf = special.xlogy(a - 1.0, flat) + special.xlog1py(
+                    b - 1.0, -flat
+                )
+                out = np.exp(log_pdf - special.betaln(a, b))
         else:
             out = piece_levels_at(self.pieces, flat)
         if arr.ndim == 0:
@@ -125,6 +138,8 @@ class AlternativeDensity:
 
     def cdf(self, t):
         """Cumulative distribution at ``t``."""
+        from scipy import special
+
         arr = np.asarray(t, dtype=float)
         flat = np.atleast_1d(arr)
         if flat.size and (np.isnan(flat).any() or flat.min() < 0 or flat.max() > 1):
@@ -137,7 +152,7 @@ class AlternativeDensity:
             z = special.ndtri(1.0 - 0.5 * flat)
             out = special.ndtr(self.mu - z) + special.ndtr(-z - self.mu)
         elif form is DensityForm.BETA:
-            out = stats.beta.cdf(flat, self.a, self.b)
+            out = special.betainc(self.a, self.b, flat)
         else:
             lows = np.array([lo for lo, _, _ in self.pieces])
             levels = np.array([level for _, _, level in self.pieces])
@@ -153,6 +168,8 @@ class AlternativeDensity:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` independent values from the density."""
+        from scipy import special
+
         form = self.form
         if form is DensityForm.UNIFORM:
             return rng.random(size)

@@ -28,7 +28,6 @@ from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy import special
 
 from .baselines import bh_select, storey_select
 from .errors import ContractError, DomainError, ValidationError
@@ -39,6 +38,8 @@ from .seqtest import (
     select_cutoff,
     shift_discrete_pvalues,
 )
+
+# scipy is imported inside functions: loading it here would slow every CLI start.
 
 __all__ = [
     "Group",
@@ -196,6 +197,8 @@ def _welch_rows(a: np.ndarray, b: np.ndarray, plus) -> tuple[np.ndarray, np.ndar
     get one-sided 0, 1/2 or 1 as that difference is >, = or < 0, and
     two-sided 1 for equal means, else 0.
     """
+    from scipy import special
+
     diff, t, df, degenerate = _welch_core(a, b)
     with np.errstate(invalid="ignore"):
         tail = special.stdtr(df, -np.abs(t))

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import special
 
 from .densities import AlternativeDensity
 from .errors import ContractError, DomainError
@@ -30,6 +29,8 @@ from .power_theory import SignalCurve, validate_signal_curve
 from .seqtest import Method, OrderedPValues, default_methods, select_cutoff
 # Not called here; kept as module attributes that the benchmark tracer wraps.
 from .seqtest import estimated_fdp_path, estimated_fdp_path_plus  # noqa: F401
+
+# scipy is imported inside functions: loading it here would slow every CLI start.
 
 __all__ = [
     "SimConfig",
@@ -48,8 +49,8 @@ __all__ = [
     "collect_trial_frames",
     "run_simulation",
     "simulate_count_ratio",
-    "power_table_rows",
-    "path_table_rows",
+    "power_table_columns",
+    "path_table_columns",
 ]
 
 _DEFAULT_ALPHAS = (0.05, 0.075, 0.1, 0.125, 0.15, 0.175, 0.2, 0.225, 0.25)
@@ -61,12 +62,16 @@ STAT_KHAT, STAT_FALSE_POS, STAT_POWER, STAT_FDP = range(4)
 
 def normal_cdf(x):
     """Standard normal distribution function, absolute error below 1e-12."""
+    from scipy import special
+
     out = special.ndtr(np.asarray(x, dtype=float))
     return float(out) if np.ndim(x) == 0 else out
 
 
 def normal_quantile(q):
     """Inverse of :func:`normal_cdf`; endpoints map to -inf/+inf."""
+    from scipy import special
+
     arr = np.asarray(q, dtype=float)
     flat = np.atleast_1d(arr)
     if flat.size and (np.isnan(flat).any() or flat.min() < 0 or flat.max() > 1):
@@ -132,6 +137,8 @@ def generate_ranked_trial(config: SimConfig, trial_index: int) -> OrderedPValues
     by original index.  Fresh z-scores with shift mu2 then give
     two-sided p-values p = 2 * (1 - Phi(|z*|)).
     """
+    from scipy import special
+
     rng = child_rng(config.seed, trial_index)
     n = config.n
     null_mask = np.ones(n, dtype=bool)
@@ -379,37 +386,27 @@ def simulate_count_ratio(
     return (1.0 + n_null) / (1.0 + successes)
 
 
-def power_table_rows(agg: AggregateResult) -> list[tuple]:
-    """Rows for the summary table: method and alpha, then the four stats."""
-    rows = []
-    for m, name in enumerate(agg.method_names):
-        for a, alpha in enumerate(agg.alpha_grid):
-            rows.append(
-                (
-                    name,
-                    alpha,
-                    float(agg.mean_power[m, a]),
-                    float(agg.se_power[m, a]),
-                    float(agg.mean_fdp[m, a]),
-                    float(agg.se_fdp[m, a]),
-                )
-            )
-    return rows
+def power_table_columns(agg: AggregateResult) -> list[np.ndarray]:
+    """Summary-table columns: method, alpha, then the four stats, method-major."""
+    n_methods, n_alphas = len(agg.method_names), len(agg.alpha_grid)
+    return [
+        np.repeat(np.array(agg.method_names, dtype=str), n_alphas),
+        np.tile(np.array(agg.alpha_grid, dtype=float), n_methods),
+        agg.mean_power.ravel(),
+        agg.se_power.ravel(),
+        agg.mean_fdp.ravel(),
+        agg.se_fdp.ravel(),
+    ]
 
 
-def path_table_rows(agg: AggregateResult) -> list[tuple]:
-    """Rows for the averaged-path table: method, k, estimated, true."""
+def path_table_columns(agg: AggregateResult) -> list[np.ndarray]:
+    """Averaged-path table columns: method, k, estimated, true, method-major."""
     if agg.mean_fdp_hat_path is None:
         raise ContractError("aggregate was built without paths")
-    rows = []
-    for m, name in enumerate(agg.method_names):
-        for j in range(agg.mean_fdp_hat_path.shape[1]):
-            rows.append(
-                (
-                    name,
-                    j + 1,
-                    float(agg.mean_fdp_hat_path[m, j]),
-                    float(agg.mean_fdp_true_path[j]),
-                )
-            )
-    return rows
+    n_methods, n_k = agg.mean_fdp_hat_path.shape
+    return [
+        np.repeat(np.array(agg.method_names, dtype=str), n_k),
+        np.tile(np.arange(1, n_k + 1), n_methods),
+        agg.mean_fdp_hat_path.ravel(),
+        np.tile(agg.mean_fdp_true_path, n_methods),
+    ]

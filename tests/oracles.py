@@ -149,3 +149,22 @@ def quad_mean_mp(h, density, singular_at_one=False):
     """High-precision integral of h times density over [0, 1]."""
     upper = 1 - mp.mpf("1e-25") if singular_at_one else mp.mpf(1)
     return mp.quad(lambda t: h(t) * density(t), [0, mp.mpf("0.5"), upper])
+
+
+def _power_mp(base, exponent):
+    """base**exponent with 0**0 = 1 and 0**negative = +inf."""
+    if base == 0:
+        return mp.inf if exponent < 0 else mp.mpf(exponent == 0)
+    return base**exponent
+
+
+def beta_pdf_mp(a, b, t):
+    """Beta(a, b) density at t in [0, 1], +inf where it is unbounded."""
+    a, b, t = mp.mpf(float(a)), mp.mpf(float(b)), mp.mpf(float(t))
+    return _power_mp(t, a - 1) * _power_mp(1 - t, b - 1) / mp.beta(a, b)
+
+
+def beta_cdf_mp(a, b, t):
+    """Beta(a, b) distribution function at t in [0, 1]."""
+    a, b, t = mp.mpf(float(a)), mp.mpf(float(b)), mp.mpf(float(t))
+    return mp.betainc(a, b, 0, t, regularized=True)

@@ -1,11 +1,13 @@
 """End-to-end command-line behavior: outputs, exit codes, reproducibility."""
 
+import dataclasses
+import io
 import json
 
 import numpy as np
 import pytest
 
-from accumtest import cli
+from accumtest import AccumTestError, SimConfig, cli
 
 
 def run_cli(argv, capsys):
@@ -74,13 +76,16 @@ class TestCmdTest:
         assert "mfdp = 0" in out
 
     def test_bad_mfdp_constant_prints_no_partial_report(self, tmp_path, capsys):
-        path = write_pvalue_csv(
+        labelled = write_pvalue_csv(
             tmp_path, [(0.01, 0), (0.95, 1), (0.02, 0)], header="p,is_null"
         )
-        args = ["test", path, "--method", "forwardstop", "--alpha", "0.2"]
-        for bad in ("nan", "-1"):
-            code, out, err = run_cli(args + ["--mfdp-c", bad], capsys)
-            assert code == 4 and out == "" and err.startswith("error:")
+        # Without is_null no mfdp is computed, but the constant is still checked.
+        unlabelled = write_pvalue_csv(tmp_path, [0.01, 0.95], name="plain.csv")
+        for path in (labelled, unlabelled):
+            args = ["test", path, "--method", "forwardstop", "--alpha", "0.2"]
+            for bad in ("nan", "-1"):
+                code, out, err = run_cli(args + ["--mfdp-c", bad], capsys)
+                assert code == 4 and out == "" and err.startswith("error:")
 
     def test_path_csv_round_trip(self, tmp_path, capsys):
         path = write_pvalue_csv(tmp_path, [0.01, 0.95, 0.02, 0.8, 0.9])
@@ -176,6 +181,12 @@ class TestCmdSimulate:
         assert (tmp_path / "w1_summary.csv").read_bytes() == (
             tmp_path / "w2_summary.csv"
         ).read_bytes()
+
+    def test_defaults_are_the_sim_config_defaults(self):
+        args = cli.build_parser().parse_args(["simulate", "--seed", "1"])
+        for field in dataclasses.fields(SimConfig):
+            if field.name != "seed":
+                assert getattr(args, field.name) == field.default, field.name
 
     def test_seed_is_mandatory(self, capsys):
         code, _, err = run_cli(["simulate", "--trials", "2"], capsys)
@@ -381,3 +392,124 @@ class TestValidateAndVersion:
         code, out, _ = run_cli(["--version"], capsys)
         assert code == 0
         assert out.startswith("accumtest ")
+
+
+# Each file and what the reader returns for it: (p values, is_null mask)
+# or the end of the error message.  The cells the README lists as
+# accepted parse; anything else is reported with its 1-based row.
+READER_CASES = [
+    # (file text, outcome)
+    ("p,is_null\n0.1,1\n\n0.2,0\n", ([0.1, 0.2], [True, False])),
+    ("p,is_null\n0.1,1\n \n", "row 3: bad p cell"),
+    ("p,is_null\n 0.1 , 1 \n", ([0.1], [True])),
+    ('p,is_null\n"0.1","1"\n', ([0.1], [True])),
+    ("p,is_null\n0.1,TRUE\n0.2,false\n", ([0.1, 0.2], [True, False])),
+    ("p,is_null\n0.1,1.0\n", "row 2: bad is_null cell '1.0'"),
+    ("p,is_null\n0.1,2\n", "row 2: bad is_null cell '2'"),
+    ("p,is_null\n0.1,+1\n", "row 2: bad is_null cell '+1'"),
+    ("p,is_null\n0.1,01\n", "row 2: bad is_null cell '01'"),
+    ("p,is_null\n0.1,1\x00\n", "row 2: bad is_null cell '1\\x00'"),
+    ("p,is_null\n#,1\n", "row 2: bad p cell"),
+    ("p,is_null\n0.1,#\n", "row 2: bad is_null cell '#'"),
+    ("p\nnan\n", "p-values must lie in [0, 1]"),
+    ("p\n1_0\n", "p-values must lie in [0, 1]"),
+    ("p\n0.1_0\n", ([0.1], None)),
+    ("p,is_null\n0.1,1,9\n0.2\n", "row 3: missing is_null cell"),
+    ("p,is_null\n0.1,1,extra\n0.2,0\n", ([0.1, 0.2], [True, False])),
+    ("p,is_null\n", "no p-value rows"),
+    ("p,is_null\n\n\n", "no p-value rows"),
+    ('name,p\n"a,0.7,1",0.2\n', ([0.2], None)),
+    ("p,is_null\r\n0.1,1\r\n0.2,0\r\n", ([0.1, 0.2], [True, False])),
+    ("p,is_null\r0.1,1\r0.2,0\r", ([0.1, 0.2], [True, False])),
+    ("is_null,p\n1,0.1\n0,0.2\n", ([0.1, 0.2], [True, False])),
+    ("P , Is_Null\n0.1,1\n", ([0.1], [True])),
+    ("", "empty file"),
+    ("q\n0.1\n", "no column named p"),
+]
+
+
+class TestPValueReader:
+    @pytest.mark.parametrize("text, outcome", READER_CASES)
+    def test_outcome(self, tmp_path, text, outcome):
+        path = tmp_path / "p.csv"
+        path.write_text(text, newline="")
+        if isinstance(outcome, str):
+            with pytest.raises(AccumTestError) as info:
+                cli._read_pvalue_csv(str(path))
+            assert str(info.value).endswith(outcome)
+        else:
+            pvals = cli._read_pvalue_csv(str(path))
+            values, mask = outcome
+            assert pvals.values.tolist() == values
+            got_mask = None if pvals.null_mask is None else pvals.null_mask.tolist()
+            assert got_mask == mask
+
+
+def per_cell_fmt(value) -> str:
+    """The writer's rule for one cell, applied cell by cell."""
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+def per_cell_csv(header, rows) -> str:
+    """Reference CSV text: every cell formatted on its own."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(
+            ",".join(cell if isinstance(cell, str) else per_cell_fmt(cell) for cell in row)
+        )
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvWriter:
+    SPECIAL = [
+        0.1, -0.0, 0.0, 5e-324, 1e300, -1e300, float("nan"), float("inf"),
+        -float("inf"), 1.0, 1 / 3, 2.0**53 + 2, 1e-5, 123456789.125,
+    ]
+
+    def table(self):
+        rng = np.random.default_rng(4)
+        floats = np.concatenate(
+            [self.SPECIAL, rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200)]
+        )
+        n = floats.size
+        return (
+            ("method", "k", "flag", "x", "x32", "big"),
+            [
+                [f"m{i % 3}" for i in range(n)],
+                np.arange(1, n + 1),
+                rng.random(n) < 0.5,
+                floats,
+                rng.standard_normal(n).astype(np.float32),
+                [int(v) for v in rng.integers(-(2**62), 2**62, n)],
+            ],
+        )
+
+    @pytest.mark.parametrize("block_rows", [7, 1 << 14])
+    def test_file_bytes_equal_per_cell_output(self, tmp_path, monkeypatch, block_rows):
+        monkeypatch.setattr(cli, "_WRITE_BLOCK_ROWS", block_rows)
+        header, columns = self.table()
+        rows = list(zip(*columns))
+        out = tmp_path / "t.csv"
+        cli._write_csv(str(out), header, columns)
+        assert out.read_bytes() == per_cell_csv(header, rows).encode()
+
+    def test_stdout_equals_per_cell_output(self, capsys):
+        header, columns = self.table()
+        rows = [tuple(row) for row in zip(*columns)]
+        cli._write_csv(None, header, zip(*rows))
+        assert capsys.readouterr().out == per_cell_csv(header, rows)
+
+    def test_python_scalars_and_empty_table(self, tmp_path):
+        rows = [("a", 1, True, 0.1), ("b", -2, False, float("-inf"))]
+        header = ("s", "i", "b", "f")
+        out = tmp_path / "t.csv"
+        cli._write_csv(str(out), header, zip(*rows))
+        assert out.read_text() == per_cell_csv(header, rows)
+        cli._write_csv(str(out), header, zip(*[]))
+        assert out.read_text() == "s,i,b,f\n"
+        for value in (7, np.int64(-3), True, np.bool_(False), 0.1, -0.0, np.nan):
+            assert cli._fmt(value) == per_cell_fmt(value)

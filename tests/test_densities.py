@@ -8,6 +8,8 @@ import pytest
 
 from accumtest import AlternativeDensity, DomainError, ValidationError
 
+from oracles import beta_cdf_mp, beta_pdf_mp
+
 
 def z_density_reference(mu, t):
     """Density of p = 2(1 - Phi(|X|)) for X normal with mean mu."""
@@ -64,6 +66,22 @@ class TestBeta:
         ts = np.linspace(0.0, 1.0, 21)
         assert np.allclose(density.pdf(ts), 2.0 * (1.0 - ts), atol=1e-12)
         assert np.allclose(density.cdf(ts), 2.0 * ts - ts**2, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "a, b", [(0.3, 0.5), (0.5, 2.0), (2.5, 0.7), (1.0, 1.0), (2.0, 5.0), (4.5, 3.2)]
+    )
+    def test_pdf_and_cdf_match_high_precision_oracle(self, a, b):
+        density = AlternativeDensity.beta(a, b)
+        ts = [0.0, 1e-300, 1e-12, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0 - 1e-12, 1.0]
+        for t in ts:
+            for got, want in (
+                (density.pdf(t), beta_pdf_mp(a, b, t)),
+                (density.cdf(t), beta_cdf_mp(a, b, t)),
+            ):
+                assert math.isclose(got, float(want), rel_tol=1e-12), (a, b, t)
+        # Unbounded exactly at an endpoint whose exponent is negative.
+        assert (density.pdf(0.0) == math.inf) == (a < 1.0)
+        assert (density.pdf(1.0) == math.inf) == (b < 1.0)
 
     def test_parameters_must_be_positive(self):
         with pytest.raises(DomainError):

@@ -1,8 +1,13 @@
-"""Module layering: the core depends on nothing above it."""
+"""Module layering: the core depends on nothing above it, and importing
+the package or running a command loads no more of scipy than it needs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import accumtest
@@ -43,3 +48,50 @@ def test_dosage_does_not_import_simlab():
 
 def test_scan_sees_relative_imports():
     assert {"seqtest", "baselines", "errors"} <= package_imports("dosage")
+
+
+def run_python(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return proc.stdout
+
+
+def test_package_import_loads_no_scipy():
+    out = run_python(
+        "import sys, accumtest\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert out.strip() == "[]"
+
+
+def test_commands_never_load_scipy_stats(tmp_path):
+    matrix = tmp_path / "matrix.csv"
+    lines = ["gene_id,C0,C1,C2,L0,L1,L2,H0,H1"]
+    for i, row in enumerate(np.random.default_rng(3).normal(size=(20, 8))):
+        lines.append(",".join([f"g{i}"] + [repr(float(v)) for v in row]))
+    matrix.write_text("\n".join(lines) + "\n")
+    argvs = [
+        ["dosage", str(matrix)],
+        ["simulate", "--seed", "1", "--trials", "2", "--n", "200", "--n-nonnull", "20"],
+        ["power", "--curve", "f:0,0.5;1,0.3", "--alpha", "0.2", "--mu", "0.5"],
+        ["validate"],
+    ]
+    out = run_python(
+        "import contextlib, io, sys\n"
+        "from accumtest import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(argv) for argv in {argvs!r}]\n"
+        "print(codes, 'scipy.stats' in sys.modules)"
+    )
+    assert out.strip() == "[0, 0, 0, 0] False"

@@ -31,7 +31,15 @@ from accumtest import (
     seq_step,
     simulate_count_ratio,
 )
-from accumtest.simlab import STAT_FDP, STAT_KHAT, STAT_POWER, TrialFrame
+from accumtest.simlab import (
+    STAT_FDP,
+    STAT_KHAT,
+    STAT_POWER,
+    TrialFrame,
+    path_table_columns,
+    power_table_columns,
+    run_simulation,
+)
 
 import oracles
 
@@ -226,6 +234,26 @@ class TestCollectTrialFrames:
         assert np.all(agg.mean_power >= 0.0) and np.all(agg.mean_power <= 1.0)
         assert np.all(agg.mean_fdp >= 0.0) and np.all(agg.mean_fdp <= 1.0)
         assert np.all(agg.se_power >= 0.0) and np.all(agg.se_fdp >= 0.0)
+
+    def test_table_columns_list_rows_method_major(self):
+        agg = run_simulation(self.config, default_methods(), include_paths=True)
+        power_rows = [
+            (name, alpha, agg.mean_power[m, a], agg.se_power[m, a],
+             agg.mean_fdp[m, a], agg.se_fdp[m, a])
+            for m, name in enumerate(agg.method_names)
+            for a, alpha in enumerate(agg.alpha_grid)
+        ]
+        assert list(zip(*power_table_columns(agg))) == power_rows
+        n_k = self.config.n
+        path_rows = [
+            (name, j + 1, agg.mean_fdp_hat_path[m, j], agg.mean_fdp_true_path[j])
+            for m, name in enumerate(agg.method_names)
+            for j in range(n_k)
+        ]
+        assert list(zip(*path_table_columns(agg))) == path_rows
+        without = run_simulation(self.config, default_methods(), include_paths=False)
+        with pytest.raises(ContractError):
+            path_table_columns(without)
 
 
 class TestGenerateFromCurve:
