@@ -272,7 +272,7 @@ def cmd_dosage(args: argparse.Namespace, argv: Sequence[str]) -> int:
         alpha_grid=args.alpha_grid,
         include_baselines=not args.no_baselines,
     )
-    _write_csv(args.out, ("method", "alpha", "discoveries"), zip(*result.rows))
+    _write_csv(args.out, ("method", "alpha", "discoveries"), result.columns)
     if args.out:
         manifest = args.out + ".manifest.json"
         _write_manifest(manifest, "dosage", argv, args, [args.input], [args.out])

@@ -59,7 +59,16 @@ __all__ = [
 
 MAX_PARTITIONS = 10**6
 
-_GATHER_BUDGET = 16 * 2**20
+_TABLE_BUDGET = 128 * 2**20
+
+_BATCH_BUDGET = 16 * 2**20
+
+# Bound on the (rows x P) float64 arrays one _permutation_rows pass holds
+# at once; tracemalloc peaks were 6-7.3 on grid rows and 10.1-10.7 on
+# off-grid rows.
+_BATCH_ARRAYS = 12
+
+_GRID_DECIMALS = 9
 
 
 class Group(Enum):
@@ -156,60 +165,176 @@ def _check_sample(name: str, values, minimum: int) -> np.ndarray:
     return arr
 
 
-def _welch_core(a: np.ndarray, b: np.ndarray):
-    """Welch statistic pieces for row-aligned sample matrices.
+def _exact_units(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rescale each row so that its Welch sums are exact, or nearly so.
 
-    Groups of size one are treated as having zero sample variance, the
-    continuous limit used throughout the permutation engine.  Returns
-    the mean difference, the t statistic, the Satterthwaite degrees of
-    freedom, and a mask of rows where both spread terms vanish (the t
-    statistic is undefined there and callers substitute a convention).
+    Returns (h, r) with ``values`` = h + r up to a per-row shift and
+    scale, h integer-valued with m^2 * max(h)^2 < 2^53 (m columns), so
+    that sums of h and h*h over any columns are exact.  A row on a
+    decimal grid, where rint(x * 10^d) / 10^d == x for every value and
+    the least such d <= ``_GRID_DECIMALS``, becomes its integer grid
+    units minus their minimum, with r = 0, whenever those units satisfy
+    the bound; ties between relabelings of such a row are then exact.
+    Any other row is shifted by its minimum and scaled by a power of two
+    to at most 2^bits; h is the rounded value and r in [-1/2, 1/2] the
+    rest.  Each row is handled on its own values only.
     """
-    na, nb = a.shape[1], b.shape[1]
-    mean_a = a.mean(axis=1)
-    mean_b = b.mean(axis=1)
-    var_a = a.var(axis=1, ddof=1) if na > 1 else np.zeros(a.shape[0])
-    var_b = b.var(axis=1, ddof=1) if nb > 1 else np.zeros(b.shape[0])
-    term_a = var_a / na
-    term_b = var_b / nb
-    se2 = term_a + term_b
-    diff = mean_a - mean_b
-    degenerate = se2 == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = diff / np.sqrt(se2)
-        df_num = se2 * se2
-        df_den = np.zeros_like(se2)
-        if na > 1:
-            df_den += term_a * term_a / (na - 1)
-        if nb > 1:
-            df_den += term_b * term_b / (nb - 1)
-        df = df_num / df_den
-    return diff, t, df, degenerate
+    m = values.shape[1]
+    bits = (53 - 2 * m.bit_length()) // 2
+    shifted = values - values.min(axis=1, keepdims=True)
+    exponent = np.frexp(shifted.max(axis=1, keepdims=True))[1]
+    scaled = np.ldexp(shifted, bits - exponent)
+    h = np.rint(scaled)
+    r = scaled - h
+    pending = np.ones(values.shape[0], dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for decimals in range(_GRID_DECIMALS + 1):
+            scale = 10.0**decimals
+            units = np.rint(values * scale)
+            on_grid = pending & (units / scale == values).all(axis=1)
+            units -= units.min(axis=1, keepdims=True)
+            exact = on_grid & (m * m * units.max(axis=1) ** 2 < 2.0**53)
+            h[exact] = units[exact]
+            r[exact] = 0.0
+            pending &= ~on_grid
+            if not pending.any():
+                break
+    return h, r
 
 
-def _welch_rows(a: np.ndarray, b: np.ndarray, plus) -> tuple[np.ndarray, np.ndarray]:
-    """One- and two-sided Welch p-values per row from one t-CDF call.
+def _group_sums(x: np.ndarray, indicator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x @ indicator and x @ (1 - indicator), adding columns in index order.
 
-    ``plus`` (one bool, or one per row) is true where the one-sided p
-    scores mean(a) > mean(b).  With tail = stdtr(df, -|t|), the
-    two-sided p is min(2 tail, 1) and the one-sided p is the tail if the
-    directed difference is positive, else 1 - tail.  Rows without spread
-    get one-sided 0, 1/2 or 1 as that difference is >, = or < 0, and
-    two-sided 1 for equal means, else 0.
+    Every element goes through the same additions whatever the number
+    of rows, which a BLAS kernel does not promise for inexact values.
+    """
+    inside = x[:, :1] * indicator[0]
+    outside = x[:, :1] - inside
+    term = np.empty_like(inside)
+    for k in range(1, x.shape[1]):
+        np.multiply(x[:, k : k + 1], indicator[k], out=term)
+        inside += term
+        np.subtract(x[:, k : k + 1], term, out=term)
+        outside += term
+    return inside, outside
+
+
+def _welch_tails(
+    values: np.ndarray, m_c: int, m_l: int, indicator: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Welch test of every row under every relabeling, from group sums.
+
+    ``values`` has one row per gene and m = m_c + m_l columns; column j
+    of the 0/1 ``indicator`` (m x k) marks the pseudo-control columns of
+    relabeling j and the rest are pseudo-low.  Relabeling j's statistic
+    depends only on the pseudo-control sums S = z @ I and Q = (z*z) @ I
+    (the pseudo-low sums are the row totals minus these), through the
+    shift-invariant D = m_c S_low - m_l S_control and m Q - S^2 per
+    group.  On the exact units of ``_exact_units`` these come from one
+    matmul and are exact integers.  The remainder terms of off-grid
+    rows are summed over each group's own columns in index order, so
+    swapping the groups negates d and keeps the tail bit for bit.
+    Groups of size one have zero variance.
+
+    Returns (d, tail, degenerate), each of shape (rows, k): d has the
+    sign of mean(low) - mean(control), tail = P(T_df <= -|t|), and
+    degenerate marks relabelings where both spread terms vanish.
     """
     from scipy import special
 
-    diff, t, df, degenerate = _welch_core(a, b)
-    with np.errstate(invalid="ignore"):
-        tail = special.stdtr(df, -np.abs(t))
-    signed = np.where(plus, diff, -diff)
+    h, r = _exact_units(values)
+    g = h.shape[0]
+    sums = np.vstack([h, h * h]) @ indicator
+    s_c, a_c = sums[:g], sums[g:]
+    s_l = h.sum(axis=1, keepdims=True) - s_c
+    a_l = (h * h).sum(axis=1, keepdims=True) - a_c
+    d = m_c * s_l
+    d -= m_l * s_c
+    # m Q - S^2 per group, in place of Q.
+    a_c *= m_c
+    a_c -= s_c * s_c
+    a_l *= m_l
+    a_l -= s_l * s_l
+    if r.any():
+        # With S = S_h + S_r and (h + r)^2 = h^2 + w, each group's
+        # m Q - S^2 gains m W - (2 S_h + S_r) S_r.
+        rs_c, rs_l = _group_sums(r, indicator)
+        d += m_c * rs_l - m_l * rs_c
+        for s_x, rs_x, a_x in ((s_c, rs_c, a_c), (s_l, rs_l, a_l)):
+            s_x *= 2.0
+            s_x += rs_x
+            s_x *= rs_x
+            a_x -= s_x
+        del rs_c, rs_l
+        w = r * (2.0 * h + r)
+        ws_c, ws_l = _group_sums(w, indicator)
+        for n, ws_x, a_x in ((m_c, ws_c, a_c), (m_l, ws_l, a_l)):
+            ws_x *= n
+            a_x += ws_x
+            np.maximum(a_x, 0.0, out=a_x)
+        del ws_c, ws_l
+    del sums, s_c, s_l
+    se2 = np.zeros_like(d)
+    df_den = np.zeros_like(d)
+    for a, n in ((a_l, m_l), (a_c, m_c)):
+        if n > 1:
+            a /= n * n * (n - 1)
+            se2 += a
+            a *= a
+            a /= n - 1
+            df_den += a
+    del a_c, a_l, a
+    degenerate = se2 == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.sqrt(se2)
+        t *= m_c * m_l
+        np.divide(d, t, out=t)
+        np.abs(t, out=t)
+        np.negative(t, out=t)
+        se2 *= se2
+        se2 /= df_den
+        del df_den
+        tail = special.stdtr(se2, t)
+    return d, tail, degenerate
+
+
+def _one_sided(
+    signed: np.ndarray, tail: np.ndarray, degenerate: np.ndarray
+) -> np.ndarray:
+    """One-sided p: the tail where the directed difference is positive,
+    else 1 - tail; without spread 0, 1/2 or 1 as it is >, = or < 0."""
     one = np.where(signed > 0.0, tail, 1.0 - tail)
-    two = np.minimum(2.0 * tail, 1.0)
     if degenerate.any():
         signed = signed[degenerate]
         one[degenerate] = np.where(signed > 0.0, 0.0, np.where(signed < 0.0, 1.0, 0.5))
-        two[degenerate] = np.where(diff[degenerate] == 0.0, 1.0, 0.0)
-    return one, two
+    return one
+
+
+def _two_sided(d: np.ndarray, tail: np.ndarray, degenerate: np.ndarray) -> np.ndarray:
+    """Two-sided p: min(2 tail, 1); without spread 1 for equal means, else 0."""
+    two = np.minimum(2.0 * tail, 1.0)
+    if degenerate.any():
+        two[degenerate] = np.where(d[degenerate] == 0.0, 1.0, 0.0)
+    return two
+
+
+def _welch_rows(
+    a: np.ndarray, b: np.ndarray, plus
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One- and two-sided Welch p-values per row from one t-CDF call.
+
+    ``plus`` (one bool, or one per row) is true where the one-sided p
+    scores mean(a) > mean(b).  Also returns d, which has the sign of
+    mean(a) - mean(b) and is exactly zero for equal means on grid rows.
+    """
+    n_b = b.shape[1]
+    indicator = np.zeros((n_b + a.shape[1], 1))
+    indicator[:n_b] = 1.0
+    d, tail, degenerate = _welch_tails(np.hstack([b, a]), n_b, a.shape[1], indicator)
+    signed = np.where(np.reshape(plus, (-1, 1)), d, -d)
+    one = _one_sided(signed, tail, degenerate)
+    two = _two_sided(d, tail, degenerate)
+    return one[:, 0], two[:, 0], d[:, 0]
 
 
 def welch_p_two_sided(a, b) -> float:
@@ -237,13 +362,19 @@ def welch_p_one_sided(a, b, direction: Union[Sign, str]) -> float:
     return float(_welch_rows(row_a, row_b, plus)[0][0])
 
 
-@lru_cache(maxsize=32)
-def _partition_table(m: int, m_first: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index matrices for all ways to choose ``m_first`` of ``m`` columns.
+@lru_cache(maxsize=4)
+def _partition_table(m: int, m_first: int) -> np.ndarray:
+    """0/1 indicator of every way to choose ``m_first`` of ``m`` columns.
 
-    Rows are in lexicographic order of the chosen index set, so row 0
-    is the identity labeling.  Returns (chosen, complement) index
-    arrays of shapes (P, m_first) and (P, m - m_first).
+    Column j of the (m, P) float64 matrix marks the chosen columns of
+    the j-th index set in lexicographic order, so column 0 is the
+    identity labeling.  When m = 2 * m_first the first P/2 sets are the
+    ones holding column 0 and their complements are the last P/2; set j
+    and set P-1-j are complements.
+
+    Raises ``ContractError`` before allocating when P exceeds
+    ``MAX_PARTITIONS`` or the indicator plus its index table, 8 * P *
+    (m + m_first) bytes, exceed ``_TABLE_BUDGET``.
     """
     count = math.comb(m, m_first)
     if count > MAX_PARTITIONS:
@@ -251,14 +382,28 @@ def _partition_table(m: int, m_first: int) -> tuple[np.ndarray, np.ndarray]:
             f"partition count {count} exceeds {MAX_PARTITIONS}; "
             "subsample the control/low columns instead"
         )
-    chosen = np.array(list(itertools.combinations(range(m), m_first)), dtype=np.intp)
-    chosen = chosen.reshape(count, m_first)
-    taken = np.zeros((count, m), dtype=bool)
-    taken[np.arange(count)[:, None], chosen] = True
-    complement = np.nonzero(~taken)[1].reshape(count, m - m_first)
-    chosen.setflags(write=False)
-    complement.setflags(write=False)
-    return chosen, complement
+    needed = count * (m * 8 + m_first * np.dtype(np.intp).itemsize)
+    if needed > _TABLE_BUDGET:
+        raise ContractError(
+            f"partition table for {m} columns needs {needed / 2**20:.0f} MiB, "
+            f"over the {_TABLE_BUDGET // 2**20} MiB budget; "
+            "subsample the control/low columns instead"
+        )
+    members = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(m), m_first)),
+        dtype=np.intp,
+        count=count * m_first,
+    ).reshape(count, m_first)
+    indicator = np.zeros((m, count))
+    indicator[members.T, np.arange(count)] = 1.0
+    indicator.setflags(write=False)
+    return indicator
+
+
+def _scored_columns(m_c: int, m_l: int) -> int:
+    """Relabelings the engine scores: all P, or P/2 when m_c = m_l."""
+    count = math.comb(m_c + m_l, m_c)
+    return count // 2 if m_c == m_l else count
 
 
 def _permutation_rows(
@@ -267,30 +412,46 @@ def _permutation_rows(
     """Rank-calibrate each row of ``values`` over all relabelings.
 
     ``values`` has one row per gene and ``m_c + m_l`` columns with the
-    true control values first.  One pass scores every relabeling both
-    one-sided, in the row's ``plus_mask`` direction, and two-sided.
+    true control values first.  One ``_welch_tails`` pass scores every
+    relabeling both one-sided, in the row's ``plus_mask`` direction, and
+    two-sided; it holds (rows x P) float64 arrays, never the relabeled
+    values themselves.  When m_c = m_l only the P/2 relabelings that
+    keep column 0 in the control group are scored: swapping the groups
+    keeps the tail and df bit for bit and negates the difference, so
+    each complement's one-sided p comes from the same tail with the sign
+    flipped, and its two-sided p is the same.
+
     Returns (p_init, p_final, p_perm_two): the one-sided p under the
     true labels, its rank #{relabelings with p <= p_init} / P, and the
-    same rank of the two-sided p.  Comparisons are exact since every
-    side comes from the same routine.
+    same rank of the two-sided p.  On rows of ``_exact_units`` grid data
+    relabelings with equal Welch statistics get bitwise-equal p-values,
+    so the rank counts every tie.
     """
-    chosen, complement = _partition_table(m_c + m_l, m_c)
-    count = chosen.shape[0]
-    g = values.shape[0]
-    flat_control = values[:, chosen].reshape(g * count, m_c)
-    flat_low = values[:, complement].reshape(g * count, m_l)
-    scores = _welch_rows(flat_low, flat_control, np.repeat(plus_mask, count))
-    one, two = (p.reshape(g, count) for p in scores)
-    p_final = np.count_nonzero(one <= one[:, :1], axis=1) / count
-    p_perm_two = np.count_nonzero(two <= two[:, :1], axis=1) / count
-    return one[:, 0], p_final, p_perm_two
+    count = math.comb(m_c + m_l, m_c)
+    scored = _scored_columns(m_c, m_l)
+    indicator = _partition_table(m_c + m_l, m_c)[:, :scored]
+    d, tail, degenerate = _welch_tails(values, m_c, m_l, indicator)
+    signed = np.where(plus_mask[:, None], d, -d)
+    one = _one_sided(signed, tail, degenerate)
+    p_init = one[:, :1]
+    hits = np.count_nonzero(one <= p_init, axis=1)
+    del one
+    two = _two_sided(d, tail, degenerate)
+    hits_two = np.count_nonzero(two <= two[:, :1], axis=1)
+    del two
+    if scored < count:
+        mirrored = _one_sided(-signed, tail, degenerate)
+        hits += np.count_nonzero(mirrored <= p_init, axis=1)
+        hits_two *= 2
+    return p_init[:, 0], hits / count, hits_two / count
 
 
-def _chunk_rows(count: int, m: int, chunk: Optional[int] = None) -> int:
-    """Gene rows per batch: the most whose gathered values, rows * count
-    * m float64s, fit in ``_GATHER_BUDGET``, at least 1, at most ``chunk``.
+def _chunk_rows(columns: int, chunk: Optional[int] = None) -> int:
+    """Gene rows per batch: the most whose ``_BATCH_ARRAYS`` (rows x
+    ``columns``) float64 arrays fit in ``_BATCH_BUDGET``, at least 1, at
+    most ``chunk``.
     """
-    rows = max(1, _GATHER_BUDGET // (count * m * 8))
+    rows = max(1, _BATCH_BUDGET // (columns * 8 * _BATCH_ARRAYS))
     return rows if chunk is None else min(rows, chunk)
 
 
@@ -346,8 +507,7 @@ def high_dose_ordering(matrix: ExpressionMatrix) -> list[HighDoseRank]:
             "high-dose ordering needs at least 2 high-dose columns and "
             "2 other columns"
         )
-    _, p_high = _welch_rows(high, rest, True)
-    diff = high.mean(axis=1) - rest.mean(axis=1)
+    _, p_high, diff = _welch_rows(high, rest, True)
     order = np.lexsort((np.arange(matrix.n_genes), p_high))
     return [
         HighDoseRank(
@@ -361,12 +521,20 @@ def high_dose_ordering(matrix: ExpressionMatrix) -> list[HighDoseRank]:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Ordered gene records plus the discovery-count table."""
+    """Ordered gene records plus the discovery-count table.
+
+    ``columns`` holds the table's method, alpha and discoveries columns,
+    method-major; ``rows`` gives the same table as row tuples.
+    """
 
     records: tuple[GeneRecord, ...]
-    rows: tuple[tuple[str, float, int], ...]
+    columns: tuple[tuple[str, ...], tuple[float, ...], tuple[int, ...]]
     method_names: tuple[str, ...]
     alpha_grid: tuple[float, ...]
+
+    @property
+    def rows(self) -> tuple[tuple[str, float, int], ...]:
+        return tuple(zip(*self.columns))
 
     def count(self, method: str, alpha: float) -> int:
         for name, a, c in self.rows:
@@ -405,9 +573,11 @@ def run_pipeline(
 
     A level of exactly zero yields zero discoveries for every method by
     definition.  Levels must lie in [0, 1).  Gene rows are scored in
-    batches by one permutation pass each; batch size follows from the
-    partition count so gathered values stay within a fixed byte budget,
-    and ``chunk`` caps it.  Results do not depend on the batch size.
+    batches by one ``_permutation_rows`` pass each.  The batch size
+    follows from the number of relabelings scored, so that the (rows x
+    P) float64 arrays a pass holds stay within a fixed byte budget, and
+    ``chunk`` caps it.  Results do not depend on the batch size.  The
+    count table is built as columns, ready for a column-wise writer.
     """
     if methods is None:
         methods = default_methods()
@@ -433,7 +603,7 @@ def run_pipeline(
 
     n = matrix.n_genes
     grid_size = math.comb(m_c + m_l, m_c)
-    rows = _chunk_rows(grid_size, m_c + m_l, chunk)
+    rows = _chunk_rows(_scored_columns(m_c, m_l), chunk)
     p_init = np.empty(n)
     p_final = np.empty(n)
     p_perm_two = np.empty(n)
@@ -459,21 +629,21 @@ def run_pipeline(
 
     levels = np.array(alphas)
     positive = levels > 0.0
-    rows: list[tuple[str, float, int]] = []
+    discoveries: list[int] = []
     names: list[str] = []
     for method in methods:
         names.append(method.name)
         inputs = plain_pvals if method.spec.bounded else shifted_pvals
         counts = np.zeros(len(alphas), dtype=int)
         counts[positive] = select_cutoff(method.path(inputs), levels[positive])
-        rows.extend((method.name, alpha, int(k)) for alpha, k in zip(alphas, counts))
+        discoveries.extend(counts.tolist())
 
     if include_baselines:
         if m_c < 2 or m_l < 2:
             raise ContractError(
                 "baseline t-tests need at least 2 control and 2 low-dose columns"
             )
-        _, p_t_two = _welch_rows(low[row_order], control[row_order], True)
+        _, p_t_two, _ = _welch_rows(low[row_order], control[row_order], True)
         baseline_inputs = {
             "BH-t": p_t_two,
             "Storey-t": p_t_two,
@@ -482,17 +652,21 @@ def run_pipeline(
         }
         for name in _BASELINE_NAMES:
             names.append(name)
-            for alpha in alphas:
-                count = (
-                    0
-                    if alpha == 0.0
-                    else _baseline_counts(name, baseline_inputs[name], alpha)
-                )
-                rows.append((name, alpha, count))
+            discoveries.extend(
+                0
+                if alpha == 0.0
+                else _baseline_counts(name, baseline_inputs[name], alpha)
+                for alpha in alphas
+            )
 
+    columns = (
+        tuple(name for name in names for _ in alphas),
+        alphas * len(names),
+        tuple(discoveries),
+    )
     return PipelineResult(
         records=records,
-        rows=tuple(rows),
+        columns=columns,
         method_names=tuple(names),
         alpha_grid=alphas,
     )

@@ -1,14 +1,16 @@
 """Independent reference implementations used by the tests.
 
 Everything here is deliberately written without the package's own
-numerics, using plain Python loops and high-precision ``mpmath``
-arithmetic.  Tests compare library output against these oracles.
+numerics, using plain Python loops, exact ``fractions.Fraction``
+statistics and high-precision ``mpmath`` arithmetic.  Tests compare
+library output against these oracles.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath as mp
 
@@ -126,23 +128,126 @@ def welch_one_sided_mp(a, b, plus):
     return upper if plus else 1 - upper
 
 
+def _exact(x):
+    """The decimal a float prints as, exactly (0.1 is 1/10, not the double)."""
+    return Fraction(repr(float(x)))
+
+
+def welch_key(a, b):
+    """Exact Welch statistic of mean(a) - mean(b) as a hashable key.
+
+    Returns ("zero",) when the means are equal, whatever the spread or
+    df: t = 0 gives one-sided p = 1/2 and two-sided p = 1 for every df.
+    Otherwise (sign, t^2, df) in ``Fraction`` arithmetic, with t^2 and df
+    None when neither group has spread.  Groups of size one count as
+    having zero variance.
+    """
+    a = [_exact(x) for x in a]
+    b = [_exact(x) for x in b]
+    na, nb = len(a), len(b)
+    ma = sum(a) / na
+    mb = sum(b) / nb
+    diff = ma - mb
+    if diff == 0:
+        return ("zero",)
+    terms = []
+    for values, mean, n in ((a, ma, na), (b, mb, nb)):
+        if n > 1:
+            var = sum((x - mean) ** 2 for x in values) / (n - 1)
+            terms.append((var / n, n))
+    se2 = sum(term for term, _ in terms)
+    sign = 1 if diff > 0 else -1
+    if se2 == 0:
+        return (sign, None, None)
+    df = se2**2 / sum(term**2 / (n - 1) for term, n in terms)
+    return (sign, diff**2 / se2, df)
+
+
+def _fraction_mp(q):
+    return mp.mpf(q.numerator) / q.denominator
+
+
+def _tail_mp(t2, df, cache):
+    """P(T_df <= -sqrt(t2)) in high precision, memoised on (t2, df)."""
+    if (t2, df) not in cache:
+        cache[t2, df] = t_cdf_mp(-mp.sqrt(_fraction_mp(t2)), _fraction_mp(df))
+    return cache[t2, df]
+
+
+def one_sided_key(key, plus):
+    """The key with its sign turned to the scored direction."""
+    return key if key[0] == "zero" or plus else (-key[0],) + key[1:]
+
+
+def two_sided_key(key):
+    return key if key[0] == "zero" else key[1:]
+
+
+def one_sided_p(key, cache):
+    """p of a directed key: the upper tail where the sign is +1."""
+    if key[0] == "zero":
+        return mp.mpf("0.5")
+    if key[1] is None:
+        return mp.mpf(0 if key[0] > 0 else 1)
+    tail = _tail_mp(key[1], key[2], cache)
+    return tail if key[0] > 0 else 1 - tail
+
+
+def two_sided_p(key, cache):
+    if key[0] == "zero":
+        return mp.mpf(1)
+    if key[0] is None:
+        return mp.mpf(0)
+    return min(2 * _tail_mp(key[0], key[1], cache), mp.mpf(1))
+
+
+def tie_aware_rank(keys, pvalue, cache):
+    """#{labelings whose key equals labeling 0's or whose p <= its p} / count."""
+    pvals = [pvalue(key, cache) for key in keys]
+    hits = sum(1 for key, p in zip(keys, pvals) if key == keys[0] or p <= pvals[0])
+    return Fraction(hits, len(keys))
+
+
+def exact_permutation_ranks(values, m_c, plus):
+    """Exact (p_final, p_perm_two) of a pooled sample, ties counted.
+
+    Enumerates every choice of ``m_c`` pseudo-control values out of the
+    pool (the first ``m_c`` entries are the true controls) and keys each
+    relabeling by ``welch_key(pseudo-low, pseudo-control)``, read in the
+    ``plus`` direction for the one-sided rank and without sign for the
+    two-sided one.  A relabeling counts toward the rank of the true
+    labeling when its key equals the true labeling's, or when its
+    high-precision p-value is no larger.
+    Returns ``Fraction`` ranks.
+    """
+    m = len(values)
+    keys = []
+    for chosen in itertools.combinations(range(m), m_c):
+        control = [values[i] for i in chosen]
+        low = [values[i] for i in range(m) if i not in chosen]
+        keys.append(welch_key(low, control))
+    cache = {}
+    return (
+        tie_aware_rank([one_sided_key(k, plus) for k in keys], one_sided_p, cache),
+        tie_aware_rank([two_sided_key(k) for k in keys], two_sided_p, cache),
+    )
+
+
 def permutation_rank_over_orderings(values, m_c, plus):
     """Rank-based calibrated p-value over all orderings of the pool.
 
     Scores every permutation of the pooled values (first ``m_c``
-    entries acting as pseudo-controls) in high precision, then returns
-    #(orderings with p <= p under the true labels) / (pool size)!.
-    The true labels are the identity ordering.
+    entries acting as pseudo-controls) by its exact Welch key, then
+    returns #(orderings tying the true labels' key or with p <= their
+    p) / (pool size)!.  The true labels are the identity ordering.
     """
     m = len(values)
-    pvals = []
+    keys = []
     for perm in itertools.permutations(range(m)):
         control = [values[i] for i in perm[:m_c]]
         low = [values[i] for i in perm[m_c:]]
-        pvals.append(welch_one_sided_mp(low, control, plus))
-    p_init = pvals[0]
-    count = sum(1 for p in pvals if p <= p_init)
-    return mp.mpf(count) / len(pvals)
+        keys.append(one_sided_key(welch_key(low, control), plus))
+    return tie_aware_rank(keys, one_sided_p, {})
 
 
 def quad_mean_mp(h, density, singular_at_one=False):

@@ -1,7 +1,10 @@
 """Dosage pipeline: Welch tests, partition calibration, ordering, counts."""
 
+import itertools
 import math
+import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special
@@ -22,10 +25,15 @@ from accumtest import (
     welch_p_two_sided,
 )
 from accumtest.dosage import (
-    _GATHER_BUDGET,
+    MAX_PARTITIONS,
+    _BATCH_ARRAYS,
+    _BATCH_BUDGET,
+    _TABLE_BUDGET,
     _chunk_rows,
+    _exact_units,
     _partition_table,
     _permutation_rows,
+    _scored_columns,
 )
 
 import oracles
@@ -43,12 +51,38 @@ def make_matrix(values, m_c, m_l, m_h, ids=None):
     return ExpressionMatrix(ids, values, groups)
 
 
-def gaussian_matrix(seed, n, m_c, m_l, m_h, planted=0, low_shift=0.0, high_shift=0.0):
+def gaussian_matrix(
+    seed, n, m_c, m_l, m_h, planted=0, low_shift=0.0, high_shift=0.0, decimals=None
+):
     rng = np.random.Generator(np.random.Philox(key=seed))
     values = rng.normal(size=(n, m_c + m_l + m_h))
     values[:planted, m_c : m_c + m_l] += low_shift
     values[:planted, m_c + m_l :] += high_shift
+    if decimals is not None:
+        values = values.round(decimals)
     return make_matrix(values, m_c, m_l, m_h)
+
+
+def partitions(m, m_c):
+    """(control, low) column indices of every relabeling, in table order."""
+    return [
+        (np.array(chosen), np.array([j for j in range(m) if j not in chosen]))
+        for chosen in itertools.combinations(range(m), m_c)
+    ]
+
+
+def brute_force_ranks(pool, m_c, plus):
+    """p_final and p_perm_two by scoring each relabeling with the public Welch tests."""
+    sign = Sign.PLUS if plus else Sign.MINUS
+    one, two = [], []
+    for ctrl, low in partitions(len(pool), m_c):
+        one.append(welch_p_one_sided(pool[low], pool[ctrl], sign))
+        two.append(welch_p_two_sided(pool[low], pool[ctrl]))
+    count = len(one)
+    return (
+        sum(p <= one[0] for p in one) / count,
+        sum(p <= two[0] for p in two) / count,
+    )
 
 
 class TestWelchTwoSided:
@@ -160,11 +194,10 @@ class TestTwoSidedPermutationRank:
         pools = rng.normal(size=(6, m_c + m_l))
         plus = np.array([True, False] * 3)
         _, _, p_two = _permutation_rows(pools, m_c, m_l, plus)
-        chosen, complement = _partition_table(m_c + m_l, m_c)
         for pool, got in zip(pools, p_two):
             scores = [
                 welch_p_two_sided(pool[low], pool[ctrl])
-                for ctrl, low in zip(chosen, complement)
+                for ctrl, low in partitions(m_c + m_l, m_c)
             ]
             want = sum(p <= scores[0] for p in scores) / len(scores)
             assert got == want
@@ -172,16 +205,38 @@ class TestTwoSidedPermutationRank:
 
 class TestPartitionTable:
     def test_row_zero_is_identity(self):
-        chosen, complement = _partition_table(5, 2)
-        assert chosen.shape == (10, 2)
-        assert complement.shape == (10, 3)
-        assert list(chosen[0]) == [0, 1]
-        assert list(complement[0]) == [2, 3, 4]
+        indicator = _partition_table(5, 2)
+        assert indicator.shape == (5, 10)
+        assert indicator[:, 0].tolist() == [1, 1, 0, 0, 0]
 
     def test_rows_partition_all_columns(self):
-        chosen, complement = _partition_table(6, 3)
-        for row in range(chosen.shape[0]):
-            assert sorted(list(chosen[row]) + list(complement[row])) == list(range(6))
+        indicator = _partition_table(6, 3)
+        assert set(np.unique(indicator)) == {0.0, 1.0}
+        assert (indicator.sum(axis=0) == 3).all()
+        want = [list(ctrl) for ctrl, _ in partitions(6, 3)]
+        assert [list(np.flatnonzero(col)) for col in indicator.T] == want
+
+    @pytest.mark.parametrize("m", range(2, 17, 2))
+    def test_set_and_mirror_are_complements(self, m):
+        indicator = _partition_table(m, m // 2)
+        assert (indicator + indicator[:, ::-1] == 1.0).all()
+        half = _scored_columns(m // 2, m // 2)
+        assert (indicator[0, :half] == 1.0).all()
+        assert (indicator[0, half:] == 0.0).all()
+
+    def test_footprint_guard_fires_before_allocating(self):
+        assert math.comb(22, 11) <= MAX_PARTITIONS
+        assert math.comb(22, 11) * (22 + 11) * 8 > _TABLE_BUDGET
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContractError, match="MiB budget; subsample"):
+                _partition_table(22, 11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        with pytest.raises(ContractError, match="MiB budget"):
+            permutation_pvalue(np.arange(22.0), 11, 11, Sign.PLUS)
 
 
 class TestHighDoseOrdering:
@@ -250,10 +305,9 @@ class TestPermutationInvariance:
         swapped[[0, 3]] = swapped[[3, 0]]
 
         def score_table(pool):
-            chosen, complement = _partition_table(6, 3)
             return sorted(
                 welch_p_one_sided(pool[low], pool[ctrl], Sign.PLUS)
-                for ctrl, low in zip(chosen, complement)
+                for ctrl, low in partitions(6, 3)
             )
 
         before = score_table(row)
@@ -291,21 +345,45 @@ class TestRunPipeline:
             assert record.p_final == k / grid_size
 
     def test_chunk_size_does_not_change_output(self):
-        matrix = gaussian_matrix(4, 30, 3, 3, 2)
-        a = run_pipeline(matrix, alpha_grid=(0.15,), chunk=7)
-        b = run_pipeline(matrix, alpha_grid=(0.15,), chunk=512)
-        assert a.records == b.records
-        assert a.rows == b.rows
+        # Off-grid rows must not take their bits from the BLAS kernel,
+        # whose summation order changes with the number of rows.
+        for (m_c, m_l), decimals in itertools.product([(3, 3), (4, 3)], [2, None]):
+            matrix = gaussian_matrix(4, 30, m_c, m_l, 2, decimals=decimals)
+            results = [
+                run_pipeline(matrix, alpha_grid=(0.15,), chunk=chunk)
+                for chunk in (1, 7, 512)
+            ]
+            for other in results[1:]:
+                assert other.records == results[0].records
+                assert other.rows == results[0].rows
 
     def test_chunk_rule_bounds_gathered_bytes(self):
-        assert _chunk_rows(math.comb(20, 10), 20) == 1
+        assert _chunk_rows(math.comb(20, 10) // 2) == 1
         for m_c, m_l in [(2, 2), (3, 3), (6, 6), (9, 7), (8, 8), (10, 9), (20, 10)]:
-            count, m = math.comb(m_c + m_l, m_c), m_c + m_l
-            rows = _chunk_rows(count, m)
+            columns = _scored_columns(m_c, m_l)
+            rows = _chunk_rows(columns)
             assert rows >= 1
             if rows > 1:
-                assert rows * count * m * 8 <= _GATHER_BUDGET
-            assert _chunk_rows(count, m, chunk=3) == min(rows, 3)
+                assert rows * columns * 8 * _BATCH_ARRAYS <= _BATCH_BUDGET
+            assert _chunk_rows(columns, chunk=3) == min(rows, 3)
+
+    @pytest.mark.parametrize(
+        "m_c,m_l,decimals", [(6, 6, 2), (9, 7, None), (4, 3, None), (10, 10, None)]
+    )
+    def test_batch_rule_bounds_what_a_pass_holds(self, m_c, m_l, decimals):
+        columns = _scored_columns(m_c, m_l)
+        rows = _chunk_rows(columns)
+        values = gaussian_matrix(9, rows, m_c, m_l, 2, decimals=decimals).values
+        pool = np.ascontiguousarray(values[:, : m_c + m_l])
+        plus = np.arange(rows) % 2 == 0
+        _permutation_rows(pool[:1], m_c, m_l, plus[:1])
+        tracemalloc.start()
+        try:
+            _permutation_rows(pool, m_c, m_l, plus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= rows * columns * 8 * _BATCH_ARRAYS
 
     def test_one_tcdf_element_per_relabeling(self, monkeypatch):
         counted = []
@@ -317,9 +395,12 @@ class TestRunPipeline:
 
         monkeypatch.setattr(special, "stdtr", counting_stdtr)
         genes = 5
+        # m_c = m_l: each complement pair shares one t-CDF element.
         run_pipeline(gaussian_matrix(8, genes, 4, 4, 3), alpha_grid=(0.1,))
-        relabelings = math.comb(8, 4)
-        assert sum(counted) == genes * relabelings + genes + genes
+        assert sum(counted) == genes * math.comb(8, 4) // 2 + genes + genes
+        counted.clear()
+        run_pipeline(gaussian_matrix(8, genes, 4, 3, 3), alpha_grid=(0.1,))
+        assert sum(counted) == genes * math.comb(7, 4) + genes + genes
 
     def test_planted_signal_beats_step_up_baselines(self):
         matrix = gaussian_matrix(
@@ -458,3 +539,72 @@ class TestReadExpressionCsv(object):
         path = self.write(tmp_path, "gene_id,C1,L1,H1\n")
         with pytest.raises(ValidationError, match="no gene rows"):
             read_expression_csv(path)
+
+
+class TestExactTies:
+    """Rounded data: every relabeling that ties the true labeling counts."""
+
+    @pytest.mark.parametrize("decimals", [1, 2])
+    @pytest.mark.parametrize("m_c,m_l", [(3, 3), (4, 4), (4, 3), (5, 3)])
+    def test_ranks_equal_exact_oracle(self, m_c, m_l, decimals):
+        rng = np.random.Generator(np.random.Philox(key=100 * m_c + 10 * m_l + decimals))
+        # About 20 grid points per pool, so equal values and tied
+        # relabelings are common.
+        pools = (rng.normal(size=(12, m_c + m_l)) * 3 * 10.0**-decimals).round(decimals)
+        plus = np.arange(len(pools)) % 2 == 0
+        _, p_final, p_two = _permutation_rows(pools, m_c, m_l, plus)
+        mismatches = []
+        tied = 0
+        for pool, direction, got_one, got_two in zip(pools, plus, p_final, p_two):
+            want = oracles.exact_permutation_ranks(list(pool), m_c, direction)
+            if (got_one, got_two) != tuple(map(float, want)):
+                mismatches.append((list(pool), direction, got_one, got_two, want))
+            keys = [
+                oracles.welch_key(pool[low], pool[ctrl])
+                for ctrl, low in partitions(m_c + m_l, m_c)
+            ]
+            tied += keys.count(keys[0]) > 1
+        assert mismatches == []
+        assert tied >= 3
+
+    def test_ordering_keeps_input_order_for_permuted_twins(self):
+        # Two genes holding the same 2-decimal values, permuted within
+        # each arm: their high-dose p-values must be bitwise equal.
+        first = [8.69, 7.85, 6.49, 7.13, 7.33, 8.39]
+        second = [7.85, 8.69, 7.13, 6.49, 8.39, 7.33]
+        ranks = high_dose_ordering(make_matrix([first, second], 2, 2, 2))
+        assert [r.original_index for r in ranks] == [0, 1]
+        assert ranks[0].p_high == ranks[1].p_high
+        assert ranks[0].sign is ranks[1].sign
+
+
+class TestFloatPath:
+    """Rows off any decimal grid, or past the exactness bound."""
+
+    @pytest.mark.parametrize("m_c,m_l", [(3, 3), (4, 3)])
+    @pytest.mark.parametrize("spread", [1.0, 0.1])
+    def test_far_shifted_gene_is_accurate(self, m_c, m_l, spread):
+        rng = np.random.Generator(np.random.Philox(key=10 * m_c + m_l))
+        control = rng.normal(size=m_c) * spread
+        low = 1e4 + rng.normal(size=m_l) * spread
+        pool = np.concatenate([control, low])
+        plus = np.array([True])
+        p_init, p_final, p_two = _permutation_rows(pool[None, :], m_c, m_l, plus)
+        with mp.workdps(60):
+            want = oracles.welch_one_sided_mp(list(low), list(control), True)
+        assert float(p_init[0]) == pytest.approx(float(want), rel=1e-9)
+        assert (p_final[0], p_two[0]) == brute_force_ranks(pool, m_c, True)
+
+    def test_gene_past_the_bound_falls_back_to_floats(self):
+        row = np.array([[0.0, 3e7, 1e7 + 1.0, 2e7 + 3.0, 5.0, 17.0]])
+        assert 6**2 * 3e7**2 >= 2.0**53
+        h, r = _exact_units(row)
+        assert h.max() <= 2.0**23
+        assert r.any()
+        near = np.array([[0.0, 3e6, 1e6 + 1.0, 2e6 + 3.0, 5.0, 17.0]])
+        h_near, r_near = _exact_units(near)
+        assert (h_near == near).all()
+        assert not r_near.any()
+        for plus in (True, False):
+            _, p_final, p_two = _permutation_rows(row, 3, 3, np.array([plus]))
+            assert (p_final[0], p_two[0]) == brute_force_ranks(row[0], 3, plus)
