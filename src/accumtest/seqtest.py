@@ -51,6 +51,12 @@ class Rule(enum.Enum):
     PLUS = "plus"
 
 
+def check_unit_interval(values: np.ndarray) -> None:
+    """Raise ``ValidationError`` unless every p-value lies in [0, 1]."""
+    if np.isnan(values).any() or values.min() < 0.0 or values.max() > 1.0:
+        raise ValidationError("p-values must lie in [0, 1]")
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, copy=True)
     out.flags.writeable = False
@@ -77,8 +83,7 @@ class OrderedPValues:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise DomainError("p-values must form a nonempty 1-d sequence")
-        if np.isnan(values).any() or values.min() < 0.0 or values.max() > 1.0:
-            raise ValidationError("p-values must lie in [0, 1]")
+        check_unit_interval(values)
         object.__setattr__(self, "values", _frozen(values))
         if self.null_mask is not None:
             mask = np.asarray(self.null_mask)
@@ -111,33 +116,44 @@ PValueInput = Union[OrderedPValues, Sequence[float], np.ndarray]
 
 
 def _as_values(pvals: PValueInput) -> np.ndarray:
+    """One list's p-values, or a 2-d block of lists of equal length, one per row."""
     if isinstance(pvals, OrderedPValues):
         return pvals.values
-    return OrderedPValues(np.asarray(pvals, dtype=float)).values
+    values = np.asarray(pvals, dtype=float)
+    if values.ndim != 2:
+        return OrderedPValues(values).values
+    if values.size == 0:
+        raise DomainError("a block of p-value lists must be nonempty")
+    check_unit_interval(values)
+    return values
 
 
 def estimated_fdp_path(pvals: PValueInput, spec: AccumulationSpec) -> np.ndarray:
     """Running mean of h over the ordered p-values.
 
-    Returns the array of (1/k) * sum_{i<=k} h(p_i) for k = 1..n.
+    Returns the array of (1/k) * sum_{i<=k} h(p_i) for k = 1..n, taken
+    along the last axis, so a 2-d block gives one path per row.
     """
     values = _as_values(pvals)
     h = evaluate(spec, values)
-    k = np.arange(1, values.size + 1, dtype=float)
-    return np.cumsum(h) / k
+    k = np.arange(1, values.shape[-1] + 1, dtype=float)
+    return np.cumsum(h, axis=-1) / k
 
 
 def estimated_fdp_path_plus(
     pvals: PValueInput, spec: AccumulationSpec, c: float
 ) -> np.ndarray:
-    """Conservative variant: (c + sum_{i<=k} h(p_i)) / (1 + k) for k = 1..n."""
+    """Conservative variant: (c + sum_{i<=k} h(p_i)) / (1 + k) for k = 1..n.
+
+    Like :func:`estimated_fdp_path`, a 2-d block gives one path per row.
+    """
     c = float(c)
     if not c >= 0.0:
         raise DomainError(f"plus-rule constant must be nonnegative, got {c}")
     values = _as_values(pvals)
     h = evaluate(spec, values)
-    k = np.arange(1, values.size + 1, dtype=float)
-    return (c + np.cumsum(h)) / (1.0 + k)
+    k = np.arange(1, values.shape[-1] + 1, dtype=float)
+    return (c + np.cumsum(h, axis=-1)) / (1.0 + k)
 
 
 def select_cutoff(
@@ -151,8 +167,11 @@ def select_cutoff(
     at exactly alpha count as rejections, NaN entries never do.  Returns
     0 when no position qualifies.
 
-    ``alpha`` is one level, giving an ``int``, or a 1-d sequence of
-    levels, giving an int array with one cutoff per level.
+    ``path`` is one path (1-d) or a block of paths, one per row (2-d).
+    ``alpha`` is one level or a 1-d sequence of levels.  A 1-d path
+    gives an ``int`` for one level and an int array with one cutoff per
+    level for a sequence; a 2-d path gives int arrays of shape
+    ``(rows,)`` and ``(rows, levels)``.
     """
     levels = np.asarray(alpha, dtype=float)
     if levels.ndim > 1:
@@ -160,13 +179,16 @@ def select_cutoff(
     if not np.all((levels > 0.0) & (levels < 1.0)):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     arr = np.asarray(path, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError("path must be a nonempty 1-d sequence")
-    # floor[j] = min(path[j:]) is nondecreasing, and floor[j] <= alpha
-    # exactly when some position at or after j qualifies.
-    floor = np.fmin.accumulate(arr[::-1])[::-1]
-    cutoffs = np.searchsorted(floor, levels, side="right")
-    return int(cutoffs) if levels.ndim == 0 else cutoffs
+    if arr.ndim not in (1, 2) or arr.size == 0:
+        raise DomainError("path must be a nonempty 1-d sequence or 2-d block of paths")
+    # floor[..., j] = min(path[..., j:]) never decreases along the last
+    # axis, and floor[..., j] <= alpha exactly when some position at or
+    # after j qualifies, so the cutoff is the count of such entries.
+    # The comparison holds one byte per path entry and level.
+    floor = np.fmin.accumulate(arr[..., ::-1], axis=-1)[..., ::-1]
+    hits = floor[..., np.newaxis, :] <= levels.reshape(-1, 1)
+    cutoffs = np.count_nonzero(hits, axis=-1).reshape(arr.shape[:-1] + levels.shape)
+    return int(cutoffs) if cutoffs.ndim == 0 else cutoffs
 
 
 def _plus_constant(spec: AccumulationSpec, c: Optional[float]) -> float:

@@ -12,8 +12,10 @@ Reproducibility rules used throughout:
 * Trial ``t`` draws from a counter-based generator keyed by
   ``seed XOR mix64(t)``, so any subset of trials can be recomputed in
   any order with identical results.
-* Aggregation stacks per-trial arrays in trial order and reduces with
-  fixed-shape array operations.
+* Trials run in blocks of rows, each drawn from its own generator.
+  Per-trial stats are stacked in trial order and reduced with
+  fixed-shape array operations; paths are summed in trial order,
+  block by block, so no per-trial path is kept.
 """
 
 from __future__ import annotations
@@ -26,7 +28,13 @@ import numpy as np
 from .densities import AlternativeDensity
 from .errors import ContractError, DomainError
 from .power_theory import SignalCurve, validate_signal_curve
-from .seqtest import Method, OrderedPValues, default_methods, select_cutoff
+from .seqtest import (
+    Method,
+    OrderedPValues,
+    check_unit_interval,
+    default_methods,
+    select_cutoff,
+)
 # Not called here; kept as module attributes that the benchmark tracer wraps.
 from .seqtest import estimated_fdp_path, estimated_fdp_path_plus  # noqa: F401
 
@@ -58,6 +66,17 @@ _DEFAULT_ALPHAS = (0.05, 0.075, 0.1, 0.125, 0.15, 0.175, 0.2, 0.225, 0.25)
 _MASK64 = (1 << 64) - 1
 
 STAT_KHAT, STAT_FALSE_POS, STAT_POWER, STAT_FDP = range(4)
+
+# Bytes one block of trials may hold.  At n = 1000, 1 to 4 MiB ran
+# within noise of each other and 256 KiB about 1.5x slower.
+_BLOCK_BUDGET = 2**20
+
+# Bounds on what one block holds at once besides its paths: (rows x n)
+# float64 arrays, and bytes per row and level besides the cutoff scan and
+# the stats.  Tracemalloc peaks were 5.7-7.5 arrays at n = 200 to 5000
+# and 9 levels, and up to 140 bytes at 120 and 1000 levels.
+_BLOCK_ARRAYS = 8
+_LEVEL_BYTES = 192
 
 
 def normal_cdf(x):
@@ -129,6 +148,48 @@ class SimConfig:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
 
 
+def _row_bytes(n: int, n_methods: int, n_levels: int) -> int:
+    """Bound on the bytes one trial adds to a block.
+
+    That is ``_BLOCK_ARRAYS`` float64 arrays of length n plus one path
+    per method, and per level the cutoff scan's n bytes, 32 bytes of
+    stats per method and ``_LEVEL_BYTES`` of temporaries.
+    """
+    per_level = n + 32 * n_methods + _LEVEL_BYTES
+    return 8 * n * (_BLOCK_ARRAYS + n_methods) + n_levels * per_level
+
+
+def _block_rows(n: int, n_methods: int, n_levels: int) -> int:
+    """Trials per block: the most that fit in ``_BLOCK_BUDGET``, at least 1."""
+    return max(1, _BLOCK_BUDGET // _row_bytes(n, n_methods, n_levels))
+
+
+def _ranked_block(
+    config: SimConfig, first: int, stop: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Trials ``first`` to ``stop - 1`` as rows: ordered p-values and null labels.
+
+    Each row draws from its trial's own generator, so it equals that
+    trial drawn alone.
+    """
+    from scipy import special
+
+    n, n_nonnull = config.n, config.n_nonnull
+    prior = np.empty((stop - first, n))
+    fresh = np.empty((stop - first, n))
+    for row, trial in enumerate(range(first, stop)):
+        rng = child_rng(config.seed, trial)
+        rng.standard_normal(out=prior[row])
+        rng.standard_normal(out=fresh[row])
+    # Positions below n_nonnull are the non-nulls.
+    prior[:, :n_nonnull] += config.mu1
+    order = np.argsort(-np.abs(prior), axis=1, kind="stable")
+    fresh[:, :n_nonnull] += config.mu2
+    pvals = np.take_along_axis(2.0 * special.ndtr(-np.abs(fresh)), order, axis=1)
+    check_unit_interval(pvals)
+    return pvals, order >= n_nonnull
+
+
 def generate_ranked_trial(config: SimConfig, trial_index: int) -> OrderedPValues:
     """One trial of the ranked protocol; fully determined by (seed, index).
 
@@ -137,22 +198,8 @@ def generate_ranked_trial(config: SimConfig, trial_index: int) -> OrderedPValues
     by original index.  Fresh z-scores with shift mu2 then give
     two-sided p-values p = 2 * (1 - Phi(|z*|)).
     """
-    from scipy import special
-
-    rng = child_rng(config.seed, trial_index)
-    n = config.n
-    null_mask = np.ones(n, dtype=bool)
-    null_mask[: config.n_nonnull] = False
-
-    prior = rng.standard_normal(n)
-    prior[~null_mask] += config.mu1
-    order = np.argsort(-np.abs(prior), kind="stable")
-
-    fresh = rng.standard_normal(n)
-    fresh[~null_mask] += config.mu2
-    pvals = 2.0 * special.ndtr(-np.abs(fresh))
-
-    return OrderedPValues(pvals[order], null_mask=null_mask[order])
+    pvals, null = _ranked_block(config, trial_index, trial_index + 1)
+    return OrderedPValues(pvals[0], null_mask=null[0])
 
 
 def generate_from_curve(
@@ -207,6 +254,44 @@ class TrialFrame:
     fdp_true_path: Optional[np.ndarray] = None
 
 
+def _score_rows(
+    pvals: np.ndarray,
+    null: np.ndarray,
+    methods: Sequence[Method],
+    levels: np.ndarray,
+    include_paths: bool,
+) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+    """Score a block of trials, one per row of ``pvals`` and ``null``.
+
+    Returns the (rows, methods, levels, 4) stats and, when
+    ``include_paths``, the (rows, methods, n) estimated paths and the
+    (rows, n) true FDP paths.
+    """
+    rows, n = pvals.shape
+    # nulls_before[r, k] counts the nulls among row r's first k positions.
+    nulls_before = np.zeros((rows, n + 1), dtype=np.intp)
+    np.cumsum(null, axis=1, out=nulls_before[:, 1:])
+    nonnull = n - nulls_before[:, -1:]
+    if not nonnull.all():
+        raise ContractError("power is undefined without any non-null hypothesis")
+    stats = np.empty((rows, len(methods), levels.size, 4))
+    paths = np.empty((rows, len(methods), n)) if include_paths else None
+    for m, method in enumerate(methods):
+        path = method.path(pvals)
+        if include_paths:
+            paths[:, m] = path
+        k_hat = select_cutoff(path, levels)
+        false_pos = np.take_along_axis(nulls_before, k_hat, axis=1)
+        stats[:, m, :, STAT_KHAT] = k_hat
+        stats[:, m, :, STAT_FALSE_POS] = false_pos
+        stats[:, m, :, STAT_POWER] = (k_hat - false_pos) / nonnull
+        stats[:, m, :, STAT_FDP] = false_pos / np.maximum(k_hat, 1)
+    true_paths = None
+    if include_paths:
+        true_paths = nulls_before[:, 1:] / np.arange(1, n + 1, dtype=float)
+    return stats, paths, true_paths
+
+
 def run_trial(
     pvals: OrderedPValues,
     methods: Sequence[Method],
@@ -220,35 +305,17 @@ def run_trial(
     """
     if pvals.null_mask is None:
         raise ContractError("run_trial needs ground-truth labels")
-    n = len(pvals)
-    # nulls_before[k] counts the nulls among the first k positions.
-    nulls_before = np.concatenate(([0], np.cumsum(pvals.null_mask)))
-    nonnull = n - nulls_before[-1]
-    if nonnull == 0:
-        raise ContractError("power is undefined without any non-null hypothesis")
     alphas = tuple(float(a) for a in alpha_grid)
-    levels = np.array(alphas)
-    stats = np.empty((len(methods), len(alphas), 4))
-    paths = np.empty((len(methods), n)) if include_paths else None
-    for m, method in enumerate(methods):
-        path = method.path(pvals)
-        if include_paths:
-            paths[m] = path
-        k_hat = select_cutoff(path, levels)
-        false_pos = nulls_before[k_hat]
-        stats[m, :, STAT_KHAT] = k_hat
-        stats[m, :, STAT_FALSE_POS] = false_pos
-        stats[m, :, STAT_POWER] = (k_hat - false_pos) / nonnull
-        stats[m, :, STAT_FDP] = false_pos / np.maximum(k_hat, 1)
-    true_path = None
-    if include_paths:
-        true_path = nulls_before[1:] / np.arange(1, n + 1, dtype=float)
+    stats, paths, true_paths = _score_rows(
+        pvals.values[np.newaxis], pvals.null_mask[np.newaxis], methods,
+        np.array(alphas), include_paths,
+    )
     return TrialFrame(
         method_names=tuple(m.name for m in methods),
         alpha_grid=alphas,
-        stats=stats,
-        fdp_hat_paths=paths,
-        fdp_true_path=true_path,
+        stats=stats[0],
+        fdp_hat_paths=None if paths is None else paths[0],
+        fdp_true_path=None if true_paths is None else true_paths[0],
     )
 
 
@@ -275,6 +342,41 @@ def _mean_and_se(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, se
 
 
+def _add_rows(total: np.ndarray, rows) -> None:
+    """Add ``rows`` into ``total`` one at a time, in trial order.
+
+    From a zero ``total`` this adds in the order numpy's sum over axis 0
+    does, so it equals ``np.stack(rows).sum(axis=0)`` bit for bit, and a
+    path sum does not depend on how trials are blocked.
+    """
+    for row in rows:
+        total += row
+
+
+def _reduce(
+    method_names: tuple[str, ...],
+    alpha_grid: tuple[float, ...],
+    stats: np.ndarray,
+    hat_sum: Optional[np.ndarray],
+    true_sum: Optional[np.ndarray],
+) -> AggregateResult:
+    """Means and standard errors of stacked stats; path sums become means."""
+    trials = stats.shape[0]
+    mean_power, se_power = _mean_and_se(stats[:, :, :, STAT_POWER])
+    mean_fdp, se_fdp = _mean_and_se(stats[:, :, :, STAT_FDP])
+    return AggregateResult(
+        method_names=method_names,
+        alpha_grid=alpha_grid,
+        trials=trials,
+        mean_power=mean_power,
+        se_power=se_power,
+        mean_fdp=mean_fdp,
+        se_fdp=se_fdp,
+        mean_fdp_hat_path=None if hat_sum is None else hat_sum / trials,
+        mean_fdp_true_path=None if true_sum is None else true_sum / trials,
+    )
+
+
 def aggregate(frames: Sequence[TrialFrame]) -> AggregateResult:
     """Reduce per-trial frames to means and standard errors.
 
@@ -289,27 +391,18 @@ def aggregate(frames: Sequence[TrialFrame]) -> AggregateResult:
             frame.method_names != first.method_names
             or frame.alpha_grid != first.alpha_grid
             or frame.stats.shape != first.stats.shape
-            or (frame.fdp_hat_paths is None) != (first.fdp_hat_paths is None)
+            or np.shape(frame.fdp_hat_paths) != np.shape(first.fdp_hat_paths)
+            or np.shape(frame.fdp_true_path) != np.shape(first.fdp_true_path)
         ):
             raise ContractError("trial frames disagree in shape; cannot aggregate")
-    stats = np.stack([f.stats for f in frames])
-    mean_power, se_power = _mean_and_se(stats[:, :, :, STAT_POWER])
-    mean_fdp, se_fdp = _mean_and_se(stats[:, :, :, STAT_FDP])
-    mean_hat = mean_true = None
+    hat_sum = true_sum = None
     if first.fdp_hat_paths is not None:
-        mean_hat = np.stack([f.fdp_hat_paths for f in frames]).mean(axis=0)
-        mean_true = np.stack([f.fdp_true_path for f in frames]).mean(axis=0)
-    return AggregateResult(
-        method_names=first.method_names,
-        alpha_grid=first.alpha_grid,
-        trials=len(frames),
-        mean_power=mean_power,
-        se_power=se_power,
-        mean_fdp=mean_fdp,
-        se_fdp=se_fdp,
-        mean_fdp_hat_path=mean_hat,
-        mean_fdp_true_path=mean_true,
-    )
+        hat_sum = np.zeros(first.fdp_hat_paths.shape)
+        true_sum = np.zeros(first.fdp_true_path.shape)
+        _add_rows(hat_sum, (f.fdp_hat_paths for f in frames))
+        _add_rows(true_sum, (f.fdp_true_path for f in frames))
+    stats = np.stack([f.stats for f in frames])
+    return _reduce(first.method_names, first.alpha_grid, stats, hat_sum, true_sum)
 
 
 def collect_trial_frames(
@@ -318,7 +411,7 @@ def collect_trial_frames(
     include_paths: bool = False,
     workers: Optional[int] = None,
 ) -> list[TrialFrame]:
-    """Run all trials serially, in trial order.
+    """Run all trials serially, in trial order, one frame per trial.
 
     ``workers`` is accepted for compatibility and ignored: trials always
     run in this process.
@@ -337,12 +430,32 @@ def run_simulation(
 ) -> AggregateResult:
     """End-to-end protocol from trial generation through aggregation.
 
-    ``workers`` is accepted for compatibility and ignored.
+    Equal, bit for bit, to ``aggregate(collect_trial_frames(...))``, but
+    trials run in blocks of rows and the paths are summed as they come,
+    so memory does not grow with trials x n.  ``workers`` is accepted
+    for compatibility and ignored.
     """
     if methods is None:
         methods = default_methods()
-    frames = collect_trial_frames(config, methods, include_paths)
-    return aggregate(frames)
+    levels = np.array(config.alpha_grid)
+    stats = np.empty((config.trials, len(methods), levels.size, 4))
+    hat_sum = true_sum = None
+    if include_paths:
+        hat_sum = np.zeros((len(methods), config.n))
+        true_sum = np.zeros(config.n)
+    step = _block_rows(config.n, len(methods), levels.size)
+    for first in range(0, config.trials, step):
+        stop = min(first + step, config.trials)
+        pvals, null = _ranked_block(config, first, stop)
+        stats[first:stop], paths, true_paths = _score_rows(
+            pvals, null, methods, levels, include_paths
+        )
+        if include_paths:
+            _add_rows(hat_sum, paths)
+            _add_rows(true_sum, true_paths)
+    return _reduce(
+        tuple(m.name for m in methods), config.alpha_grid, stats, hat_sum, true_sum
+    )
 
 
 def simulate_count_ratio(

@@ -1,13 +1,14 @@
 """End-to-end command-line behavior: outputs, exit codes, reproducibility."""
 
 import dataclasses
+import hashlib
 import io
 import json
 
 import numpy as np
 import pytest
 
-from accumtest import AccumTestError, SimConfig, cli
+from accumtest import AccumTestError, SimConfig, child_rng, cli, simlab
 
 
 def run_cli(argv, capsys):
@@ -136,6 +137,10 @@ class TestCmdTest:
         assert manifest["parameters"]["alpha"] == 0.25
 
 
+# Digest of the probe bits in test_multi_block_output_bytes_are_pinned.
+KERNEL_DIGEST = "ef60d62d05473ebcf865ff3894d556a9ca27082a10853ca726f54a5d20e2e566"
+
+
 class TestCmdSimulate:
     def test_hingeexp_leads_at_default_settings(self, capsys):
         code, out, _ = run_cli(["simulate", "--seed", "5"], capsys)
@@ -191,6 +196,41 @@ class TestCmdSimulate:
     def test_seed_is_mandatory(self, capsys):
         code, _, err = run_cli(["simulate", "--trials", "2"], capsys)
         assert code == 2
+
+    def test_multi_block_output_bytes_are_pinned(self, tmp_path, capsys):
+        """Digests of the tables the one-trial-at-a-time engine wrote.
+
+        They hold only where numpy's ``log1p``, scipy's ``ndtr`` and the
+        Philox normal stream give the bits they gave when the digests
+        were recorded (numpy 2.4.6, scipy 1.17.1, x86-64 with AVX-512);
+        elsewhere the test is skipped and the block-versus-trial tests
+        in test_simlab.py still hold.
+        """
+        from scipy import special
+
+        probe = np.linspace(0.0005, 0.9995, 2000)
+        kernels = hashlib.sha256(
+            np.log1p(-probe).tobytes()
+            + special.ndtr(-8.0 * probe).tobytes()
+            + child_rng(7, 0).standard_normal(256).tobytes()
+        ).hexdigest()
+        if kernels != KERNEL_DIGEST:
+            pytest.skip("elementwise kernels differ from where the digests were recorded")
+        assert simlab._block_rows(300, 4, 9) < 70
+        code, _, _ = run_cli(
+            ["simulate", "--seed", "7", "--n", "300", "--trials", "70",
+             "--out", str(tmp_path / "sim")],
+            capsys,
+        )
+        assert code == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / f"sim_{name}.csv").read_bytes()).hexdigest()
+            for name in ("summary", "paths")
+        }
+        assert digests == {
+            "summary": "1834e4c9d7c8119fc9173fc10a083dc98a53d007da4a1a03fc52ef6d0af1c16f",
+            "paths": "e0e7f41238cb85164cc29f279c223e08e7ba6971cde7b51ae35ec7a8d9668a90",
+        }
 
     def test_no_paths_flag_skips_path_table(self, tmp_path, capsys):
         code, _, _ = run_cli(

@@ -12,6 +12,7 @@ from accumtest import (
     Method,
     OrderedPValues,
     Rule,
+    default_methods,
     estimated_fdp_path,
     estimated_fdp_path_plus,
     fdp,
@@ -96,6 +97,30 @@ class TestEstimatedFdpPathPlus:
             estimated_fdp_path_plus([0.5], seq_step(2.0), -1.0)
 
 
+class TestBlockPaths:
+    def test_rows_equal_one_list_paths_bitwise(self):
+        rng = np.random.Generator(np.random.Philox(key=19))
+        block = rng.random((5, 30))
+        block[1, 4] = 1.0
+        block[2, :] = 0.0
+        for method in default_methods(2.0) + default_methods(3.0):
+            got = method.path(block)
+            assert got.shape == block.shape
+            for row, values in zip(got, block):
+                assert row.tobytes() == method.path(values).tobytes()
+
+    def test_out_of_range_or_empty_block_rejected(self):
+        block = np.full((2, 3), 0.5)
+        block[1, 2] = 1.5
+        with pytest.raises(ValidationError):
+            estimated_fdp_path(block, forward_stop())
+        block[1, 2] = math.nan
+        with pytest.raises(ValidationError):
+            estimated_fdp_path_plus(block, seq_step(2.0), 2.0)
+        with pytest.raises(DomainError):
+            estimated_fdp_path(np.empty((2, 0)), forward_stop())
+
+
 class TestSelectCutoff:
     def test_scan_finds_last_crossing(self):
         assert select_cutoff([0.0, 1.0, 2.0 / 3.0, 1.0, 1.2], 0.5) == 1
@@ -157,6 +182,46 @@ class TestSelectCutoff:
         for levels in ([[0.1, 0.2]], [0.1, 0.0], [0.2, 1.0], [0.3, math.nan]):
             with pytest.raises(DomainError):
                 select_cutoff([0.5, 0.1], levels)
+
+    def test_block_rows_equal_one_dimensional_calls(self):
+        inf, nan = math.inf, math.nan
+        block = np.array([
+            [0.1, nan, 0.9, nan, 0.3, 0.2],
+            [0.05, 0.4, inf, 0.2, inf, 0.6],
+            [0.2, 0.3, 0.2, 0.5, 0.5, 0.5],
+            [0.1, 0.8, 0.9, 0.15, 0.7, 0.9],
+            [0.01, 0.02, 0.3, nan, nan, nan],
+            [nan, nan, nan, nan, nan, nan],
+            [inf, 0.6, 0.5, 0.45, 0.55, 0.9],
+        ])
+        levels = np.array([0.05, 0.2, 0.5, 0.15, 0.999])
+        got = select_cutoff(block, levels)
+        assert got.shape == (block.shape[0], levels.size)
+        for row, path in zip(got, block):
+            assert row.tolist() == select_cutoff(path, levels).tolist()
+            assert row.tolist() == [oracles.brute_select(path, a) for a in levels]
+        one_level = select_cutoff(block, 0.2)
+        assert one_level.shape == (block.shape[0],)
+        assert one_level.tolist() == [select_cutoff(path, 0.2) for path in block]
+
+    def test_random_blocks_equal_one_dimensional_calls(self):
+        rng = np.random.Generator(np.random.Philox(key=17))
+        levels = np.array([0.01, 0.05, 0.2, 0.2, 0.5, 0.37, 0.9, 0.999])
+        for _ in range(50):
+            block = rng.random((int(rng.integers(1, 6)), int(rng.integers(1, 40)))) * 1.2
+            block[rng.random(block.shape) < 0.1] = math.inf
+            block[rng.random(block.shape) < 0.1] = math.nan
+            got = select_cutoff(block, levels)
+            want = [select_cutoff(path, levels).tolist() for path in block]
+            assert got.tolist() == want
+
+    def test_three_dimensional_path_or_two_dimensional_alpha_rejected(self):
+        with pytest.raises(DomainError):
+            select_cutoff(np.full((2, 2, 3), 0.1), 0.5)
+        with pytest.raises(DomainError):
+            select_cutoff(np.full((2, 3), 0.1), [[0.1, 0.2]])
+        with pytest.raises(DomainError):
+            select_cutoff(np.empty((2, 0)), 0.5)
 
 
 class TestRunAccumulationTest:

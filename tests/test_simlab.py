@@ -1,6 +1,8 @@
 """Ranked-trial generation, trial scoring, aggregation, RNG streams."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,10 +33,12 @@ from accumtest import (
     seq_step,
     simulate_count_ratio,
 )
+from accumtest import simlab
 from accumtest.simlab import (
     STAT_FDP,
     STAT_KHAT,
     STAT_POWER,
+    AggregateResult,
     TrialFrame,
     path_table_columns,
     power_table_columns,
@@ -212,6 +216,15 @@ class TestAggregate:
         bad = TrialFrame(("other",), (0.1,), np.zeros((1, 1, 4)))
         with pytest.raises(ContractError):
             aggregate([good, bad])
+        frames = [
+            collect_trial_frames(
+                SimConfig(n=n, n_nonnull=5, trials=1, seed=2), default_methods(),
+                include_paths=True,
+            )[0]
+            for n in (50, 60)
+        ]
+        with pytest.raises(ContractError):
+            aggregate(frames)
 
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
@@ -254,6 +267,129 @@ class TestCollectTrialFrames:
         without = run_simulation(self.config, default_methods(), include_paths=False)
         with pytest.raises(ContractError):
             path_table_columns(without)
+
+
+def assert_bitwise_equal(got: AggregateResult, want: AggregateResult):
+    for field in dataclasses.fields(AggregateResult):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, field.name
+            assert np.array_equal(a, b) and a.tobytes() == b.tobytes(), field.name
+        else:
+            assert a == b, field.name
+
+
+def reference_ranked_trial(config, trial_index):
+    """The ranked protocol for one trial, written out one list at a time."""
+    from scipy import special
+
+    rng = child_rng(config.seed, trial_index)
+    null_mask = np.arange(config.n) >= config.n_nonnull
+    prior = rng.standard_normal(config.n)
+    prior[~null_mask] += config.mu1
+    order = np.argsort(-np.abs(prior), kind="stable")
+    fresh = rng.standard_normal(config.n)
+    fresh[~null_mask] += config.mu2
+    pvals = 2.0 * special.ndtr(-np.abs(fresh))
+    return pvals[order], null_mask[order]
+
+
+class TestBlockEngine:
+    """``run_simulation`` runs trials in blocks; the per-trial path is the oracle."""
+
+    n = 300
+    block = simlab._block_rows(n, 4, 9)
+
+    def check(self, trials, methods=None, include_paths=True, **config):
+        config = SimConfig(n=self.n, n_nonnull=30, trials=trials, seed=41, **config)
+        methods = default_methods() if methods is None else methods
+        got = run_simulation(config, methods, include_paths)
+        frames = collect_trial_frames(config, methods, include_paths)
+        assert_bitwise_equal(got, aggregate(frames))
+        if include_paths:
+            # The stacked mean that aggregate computed before paths were summed.
+            stacked = np.stack([f.fdp_hat_paths for f in frames]).mean(axis=0)
+            assert got.mean_fdp_hat_path.tobytes() == stacked.tobytes()
+            stacked = np.stack([f.fdp_true_path for f in frames]).mean(axis=0)
+            assert got.mean_fdp_true_path.tobytes() == stacked.tobytes()
+        else:
+            assert got.mean_fdp_hat_path is None and got.mean_fdp_true_path is None
+
+    def test_block_holds_several_trials(self):
+        assert 6 <= self.block < 70
+
+    def test_one_trial(self):
+        self.check(1)
+
+    def test_fewer_trials_than_a_block(self):
+        self.check(self.block - 5)
+
+    def test_trials_not_a_multiple_of_the_block(self):
+        self.check(2 * self.block + 7)
+
+    def test_without_paths(self):
+        self.check(self.block + 3, include_paths=False)
+
+    def test_custom_alpha_grid(self):
+        self.check(self.block + 1, alpha_grid=(0.3, 0.03, 0.11))
+
+    def test_other_plus_rule_constant(self):
+        self.check(self.block + 2, methods=default_methods(3.0))
+
+    def test_block_rows_equal_one_trial_draws(self):
+        config = SimConfig(n=90, n_nonnull=9, mu1=0.5, trials=1, seed=13)
+        pvals, null = simlab._ranked_block(config, 3, 11)
+        assert pvals.shape == null.shape == (8, 90)
+        for row, trial in enumerate(range(3, 11)):
+            want_p, want_null = reference_ranked_trial(config, trial)
+            assert pvals[row].tobytes() == want_p.tobytes()
+            assert np.array_equal(null[row], want_null)
+            one = generate_ranked_trial(config, trial)
+            assert one.values.tobytes() == want_p.tobytes()
+            assert np.array_equal(one.null_mask, want_null)
+
+
+class TestBoundedMemory:
+    n = 2000
+
+    def peak(self, trials):
+        config = SimConfig(n=self.n, n_nonnull=200, trials=trials, seed=5)
+        tracemalloc.start()
+        try:
+            run_simulation(config, default_methods(), include_paths=True)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_is_flat_in_trials(self):
+        self.peak(1)  # imports scipy outside the measured runs
+        small, large = self.peak(50), self.peak(400)
+        # Only the stacked (trials, methods, levels, 4) stats may grow.
+        stats_growth = (400 - 50) * 4 * 9 * 4 * 8
+        assert large - small <= stats_growth + 256 * 2**10
+
+    def test_block_rule_bounds_what_a_block_holds(self):
+        self.peak(1)
+        cases = (
+            (2000, default_methods(), SimConfig.alpha_grid),
+            (300, default_methods()[:1], SimConfig.alpha_grid),
+            (300, default_methods()[:1], tuple(np.linspace(0.01, 0.99, 120))),
+            (300, default_methods(), tuple(np.linspace(0.01, 0.99, 1000))),
+            (100, default_methods(), tuple(np.linspace(0.01, 0.99, 1000))),
+        )
+        for n, methods, grid in cases:
+            config = SimConfig(n=n, n_nonnull=n // 10, alpha_grid=grid, trials=1, seed=8)
+            rows = simlab._block_rows(n, len(methods), len(grid))
+            levels = np.array(config.alpha_grid)
+            tracemalloc.start()
+            try:
+                pvals, null = simlab._ranked_block(config, 0, rows)
+                simlab._score_rows(pvals, null, methods, levels, include_paths=True)
+                del pvals, null
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= rows * simlab._row_bytes(n, len(methods), len(grid))
 
 
 class TestGenerateFromCurve:
