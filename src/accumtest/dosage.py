@@ -70,6 +70,17 @@ _BATCH_ARRAYS = 12
 
 _GRID_DECIMALS = 9
 
+# Half-width of the band around the true labeling's tail inside which
+# ``_screened_tails`` evaluates the t-CDF, relative to that tail.  It
+# absorbs the t-CDF's wobble in df (below 1e-10 relative beside integer
+# df); the absolute 2^-51 added to it makes fl(1 - tail) keep the order
+# of tail outside the band.
+_TAIL_SLACK = 2.0**-20
+_ABS_SLACK = 2.0**-51
+# Fourfold steps that move an inverse-CDF threshold outward until a
+# forward call confirms it; after these the threshold is dropped.
+_WIDEN_STEPS = 40
+
 
 class Group(Enum):
     """Treatment arm of one sample column."""
@@ -236,12 +247,11 @@ def _welch_tails(
     swapping the groups negates d and keeps the tail bit for bit.
     Groups of size one have zero variance.
 
-    Returns (d, tail, degenerate), each of shape (rows, k): d has the
-    sign of mean(low) - mean(control), tail = P(T_df <= -|t|), and
-    degenerate marks relabelings where both spread terms vanish.
+    Returns (d, x, df, degenerate), each of shape (rows, k): d has the
+    sign of mean(low) - mean(control), x = -|t| and df are the arguments
+    of the tail P(T_df <= x), and degenerate marks relabelings where both
+    spread terms vanish (their x and df are not used).
     """
-    from scipy import special
-
     h, r = _exact_units(values)
     g = h.shape[0]
     sums = np.vstack([h, h * h]) @ indicator
@@ -293,9 +303,7 @@ def _welch_tails(
         np.negative(t, out=t)
         se2 *= se2
         se2 /= df_den
-        del df_den
-        tail = special.stdtr(se2, t)
-    return d, tail, degenerate
+    return d, t, se2, degenerate
 
 
 def _one_sided(
@@ -318,6 +326,87 @@ def _two_sided(d: np.ndarray, tail: np.ndarray, degenerate: np.ndarray) -> np.nd
     return two
 
 
+def _verified_t(df: np.ndarray, p: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """Per element a t with stdtr(df, t) > p where ``above``, else < p.
+
+    Starts from ``stdtrit`` and moves t away from p in growing steps
+    until one forward ``stdtr`` call confirms it, so the result rests on
+    ``stdtr`` alone, not on the accuracy of the inverse.  NaN where no
+    such t was found, as for p outside (0, 1) or a non-finite df.
+    """
+    from scipy import special
+
+    t = special.stdtrit(df, p)
+    above = np.broadcast_to(above, t.shape)
+    step = np.ldexp(np.fmax(np.abs(t), 1.0), -40)
+    np.negative(step, out=step, where=~above)
+    t += step
+    finite = np.isfinite(t)
+    t[~finite] = np.nan
+    idx = np.nonzero(finite)
+    for _ in range(_WIDEN_STEPS):
+        if not idx[0].size:
+            break
+        tail = special.stdtr(df[idx], t[idx])
+        wrong = np.where(above[idx], tail <= p[idx], tail >= p[idx])
+        idx = tuple(i[wrong] for i in idx)
+        t[idx] += step[idx]
+        step[idx] *= 4.0
+    t[idx] = np.nan
+    return t
+
+
+def _screened_tails(x: np.ndarray, df: np.ndarray) -> np.ndarray:
+    """The tails stdtr(df, x) as far as the rank comparisons can tell.
+
+    ``x`` and ``df`` are ``_welch_tails`` output with the true labeling
+    in column 0; ``x`` is overwritten by the result.  The
+    ranks compare each tail with the true labeling's tail tail0,
+    directly, doubled, or through fl(1 - tail), and with 1/2, which no
+    tail exceeds.  So only the side of tail0 matters, and that side is
+    certain outside a band of ``_TAIL_SLACK`` * tail0 + ``_ABS_SLACK``
+    around it.  For x <= 0, stdtr(df, x) does not rise with df, so each
+    tail lies between stdtr(df_hi, x) and stdtr(df_lo, x), the bounds
+    taken over the row.  Two x thresholds per row, each confirmed by a
+    forward ``stdtr`` call, mark the relabelings whose tail is certainly
+    below the band, which get the surrogate tail 0, or certainly above
+    it, which get 1/2; every comparison gives the same answer for the
+    surrogate as for the tail.  All other relabelings get the exact
+    tail, as do those with a NaN df (every degenerate one has it) and
+    every relabeling of a row whose true tail or df bounds are not
+    finite.
+    """
+    from scipy import special
+
+    tail0 = special.stdtr(df[:, 0], x[:, 0])
+    df_lo = np.fmin.reduce(df, axis=1)
+    df_hi = np.fmax.reduce(df, axis=1)
+    slack = tail0 * _TAIL_SLACK + _ABS_SLACK
+    below, above = _verified_t(
+        np.stack([df_lo, df_hi], axis=1),
+        np.stack([tail0 - slack, tail0 + slack], axis=1),
+        np.array([False, True]),
+    ).T
+    # tail <= stdtr(df_lo, x) <= stdtr(df_lo, below) < tail0 - slack.
+    low = x <= below[:, None]
+    # tail >= stdtr(df_hi, x) >= stdtr(df_hi, above) > tail0 + slack.
+    close = x >= above[:, None]
+    close |= low
+    np.logical_not(close, out=close)
+    close |= np.isnan(df)
+    close[~(np.isfinite(tail0) & np.isfinite(df_lo) & np.isfinite(df_hi))] = True
+    close[:, 0] = False
+    idx = np.nonzero(close)
+    del close
+    exact = special.stdtr(df[idx], x[idx])
+    tail = x
+    tail.fill(0.5)
+    tail[low] = 0.0
+    tail[idx] = exact
+    tail[:, 0] = tail0
+    return tail
+
+
 def _welch_rows(
     a: np.ndarray, b: np.ndarray, plus
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -327,10 +416,13 @@ def _welch_rows(
     scores mean(a) > mean(b).  Also returns d, which has the sign of
     mean(a) - mean(b) and is exactly zero for equal means on grid rows.
     """
+    from scipy import special
+
     n_b = b.shape[1]
     indicator = np.zeros((n_b + a.shape[1], 1))
     indicator[:n_b] = 1.0
-    d, tail, degenerate = _welch_tails(np.hstack([b, a]), n_b, a.shape[1], indicator)
+    d, x, df, degenerate = _welch_tails(np.hstack([b, a]), n_b, a.shape[1], indicator)
+    tail = special.stdtr(df, x)
     signed = np.where(np.reshape(plus, (-1, 1)), d, -d)
     one = _one_sided(signed, tail, degenerate)
     two = _two_sided(d, tail, degenerate)
@@ -362,7 +454,7 @@ def welch_p_one_sided(a, b, direction: Union[Sign, str]) -> float:
     return float(_welch_rows(row_a, row_b, plus)[0][0])
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _partition_table(m: int, m_first: int) -> np.ndarray:
     """0/1 indicator of every way to choose ``m_first`` of ``m`` columns.
 
@@ -415,7 +507,10 @@ def _permutation_rows(
     true control values first.  One ``_welch_tails`` pass scores every
     relabeling both one-sided, in the row's ``plus_mask`` direction, and
     two-sided; it holds (rows x P) float64 arrays, never the relabeled
-    values themselves.  When m_c = m_l only the P/2 relabelings that
+    values themselves.  The t-CDF is evaluated only for the relabelings
+    whose side of the true labeling's tail ``_screened_tails`` cannot
+    tell from bounds, so every comparison, and the rank, is that of the
+    full evaluation.  When m_c = m_l only the P/2 relabelings that
     keep column 0 in the control group are scored: swapping the groups
     keeps the tail and df bit for bit and negates the difference, so
     each complement's one-sided p comes from the same tail with the sign
@@ -430,7 +525,9 @@ def _permutation_rows(
     count = math.comb(m_c + m_l, m_c)
     scored = _scored_columns(m_c, m_l)
     indicator = _partition_table(m_c + m_l, m_c)[:, :scored]
-    d, tail, degenerate = _welch_tails(values, m_c, m_l, indicator)
+    d, x, df, degenerate = _welch_tails(values, m_c, m_l, indicator)
+    tail = _screened_tails(x, df)
+    del df
     signed = np.where(plus_mask[:, None], d, -d)
     one = _one_sided(signed, tail, degenerate)
     p_init = one[:, :1]

@@ -8,7 +8,16 @@ import json
 import numpy as np
 import pytest
 
-from accumtest import AccumTestError, SimConfig, child_rng, cli, simlab
+from accumtest import (
+    AccumTestError,
+    SimConfig,
+    child_rng,
+    cli,
+    estimated_fdp_path,
+    parse_spec,
+    shift_discrete_pvalues,
+    simlab,
+)
 
 
 def run_cli(argv, capsys):
@@ -121,6 +130,26 @@ class TestCmdTest:
         k_first = first_out.splitlines()[0]
         assert k_first.startswith("k_hat = ")
         assert second_out.splitlines()[0] == k_first
+
+    def test_shift_grid_maps_k_over_g_to_k_over_g_plus_one(self, tmp_path, capsys):
+        path = write_pvalue_csv(tmp_path, [1 / 4, 3 / 4, 4 / 4])
+        out_path = tmp_path / "path.csv"
+        code, _, _ = run_cli(
+            [
+                "test", path,
+                "--method", "hingeexp:C=2",
+                "--alpha", "0.2",
+                "--shift-grid", "4",
+                "--out", str(out_path),
+            ],
+            capsys,
+        )
+        assert code == 0
+        written = np.loadtxt(out_path, delimiter=",", skiprows=1, ndmin=2)
+        assert written[:, 1].tolist() == [1 / 5, 3 / 5, 4 / 5]
+        shifted = shift_discrete_pvalues([0.25, 0.75, 1.0], 4)
+        want = estimated_fdp_path(shifted, parse_spec("hingeexp:C=2"))
+        assert written[:, 2].tobytes() == want.tobytes()
 
     def test_writes_manifest_next_to_output(self, tmp_path, capsys):
         path = write_pvalue_csv(tmp_path, [0.1, 0.2])

@@ -24,16 +24,22 @@ from accumtest import (
     welch_p_one_sided,
     welch_p_two_sided,
 )
+from accumtest import dosage
 from accumtest.dosage import (
     MAX_PARTITIONS,
     _BATCH_ARRAYS,
     _BATCH_BUDGET,
     _TABLE_BUDGET,
+    _TAIL_SLACK,
     _chunk_rows,
     _exact_units,
+    _one_sided,
     _partition_table,
     _permutation_rows,
     _scored_columns,
+    _screened_tails,
+    _two_sided,
+    _welch_tails,
 )
 
 import oracles
@@ -224,6 +230,12 @@ class TestPartitionTable:
         assert (indicator[0, :half] == 1.0).all()
         assert (indicator[0, half:] == 0.0).all()
 
+    def test_cache_keeps_one_table(self):
+        _partition_table.cache_clear()
+        _partition_table(6, 3)
+        _partition_table(7, 3)
+        assert _partition_table.cache_info().currsize == 1
+
     def test_footprint_guard_fires_before_allocating(self):
         assert math.comb(22, 11) <= MAX_PARTITIONS
         assert math.comb(22, 11) * (22 + 11) * 8 > _TABLE_BUDGET
@@ -386,6 +398,10 @@ class TestRunPipeline:
         assert peak <= rows * columns * 8 * _BATCH_ARRAYS
 
     def test_one_tcdf_element_per_relabeling(self, monkeypatch):
+        # At most one t-CDF element per scored relabeling, plus one per
+        # gene each for the ordering and the baselines.  The screen pays
+        # for its own per-gene calls (the true labeling's tail and two
+        # checked thresholds) by skipping most relabelings.
         counted = []
         stdtr = special.stdtr
 
@@ -395,12 +411,15 @@ class TestRunPipeline:
 
         monkeypatch.setattr(special, "stdtr", counting_stdtr)
         genes = 5
-        # m_c = m_l: each complement pair shares one t-CDF element.
-        run_pipeline(gaussian_matrix(8, genes, 4, 4, 3), alpha_grid=(0.1,))
-        assert sum(counted) == genes * math.comb(8, 4) // 2 + genes + genes
+        # With m_c = m_l only half the relabelings are scored.
+        for m_c, m_l in [(4, 4), (4, 3)]:
+            counted.clear()
+            run_pipeline(gaussian_matrix(8, genes, m_c, m_l, 3), alpha_grid=(0.1,))
+            assert sum(counted) <= genes * _scored_columns(m_c, m_l) + genes + genes
         counted.clear()
-        run_pipeline(gaussian_matrix(8, genes, 4, 3, 3), alpha_grid=(0.1,))
-        assert sum(counted) == genes * math.comb(7, 4) + genes + genes
+        genes = 200
+        run_pipeline(gaussian_matrix(3, genes, 6, 5, 3), alpha_grid=(0.1,))
+        assert sum(counted) < 0.1 * genes * _scored_columns(6, 5)
 
     def test_planted_signal_beats_step_up_baselines(self):
         matrix = gaussian_matrix(
@@ -608,3 +627,185 @@ class TestFloatPath:
         for plus in (True, False):
             _, p_final, p_two = _permutation_rows(row, 3, 3, np.array([plus]))
             assert (p_final[0], p_two[0]) == brute_force_ranks(row[0], 3, plus)
+
+
+def full_tails(x, df):
+    """Reference for ``_screened_tails``: the t-CDF of every relabeling."""
+    return special.stdtr(df, x)
+
+
+def screening_pools(case, m_c, m_l, rows=12):
+    """``rows`` pools of one kind, true control values first."""
+    rng = np.random.Generator(np.random.Philox(key=10 * m_c + m_l))
+    pools = rng.normal(size=(rows, m_c + m_l))
+    if case == "grid1":
+        return (3 * pools).round(1)
+    if case == "grid2":
+        return pools.round(2)
+    if case == "constant":
+        pools[::2] = 1.25
+        pools[1::4, :m_c] = 0.5
+        pools[3::4, m_c:] = -2.0
+    elif case == "underflow":
+        # A control spread of 1e-70 against a constant low arm: the true
+        # labeling's tail underflows to 0.
+        pools[:, :m_c] *= 1e-70
+        pools[:, m_c:] = 1.0
+    elif case == "tiny-spread":
+        # Spread terms whose squares underflow give some relabelings a
+        # NaN df, which the screen must leave to the t-CDF.
+        pools = np.where(pools > 0.0, 1.0, 1e-100 * pools)
+    elif case == "near-half":
+        # Arm means equal up to rounding, or exactly on grid rows where
+        # the low arm repeats the control values: the true tail is at or
+        # just below 1/2.
+        low = pools[:, m_c:]
+        low -= low.mean(axis=1, keepdims=True)
+        low += pools[:, :m_c].mean(axis=1, keepdims=True)
+        low += 1e-7 * rng.normal(size=(rows, 1))
+        if m_c == m_l:
+            pools[::2] = pools[::2].round(2)
+            pools[::2, m_c:] = pools[::2, m_c - 1 :: -1]
+    return pools
+
+
+def true_tails(pools, m_c, m_l):
+    """The t-CDF of the true labeling per row, and the df of every relabeling."""
+    indicator = _partition_table(m_c + m_l, m_c)[:, : _scored_columns(m_c, m_l)]
+    _, x, df, _ = _welch_tails(pools, m_c, m_l, indicator)
+    return special.stdtr(df[:, 0], x[:, 0]), df
+
+
+SCREEN_CASES = [
+    ("grid1", 4, 3),
+    ("grid1", 3, 3),
+    ("grid2", 4, 4),
+    ("grid2", 5, 3),
+    ("off-grid", 4, 3),
+    ("off-grid", 5, 5),
+    ("off-grid", 1, 5),
+    ("grid2", 1, 4),
+    ("off-grid", 5, 1),
+    ("grid1", 4, 1),
+    ("off-grid", 1, 1),
+    ("constant", 3, 3),
+    ("constant", 4, 3),
+    ("underflow", 6, 3),
+    ("underflow", 6, 6),
+    ("tiny-spread", 3, 3),
+    ("tiny-spread", 5, 4),
+    ("near-half", 4, 4),
+    ("near-half", 5, 3),
+]
+
+
+def shift_stdtrit(monkeypatch, error):
+    """Make every ``stdtrit`` threshold off by ``error``, relative."""
+    stdtrit = special.stdtrit
+    monkeypatch.setattr(
+        special, "stdtrit", lambda df, p: stdtrit(df, p) * (1.0 + error)
+    )
+
+
+class TestTailScreen:
+    """The t-CDF is skipped only where no rank comparison can change.
+
+    ``error`` puts every ``stdtrit`` threshold off by that much, so that
+    only the forward ``stdtr`` check keeps the screen right.
+    """
+
+    @pytest.mark.parametrize("error", [0.0, 1e-3, -1e-3])
+    @pytest.mark.parametrize("case,m_c,m_l", SCREEN_CASES)
+    def test_ranks_equal_full_evaluation(self, case, m_c, m_l, error, monkeypatch):
+        shift_stdtrit(monkeypatch, error)
+        pools = screening_pools(case, m_c, m_l)
+        plus = np.arange(len(pools)) % 2 == 0
+        got = _permutation_rows(pools, m_c, m_l, plus)
+        monkeypatch.setattr(dosage, "_screened_tails", full_tails)
+        want = _permutation_rows(pools, m_c, m_l, plus)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        tail0, df = true_tails(pools, m_c, m_l)
+        if case == "underflow":
+            assert (tail0 == 0.0).all()
+        elif case == "near-half":
+            assert (abs(tail0 - 0.5) < 1e-6).all()
+            assert (tail0 < 0.5).any()
+            assert (tail0 == 0.5).any() == (m_c == m_l)
+        elif case == "tiny-spread":
+            assert np.isnan(df[:, 1:]).any() and np.isfinite(tail0).any()
+
+    @pytest.mark.parametrize("decimals", [2, None])
+    def test_pipeline_batches_equal_full_evaluation(self, decimals, monkeypatch):
+        matrix = gaussian_matrix(
+            12, 40, 5, 4, 2, planted=8, low_shift=2.0, high_shift=3.0, decimals=decimals
+        )
+        got = run_pipeline(matrix, alpha_grid=(0.1, 0.3), chunk=1)
+        monkeypatch.setattr(dosage, "_screened_tails", full_tails)
+        want = run_pipeline(matrix, alpha_grid=(0.1, 0.3))
+        assert got.records == want.records
+        assert got.rows == want.rows
+
+    @pytest.mark.parametrize("error", [0.0, 1e-3, -1e-3])
+    def test_every_comparison_agrees_on_set_tails(self, error, monkeypatch):
+        """Rows built around a given true tail, where rank comparisons
+        are closest: fl(1 - tail) collapsing near 1, a true tail of 1/2
+        or 0, tails just beside the true one or just below 1/2, NaN df.
+        Each target gets a row with one df, where the bands are tight,
+        and a row with a wide df range."""
+        rng = np.random.Generator(np.random.Philox(key=77))
+        k = 400
+        targets = [1e-16, 3e-17, 2.0**-52, 0.5, 0.0, 1e-3, 0.2, 0.4999]
+        tails, df = [], []
+        for target, one_df in itertools.product(targets, (True, False)):
+            near = np.minimum(target * rng.uniform(0.2, 2.0, size=k), 0.5)
+            near[: k // 4] = rng.uniform(0.0, 0.5, size=k // 4)
+            near[k // 4 : k // 2] = 0.5 - rng.uniform(0.0, 1e-6, size=k // 4)
+            near[0] = target
+            tails.append(near)
+            row_df = rng.uniform(2.0, 12.0, size=1 if one_df else k)
+            df.append(np.broadcast_to(row_df, k))
+        df = np.array(df)
+        degenerate = np.zeros(df.shape, dtype=bool)
+        degenerate[:, -3:] = True
+        df[degenerate] = np.nan
+        df[-1, 5:9] = np.nan
+        tails = np.array(tails)
+        x = special.stdtrit(df, tails)
+        x[tails == 0.0] = -1e80
+        x[(targets.index(0.5) * 2, targets.index(0.5) * 2 + 1), 0] = -0.0
+        x[:, 1::37] = -0.0
+        d = rng.normal(size=x.shape)
+        exact = special.stdtr(df, x)
+        assert (exact[:, 0] == 0.0).any() and (exact[:, 0] == 0.5).any()
+        assert (1.0 - exact[0, 0] == 1.0 - exact[0, 1:]).any()
+
+        shift_stdtrit(monkeypatch, error)
+        screened = _screened_tails(x.copy(), df)
+        assert (screened != exact).mean() > 0.5
+
+        def comparisons(tail, signed):
+            one = _one_sided(signed, tail, degenerate)
+            two = _two_sided(d, tail, degenerate)
+            mirrored = _one_sided(-signed, tail, degenerate)
+            return one <= one[:, :1], two <= two[:, :1], mirrored <= one[:, :1]
+
+        for signed in (d, -d):
+            for a, b in zip(comparisons(screened, signed), comparisons(exact, signed)):
+                assert (a == b).all()
+
+    def test_tail_premise_holds_on_installed_scipy(self):
+        # The screen bounds each tail by the t-CDF at the row's df bounds.
+        df = np.geomspace(0.5, 200.0, 300)[:, None]
+        x = np.geomspace(1e-3, 40.0, 300)[None, :]
+        tail = special.stdtr(df, -x)
+        assert (np.diff(tail, axis=0) <= 0.0).all()
+        assert (np.diff(tail, axis=1) <= 0.0).all()
+        assert (tail <= 0.5).all()
+        # Beside integer df stdtr switches method and may wobble; any
+        # rise must stay far inside the slack the bands allow.
+        df = np.add.outer(np.arange(1.0, 40.0), [-1e-9, 0.0, 1e-9, 0.5]).ravel()
+        tail = special.stdtr(df[:, None], -np.geomspace(1e-6, 1e3, 1000)[None, :])
+        for axis in (0, 1):
+            rise = np.diff(tail, axis=axis) / np.delete(tail, -1, axis=axis)
+            assert rise.max() < _TAIL_SLACK / 8
