@@ -15,11 +15,13 @@ families are provided:
   piecewise-constant keeps every spec serializable, so any run can be
   reproduced from its textual description.
 
-Integrals are computed by adaptive Simpson quadrature with explicit
-splits at the step/hinge points.  The unbounded families have an
-integrable logarithmic singularity at t=1, handled by stopping the
-numeric sweep at ``1 - 1e-12`` and adding a closed-form tail for
-``A + B*log(1/(1-t))``, which both families match near 1.
+Each family's h is written once, as the array evaluator behind
+:func:`evaluate`, and the integrals hand that same evaluator to the
+adaptive Simpson quadrature, which calls it on one array per refinement
+level, with explicit splits at the step/hinge points.  The unbounded
+families have an integrable logarithmic singularity at t=1, handled by
+stopping the numeric sweep at ``1 - 1e-12`` and adding a closed-form
+tail for ``A + B*log(1/(1-t))``, which both families match near 1.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Union
 
 import numpy as np
@@ -188,31 +191,6 @@ def evaluate(
     return values.reshape(arr.shape)
 
 
-def _scalar_evaluator(spec: AccumulationSpec):
-    """Fast scalar closure for quadrature, no domain re-checking."""
-    fam = spec.family
-    if fam is Family.FORWARD_STOP:
-        return lambda t: -math.log1p(-t)
-    if fam is Family.SEQ_STEP:
-        c = spec.c_param
-        thr = 1.0 - 1.0 / c
-        return lambda t: c if t > thr else 0.0
-    if fam is Family.HINGE_EXP:
-        c = spec.c_param
-        thr = 1.0 - 1.0 / c
-        logc = math.log(c)
-        return lambda t: -c * (logc + math.log1p(-t)) if t > thr else 0.0
-    pieces = spec.pieces
-
-    def lookup(t: float) -> float:
-        for lo, hi, level in pieces:
-            if t < hi:
-                return level
-        return pieces[-1][2]
-
-    return lookup
-
-
 def _kinks(spec: AccumulationSpec) -> tuple[float, ...]:
     if spec.family in (Family.SEQ_STEP, Family.HINGE_EXP):
         return (1.0 - 1.0 / spec.c_param,)
@@ -244,7 +222,7 @@ def unit_integral(spec: AccumulationSpec, tol: float = QUAD_TOL) -> float:
     Exists to validate specs numerically; every well-formed spec should
     return 1 within ``tol``.
     """
-    h = _scalar_evaluator(spec)
+    h = partial(_eval_array, spec)
     splits = _kinks(spec)
     if spec.bounded:
         return integrate_with_splits(h, 0.0, 1.0, splits, tol)
@@ -271,9 +249,9 @@ def truncated_integral(
     cap = float(cap)
     if not math.isfinite(cap) or cap <= 0.0:
         raise DomainError(f"cap must be positive and finite, got {cap}")
-    h = _scalar_evaluator(spec)
+    h = partial(_eval_array, spec)
     if spec.bounded:
-        capped = lambda t: min(h(t), cap)
+        capped = lambda t: np.minimum(h(t), cap)
         return integrate_with_splits(capped, 0.0, 1.0, _kinks(spec), tol)
 
     # Unbounded families increase toward +inf, so h <= cap exactly on
@@ -311,7 +289,7 @@ def nonnull_mean(
     an inset of 1e-12 with a first-order tail correction, which is
     best-effort rather than certified.
     """
-    h = _scalar_evaluator(spec)
+    h = partial(_eval_array, spec)
     pdf = density.pdf
     splits = sorted(set(_kinks(spec)) | set(density.kinks()))
 
@@ -319,7 +297,7 @@ def nonnull_mean(
     left_tail = 0.0
     if density.unbounded_at_zero():
         lo = _SING_INSET
-        left_tail = h(0.5 * lo) * float(density.cdf(lo))
+        left_tail = evaluate(spec, 0.5 * lo) * float(density.cdf(lo))
 
     hi = 1.0
     right_tail = 0.0
@@ -329,9 +307,11 @@ def nonnull_mean(
         right_tail = float(pdf(hi)) * _log_tail_integral(a_coef, b_coef, _SING_INSET)
     elif density.unbounded_at_one():
         hi = 1.0 - _SING_INSET
-        right_tail = h(1.0 - 0.5 * _SING_INSET) * float(1.0 - density.cdf(hi))
+        right_tail = evaluate(spec, 1.0 - 0.5 * _SING_INSET) * float(
+            1.0 - density.cdf(hi)
+        )
 
-    integrand = lambda t: h(t) * float(pdf(t))
+    integrand = lambda t: h(t) * pdf(t)
     body = integrate_with_splits(integrand, lo, hi, splits, tol)
     return body + left_tail + right_tail
 

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError
+from .seqtest import OrderedPValues
 
 __all__ = ["RejectionSet", "bh_select", "storey_select"]
 
@@ -24,15 +25,6 @@ class RejectionSet:
     count: int
     threshold_index: int
     indices: tuple[int, ...]
-
-
-def _checked(pvals) -> np.ndarray:
-    arr = np.asarray(pvals, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError("p-values must form a nonempty 1-d sequence")
-    if np.isnan(arr).any() or arr.min() < 0.0 or arr.max() > 1.0:
-        raise ValidationError("p-values must lie in [0, 1]")
-    return arr
 
 
 def _step_up(pvals: np.ndarray, alpha: float, denominator: float) -> RejectionSet:
@@ -56,7 +48,7 @@ def bh_select(pvals, alpha: float) -> RejectionSet:
     the k smallest p-values are rejected.  Ties are broken by original
     index so output is deterministic.
     """
-    arr = _checked(pvals)
+    arr = OrderedPValues(pvals).values
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
@@ -71,7 +63,7 @@ def storey_select(pvals, alpha: float, lam: float = 0.9) -> RejectionSet:
     Since the clamp keeps the estimate at most n, the result always
     contains the plain step-up rejections.
     """
-    arr = _checked(pvals)
+    arr = OrderedPValues(pvals).values
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")

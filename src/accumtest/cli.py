@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .dosage import DEFAULT_DOSAGE_ALPHAS, read_expression_csv, run_pipeline
-from .errors import AccumTestError, ContractError, DomainError, ValidationError
+from .errors import AccumTestError, DomainError, ValidationError
 from .accumfn import parse_spec
 from .power_theory import asymptotic_power, asymptotic_threshold, parse_curve
 from .seqtest import (
@@ -199,8 +199,7 @@ def cmd_test(args: argparse.Namespace, argv: Sequence[str]) -> int:
     spec = parse_spec(args.method)
     if args.shift_grid is not None:
         pvals = shift_discrete_pvalues(pvals, args.shift_grid)
-    rule = Rule(args.rule)
-    result = run_accumulation_test(pvals, spec, args.alpha, rule=rule, c=args.c)
+    result = run_accumulation_test(pvals, spec, args.alpha, rule=args.rule, c=args.c)
     # Every reported value is computed before any is printed, so a failing
     # metric leaves stdout empty instead of half a report.
     report = [("k_hat", result.k_hat)]
@@ -424,9 +423,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, ContractError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except AccumTestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -284,26 +284,34 @@ def _welch_tails(
             np.maximum(a_x, 0.0, out=a_x)
         del ws_c, ws_l
     del sums, s_c, s_l
+    spreads = ((a_l, m_l), (a_c, m_c))
     se2 = np.zeros_like(d)
-    df_den = np.zeros_like(d)
-    for a, n in ((a_l, m_l), (a_c, m_c)):
+    for a, n in spreads:
         if n > 1:
             a /= n * n * (n - 1)
             se2 += a
-            a *= a
-            a /= n - 1
-            df_den += a
-    del a_c, a_l, a
-    degenerate = se2 == 0.0
+    # Welch df = 1 / sum((a_i / se2)^2 / (n_i - 1)).  Scaling each spread
+    # term by se2 before squaring keeps the squares from underflowing
+    # when the spread is tiny next to the values.  A degenerate
+    # relabeling gets 0/0, so a NaN df, as do all when no group has two
+    # members.
+    df = np.zeros_like(d) if max(m_c, m_l) > 1 else np.full_like(d, np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
+        for a, n in spreads:
+            if n > 1:
+                a /= se2
+                a *= a
+                a /= n - 1
+                df += a
+        del spreads, a_c, a_l, a
+        np.divide(1.0, df, out=df)
+        degenerate = se2 == 0.0
         t = np.sqrt(se2)
         t *= m_c * m_l
         np.divide(d, t, out=t)
         np.abs(t, out=t)
         np.negative(t, out=t)
-        se2 *= se2
-        se2 /= df_den
-    return d, t, se2, degenerate
+    return d, t, df, degenerate
 
 
 def _one_sided(

@@ -191,21 +191,23 @@ def select_cutoff(
     return int(cutoffs) if cutoffs.ndim == 0 else cutoffs
 
 
-def _plus_constant(spec: AccumulationSpec, c: Optional[float]) -> float:
-    """The plus-rule constant: ``c`` when given, else the spec's C parameter."""
-    if c is None:
-        c = spec.c_param
-    if c is None:
-        raise ContractError("the plus rule needs an explicit constant c")
-    return float(c)
+def _as_rule(rule: Union[Rule, str]) -> Rule:
+    """The ``Rule`` for ``rule``, given as a member or its string value."""
+    try:
+        return Rule(rule)
+    except ValueError:
+        choices = ", ".join(repr(r.value) for r in Rule)
+        raise DomainError(f"unknown rule {rule!r}; expected one of {choices}") from None
 
 
 @dataclass(frozen=True)
 class Method:
     """One named rejection rule: an accumulation function plus a rule.
 
-    ``c`` is the constant of the conservative rule and defaults to the
-    spec's own C parameter; it is ignored under ``Rule.PLAIN``.
+    ``rule`` is a ``Rule`` or its string value, resolved to the ``Rule``
+    on construction; an unknown value raises ``DomainError``.  ``c`` is
+    the constant of the conservative rule and defaults to the spec's own
+    C parameter; it is ignored under ``Rule.PLAIN``.
     """
 
     name: str
@@ -213,10 +215,25 @@ class Method:
     rule: Rule = Rule.PLAIN
     c: Optional[float] = None
 
-    def path(self, pvals: PValueInput) -> np.ndarray:
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rule", _as_rule(self.rule))
+
+    @property
+    def plus_constant(self) -> Optional[float]:
+        """The constant of the plus rule, ``c`` when given, else the
+        spec's C parameter; None under ``Rule.PLAIN``."""
         if self.rule is Rule.PLAIN:
+            return None
+        c = self.spec.c_param if self.c is None else self.c
+        if c is None:
+            raise ContractError("the plus rule needs an explicit constant c")
+        return float(c)
+
+    def path(self, pvals: PValueInput) -> np.ndarray:
+        c = self.plus_constant
+        if c is None:
             return estimated_fdp_path(pvals, self.spec)
-        return estimated_fdp_path_plus(pvals, self.spec, _plus_constant(self.spec, self.c))
+        return estimated_fdp_path_plus(pvals, self.spec, c)
 
 
 def default_methods(c: float = 2.0) -> tuple[Method, ...]:
@@ -233,23 +250,30 @@ def run_accumulation_test(
     pvals: PValueInput,
     spec: AccumulationSpec,
     alpha: float,
-    rule: Rule = Rule.PLAIN,
+    rule: Union[Rule, str] = Rule.PLAIN,
     c: Optional[float] = None,
 ) -> CutoffResult:
     """Build the path for the requested rule and select the cutoff.
 
-    For ``Rule.PLUS`` the constant defaults to ``spec.c``; accumulation
-    functions without a C parameter must supply ``c`` explicitly.
+    ``rule`` is a ``Rule`` or its string value, ``"plain"`` or
+    ``"plus"``.  For the plus rule the constant defaults to the spec's C
+    parameter; accumulation functions without one must supply ``c``
+    explicitly.
+
+    Raises
+    ------
+    DomainError
+        If ``rule`` names no rule.
     """
-    if rule is Rule.PLAIN:
-        path = estimated_fdp_path(pvals, spec)
-        used_c = None
-    else:
-        used_c = _plus_constant(spec, c)
-        path = estimated_fdp_path_plus(pvals, spec, used_c)
+    method = Method("", spec, rule, c)
+    path = method.path(pvals)
     k_hat = select_cutoff(path, alpha)
     return CutoffResult(
-        k_hat=k_hat, fdp_hat_path=path, rule=rule, alpha=float(alpha), c_param=used_c
+        k_hat=k_hat,
+        fdp_hat_path=path,
+        rule=method.rule,
+        alpha=float(alpha),
+        c_param=method.plus_constant,
     )
 
 

@@ -273,3 +273,51 @@ def beta_cdf_mp(a, b, t):
     """Beta(a, b) distribution function at t in [0, 1]."""
     a, b, t = mp.mpf(float(a)), mp.mpf(float(b)), mp.mpf(float(t))
     return mp.betainc(a, b, 0, t, regularized=True)
+
+
+# The recursive scalar adaptive Simpson that the package's level-by-level
+# quadrature replaced, kept as its reference: same accept rule, Richardson
+# step, tolerance halving and depth cap, one integrand call per point.
+SIMPSON_MAX_DEPTH = 48
+
+
+def _simpson(fa, fm, fb, width):
+    return width * (fa + 4.0 * fm + fb) / 6.0
+
+
+def _simpson_recurse(f, a, fa, b, fb, m, fm, whole, tol, depth):
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm = float(f(lm))
+    frm = float(f(rm))
+    left = _simpson(fa, flm, fm, m - a)
+    right = _simpson(fm, frm, fb, b - m)
+    delta = left + right - whole
+    if depth <= 0 or abs(delta) <= 15.0 * tol:
+        return left + right + delta / 15.0
+    half = 0.5 * tol
+    return _simpson_recurse(
+        f, a, fa, m, fm, lm, flm, left, half, depth - 1
+    ) + _simpson_recurse(f, m, fm, b, fb, rm, frm, right, half, depth - 1)
+
+
+def adaptive_simpson(f, a, b, tol):
+    """Integral of the scalar function ``f`` over [a, b] by recursion."""
+    if b == a:
+        return 0.0
+    fa = float(f(a))
+    fb = float(f(b))
+    m = 0.5 * (a + b)
+    fm = float(f(m))
+    whole = _simpson(fa, fm, fb, b - a)
+    return _simpson_recurse(f, a, fa, b, fb, m, fm, whole, tol, SIMPSON_MAX_DEPTH)
+
+
+def simpson_with_splits(f, a, b, splits=(), tol=1e-9):
+    """Sum of ``adaptive_simpson`` over the pieces between split points,
+    each with an equal share of ``tol``."""
+    interior = sorted({float(s) for s in splits if a < s < b})
+    points = [a, *interior, b]
+    piece_tol = tol / max(1, len(points) - 1)
+    pieces = zip(points[:-1], points[1:])
+    return sum(adaptive_simpson(f, lo, hi, piece_tol) for lo, hi in pieces)

@@ -614,6 +614,16 @@ class TestFloatPath:
         assert float(p_init[0]) == pytest.approx(float(want), rel=1e-9)
         assert (p_final[0], p_two[0]) == brute_force_ranks(pool, m_c, True)
 
+    def test_tiny_spread_keeps_the_one_over_p_floor(self):
+        # Spread terms whose squares underflow once made the Welch df 0/0,
+        # and every comparison with a NaN tail false: a rank of 0.
+        pool = [0.0, 1e-100, 3e-100, 1.0, 1.0, 1.0]
+        assert permutation_pvalue(pool, 3, 3, Sign.PLUS) == 1.0 / 20.0
+        for plus in (True, False):
+            rows = _permutation_rows(np.array([pool]), 3, 3, np.array([plus]))
+            want = oracles.exact_permutation_ranks(pool, 3, plus)
+            assert (rows[1][0], rows[2][0]) == tuple(float(w) for w in want)
+
     def test_gene_past_the_bound_falls_back_to_floats(self):
         row = np.array([[0.0, 3e7, 1e7 + 1.0, 2e7 + 3.0, 5.0, 17.0]])
         assert 6**2 * 3e7**2 >= 2.0**53
@@ -652,8 +662,8 @@ def screening_pools(case, m_c, m_l, rows=12):
         pools[:, :m_c] *= 1e-70
         pools[:, m_c:] = 1.0
     elif case == "tiny-spread":
-        # Spread terms whose squares underflow give some relabelings a
-        # NaN df, which the screen must leave to the t-CDF.
+        # Spread terms whose squares would underflow: the Welch df must
+        # stay finite for every relabeling with any spread.
         pools = np.where(pools > 0.0, 1.0, 1e-100 * pools)
     elif case == "near-half":
         # Arm means equal up to rounding, or exactly on grid rows where
@@ -670,10 +680,11 @@ def screening_pools(case, m_c, m_l, rows=12):
 
 
 def true_tails(pools, m_c, m_l):
-    """The t-CDF of the true labeling per row, and the df of every relabeling."""
+    """The t-CDF of the true labeling per row, and the df and degenerate
+    mask of every relabeling."""
     indicator = _partition_table(m_c + m_l, m_c)[:, : _scored_columns(m_c, m_l)]
-    _, x, df, _ = _welch_tails(pools, m_c, m_l, indicator)
-    return special.stdtr(df[:, 0], x[:, 0]), df
+    _, x, df, degenerate = _welch_tails(pools, m_c, m_l, indicator)
+    return special.stdtr(df[:, 0], x[:, 0]), df, degenerate
 
 
 SCREEN_CASES = [
@@ -725,7 +736,7 @@ class TestTailScreen:
         want = _permutation_rows(pools, m_c, m_l, plus)
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
-        tail0, df = true_tails(pools, m_c, m_l)
+        tail0, df, degenerate = true_tails(pools, m_c, m_l)
         if case == "underflow":
             assert (tail0 == 0.0).all()
         elif case == "near-half":
@@ -733,7 +744,7 @@ class TestTailScreen:
             assert (tail0 < 0.5).any()
             assert (tail0 == 0.5).any() == (m_c == m_l)
         elif case == "tiny-spread":
-            assert np.isnan(df[:, 1:]).any() and np.isfinite(tail0).any()
+            assert np.isfinite(df[~degenerate]).all() and np.isfinite(tail0).any()
 
     @pytest.mark.parametrize("decimals", [2, None])
     def test_pipeline_batches_equal_full_evaluation(self, decimals, monkeypatch):

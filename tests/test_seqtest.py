@@ -258,6 +258,32 @@ class TestRunAccumulationTest:
         res = run_accumulation_test([0.5], spec, 0.9, rule=Rule.PLUS, c=1.0)
         assert res.c_param == 1.0
 
+    @pytest.mark.parametrize("spec", [seq_step(2.0), forward_stop()], ids=repr)
+    @pytest.mark.parametrize("rule", list(Rule))
+    def test_string_rule_runs_the_same_rule(self, rule, spec):
+        pvals = (0.01, 0.02, 0.04, 0.3, 0.8, 0.9, 0.95)
+        c = None if spec.c_param else 2.0
+        by_enum = run_accumulation_test(pvals, spec, 0.3, rule=rule, c=c)
+        by_value = run_accumulation_test(pvals, spec, 0.3, rule=rule.value, c=c)
+        assert by_value.rule is rule
+        assert by_value.k_hat == by_enum.k_hat
+        assert by_value.c_param == by_enum.c_param
+        assert by_value.fdp_hat_path.tobytes() == by_enum.fdp_hat_path.tobytes()
+        method = Method("m", spec, rule=rule.value, c=c)
+        assert method.rule is rule
+        assert method.path(pvals).tobytes() == by_enum.fdp_hat_path.tobytes()
+
+    def test_plain_string_rule_on_seq_step(self):
+        pvals = (0.01, 0.02, 0.04, 0.3, 0.8, 0.9, 0.95)
+        assert run_accumulation_test(pvals, seq_step(2.0), 0.3, rule="plain").k_hat == 4
+        assert run_accumulation_test(pvals, seq_step(2.0), 0.3, rule="plus").k_hat == 0
+
+    def test_unknown_rule_rejected(self):
+        with pytest.raises(DomainError, match="bogus"):
+            run_accumulation_test([0.5], forward_stop(), 0.3, rule="bogus")
+        with pytest.raises(DomainError, match="bogus"):
+            Method("m", forward_stop(), rule="bogus")
+
 
 class TestTruthMetrics:
     mask = np.array([True, False, True, False])
