@@ -16,12 +16,14 @@ families are provided:
   reproduced from its textual description.
 
 Each family's h is written once, as the array evaluator behind
-:func:`evaluate`, and the integrals hand that same evaluator to the
-adaptive Simpson quadrature, which calls it on one array per refinement
-level, with explicit splits at the step/hinge points.  The unbounded
-families have an integrable logarithmic singularity at t=1, handled by
-stopping the numeric sweep at ``1 - 1e-12`` and adding a closed-form
-tail for ``A + B*log(1/(1-t))``, which both families match near 1.
+:func:`evaluate`.  SeqStep and piecewise h are step functions, so their
+integrals are finite sums over :attr:`AccumulationSpec.steps`, and
+``truncated_integral`` is closed form for every family.  Only
+``unit_integral`` and ``nonnull_mean`` of ForwardStop and HingeExp hand
+the evaluator to the adaptive Simpson quadrature.  Their logarithmic
+singularity at t=1 is handled by stopping the sweep at ``1 - 1e-12`` and
+adding a closed-form tail for ``A + B*log(1/(1-t))``, which both
+families match near 1.
 """
 
 from __future__ import annotations
@@ -34,13 +36,7 @@ from typing import Union
 
 import numpy as np
 
-from ._pieces import (
-    Piece,
-    interior_edges,
-    normalize_pieces,
-    piece_levels_at,
-    piece_total,
-)
+from ._pieces import Piece, normalize_pieces, piece_levels_at, piece_total
 from .densities import AlternativeDensity
 from .errors import DomainError, ValidationError
 from .quadrature import integrate_with_splits
@@ -124,9 +120,20 @@ class AccumulationSpec:
             raise ValidationError(f"unknown family {fam!r}")
 
     @property
+    def steps(self) -> tuple[Piece, ...] | None:
+        """The (lo, hi, level) pieces of h, or None when h is not a step
+        function (ForwardStop, HingeExp)."""
+        if self.family is Family.SEQ_STEP:
+            edge = 1.0 - 1.0 / self.c_param
+            return ((0.0, edge, 0.0), (edge, 1.0, self.c_param))
+        if self.family is Family.PIECEWISE:
+            return self.pieces
+        return None
+
+    @property
     def bounded(self) -> bool:
         """Whether sup h is finite (False for the log-singular families)."""
-        return self.family in (Family.SEQ_STEP, Family.PIECEWISE)
+        return self.steps is not None
 
 
 def forward_stop() -> AccumulationSpec:
@@ -192,54 +199,46 @@ def evaluate(
 
 
 def _kinks(spec: AccumulationSpec) -> tuple[float, ...]:
-    if spec.family in (Family.SEQ_STEP, Family.HINGE_EXP):
+    if spec.family is Family.HINGE_EXP:
         return (1.0 - 1.0 / spec.c_param,)
-    if spec.family is Family.PIECEWISE:
-        return interior_edges(spec.pieces)
     return ()
 
 
-def _log_tail_coeffs(spec: AccumulationSpec) -> tuple[float, float]:
-    """Coefficients (A, B) with h(t) = A + B*log(1/(1-t)) near t=1."""
+def _log_tail(spec: AccumulationSpec) -> float:
+    """Exact integral of h over [1 - 1e-12, 1] for ForwardStop and
+    HingeExp, where h(t) = A + B*log(1/(1-t))."""
     if spec.family is Family.FORWARD_STOP:
-        return 0.0, 1.0
-    if spec.family is Family.HINGE_EXP:
+        a_coef, b_coef = 0.0, 1.0
+    else:
         c = spec.c_param
-        return -c * math.log(c), c
-    raise ValidationError("log tail only defined for the unbounded families")
-
-
-def _log_tail_integral(a_coef: float, b_coef: float, s: float) -> float:
-    """Exact integral of A + B*log(1/(1-t)) over [1-s, 1]."""
-    if s <= 0.0:
-        return 0.0
+        a_coef, b_coef = -c * math.log(c), c
+    s = _SING_INSET
     return a_coef * s + b_coef * s * (1.0 - math.log(s))
 
 
 def unit_integral(spec: AccumulationSpec, tol: float = QUAD_TOL) -> float:
-    """Quadrature of the full integral of h over [0, 1].
+    """Full integral of h over [0, 1]: exact for step functions, by
+    quadrature to ``tol`` otherwise.
 
     Exists to validate specs numerically; every well-formed spec should
-    return 1 within ``tol``.
+    return 1.
     """
+    steps = spec.steps
+    if steps is not None:
+        return piece_total(steps)
     h = partial(_eval_array, spec)
-    splits = _kinks(spec)
-    if spec.bounded:
-        return integrate_with_splits(h, 0.0, 1.0, splits, tol)
-    a_coef, b_coef = _log_tail_coeffs(spec)
-    body = integrate_with_splits(h, 0.0, 1.0 - _SING_INSET, splits, tol)
-    return body + _log_tail_integral(a_coef, b_coef, _SING_INSET)
+    body = integrate_with_splits(h, 0.0, 1.0 - _SING_INSET, _kinks(spec), tol)
+    return body + _log_tail(spec)
 
 
-def truncated_integral(
-    spec: AccumulationSpec, cap: float, tol: float = QUAD_TOL
-) -> float:
-    """Integral of min(h(t), cap) over [0, 1].
+def truncated_integral(spec: AccumulationSpec, cap: float) -> float:
+    """Integral of min(h(t), cap) over [0, 1], in closed form.
 
-    Equals 1 whenever ``cap`` dominates h everywhere.  For the
-    unbounded families the crossing point of h with the cap is known in
-    closed form, so the flat capped segment near 1 is integrated
-    exactly and no singular region is ever swept numerically.
+    A step function gives the sum of min(level, cap) times width.
+    ForwardStop and HingeExp give ``1 - exp(-cap/C)``, with C = 1 for
+    ForwardStop: HingeExp is ForwardStop squeezed into the top 1/C of
+    [0, 1] and scaled by C.  Equals 1 whenever ``cap`` dominates h
+    everywhere.
 
     Raises
     ------
@@ -249,27 +248,11 @@ def truncated_integral(
     cap = float(cap)
     if not math.isfinite(cap) or cap <= 0.0:
         raise DomainError(f"cap must be positive and finite, got {cap}")
-    h = partial(_eval_array, spec)
-    if spec.bounded:
-        capped = lambda t: np.minimum(h(t), cap)
-        return integrate_with_splits(capped, 0.0, 1.0, _kinks(spec), tol)
-
-    # Unbounded families increase toward +inf, so h <= cap exactly on
-    # [0, t_star] where h(t_star) = cap.
-    if spec.family is Family.FORWARD_STOP:
-        s_star = math.exp(-cap)
-    else:
-        c = spec.c_param
-        s_star = math.exp(-cap / c) / c
-    a_coef, b_coef = _log_tail_coeffs(spec)
-    if s_star >= _SING_INSET:
-        body = integrate_with_splits(h, 0.0, 1.0 - s_star, _kinks(spec), tol)
-        return body + cap * s_star
-    body = integrate_with_splits(h, 0.0, 1.0 - _SING_INSET, _kinks(spec), tol)
-    between = _log_tail_integral(a_coef, b_coef, _SING_INSET) - _log_tail_integral(
-        a_coef, b_coef, s_star
-    )
-    return body + between + cap * s_star
+    steps = spec.steps
+    if steps is not None:
+        return math.fsum(min(level, cap) * (hi - lo) for lo, hi, level in steps)
+    c = 1.0 if spec.family is Family.FORWARD_STOP else spec.c_param
+    return -math.expm1(-cap / c)
 
 
 def nonnull_mean(
@@ -281,17 +264,23 @@ def nonnull_mean(
 
     This is the quantity that governs asymptotic power: smaller means
     indicate that the accumulation function assigns little mass to
-    p-values typical under the alternative.  Computed as the quadrature
-    of ``h * pdf`` with splits at every kink of either factor.
+    p-values typical under the alternative.
 
-    The stated tolerance is guaranteed when the density is bounded near
-    the endpoints; densities that blow up at 0 or 1 are integrated from
-    an inset of 1e-12 with a first-order tail correction, which is
-    best-effort rather than certified.
+    A step function gives the exact sum of level times
+    ``cdf(hi) - cdf(lo)`` over its pieces.  ForwardStop and HingeExp give
+    the quadrature of ``h * pdf`` with splits at every kink of either
+    factor.  There the stated tolerance is guaranteed when the density
+    is bounded near the endpoints; densities that blow up at 0 or 1 are
+    integrated from an inset of 1e-12 with a first-order tail
+    correction, which is best-effort rather than certified.
     """
+    steps = spec.steps
+    if steps is not None:
+        edges = density.cdf(np.array([(lo, hi) for lo, hi, _ in steps]))
+        levels = np.array([level for _, _, level in steps])
+        return math.fsum(levels * (edges[:, 1] - edges[:, 0]))
     h = partial(_eval_array, spec)
     pdf = density.pdf
-    splits = sorted(set(_kinks(spec)) | set(density.kinks()))
 
     lo = 0.0
     left_tail = 0.0
@@ -299,19 +288,11 @@ def nonnull_mean(
         lo = _SING_INSET
         left_tail = evaluate(spec, 0.5 * lo) * float(density.cdf(lo))
 
-    hi = 1.0
-    right_tail = 0.0
-    if not spec.bounded:
-        hi = 1.0 - _SING_INSET
-        a_coef, b_coef = _log_tail_coeffs(spec)
-        right_tail = float(pdf(hi)) * _log_tail_integral(a_coef, b_coef, _SING_INSET)
-    elif density.unbounded_at_one():
-        hi = 1.0 - _SING_INSET
-        right_tail = evaluate(spec, 1.0 - 0.5 * _SING_INSET) * float(
-            1.0 - density.cdf(hi)
-        )
+    hi = 1.0 - _SING_INSET
+    right_tail = float(pdf(hi)) * _log_tail(spec)
 
     integrand = lambda t: h(t) * pdf(t)
+    splits = (*_kinks(spec), *density.kinks())
     body = integrate_with_splits(integrand, lo, hi, splits, tol)
     return body + left_tail + right_tail
 

@@ -8,8 +8,8 @@ experiment can be written down exactly and the run replayed:
 * ``two_sided_z(mu)``: the density of ``p = 2 * (1 - Phi(|Z|))`` when
   ``Z ~ Normal(mu, 1)``.  In closed form,
   ``pdf(t) = cosh(mu * z_t) * exp(-mu^2 / 2)`` with
-  ``z_t = Phi^{-1}(1 - t/2)``; it decreases strictly in t for mu != 0
-  and is unbounded at t=0.
+  ``z_t = -Phi^{-1}(t/2)``, which keeps full precision near t=0; it
+  decreases strictly in t for mu != 0 and is unbounded at t=0.
 * ``beta(a, b)``: the Beta density, nonincreasing iff a <= 1 <= b.
   Its cdf is the regularized incomplete beta function
   ``scipy.special.betainc`` and its pdf is
@@ -120,9 +120,14 @@ class AlternativeDensity:
         if form is DensityForm.UNIFORM:
             out = np.ones_like(flat)
         elif form is DensityForm.TWO_SIDED_Z:
-            with np.errstate(over="ignore"):
-                z = special.ndtri(1.0 - 0.5 * flat)
-                out = np.cosh(self.mu * z) * math.exp(-0.5 * self.mu**2)
+            mu, shift = self.mu, 0.5 * self.mu**2
+            if mu == 0.0:
+                out = np.ones_like(flat)
+            else:
+                # The cosh as two exponentials, so no inf * 0 at large mu.
+                z = -special.ndtri(0.5 * flat)
+                with np.errstate(over="ignore"):
+                    out = 0.5 * (np.exp(mu * z - shift) + np.exp(-mu * z - shift))
         elif form is DensityForm.BETA:
             a, b = self.a, self.b
             with np.errstate(divide="ignore"):
@@ -149,7 +154,7 @@ class AlternativeDensity:
             out = flat.copy()
         elif form is DensityForm.TWO_SIDED_Z:
             # P(2 * (1 - Phi(|Z|)) <= t) with Z ~ Normal(mu, 1).
-            z = special.ndtri(1.0 - 0.5 * flat)
+            z = -special.ndtri(0.5 * flat)
             out = special.ndtr(self.mu - z) + special.ndtr(-z - self.mu)
         elif form is DensityForm.BETA:
             out = special.betainc(self.a, self.b, flat)
@@ -204,12 +209,12 @@ class AlternativeDensity:
             return self.a < 1.0
         return False
 
-    def unbounded_at_one(self) -> bool:
-        return self.form is DensityForm.BETA and self.b < 1.0
-
-    def is_nonincreasing(self, grid_size: int = 4096, slack: float = 1e-9) -> bool:
-        """Grid check that the pdf never increases left to right."""
-        grid = np.linspace(0.0, 1.0, grid_size + 1)
-        values = np.atleast_1d(self.pdf(grid))
-        diffs = np.diff(values)
-        return bool(np.all(diffs <= slack))
+    def is_nonincreasing(self) -> bool:
+        """Whether the pdf never increases: uniform and two_sided_z always,
+        beta iff a <= 1 <= b, piecewise iff its levels never rise."""
+        if self.form is DensityForm.BETA:
+            return self.a <= 1.0 <= self.b
+        if self.form is DensityForm.PIECEWISE:
+            levels = [level for _, _, level in self.pieces]
+            return all(right <= left for left, right in zip(levels, levels[1:]))
+        return True

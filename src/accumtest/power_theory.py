@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .accumfn import AccumulationSpec, evaluate, nonnull_mean
+from .accumfn import AccumulationSpec, nonnull_mean
 from .densities import AlternativeDensity
 from .errors import ContractError, DomainError, ValidationError
 
@@ -281,7 +281,6 @@ def step_optimality_gap(
     spec: AccumulationSpec,
     c: float,
     density: AlternativeDensity,
-    grid_size: int = 4096,
 ) -> float:
     """Excess alternative mean of a bounded ``spec`` over the step function.
 
@@ -289,24 +288,25 @@ def step_optimality_gap(
     ``h0(t) = c * 1{t > 1 - 1/c}`` minimizes the mean under any
     nonincreasing alternative density, so this gap is nonnegative; it
     is zero exactly when ``spec`` already concentrates all its mass at
-    the top in the same way.
+    the top in the same way.  The bound of ``spec`` is its highest step
+    level, and both means are exact sums over the steps.
 
     Raises
     ------
     ContractError
-        If ``spec`` exceeds ``c`` somewhere on the audit grid, or if
-        the density increases somewhere.
+        If ``spec`` is unbounded or has a level above ``c``, or if the
+        density increases somewhere.
     """
     c = float(c)
     if not c >= 1.0:
         raise DomainError(f"the bound c must be >= 1, got {c}")
-    grid = np.linspace(0.0, 1.0, grid_size + 1)
-    values = np.atleast_1d(evaluate(spec, grid))
-    if np.max(values) > c + 1e-9:
-        raise ContractError(
-            f"spec reaches {np.max(values):.6g} > bound {c:.6g}; gap undefined"
-        )
-    if not density.is_nonincreasing(grid_size=grid_size):
+    steps = spec.steps
+    if steps is None:
+        raise ContractError(f"{spec.family.value} is unbounded; gap undefined")
+    top = max(level for _, _, level in steps)
+    if top > c + 1e-9:
+        raise ContractError(f"spec reaches {top:.6g} > bound {c:.6g}; gap undefined")
+    if not density.is_nonincreasing():
         raise ContractError("optimality gap requires a nonincreasing density")
     mean_h = nonnull_mean(spec, density)
     mean_step = c * (1.0 - float(density.cdf(1.0 - 1.0 / c)))

@@ -1,8 +1,8 @@
 """Adaptive Simpson quadrature with explicit interval splitting.
 
 The integrands in this package are smooth except at a small number of
-known points (jump and hinge points of the piecewise families, plus an
-integrable logarithmic singularity at the right endpoint).  Rather
+known points (the HingeExp hinge and the edges of a piecewise density,
+plus an integrable logarithmic singularity at the right endpoint).  Rather
 than rely on a general-purpose routine to discover those features, the
 callers pass them in and each smooth piece is integrated separately.
 

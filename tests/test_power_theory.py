@@ -193,6 +193,15 @@ class TestStepOptimalityGap:
         with pytest.raises(ContractError):
             step_optimality_gap(spec, 1.5, self.density)
 
+    def test_narrow_excess_rejected(self):
+        # The level-3 piece spans 1e-5, narrower than any fixed grid's spacing.
+        top = (1.0 - 0.6 * 0.5 - 1e-5 * 3.0) / (1.0 - 0.60001)
+        spec = piecewise_constant(
+            [(0.0, 0.6, 0.5), (0.6, 0.60001, 3.0), (0.60001, 1.0, top)]
+        )
+        with pytest.raises(ContractError):
+            step_optimality_gap(spec, 2.0, self.density)
+
     def test_increasing_density_rejected(self):
         rising = AlternativeDensity.beta(2.0, 1.0)
         with pytest.raises(ContractError):

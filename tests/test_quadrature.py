@@ -1,5 +1,6 @@
 """Adaptive Simpson integration against closed forms and against the
-recursive scalar reference in ``oracles``."""
+recursive scalar reference in ``oracles``, and the library's closed-form
+integrals against that reference."""
 
 import math
 
@@ -9,6 +10,7 @@ import pytest
 from accumtest import (
     AlternativeDensity,
     accumfn,
+    evaluate,
     forward_stop,
     hinge_exp,
     nonnull_mean,
@@ -112,16 +114,15 @@ def reference(f, a, b, splits, tol):
     )
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_nan_density_ends_refinement(monkeypatch):
-    # cosh(mu * z) overflows and exp(-mu^2 / 2) underflows at this shift,
-    # so the pdf is NaN near 0; each NaN interval is accepted at once.
+def test_far_shifted_density_gives_finite_mean(monkeypatch):
+    # At this shift cosh(mu * z) overflows where exp(-mu^2 / 2) underflows;
+    # the density rounds to 0 on (0, 1] and E[h(p)] is below 1e-12.
     log = []
     monkeypatch.setattr(
         accumfn, "integrate_with_splits", recorded(integrate_with_splits, log)
     )
     density = AlternativeDensity.two_sided_z(1000.0)
-    assert math.isnan(nonnull_mean(forward_stop(), density))
+    assert nonnull_mean(forward_stop(), density) == pytest.approx(0.0, abs=1e-12)
     assert log[0][2] <= _MAX_DEPTH + 2
 
 
@@ -138,8 +139,9 @@ SPECS = {
 STEP_DENSITY = AlternativeDensity.piecewise([(0.0, 0.2, 3.0), (0.2, 1.0, 0.5)])
 # Each density with specs whose integrals the reference finishes within a
 # second.  Near a pole of the density at 0 or 1, refinement runs to full
-# depth where h does not vanish, and the reference can take minutes:
-# nonnull_mean(piecewise, two_sided_z(8)) evaluates 10.9 million points.
+# depth where h does not vanish, and the reference can take minutes: the
+# integrand of nonnull_mean(piecewise, two_sided_z(8)) takes 10.9 million
+# points.
 NONNULL_CASES = [
     ("uniform", AlternativeDensity.uniform(), "forwardstop"),
     ("uniform", AlternativeDensity.uniform(), "piecewise"),
@@ -161,13 +163,59 @@ GAP_CASES = [
     ("seqstep-2-uniform", "seqstep-2", 2.0, AlternativeDensity.uniform()),
 ]
 
+
+def step_edges(spec):
+    return [hi for _, hi, _ in spec.steps[:-1]]
+
+
+def h_of(spec):
+    return lambda t: evaluate(spec, t)
+
+
+def capped(spec, cap):
+    """min(h, cap) on [0, 1], split where h is not smooth: at the step
+    edges, or at the hinge and where h crosses the cap, 1 - exp(-cap/C)/C
+    (C = 1 for ForwardStop)."""
+    if spec.bounded:
+        splits = step_edges(spec)
+    else:
+        c = spec.c_param or 1.0
+        splits = [1.0 - 1.0 / c, 1.0 - math.exp(-cap / c) / c]
+    return (lambda t: np.minimum(evaluate(spec, t), cap)), 0.0, 1.0, splits, 0.0
+
+
+def weighted(h, splits, density):
+    """h * pdf for a step function h, swept to 1e-12 short of a pole of
+    the density; h is constant beyond, so its mass there is exact."""
+    lo = 1e-12 if math.isinf(density.pdf(0.0)) else 0.0
+    hi = 1.0 - 1e-12 if math.isinf(density.pdf(1.0)) else 1.0
+    ends = h(np.array([0.0, 1.0]))
+    tail = ends[0] * density.cdf(lo) + ends[1] * (1.0 - density.cdf(hi))
+    f = lambda t: h(t) * density.pdf(t)
+    return f, lo, hi, [*splits, *density.kinks()], tail
+
+
+def gap_integrand(spec, c, density):
+    """(h - h0) * pdf, with h0 the step of height ``c``."""
+    step = seq_step(c)
+    h = lambda t: evaluate(spec, t) - evaluate(step, t)
+    return weighted(h, step_edges(spec) + step_edges(step), density)
+
+
+# Each case is the library call and, where the library now has a closed
+# form, the integrand it replaces as (f, a, b, splits, tail).
 CASES = [
-    pytest.param(lambda spec=spec: unit_integral(spec), id=f"unit-{name}")
+    pytest.param(
+        lambda spec=spec: unit_integral(spec),
+        (h_of(spec), 0.0, 1.0, step_edges(spec), 0.0) if spec.bounded else None,
+        id=f"unit-{name}",
+    )
     for name, spec in SPECS.items()
 ]
 CASES += [
     pytest.param(
         lambda spec=SPECS[name], cap=cap: truncated_integral(spec, cap),
+        capped(SPECS[name], cap),
         id=f"truncated-{name}-{cap:g}",
     )
     for name in ("forwardstop", "seqstep-2", "hingeexp-2", "piecewise")
@@ -176,6 +224,9 @@ CASES += [
 CASES += [
     pytest.param(
         lambda spec=SPECS[name], density=density: nonnull_mean(spec, density),
+        weighted(h_of(SPECS[name]), step_edges(SPECS[name]), density)
+        if SPECS[name].bounded
+        else None,
         id=f"nonnull-{name}-{label}",
     )
     for label, density, name in NONNULL_CASES
@@ -185,23 +236,42 @@ CASES += [
         lambda spec=SPECS[name], c=c, density=density: step_optimality_gap(
             spec, c, density
         ),
+        gap_integrand(SPECS[name], c, density),
         id=f"gap-{label}",
     )
     for label, name, c, density in GAP_CASES
 ]
 
 
-@pytest.mark.parametrize("compute", CASES)
-def test_level_by_level_matches_recursive_reference(compute, monkeypatch):
+@pytest.mark.parametrize("compute,direct", CASES)
+def test_level_by_level_matches_recursive_reference(compute, direct, monkeypatch):
     """Same points, values within 1e-14, and at most one integrand call
-    per refinement level plus the one for endpoints and midpoints."""
+    per refinement level plus the one for endpoints and midpoints.
+
+    Where the library integrates by quadrature, both routines run inside
+    it.  Where it has a closed form, both integrate the replaced
+    integrand ``direct``, and the closed form makes no quadrature call
+    and lies within 1e-12 of the reference."""
     got_log, want_log = [], []
-    monkeypatch.setattr(
-        accumfn, "integrate_with_splits", recorded(integrate_with_splits, got_log)
-    )
-    got = compute()
-    monkeypatch.setattr(accumfn, "integrate_with_splits", recorded(reference, want_log))
-    want = compute()
+    if direct is None:
+        monkeypatch.setattr(
+            accumfn, "integrate_with_splits", recorded(integrate_with_splits, got_log)
+        )
+        got = compute()
+        monkeypatch.setattr(
+            accumfn, "integrate_with_splits", recorded(reference, want_log)
+        )
+        want = compute()
+    else:
+        f, a, b, splits, tail = direct
+        got = recorded(integrate_with_splits, got_log)(f, a, b, splits) + tail
+        want = recorded(reference, want_log)(f, a, b, splits) + tail
+        closed_log = []
+        monkeypatch.setattr(
+            accumfn, "integrate_with_splits", recorded(integrate_with_splits, closed_log)
+        )
+        assert compute() == pytest.approx(want, abs=1e-12)
+        assert closed_log == []
     assert got == pytest.approx(want, abs=1e-14)
     assert len(got_log) == len(want_log) >= 1
     for (got_points, got_value, calls), (want_points, want_value, _) in zip(
