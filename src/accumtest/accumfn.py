@@ -98,6 +98,15 @@ class AccumulationSpec:
             c = float(self.c_param)
             if not math.isfinite(c) or c <= 1.0:
                 raise DomainError(f"{fam.value} requires C > 1, got {self.c_param}")
+            # h is positive only above 1 - 1/C; for large C that edge
+            # rounds, and the region loses its 1/C width (all of it once
+            # 1 - 1/C rounds to 1, near C = 1e16).
+            width = c * (1.0 - (1.0 - 1.0 / c))
+            if abs(width - 1.0) > _UNIT_TOL:
+                raise DomainError(
+                    f"{fam.value} C={c:g} is too large for floating point: the region "
+                    f"above 1 - 1/C is {width:.12g}/C wide, not 1/C"
+                )
             object.__setattr__(self, "c_param", c)
             if self.pieces is not None:
                 raise ValidationError(f"{fam.value} takes no piece list")

@@ -6,6 +6,17 @@ ordered p-values, ``simulate`` runs the ranked Monte Carlo protocol,
 curve, ``dosage`` runs the expression pipeline, and ``validate`` runs
 the built-in self-check suite.
 
+Only the core (``accumfn``, ``seqtest``) is imported with this module.
+``dosage``, ``simlab``, ``power_theory`` and ``validation`` are
+imported by the subcommands that use them, so ``test`` and
+``--version`` never load them, nor scipy.
+
+P-value files are read by one ``np.loadtxt`` call when the header and
+the first data row allow it, and otherwise row by row with the ``csv``
+module, which also words every error message; both routes give the
+same result.  Output tables are written in blocks, each formatted by
+one ``%`` on a row template chosen from the column dtypes.
+
 Every file-writing run also writes a JSON manifest next to its outputs
 holding the exact argument vector, so ``accumtest --replay MANIFEST``
 reproduces the run byte for byte.  Floats are serialized with 17
@@ -21,79 +32,102 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import importlib
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TextIO
 
 import numpy as np
 
 from . import __version__
-from .dosage import DEFAULT_DOSAGE_ALPHAS, read_expression_csv, run_pipeline
-from .errors import AccumTestError, DomainError, ValidationError
 from .accumfn import parse_spec
-from .power_theory import asymptotic_power, asymptotic_threshold, parse_curve
+from .errors import AccumTestError, DomainError, ValidationError
 from .seqtest import (
     OrderedPValues,
     Rule,
+    default_methods,
     fdp,
     mfdp,
     power_of_cutoff,
     run_accumulation_test,
     shift_discrete_pvalues,
 )
-from .simlab import (
-    SimConfig,
-    default_methods,
-    path_table_columns,
-    power_table_columns,
-    run_simulation,
-)
-from .validation import run_suite
 
 __all__ = ["main", "build_parser"]
 
+# Names the dosage, simulate, power and validate subcommands take from
+# modules above the core, with the module each lives in.  They are
+# imported on first access (PEP 562).  Commands reach them as ``_lazy.X``,
+# attributes of this module, so that rebinding ``cli.X`` (as
+# bench/tracer.py does to time a layer) also rebinds what they call.
+_DEFERRED = {
+    "DEFAULT_DOSAGE_ALPHAS": "dosage",
+    "read_expression_csv": "dosage",
+    "run_pipeline": "dosage",
+    "SimConfig": "simlab",
+    "path_table_columns": "simlab",
+    "power_table_columns": "simlab",
+    "run_simulation": "simlab",
+    "asymptotic_power": "power_theory",
+    "asymptotic_threshold": "power_theory",
+    "parse_curve": "power_theory",
+    "run_suite": "validation",
+}
+
+
+def __getattr__(name: str):
+    module = _DEFERRED.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+_lazy = sys.modules[__name__]
+
 _WRITE_BLOCK_ROWS = 1 << 14
 
+# The text of one cell, by dtype kind: strings as they are, bools as 1/0,
+# integers in full and floats with 17 significant digits, which
+# round-trips every double.
+_CELL_FORMATS = {"U": "%s", "b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}
 
-def _format_column(column) -> list[str]:
-    """CSV text of one column whose cells share a type.
 
-    Strings are kept as they are, bools become 1/0, integers use ``str``
-    and floats 17 significant digits, which round-trips every double.
-    """
-    values = np.asarray(column)
-    kind = values.dtype.kind
-    if kind == "U":
-        return values.tolist()
-    if kind == "b":
-        return ["1" if v else "0" for v in values.tolist()]
-    if kind in "iu":
-        return [str(v) for v in values.tolist()]
-    if kind == "f":
-        return list(map("{:.17g}".format, values.tolist()))
-    raise TypeError(f"cannot write a column of dtype {values.dtype}")
+def _cell_format(values: np.ndarray) -> str:
+    try:
+        return _CELL_FORMATS[values.dtype.kind]
+    except KeyError:
+        raise TypeError(f"cannot write a column of dtype {values.dtype}") from None
 
 
 def _fmt(value) -> str:
-    return _format_column([value])[0]
+    value = np.asarray(value)
+    return _cell_format(value) % value.item()
 
 
 def _write_csv(path: Optional[str], header: Sequence[str], columns) -> None:
     """Write a table given column by column to ``path``, or to stdout if no path.
 
-    Rows are formatted and written in blocks, so the text held at once
-    stays small however long the table is.
+    Rows are written in blocks, each formatted by one ``%`` on the row
+    template repeated once per row, so the text held at once stays
+    small however long the table is.  Columns of unequal length raise
+    ValueError.
     """
     arrays = [np.asarray(column) for column in columns]
+    row = ",".join(map(_cell_format, arrays)) + "\n"
+    width = len(arrays)
     n_rows = max((len(array) for array in arrays), default=0)
     target = open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
     with target as handle:
         handle.write(",".join(header) + "\n")
         for start in range(0, n_rows, _WRITE_BLOCK_ROWS):
-            block = slice(start, start + _WRITE_BLOCK_ROWS)
-            texts = [_format_column(array[block]) for array in arrays]
-            rows = zip(*texts, strict=True)
-            handle.write("".join(",".join(cells) + "\n" for cells in rows))
+            block = [array[start : start + _WRITE_BLOCK_ROWS].tolist() for array in arrays]
+            rows = len(block[0])
+            cells = [None] * (rows * width)
+            for j, column in enumerate(block):
+                cells[j::width] = column
+            handle.write(row * rows % tuple(cells))
 
 
 def _jsonable(value):
@@ -148,47 +182,127 @@ def _read_pvalue_csv(path: str) -> OrderedPValues:
     A column named ``is_null`` (values 0/1 or true/false) attaches
     ground-truth labels used for FDP and power reporting.  Cells are
     split as the ``csv`` module splits them; blank rows are skipped.
+
+    The route is picked once, from the header and the first data row.
+    Plain files are read by one ``np.loadtxt`` call
+    (:func:`_loadtxt_pvalues`), the rest row by row
+    (:func:`_read_pvalue_rows`).  A file the first route refuses is read
+    again by the second, which alone words the errors.
     """
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
+        parsed = _loadtxt_pvalues(handle)
+        if parsed is None:
+            handle.seek(0)
+            parsed = _read_pvalue_rows(path, handle)
+    values, mask = parsed
+    return OrderedPValues(values, null_mask=mask)
+
+
+# Characters on which np.loadtxt and the csv route part ways: numpy
+# drops trailing NULs from strings (``1\x00`` reads back as ``1``), and
+# strips \x1c-\x1f around numbers as whitespace where float() refuses them.
+_LOADTXT_UNSAFE = "\x00\x1c\x1d\x1e\x1f"
+
+
+def _loadtxt_columns(handle: TextIO) -> Optional[tuple[int, Optional[int]]]:
+    """Indices of the p and is_null columns if ``np.loadtxt`` may read the file.
+
+    That needs an unquoted header naming ``p``, a first data row,
+    unquoted, whose is_null cell (if the column exists) is ``0`` or
+    ``1``, and no character of ``_LOADTXT_UNSAFE`` after the header.
+    The handle is then left at the end of the header.
+    """
+    header = handle.readline()
+    if '"' in header:
+        return None
+    names = [cell.strip().lower() for cell in header.rstrip("\r\n").split(",")]
+    if "p" not in names:
+        return None
+    null_col = names.index("is_null") if "is_null" in names else None
+    start = handle.tell()
+    line = handle.readline()
+    while line in ("\n", "\r\n", "\r"):
+        line = handle.readline()
+    if not line or '"' in line:
+        return None
+    if null_col is not None:
+        cells = line.rstrip("\r\n").split(",")
+        if null_col >= len(cells) or cells[null_col] not in ("0", "1"):
+            return None
+    handle.seek(start)
+    while chunk := handle.read(1 << 20):
+        if any(char in chunk for char in _LOADTXT_UNSAFE):
+            return None
+    handle.seek(start)
+    return names.index("p"), null_col
+
+
+def _loadtxt_pvalues(handle: TextIO) -> Optional[tuple[np.ndarray, Optional[np.ndarray]]]:
+    """p-values and null labels read by one ``np.loadtxt`` call.
+
+    Returns None when the file is not plain (see :func:`_loadtxt_columns`)
+    or numpy refuses a cell, such as a label other than ``0`` or ``1``
+    after the first row.  p cells follow the same float rules as in
+    :func:`_read_pvalue_rows`, except that numpy refuses ``_`` digit
+    separators and non-ASCII digits.
+    """
+    columns = _loadtxt_columns(handle)
+    if columns is None:
+        return None
+    p_col, null_col = columns
+    options = dict(delimiter=",", quotechar='"', comments=None, ndmin=1)
+    try:
+        if null_col is None:
+            return np.loadtxt(handle, dtype=float, usecols=p_col, **options), None
+        fields = [("p", float), ("is_null", "U2")]
+        table = np.loadtxt(handle, dtype=fields, usecols=(p_col, null_col), **options)
+    except ValueError:
+        return None
+    labels = table["is_null"]
+    is_null = labels == "1"
+    if not (is_null | (labels == "0")).all():
+        return None
+    return table["p"], is_null
+
+
+def _read_pvalue_rows(path: str, handle: TextIO) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """p-values and null labels parsed row by row with the ``csv`` module."""
+    reader = csv.reader(handle)
+    try:
+        header = [cell.strip().lower() for cell in next(reader)]
+    except StopIteration:
+        raise ValidationError(f"{path}: empty file") from None
+    if "p" not in header:
+        raise ValidationError(f"{path}: no column named p")
+    p_col = header.index("p")
+    null_col = header.index("is_null") if "is_null" in header else None
+    values = []
+    labels = []
+    for row_number, row in enumerate(reader, start=2):
+        if not row:
+            continue
         try:
-            header = [cell.strip().lower() for cell in next(reader)]
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        if "p" not in header:
-            raise ValidationError(f"{path}: no column named p")
-        p_col = header.index("p")
-        null_col = header.index("is_null") if "is_null" in header else None
-        values = []
-        labels = []
-        for row_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
+            values.append(float(row[p_col]))
+        except (ValueError, IndexError):
+            raise ValidationError(f"{path}: row {row_number}: bad p cell") from None
+        if null_col is not None:
             try:
-                values.append(float(row[p_col]))
-            except (ValueError, IndexError):
+                cell = row[null_col].strip().lower()
+            except IndexError:
                 raise ValidationError(
-                    f"{path}: row {row_number}: bad p cell"
+                    f"{path}: row {row_number}: missing is_null cell"
                 ) from None
-            if null_col is not None:
-                try:
-                    cell = row[null_col].strip().lower()
-                except IndexError:
-                    raise ValidationError(
-                        f"{path}: row {row_number}: missing is_null cell"
-                    ) from None
-                if cell in ("1", "true"):
-                    labels.append(True)
-                elif cell in ("0", "false"):
-                    labels.append(False)
-                else:
-                    raise ValidationError(
-                        f"{path}: row {row_number}: bad is_null cell {cell!r}"
-                    )
+            if cell in ("1", "true"):
+                labels.append(True)
+            elif cell in ("0", "false"):
+                labels.append(False)
+            else:
+                raise ValidationError(
+                    f"{path}: row {row_number}: bad is_null cell {cell!r}"
+                )
     if not values:
         raise ValidationError(f"{path}: no p-value rows")
-    mask = np.array(labels) if null_col is not None else None
-    return OrderedPValues(np.array(values), null_mask=mask)
+    return np.array(values), np.array(labels) if null_col is not None else None
 
 
 def cmd_test(args: argparse.Namespace, argv: Sequence[str]) -> int:
@@ -222,7 +336,7 @@ def cmd_test(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    config = SimConfig(
+    config = _lazy.SimConfig(
         n=args.n,
         n_nonnull=args.n_nonnull,
         mu1=args.mu1,
@@ -233,9 +347,9 @@ def cmd_simulate(args: argparse.Namespace, argv: Sequence[str]) -> int:
     )
     methods = default_methods(args.c)
     include_paths = bool(args.out) and not args.no_paths
-    agg = run_simulation(config, methods, include_paths)
+    agg = _lazy.run_simulation(config, methods, include_paths)
     header = ("method", "alpha", "mean_power", "se_power", "mean_fdp", "se_fdp")
-    columns = power_table_columns(agg)
+    columns = _lazy.power_table_columns(agg)
     if not args.out:
         _write_csv(None, header, columns)
         return 0
@@ -248,24 +362,24 @@ def cmd_simulate(args: argparse.Namespace, argv: Sequence[str]) -> int:
         _write_csv(
             paths,
             ("method", "k", "mean_fdp_hat", "mean_fdp_true"),
-            path_table_columns(agg),
+            _lazy.path_table_columns(agg),
         )
     _write_manifest(f"{args.out}.manifest.json", "simulate", argv, args, [], outputs)
     return 0
 
 
 def cmd_power(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    curve = parse_curve(args.curve)
-    threshold = asymptotic_threshold(curve, args.alpha, args.mu)
-    power = asymptotic_power(curve, args.alpha, args.mu)
+    curve = _lazy.parse_curve(args.curve)
+    threshold = _lazy.asymptotic_threshold(curve, args.alpha, args.mu)
+    power = _lazy.asymptotic_power(curve, args.alpha, args.mu)
     print(f"T = {_fmt(threshold)}")
     print(f"power = {_fmt(power)}")
     return 0
 
 
 def cmd_dosage(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    matrix = read_expression_csv(args.input)
-    result = run_pipeline(
+    matrix = _lazy.read_expression_csv(args.input)
+    result = _lazy.run_pipeline(
         matrix,
         methods=default_methods(args.c),
         alpha_grid=args.alpha_grid,
@@ -279,8 +393,31 @@ def cmd_dosage(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 
 def cmd_validate(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    results = run_suite(write=print)
+    results = _lazy.run_suite(write=print)
     return 0 if all(r.passed for r in results) else 4
+
+
+class _SubcommandParser(argparse.ArgumentParser):
+    """Parser of one subcommand whose defaults may come from a deferred module.
+
+    ``lazy_defaults`` returns them; it is called only when this
+    subcommand is parsed, so building the full parser imports nothing
+    above the core.
+    """
+
+    def __init__(self, *args, lazy_defaults: Optional[Callable[[], dict]] = None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._lazy_defaults = lazy_defaults
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._lazy_defaults is not None:
+            self.set_defaults(**self._lazy_defaults())
+        return super().parse_known_args(args, namespace)
+
+
+def _simulate_defaults() -> dict:
+    fields = ("n", "n_nonnull", "mu1", "mu2", "trials", "alpha_grid")
+    return {name: getattr(_lazy.SimConfig, name) for name in fields}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,7 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Use 'accumtest --replay MANIFEST.json' to rerun a recorded invocation.",
     )
     parser.add_argument("--version", action="version", version=f"accumtest {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(
+        dest="subcommand", required=True, parser_class=_SubcommandParser
+    )
 
     p_test = sub.add_parser("test", help="run one accumulation test on a p-value CSV")
     p_test.add_argument("input", help="CSV with column p (optional is_null)")
@@ -323,26 +462,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--out", default=None, help="write the estimated FDP path CSV here")
     p_test.set_defaults(func=cmd_test)
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo power/FDP study on ranked hypotheses")
+    p_sim = sub.add_parser(
+        "simulate",
+        help="Monte Carlo power/FDP study on ranked hypotheses",
+        lazy_defaults=_simulate_defaults,
+    )
     p_sim.add_argument("--seed", type=int, required=True, help="master seed (required)")
-    p_sim.add_argument("--n", type=int, default=SimConfig.n, help="hypotheses per trial")
+    p_sim.add_argument("--n", type=int, help="hypotheses per trial")
+    p_sim.add_argument("--n-nonnull", type=int, help="non-nulls per trial")
+    p_sim.add_argument("--mu1", type=float, help="ordering signal strength")
+    p_sim.add_argument("--mu2", type=float, help="tested signal strength")
+    p_sim.add_argument("--trials", type=int, help="number of trials")
     p_sim.add_argument(
-        "--n-nonnull", type=int, default=SimConfig.n_nonnull, help="non-nulls per trial"
-    )
-    p_sim.add_argument(
-        "--mu1", type=float, default=SimConfig.mu1, help="ordering signal strength"
-    )
-    p_sim.add_argument(
-        "--mu2", type=float, default=SimConfig.mu2, help="tested signal strength"
-    )
-    p_sim.add_argument(
-        "--trials", type=int, default=SimConfig.trials, help="number of trials"
-    )
-    p_sim.add_argument(
-        "--alpha-grid",
-        type=_alpha_list,
-        default=SimConfig.alpha_grid,
-        help="comma-separated target levels",
+        "--alpha-grid", type=_alpha_list, help="comma-separated target levels"
     )
     p_sim.add_argument("--c", type=float, default=2.0, help="C parameter for all methods")
     p_sim.add_argument(
@@ -367,12 +499,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_pow.set_defaults(func=cmd_power)
 
-    p_dos = sub.add_parser("dosage", help="dose-response screening pipeline on a matrix CSV")
+    p_dos = sub.add_parser(
+        "dosage",
+        help="dose-response screening pipeline on a matrix CSV",
+        lazy_defaults=lambda: {"alpha_grid": _lazy.DEFAULT_DOSAGE_ALPHAS},
+    )
     p_dos.add_argument("input", help="CSV: gene_id header plus C*/L*/H* sample columns")
     p_dos.add_argument(
         "--alpha-grid",
         type=_alpha_list,
-        default=DEFAULT_DOSAGE_ALPHAS,
         help="comma-separated target levels in [0,1)",
     )
     p_dos.add_argument("--c", type=float, default=2.0, help="C parameter for all methods")

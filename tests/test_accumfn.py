@@ -89,6 +89,18 @@ class TestSpecConstruction:
         with pytest.raises(DomainError):
             hinge_exp(0.5)
 
+    @pytest.mark.parametrize("make", [seq_step, hinge_exp])
+    @pytest.mark.parametrize("c", [1e11, 1e13, 1e16, 1e17, 1e300])
+    def test_c_too_large_for_floats(self, make, c):
+        # At C = 1e17 the step edge 1 - 1/C rounds to 1 and h is 0 everywhere.
+        with pytest.raises(DomainError, match="too large"):
+            make(c)
+
+    @pytest.mark.parametrize("make", [seq_step, hinge_exp])
+    @pytest.mark.parametrize("c", [2.0, 1e6])
+    def test_moderate_c_accepted(self, make, c):
+        assert make(c).c_param == c
+
     def test_piecewise_must_integrate_to_one(self):
         with pytest.raises(ValidationError):
             piecewise_constant([(0.0, 0.5, 0.4), (0.5, 1.0, 1.7)])

@@ -513,6 +513,128 @@ class TestPValueReader:
             got_mask = None if pvals.null_mask is None else pvals.null_mask.tolist()
             assert got_mask == mask
 
+    @pytest.mark.parametrize(
+        "text, loadtxt_calls, row_reads, labels",
+        [
+            ("p,is_null\n0.1,1\n0.2,0\n", 1, 0, [True, False]),
+            ("p,is_null\n0.1,true\n0.2,FALSE\n", 0, 1, [True, False]),
+            ('"p","is_null"\n0.1,1\n0.2,0\n', 0, 1, [True, False]),
+            ("p,is_null\n0.1,1\n0.2,0\n0.3,true\n", 1, 1, [True, False, True]),
+        ],
+    )
+    def test_route_is_picked_from_header_and_first_row(
+        self, tmp_path, monkeypatch, text, loadtxt_calls, row_reads, labels
+    ):
+        calls = {"loadtxt": 0, "rows": 0}
+
+        def counted(key, function):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np, "loadtxt", counted("loadtxt", np.loadtxt))
+        monkeypatch.setattr(cli, "_read_pvalue_rows", counted("rows", cli._read_pvalue_rows))
+        path = tmp_path / "p.csv"
+        path.write_text(text, newline="")
+        pvals = cli._read_pvalue_csv(str(path))
+        assert calls == {"loadtxt": loadtxt_calls, "rows": row_reads}
+        assert pvals.values.tolist() == [0.1, 0.2, 0.3][: len(labels)]
+        assert pvals.null_mask.tolist() == labels
+
+
+# Cells the differential test builds files from, legal and illegal.
+P_CELLS = [
+    "0.1", "0.25", "1", "0", "1e-3", " 0.5 ", "+0.7", "-0.0", "5e-324", "nan", "inf",
+    "0.1_0", "1_0", '"0.3"', '"0.4"x', '0."1"', "", " ", "\t", "#", "abc", "0.1\x00",
+    "1.5", "0x1p-3", "٠.١", "\x1c0.2", "0.2\x1f", "\xa00.6", "0.8\r", "0.9\n", '"0.2,5"',
+    '"0.8\r"', '"\x1d0.2"', '" 0.3"', ' "0.3"',
+]
+LABEL_CELLS = [
+    "0", "1", "0", "1", "true", "FALSE", "True", " 1 ", "1\x00", "0\x00", "\x00", "10",
+    "01", "+1", "1.0", '"1"', '"0"', "", "#", "2", "1\r", '1"', "\xa01",
+]
+EXTRA_CELLS = ["x", '"a,b"', "", "#", "1", '"q""r"']
+HEADERS = [
+    "p,is_null", "is_null,p", "P , Is_Null", '"p","is_null"', "name,p,is_null",
+    "p", "p,extra", "is_null,x,p",
+]
+LINE_ENDS = ["\n", "\r\n", "\r"]
+
+
+def random_pvalue_file(rng) -> str:
+    header = HEADERS[rng.integers(len(HEADERS))]
+    names = [name.strip().strip('"').lower() for name in header.split(",")]
+    end = LINE_ENDS[rng.integers(len(LINE_ENDS))]
+    legal = rng.random() < 0.5
+    lines = [header]
+    for _ in range(rng.integers(0, 6)):
+        roll = rng.random()
+        if roll < 0.1:
+            lines.append("")
+            continue
+        cells = []
+        for name in names:
+            if name == "p":
+                pool = P_CELLS[:11] if legal else P_CELLS
+            elif name == "is_null":
+                pool = LABEL_CELLS[:6] if legal else LABEL_CELLS
+            else:
+                pool = EXTRA_CELLS
+            cells.append(pool[rng.integers(len(pool))])
+        if roll > 0.8:
+            cells.append(EXTRA_CELLS[rng.integers(len(EXTRA_CELLS))])
+        if roll > 0.95 and not legal:
+            cells.pop(0)
+        lines.append(",".join(cells))
+    return end.join(lines) + (end if rng.random() < 0.8 else "")
+
+
+def csv_route(path):
+    """Result of the csv route alone, or its error message."""
+    with open(path, newline="") as handle:
+        try:
+            return cli._read_pvalue_rows(str(path), handle)
+        except AccumTestError as exc:
+            return str(exc)
+
+
+def same_parse(got, expected) -> bool:
+    if isinstance(got, str) or isinstance(expected, str):
+        return got == expected
+    (values, mask), (want_values, want_mask) = got, expected
+    same_mask = (mask is None) == (want_mask is None) and (
+        mask is None or mask.tolist() == want_mask.tolist()
+    )
+    return same_mask and np.asarray(values, float).tobytes() == want_values.tobytes()
+
+
+def test_loadtxt_route_refuses_or_matches_csv_route(tmp_path):
+    rng = np.random.default_rng(20151)
+    path = tmp_path / "p.csv"
+    fast_reads = 0
+    for _ in range(600):
+        text = random_pvalue_file(rng)
+        path.write_text(text, newline="")
+        expected = csv_route(path)
+        with open(path, newline="") as handle:
+            fast = cli._loadtxt_pvalues(handle)
+        if fast is not None:
+            fast_reads += 1
+            assert same_parse(fast, expected), repr(text)
+        try:
+            pvals = cli._read_pvalue_csv(str(path))
+        except AccumTestError as exc:
+            assert str(exc) == expected or (
+                not isinstance(expected, str) and "p-values must lie in" in str(exc)
+            ), repr(text)
+        else:
+            got = (pvals.values, pvals.null_mask)
+            assert same_parse(got, expected), repr(text)
+    # Both routes were exercised.
+    assert 100 < fast_reads < 500
+
 
 def per_cell_fmt(value) -> str:
     """The writer's rule for one cell, applied cell by cell."""

@@ -50,15 +50,20 @@ def test_scan_sees_relative_imports():
     assert {"seqtest", "baselines", "errors"} <= package_imports("dosage")
 
 
-def run_python(code: str) -> str:
-    """Standard output of ``code`` run in a fresh interpreter."""
+def package_env() -> dict[str, str]:
+    """The environment with this checkout's package first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p]
     )
+    return env
+
+
+def run_python(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter."""
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        env=env,
+        env=package_env(),
         capture_output=True,
         text=True,
         timeout=120,
@@ -95,3 +100,44 @@ def test_commands_never_load_scipy_stats(tmp_path):
         "print(codes, 'scipy.stats' in sys.modules)"
     )
     assert out.strip() == "[0, 0, 0, 0] False"
+
+
+def modules_loaded_by(argv, cwd) -> set[str]:
+    """Modules that ``python -m accumtest ARGV`` imports, from -X importtime."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "accumtest", *argv],
+        cwd=cwd,
+        env=package_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:") and line.count("|") == 2
+    }
+
+
+@pytest.mark.parametrize("command", ["test", "version"])
+def test_test_and_version_load_no_upper_module_nor_scipy(tmp_path, command):
+    (tmp_path / "p.csv").write_text("p,is_null\n0.01,0\n0.02,0\n0.7,1\n")
+    argv = {
+        "test": ["test", "p.csv", "--method", "hingeexp:C=2", "--alpha", "0.2",
+                 "--out", "path.csv"],
+        "version": ["--version"],
+    }[command]
+    loaded = modules_loaded_by(argv, tmp_path)
+    assert "accumtest.cli" in loaded
+    upper = {f"accumtest.{name}" for name in UPPER - {"cli"}}
+    assert loaded & upper == set()
+    assert [name for name in loaded if name.split(".")[0] == "scipy"] == []
+
+
+def test_every_public_name_resolves():
+    for name in accumtest.__all__:
+        assert getattr(accumtest, name) is not None, name
+    assert set(accumtest.__all__) <= set(dir(accumtest))
+    with pytest.raises(AttributeError):
+        accumtest.no_such_name
