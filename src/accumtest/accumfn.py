@@ -18,12 +18,13 @@ families are provided:
 Each family's h is written once, as the array evaluator behind
 :func:`evaluate`.  SeqStep and piecewise h are step functions, so their
 integrals are finite sums over :attr:`AccumulationSpec.steps`, and
-``truncated_integral`` is closed form for every family.  Only
-``unit_integral`` and ``nonnull_mean`` of ForwardStop and HingeExp hand
-the evaluator to the adaptive Simpson quadrature.  Their logarithmic
-singularity at t=1 is handled by stopping the sweep at ``1 - 1e-12`` and
-adding a closed-form tail for ``A + B*log(1/(1-t))``, which both
-families match near 1.
+``truncated_integral`` is closed form for every family.  ForwardStop and
+HingeExp rise from 0 with slope C / (1 - t), so ``nonnull_mean``
+integrates the density's survival function P(p > 1 - e^-s) over
+s >= log C by adaptive Simpson quadrature, with a closed-form tail past
+s = 700; the integrand is bounded and smooth between the density's
+kinks.  ``unit_integral`` of these two families is their mean under the
+uniform density.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Union
 
 import numpy as np
@@ -57,7 +57,9 @@ __all__ = [
 ]
 
 QUAD_TOL = 1e-9
-_SING_INSET = 1e-12
+# Where the survival-form sweep of nonnull_mean stops; exp(-700) is
+# still a normal float.
+_S_MAX = 700.0
 _UNIT_TOL = 1e-9
 
 
@@ -207,27 +209,9 @@ def evaluate(
     return values.reshape(arr.shape)
 
 
-def _kinks(spec: AccumulationSpec) -> tuple[float, ...]:
-    if spec.family is Family.HINGE_EXP:
-        return (1.0 - 1.0 / spec.c_param,)
-    return ()
-
-
-def _log_tail(spec: AccumulationSpec) -> float:
-    """Exact integral of h over [1 - 1e-12, 1] for ForwardStop and
-    HingeExp, where h(t) = A + B*log(1/(1-t))."""
-    if spec.family is Family.FORWARD_STOP:
-        a_coef, b_coef = 0.0, 1.0
-    else:
-        c = spec.c_param
-        a_coef, b_coef = -c * math.log(c), c
-    s = _SING_INSET
-    return a_coef * s + b_coef * s * (1.0 - math.log(s))
-
-
 def unit_integral(spec: AccumulationSpec, tol: float = QUAD_TOL) -> float:
-    """Full integral of h over [0, 1]: exact for step functions, by
-    quadrature to ``tol`` otherwise.
+    """Full integral of h over [0, 1]: exact for step functions, and
+    otherwise the mean of h(p) under the uniform density, to ``tol``.
 
     Exists to validate specs numerically; every well-formed spec should
     return 1.
@@ -235,9 +219,7 @@ def unit_integral(spec: AccumulationSpec, tol: float = QUAD_TOL) -> float:
     steps = spec.steps
     if steps is not None:
         return piece_total(steps)
-    h = partial(_eval_array, spec)
-    body = integrate_with_splits(h, 0.0, 1.0 - _SING_INSET, _kinks(spec), tol)
-    return body + _log_tail(spec)
+    return nonnull_mean(spec, AlternativeDensity.uniform(), tol)
 
 
 def truncated_integral(spec: AccumulationSpec, cap: float) -> float:
@@ -276,34 +258,28 @@ def nonnull_mean(
     p-values typical under the alternative.
 
     A step function gives the exact sum of level times
-    ``cdf(hi) - cdf(lo)`` over its pieces.  ForwardStop and HingeExp give
-    the quadrature of ``h * pdf`` with splits at every kink of either
-    factor.  There the stated tolerance is guaranteed when the density
-    is bounded near the endpoints; densities that blow up at 0 or 1 are
-    integrated from an inset of 1e-12 with a first-order tail
-    correction, which is best-effort rather than certified.
+    ``cdf(hi) - cdf(lo)`` over its pieces.  ForwardStop and HingeExp rise
+    from h = 0 at t = 1 - 1/C with h'(t) = C / (1 - t) (C = 1 for
+    ForwardStop), so E[h(p)] = int h'(t) P(p > t) dt.  With
+    t = 1 - exp(-s) and G(u) = P(p > 1 - u) this is
+    ``C * int_{log C}^inf G(exp(-s)) ds``, whose integrand lies in
+    [0, 1] and is smooth between the density's kinks: no singularity is
+    left.  The sweep stops at s = 700 and adds the rest,
+    ``G(exp(-700)) / k``, where G(u) is a constant times u**k up to a
+    relative O(u) (``density.upper_tail_power`` gives k).  The
+    quadrature runs to ``tol / C``, so that C times it meets ``tol``.
     """
     steps = spec.steps
     if steps is not None:
         edges = density.cdf(np.array([(lo, hi) for lo, hi, _ in steps]))
         levels = np.array([level for _, _, level in steps])
         return math.fsum(levels * (edges[:, 1] - edges[:, 0]))
-    h = partial(_eval_array, spec)
-    pdf = density.pdf
-
-    lo = 0.0
-    left_tail = 0.0
-    if density.unbounded_at_zero():
-        lo = _SING_INSET
-        left_tail = evaluate(spec, 0.5 * lo) * float(density.cdf(lo))
-
-    hi = 1.0 - _SING_INSET
-    right_tail = float(pdf(hi)) * _log_tail(spec)
-
-    integrand = lambda t: h(t) * pdf(t)
-    splits = (*_kinks(spec), *density.kinks())
-    body = integrate_with_splits(integrand, lo, hi, splits, tol)
-    return body + left_tail + right_tail
+    c = 1.0 if spec.family is Family.FORWARD_STOP else spec.c_param
+    integrand = lambda s: density.upper_tail(np.exp(-s))
+    kinks = [-math.log1p(-x) for x in density.kinks()]
+    body = integrate_with_splits(integrand, math.log(c), _S_MAX, kinks, tol / c)
+    tail = float(density.upper_tail(math.exp(-_S_MAX))) / density.upper_tail_power
+    return c * (body + tail)
 
 
 def format_spec(spec: AccumulationSpec) -> str:

@@ -171,6 +171,34 @@ class AlternativeDensity:
             return float(np.clip(out[0], 0.0, 1.0))
         return np.clip(out.reshape(arr.shape), 0.0, 1.0)
 
+    def upper_tail(self, u):
+        """P(p > 1 - u), the mass within ``u`` of 1, for u in [0, 1].
+
+        No form computes ``1 - cdf(1 - u)``, which has no digits left
+        once u is below the float spacing at 1: beta uses the swapped
+        incomplete beta (1 - p is Beta(b, a)), two_sided_z the normal
+        mass of |Z| < z with z = sqrt(2) erfinv(u), and piecewise the
+        overlap of each piece with [1 - u, 1].
+        """
+        from scipy import special
+
+        u = np.asarray(u, dtype=float)
+        form = self.form
+        if form is DensityForm.UNIFORM:
+            return u.copy()
+        if form is DensityForm.TWO_SIDED_Z:
+            # p > 1 - u iff |Z| < z; |mu| keeps both terms in the lower tail.
+            z = math.sqrt(2.0) * special.erfinv(u)
+            mu = abs(self.mu)
+            return special.ndtr(z - mu) - special.ndtr(-z - mu)
+        if form is DensityForm.BETA:
+            return special.betainc(self.b, self.a, u)
+        # Piece [lo, hi) is u-interval [1 - hi, 1 - lo); the top one starts at 0.
+        return sum(
+            level * np.clip(np.minimum(u, 1.0 - lo) - (1.0 - hi), 0.0, None)
+            for lo, hi, level in self.pieces
+        )
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` independent values from the density."""
         from scipy import special
@@ -202,12 +230,11 @@ class AlternativeDensity:
             return interior_edges(self.pieces)
         return ()
 
-    def unbounded_at_zero(self) -> bool:
-        if self.form is DensityForm.TWO_SIDED_Z:
-            return self.mu != 0.0
-        if self.form is DensityForm.BETA:
-            return self.a < 1.0
-        return False
+    @property
+    def upper_tail_power(self) -> float:
+        """The leading power k of ``upper_tail(u)`` as u -> 0: b for beta,
+        1 for the other forms."""
+        return self.b if self.form is DensityForm.BETA else 1.0
 
     def is_nonincreasing(self) -> bool:
         """Whether the pdf never increases: uniform and two_sided_z always,

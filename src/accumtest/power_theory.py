@@ -42,11 +42,6 @@ __all__ = [
     "centered_mgf",
 ]
 
-_GRID_POINTS = 10_000
-_DIFF_SLACK = 1e-8
-_BISECT_TOL = 1e-10
-
-
 @dataclass(frozen=True)
 class SignalCurve:
     """Piecewise-linear proportion-of-signals curve on [0, 1].
@@ -135,86 +130,75 @@ class CurveReport:
         return None
 
 
-def _grid_slopes(curve: SignalCurve, grid_size: int):
-    t = np.linspace(0.0, 1.0, grid_size + 1)
-    f = np.atleast_1d(curve(t))
-    step = t[1] - t[0]
-    slopes = np.empty_like(f)
-    slopes[1:-1] = (f[2:] - f[:-2]) / (2.0 * step)
-    slopes[0] = (f[1] - f[0]) / step
-    slopes[-1] = (f[-1] - f[-2]) / step
-    return t, f, slopes
+def _segments(curve: SignalCurve) -> list:
+    """The curve's segments (t0, v0, t1, v1, slope), in exact rationals.
 
-
-def validate_signal_curve(
-    curve: SignalCurve, alpha: float, grid_size: int = _GRID_POINTS
-) -> CurveReport:
-    """Grid audit of the shape assumptions behind the power formula.
-
-    On an even grid the audit verifies that the curve never increases
-    and that the expected rejection mass ``t * f(t)`` never decreases;
-    wherever ``f(t) >= 1 - alpha`` it additionally demands a decrease
-    rate of at least ``curve.delta``.  The report records the first
-    offending grid point of each check; nothing is raised.
+    The knots are floats and f is linear between them, so every shape
+    question has an exact answer on these values.
     """
+    from fractions import Fraction
+
+    knots = [(Fraction(t), Fraction(v)) for t, v in curve.knots]
+    return [
+        (t0, v0, t1, v1, (v1 - v0) / (t1 - t0))
+        for (t0, v0), (t1, v1) in zip(knots, knots[1:])
+    ]
+
+
+def validate_signal_curve(curve: SignalCurve, alpha: float) -> CurveReport:
+    """Exact audit of the shape assumptions behind the power formula.
+
+    f is linear between knots, so each check is decided segment by
+    segment, in exact arithmetic on the knots: no segment rises; every
+    segment that reaches ``f >= 1 - alpha`` has slope at most
+    ``-curve.delta``; and the expected rejection mass ``t * f(t)`` never
+    decreases, that is ``(t * f)' = f + slope * t``, which is linear on
+    a segment, is nonnegative at both of its ends.  A failed check
+    records the point where its failure starts; nothing is raised.
+    """
+    from fractions import Fraction
+
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    t, f, slopes = _grid_slopes(curve, grid_size)
-
-    checks = []
-
-    bad = np.nonzero(slopes > _DIFF_SLACK)[0]
-    checks.append(
-        CurveCheck(
-            name="nonincreasing",
-            passed=bad.size == 0,
-            violation_t=float(t[bad[0]]) if bad.size else None,
-            detail="f must never increase"
-            if bad.size == 0
-            else f"f'({t[bad[0]]:.6g}) = {slopes[bad[0]]:.6g} > 0",
-        )
+    level = 1 - Fraction(alpha)
+    failures = {}  # check name -> (where its failure starts, detail)
+    for t0, v0, t1, v1, slope in _segments(curve):
+        span = f"[{float(t0):.6g}, {float(t1):.6g}]"
+        if slope > 0:
+            detail = f"f rises with slope {float(slope):.6g} on {span}"
+            failures.setdefault("nonincreasing", (t0, detail))
+        if max(v0, v1) >= level and slope > -curve.delta:
+            # Where f first reaches the level: the left end unless f rises.
+            start = t0 if v0 >= level else t0 + (level - v0) / slope
+            detail = (
+                f"f' = {float(slope):.6g} on {span} exceeds -{curve.delta:.6g} "
+                f"where f reaches {float(max(v0, v1)):.6g}"
+            )
+            failures.setdefault("steep_where_dense", (start, detail))
+        if min(v0 + slope * t0, v1 + slope * t1) < 0:
+            # (t * f)' falls through 0 where v0 - slope * t0 + 2 slope t = 0.
+            start = max(t0, (slope * t0 - v0) / (2 * slope))
+            detail = f"t*f(t) decreases from t = {float(start):.6g} on {span}"
+            failures.setdefault("mass_nondecreasing", (start, detail))
+    rules = {
+        "nonincreasing": "f must never increase",
+        "steep_where_dense": f"f' must be <= -{curve.delta:.6g} "
+        f"wherever f >= {1 - alpha:.6g}",
+        "mass_nondecreasing": "t * f(t) must never decrease",
+    }
+    checks = tuple(
+        CurveCheck(name, False, float(failures[name][0]), failures[name][1])
+        if name in failures
+        else CurveCheck(name, True, None, rule)
+        for name, rule in rules.items()
     )
-
-    region = f >= 1.0 - alpha
-    bad = np.nonzero(region & (slopes > -curve.delta + _DIFF_SLACK))[0]
-    checks.append(
-        CurveCheck(
-            name="steep_where_dense",
-            passed=bad.size == 0,
-            violation_t=float(t[bad[0]]) if bad.size else None,
-            detail=f"f' must be <= -{curve.delta:.6g} wherever f >= {1 - alpha:.6g}"
-            if bad.size == 0
-            else (
-                f"f'({t[bad[0]]:.6g}) = {slopes[bad[0]]:.6g} "
-                f"exceeds -{curve.delta:.6g} where f = {f[bad[0]]:.6g}"
-            ),
-        )
-    )
-
-    mass = t * f
-    mass_slopes = np.diff(mass) / (t[1] - t[0])
-    bad = np.nonzero(mass_slopes < -_DIFF_SLACK)[0]
-    checks.append(
-        CurveCheck(
-            name="mass_nondecreasing",
-            passed=bad.size == 0,
-            violation_t=float(t[bad[0]]) if bad.size else None,
-            detail="t * f(t) must never decrease"
-            if bad.size == 0
-            else f"t*f(t) decreasing near t = {t[bad[0]]:.6g}",
-        )
-    )
-
-    return CurveReport(passed=all(c.passed for c in checks), checks=checks)
+    return CurveReport(passed=not failures, checks=checks)
 
 
 def _require_shape(curve: SignalCurve, alpha: float, need_rate: bool) -> None:
-    report = validate_signal_curve(curve, alpha)
-    for check in report.checks:
-        if check.name == "steep_where_dense" and not need_rate:
-            continue
-        if not check.passed:
+    for check in validate_signal_curve(curve, alpha).checks:
+        if not check.passed and (need_rate or check.name != "steep_where_dense"):
             raise ContractError(f"signal curve fails its shape check: {check.detail}")
 
 
@@ -224,34 +208,27 @@ def asymptotic_threshold(curve: SignalCurve, alpha: float, mu: float) -> float:
     With target ratio r = (1 - alpha) / (1 - mu): T = 0 when r >= f(0)
     (the test rejects a vanishing fraction), T = 1 when r <= f(1)
     (everything is rejected in the limit), and otherwise T solves
-    f(T) = r, found by bisection to 1e-10.  The monotonicity checks
-    must pass; the decay-rate check is additionally required in the
-    interior case, where it guarantees the crossing is unique.
+    f(T) = r on the first segment whose right end falls below r.  The
+    solution is exact on the float inputs and rounded once.  The
+    monotonicity checks must pass; the decay-rate check is additionally
+    required in the interior case, where it makes the crossing unique.
     """
+    from fractions import Fraction
+
     alpha = float(alpha)
     mu = float(mu)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     if not 0.0 < mu < 1.0:
         raise DomainError(f"mu must lie in (0, 1), got {mu}")
-    target = (1.0 - alpha) / (1.0 - mu)
-    f0 = float(curve(0.0))
-    f1 = float(curve(1.0))
-    if target >= f0:
-        _require_shape(curve, alpha, need_rate=False)
-        return 0.0
-    if target <= f1:
-        _require_shape(curve, alpha, need_rate=False)
-        return 1.0
-    _require_shape(curve, alpha, need_rate=True)
-    lo, hi = 0.0, 1.0
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if float(curve(mid)) >= target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    target = (1 - Fraction(alpha)) / (1 - Fraction(mu))
+    above, below = target >= curve.knots[0][1], target <= curve.knots[-1][1]
+    _require_shape(curve, alpha, need_rate=not (above or below))
+    if above or below:
+        return 0.0 if above else 1.0
+    # f(0) > r > f(1), and every segment at or above r falls steeply.
+    t0, v0, _, _, slope = next(seg for seg in _segments(curve) if seg[3] < target)
+    return float(t0 + (target - v0) / slope)
 
 
 def asymptotic_power(curve: SignalCurve, alpha: float, mu: float) -> float:

@@ -1,10 +1,10 @@
 """Adaptive Simpson quadrature with explicit interval splitting.
 
-The integrands in this package are smooth except at a small number of
-known points (the HingeExp hinge and the edges of a piecewise density,
-plus an integrable logarithmic singularity at the right endpoint).  Rather
-than rely on a general-purpose routine to discover those features, the
-callers pass them in and each smooth piece is integrated separately.
+The package integrates one kind of function: the survival function of
+an alternative density, read in log coordinates, which is bounded and
+smooth except at the edges of a piecewise density.  Rather than rely on
+a general-purpose routine to discover those edges, the caller passes
+them in and each smooth piece is integrated separately.
 
 Integrands are array functions: they take a 1-d float array of points
 and return the values there.  Refinement runs level by level, so the

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -99,10 +100,14 @@ def check_step_up_rules() -> None:
         raise AssertionError("null-fraction adjustment lost rejections")
 
 
-def check_threshold_bisection() -> None:
+def check_threshold_exact() -> None:
     curve = power_theory.parse_curve("f:0,0.5;1,0.3")
     t = power_theory.asymptotic_threshold(curve, alpha=0.8, mu=0.5)
-    _close(t, 0.5, 1e-9, "threshold")
+    # f(T) = (1 - alpha) / (1 - mu) solved in rationals on the float
+    # inputs: 0.5 + 4.2e-16, as 0.8 and 0.3 are not exact in binary.
+    alpha, mu, f0, f1 = (Fraction(x) for x in (0.8, 0.5, 0.5, 0.3))
+    exact = (f0 - (1 - alpha) / (1 - mu)) / (f0 - f1)
+    _close(t, float(exact), 4e-16, "threshold")
     power = power_theory.asymptotic_power(curve, alpha=0.8, mu=0.5)
     _close(power, 2.0 / 3.0, 1e-9, "limit power")
     fdp = power_theory.expected_fdp_curve(curve, 0.5, t)
@@ -204,7 +209,15 @@ def check_density_mean() -> None:
     _close(mu, 0.5, 1e-9, "step mean under linear density")
     uniform = power_theory.AlternativeDensity.uniform()
     mu1 = accumfn.nonnull_mean(accumfn.forward_stop(), uniform)
-    _close(mu1, 1.0, 1e-6, "uniform mean is the unit integral")
+    _close(mu1, 1.0, 1e-9, "uniform mean is the unit integral")
+    # psi(1 + b) - psi(b) = 1/b, nearly all of it from the pole at p = 1.
+    pole = power_theory.AlternativeDensity.beta(1.0, 0.05)
+    mu2 = accumfn.nonnull_mean(accumfn.forward_stop(), pole)
+    _close(mu2, 20.0, 1e-9, "forwardstop mean under beta(1, 0.05)")
+    # No shift is the uniform density, reached through erfinv and ndtr.
+    flat_z = power_theory.AlternativeDensity.two_sided_z(0.0)
+    mu3 = accumfn.nonnull_mean(accumfn.forward_stop(), flat_z)
+    _close(mu3, 1.0, 1e-9, "forwardstop mean under two_sided_z(0)")
 
 
 CHECKS: tuple[tuple[str, Callable[[], None]], ...] = (
@@ -214,7 +227,7 @@ CHECKS: tuple[tuple[str, Callable[[], None]], ...] = (
     ("path-identity", check_path_identity),
     ("shift-grid", check_shift_grid),
     ("step-up-rules", check_step_up_rules),
-    ("threshold-bisection", check_threshold_bisection),
+    ("threshold-exact", check_threshold_exact),
     ("envelope-formula", check_envelope_formula),
     ("step-gap", check_step_gap),
     ("welch-conventions", check_welch_conventions),

@@ -250,10 +250,40 @@ def permutation_rank_over_orderings(values, m_c, plus):
     return tie_aware_rank(keys, one_sided_p, {})
 
 
-def quad_mean_mp(h, density, singular_at_one=False):
-    """High-precision integral of h times density over [0, 1]."""
-    upper = 1 - mp.mpf("1e-25") if singular_at_one else mp.mpf(1)
-    return mp.quad(lambda t: h(t) * density(t), [0, mp.mpf("0.5"), upper])
+def survival_mean_mp(c, tail):
+    """E[h(p)] for HingeExp(c), or ForwardStop when c = 1, in high
+    precision: c times the integral of tail(exp(-s)) over s > log c,
+    where tail(u) = P(p > 1 - u) takes and returns mpmath numbers."""
+    c = mp.mpf(c)
+    start = mp.log(c)
+    return c * mp.quad(
+        lambda s: tail(mp.exp(-s)), [start, start + 1, start + 40, mp.inf]
+    )
+
+
+def forward_stop_beta_mean_mp(a, b):
+    """E[-log(1 - p)] for p ~ Beta(a, b): 1 - p is Beta(b, a), and
+    E[-log X] = psi(a + b) - psi(b) for X ~ Beta(b, a)."""
+    a, b = mp.mpf(float(a)), mp.mpf(float(b))
+    return mp.digamma(a + b) - mp.digamma(b)
+
+
+def beta_tail_mp(a, b):
+    """u -> P(p > 1 - u) for p ~ Beta(a, b)."""
+    a, b = mp.mpf(float(a)), mp.mpf(float(b))
+    return lambda u: mp.betainc(b, a, 0, u, regularized=True)
+
+
+def z_tail_mp(mu):
+    """u -> P(p > 1 - u) for the two-sided z density: P(|Z| < z) with
+    z = sqrt(2) erfinv(u) and Z normal with mean mu."""
+    mu = mp.mpf(float(mu))
+
+    def tail(u):
+        z = mp.sqrt(2) * mp.erfinv(u)
+        return mp.ncdf(z - mu) - mp.ncdf(-z - mu)
+
+    return tail
 
 
 def _power_mp(base, exponent):

@@ -313,6 +313,15 @@ class TestCmdPower:
         assert code == 4
         assert "error:" in err
 
+    def test_narrow_spike_is_a_numerical_error(self, capsys):
+        # The rise spans 1e-5, between the points of any 1e-4 grid.
+        spike = "f:0,0.5;0.50002,0.5;0.50003,0.9;0.50004,0.5;1,0.5"
+        code, _, err = run_cli(
+            ["power", "--curve", spike, "--alpha", "0.5", "--mu", "0.2"], capsys
+        )
+        assert code == 4
+        assert "f rises" in err
+
 
 class TestCmdDosage:
     def test_counts_monotone_and_zero_at_alpha_zero(self, tmp_path, capsys):

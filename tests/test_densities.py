@@ -8,7 +8,7 @@ import pytest
 
 from accumtest import AlternativeDensity, DomainError, ValidationError
 
-from oracles import beta_cdf_mp, beta_pdf_mp
+from oracles import beta_cdf_mp, beta_pdf_mp, beta_tail_mp, z_tail_mp
 
 
 def z_quantile(t):
@@ -82,10 +82,6 @@ class TestTwoSidedZ:
         gap = np.max(np.abs(ecdf - density.cdf(draws)))
         assert gap < 1.63 / math.sqrt(draws.size)
 
-    def test_unbounded_only_with_shift(self):
-        assert AlternativeDensity.two_sided_z(2.0).unbounded_at_zero()
-        assert not AlternativeDensity.two_sided_z(0.0).unbounded_at_zero()
-
     def test_nonincreasing_when_shifted(self):
         assert AlternativeDensity.two_sided_z(2.0).is_nonincreasing()
 
@@ -123,10 +119,6 @@ class TestBeta:
         assert AlternativeDensity.beta(1.0, 2.0).is_nonincreasing()
         assert AlternativeDensity.beta(0.5, 1.0).is_nonincreasing()
         assert not AlternativeDensity.beta(2.0, 1.0).is_nonincreasing()
-
-    def test_singular_endpoints_flagged(self):
-        assert AlternativeDensity.beta(0.5, 1.0).unbounded_at_zero()
-        assert not AlternativeDensity.beta(1.0, 2.0).unbounded_at_zero()
 
     def test_sampling_matches_cdf(self):
         density = AlternativeDensity.beta(1.0, 3.0)
@@ -179,3 +171,71 @@ class TestPiecewiseDensity:
         top = (1.0 - 0.6 - 1e-5 * 5.0) / (1.0 - 0.60001)
         pieces = [(0.0, 0.6, 1.0), (0.6, 0.60001, 5.0), (0.60001, 1.0, top)]
         assert not AlternativeDensity.piecewise(pieces).is_nonincreasing()
+
+
+def upper_tail_reference(density, u):
+    """P(p > 1 - u) in high precision, from each form's distribution."""
+    u = mp.mpf(repr(float(u)))
+    form = density.form.value
+    if form == "uniform":
+        return u
+    if form == "beta":
+        return beta_tail_mp(density.a, density.b)(u)
+    if form == "two_sided_z":
+        return z_tail_mp(density.mu)(u)
+    return sum(
+        mp.mpf(level) * max(mp.mpf(0), min(u, 1 - mp.mpf(lo)) - (1 - mp.mpf(hi)))
+        for lo, hi, level in density.pieces
+    )
+
+
+class TestUpperTail:
+    @pytest.mark.parametrize(
+        "density",
+        [
+            AlternativeDensity.uniform(),
+            AlternativeDensity.beta(1.0, 0.05),
+            AlternativeDensity.beta(0.3, 4.0),
+            AlternativeDensity.beta(2.0, 0.5),
+            AlternativeDensity.two_sided_z(0.0),
+            AlternativeDensity.two_sided_z(2.0),
+            AlternativeDensity.two_sided_z(-2.0),
+            AlternativeDensity.piecewise([(0.0, 0.25, 2.0), (0.25, 1.0, 2.0 / 3.0)]),
+        ],
+        ids=[
+            "uniform",
+            "beta-1-0.05",
+            "beta-0.3-4",
+            "beta-2-0.5",
+            "z-0",
+            "z-2",
+            "z-minus-2",
+            "piecewise",
+        ],
+    )
+    def test_matches_high_precision_complement(self, density):
+        # 1 - cdf(1 - u) would lose every digit below u = 1e-16.  The z
+        # form subtracts two normal probabilities of size up to 1/2, so
+        # its error is absolute, below 1e-16.
+        us = np.array([1e-300, 1e-40, 1e-12, 1e-3, 0.3, 0.9, 1.0])
+        got = density.upper_tail(us)
+        floor = 1e-16 if density.form.value == "two_sided_z" else 0.0
+        for u, value in zip(us, got):
+            want = float(upper_tail_reference(density, u))
+            assert value == pytest.approx(want, rel=1e-12, abs=floor), u
+
+    @pytest.mark.parametrize("mu", [2.0, 8.0])
+    def test_z_tail_depends_on_shift_size_only(self, mu):
+        # With -mu both terms would sit near 1, where their difference
+        # keeps only ulps of 1 instead of ulps of Phi(-|mu|).
+        us = np.logspace(-300, 0, 61)
+        tail = AlternativeDensity.two_sided_z(mu).upper_tail(us)
+        assert np.array_equal(AlternativeDensity.two_sided_z(-mu).upper_tail(us), tail)
+
+    def test_leading_power(self):
+        assert AlternativeDensity.beta(2.0, 0.05).upper_tail_power == 0.05
+        assert AlternativeDensity.two_sided_z(3.0).upper_tail_power == 1.0
+        density = AlternativeDensity.beta(0.5, 0.3)
+        u = np.array([1e-200, 1e-100])
+        ratio = density.upper_tail(u[1]) / density.upper_tail(u[0])
+        assert ratio == pytest.approx(1e100**density.upper_tail_power, rel=1e-12)

@@ -1,6 +1,7 @@
 """Signal curves, limiting power, optimality gap, and walk envelopes."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -80,6 +81,41 @@ class TestValidateSignalCurve:
         report = validate_signal_curve(curve, alpha=0.5)
         names = {c.name: c for c in report.checks}
         assert not names["nonincreasing"].passed
+
+
+class TestExactShapeChecks:
+    spike = "f:0,0.5;0.50002,0.5;0.50003,0.9;0.50004,0.5;1,0.5"
+
+    def test_narrow_spike_fails_nonincreasing(self):
+        report = validate_signal_curve(parse_curve(self.spike), alpha=0.5)
+        names = {c.name: c for c in report.checks}
+        assert not names["nonincreasing"].passed
+        assert names["nonincreasing"].violation_t == 0.50002
+
+    def test_boundary_mass_passes(self):
+        # t * f(t) peaks exactly at each right end: (t f)' = 0 there.
+        rng = np.random.Generator(np.random.Philox(key=12))
+        for t1, v0 in rng.random((200, 2)):
+            curve = SignalCurve(((0.0, v0), (t1, v0 / 2), (1.0, v0 / 2)))
+            names = {c.name: c for c in validate_signal_curve(curve, 0.5).checks}
+            assert names["mass_nondecreasing"].passed, (t1, v0)
+
+    def test_violations_start_where_the_failure_starts(self):
+        # f = 0.25 + t rises through 1 - alpha = 0.5 at t = 0.25; then
+        # f = 1.25 - t, so (t f)' = 1.25 - 2t turns negative at 0.625.
+        curve = SignalCurve(((0.0, 0.25), (0.5, 0.75), (1.0, 0.25)))
+        names = {c.name: c for c in validate_signal_curve(curve, 0.5).checks}
+        assert names["nonincreasing"].violation_t == 0.0
+        assert names["steep_where_dense"].violation_t == 0.25
+        assert names["mass_nondecreasing"].violation_t == 0.625
+
+    def test_threshold_is_exact_on_float_inputs(self):
+        curve = parse_curve("f:0,0.5;1,0.3")
+        target = (1 - Fraction(0.8)) / (1 - Fraction(0.5))
+        exact = (Fraction(0.5) - target) / (Fraction(0.5) - Fraction(0.3))
+        assert float(exact) == 0.5000000000000004
+        got = asymptotic_threshold(curve, alpha=0.8, mu=0.5)
+        assert abs(got - float(exact)) <= math.ulp(float(exact))
 
 
 class TestAsymptoticThreshold:

@@ -1,6 +1,7 @@
 """Adaptive Simpson integration against closed forms and against the
-recursive scalar reference in ``oracles``, and the library's closed-form
-integrals against that reference."""
+recursive scalar reference in ``oracles``, the library's closed-form
+integrals against that reference, and the survival-form means against
+high-precision values within a bound on integrand points."""
 
 import math
 
@@ -115,8 +116,9 @@ def reference(f, a, b, splits, tol):
 
 
 def test_far_shifted_density_gives_finite_mean(monkeypatch):
-    # At this shift cosh(mu * z) overflows where exp(-mu^2 / 2) underflows;
-    # the density rounds to 0 on (0, 1] and E[h(p)] is below 1e-12.
+    # p lies below 1e-200 almost surely, so P(p > 1 - exp(-s)) is 1 at
+    # s = 0 and rounds to 0 beyond: E[h(p)] is below 1e-12, and only the
+    # interval at s = 0 refines, down to the depth cap.
     log = []
     monkeypatch.setattr(
         accumfn, "integrate_with_splits", recorded(integrate_with_splits, log)
@@ -124,6 +126,83 @@ def test_far_shifted_density_gives_finite_mean(monkeypatch):
     density = AlternativeDensity.two_sided_z(1000.0)
     assert nonnull_mean(forward_stop(), density) == pytest.approx(0.0, abs=1e-12)
     assert log[0][2] <= _MAX_DEPTH + 2
+
+
+# Integrand points one nonnull_mean call may evaluate.
+POINT_BUDGET = 20_000
+
+
+def counted_points(compute, monkeypatch):
+    """The value of ``compute()`` and the integrand points its quadrature
+    calls evaluate."""
+    log = []
+    monkeypatch.setattr(
+        accumfn, "integrate_with_splits", recorded(integrate_with_splits, log)
+    )
+    return compute(), sum(len(points) for points, _, _ in log)
+
+
+# (spec, density, high-precision mean) for ForwardStop and HingeExp.
+MEAN_ORACLES = [
+    # psi(1.05) - psi(0.05) = 1 / 0.05.
+    pytest.param(
+        forward_stop(), AlternativeDensity.beta(1.0, 0.05), 20.0, id="fs-beta-pole-20"
+    ),
+    # 3**(1 - b) / b with b = 0.05, from mpmath.
+    pytest.param(
+        hinge_exp(3.0),
+        AlternativeDensity.beta(1.0, 0.05),
+        56.7930493584096,
+        id="he-3-beta-1-0.05",
+    ),
+    pytest.param(
+        hinge_exp(1.5),
+        AlternativeDensity.beta(2.0, 0.5),
+        float(oracles.survival_mean_mp(1.5, oracles.beta_tail_mp(2.0, 0.5))),
+        id="he-1.5-beta-2-0.5",
+    ),
+    pytest.param(
+        forward_stop(),
+        AlternativeDensity.two_sided_z(2.0),
+        float(oracles.survival_mean_mp(1, oracles.z_tail_mp(2.0))),
+        id="fs-z-2",
+    ),
+]
+
+
+def forward_stop_cdf_mp(t):
+    """int_0^t -log(1 - x) dx = t + (1 - t) log(1 - t)."""
+    t = oracles.mp.mpf(t)
+    return t + (1 - t) * oracles.mp.log(1 - t)
+
+
+# A density with a kink at 0.2: the sum of level times the integral of h
+# over each piece.
+MEAN_ORACLES.append(
+    pytest.param(
+        forward_stop(),
+        AlternativeDensity.piecewise([(0.0, 0.2, 3.0), (0.2, 1.0, 0.5)]),
+        float(3 * forward_stop_cdf_mp(0.2) + 0.5 * (1 - forward_stop_cdf_mp(0.2))),
+        id="fs-piecewise",
+    )
+)
+MEAN_ORACLES += [
+    pytest.param(
+        forward_stop(),
+        AlternativeDensity.beta(a, b),
+        float(oracles.forward_stop_beta_mean_mp(a, b)),
+        id=f"fs-beta-{a:g}-{b:g}",
+    )
+    for a in (0.3, 0.5, 1.0, 2.0)
+    for b in (1e-3, 0.05, 0.5, 1.0, 4.0)
+]
+
+
+@pytest.mark.parametrize("spec,density,want", MEAN_ORACLES)
+def test_survival_mean_matches_oracle(spec, density, want, monkeypatch):
+    got, points = counted_points(lambda: nonnull_mean(spec, density), monkeypatch)
+    assert got == pytest.approx(want, abs=1e-9)
+    assert points <= POINT_BUDGET
 
 
 PIECES = [(0.0, 0.3, 0.5), (0.3, 0.8, 1.1), (0.8, 1.0, 1.5)]
@@ -137,11 +216,7 @@ SPECS = {
     "piecewise-falling": piecewise_constant([(0.0, 0.5, 1.6), (0.5, 1.0, 0.4)]),
 }
 STEP_DENSITY = AlternativeDensity.piecewise([(0.0, 0.2, 3.0), (0.2, 1.0, 0.5)])
-# Each density with specs whose integrals the reference finishes within a
-# second.  Near a pole of the density at 0 or 1, refinement runs to full
-# depth where h does not vanish, and the reference can take minutes: the
-# integrand of nonnull_mean(piecewise, two_sided_z(8)) takes 10.9 million
-# points.
+# Each density with specs of every family, poles at 0 and at 1 included.
 NONNULL_CASES = [
     ("uniform", AlternativeDensity.uniform(), "forwardstop"),
     ("uniform", AlternativeDensity.uniform(), "piecewise"),
@@ -152,11 +227,26 @@ NONNULL_CASES = [
     ("beta-0.5-2", AlternativeDensity.beta(0.5, 2.0), "forwardstop"),
     ("beta-0.5-2", AlternativeDensity.beta(0.5, 2.0), "seqstep-2"),
     ("beta-2-0.5", AlternativeDensity.beta(2.0, 0.5), "piecewise-falling"),
+    ("beta-2-0.5", AlternativeDensity.beta(2.0, 0.5), "forwardstop"),
+    ("beta-2-0.5", AlternativeDensity.beta(2.0, 0.5), "hingeexp-2"),
+    ("beta-1-0.05", AlternativeDensity.beta(1.0, 0.05), "forwardstop"),
+    ("beta-1-0.05", AlternativeDensity.beta(1.0, 0.05), "hingeexp-2"),
     ("beta-1-2", AlternativeDensity.beta(1.0, 2.0), "hingeexp-2"),
     ("beta-1-2", AlternativeDensity.beta(1.0, 2.0), "piecewise"),
     ("piecewise", STEP_DENSITY, "hingeexp-2"),
     ("piecewise", STEP_DENSITY, "seqstep-3"),
 ]
+
+
+@pytest.mark.parametrize(
+    "density,name",
+    [pytest.param(d, n, id=f"{n}-{label}") for label, d, n in NONNULL_CASES],
+)
+def test_nonnull_mean_point_budget(density, name, monkeypatch):
+    _, points = counted_points(lambda: nonnull_mean(SPECS[name], density), monkeypatch)
+    assert points <= POINT_BUDGET
+
+
 GAP_CASES = [
     ("piecewise-beta-1-2", "piecewise", 2.0, AlternativeDensity.beta(1.0, 2.0)),
     ("seqstep-3-piecewise", "seqstep-3", 3.0, STEP_DENSITY),

@@ -27,6 +27,7 @@ from accumtest import (
     generate_ranked_trial,
     normal_cdf,
     normal_quantile,
+    parse_curve,
     power_of_cutoff,
     run_trial,
     select_cutoff,
@@ -420,6 +421,11 @@ class TestGenerateFromCurve:
 
     def test_infeasible_curve_rejected(self):
         curve = SignalCurve(((0.0, 0.5), (1.0, 0.0)))
+        with pytest.raises(ContractError):
+            generate_from_curve(curve, 100, self.density, seed=1)
+
+    def test_narrow_spike_rejected(self):
+        curve = parse_curve("f:0,0.5;0.50002,0.5;0.50003,0.9;0.50004,0.5;1,0.5")
         with pytest.raises(ContractError):
             generate_from_curve(curve, 100, self.density, seed=1)
 
