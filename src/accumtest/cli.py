@@ -15,7 +15,8 @@ P-value files are read by one ``np.loadtxt`` call when the header and
 the first data row allow it, and otherwise row by row with the ``csv``
 module, which also words every error message; both routes give the
 same result.  Output tables are written in blocks, each formatted by
-one ``%`` on a row template chosen from the column dtypes.
+numpy as one character matrix (``_csvtext``, imported when a table or a
+report line is written).
 
 Every file-writing run also writes a JSON manifest next to its outputs
 holding the exact argument vector, so ``accumtest --replay MANIFEST``
@@ -88,46 +89,39 @@ _lazy = sys.modules[__name__]
 
 _WRITE_BLOCK_ROWS = 1 << 14
 
-# The text of one cell, by dtype kind: strings as they are, bools as 1/0,
-# integers in full and floats with 17 significant digits, which
-# round-trips every double.
-_CELL_FORMATS = {"U": "%s", "b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}
-
-
-def _cell_format(values: np.ndarray) -> str:
-    try:
-        return _CELL_FORMATS[values.dtype.kind]
-    except KeyError:
-        raise TypeError(f"cannot write a column of dtype {values.dtype}") from None
-
 
 def _fmt(value) -> str:
-    value = np.asarray(value)
-    return _cell_format(value) % value.item()
+    """One cell's text: the writer's rule for a single value."""
+    from ._csvtext import block_text
+
+    return block_text([np.asarray(value).reshape(1)])[:-1]
 
 
 def _write_csv(path: Optional[str], header: Sequence[str], columns) -> None:
     """Write a table given column by column to ``path``, or to stdout if no path.
 
-    Rows are written in blocks, each formatted by one ``%`` on the row
-    template repeated once per row, so the text held at once stays
-    small however long the table is.  Columns of unequal length raise
-    ValueError.
+    Rows are written in blocks of ``_WRITE_BLOCK_ROWS``, each formatted
+    by :func:`accumtest._csvtext.block_text`, so the text held at once
+    stays small however long the table is.  Floats are written as
+    ``'%.17g'``, ints and bools as ``'%d'`` and strings as they are.
+    Columns of unequal length or strings holding a NUL raise
+    ValueError, and a dtype with no format TypeError, before anything
+    is written.
     """
+    from ._csvtext import block_text, check_column
+
     arrays = [np.asarray(column) for column in columns]
-    row = ",".join(map(_cell_format, arrays)) + "\n"
-    width = len(arrays)
-    n_rows = max((len(array) for array in arrays), default=0)
+    for array in arrays:
+        check_column(array)
+    if len({len(array) for array in arrays}) > 1:
+        raise ValueError("columns differ in length")
+    n_rows = len(arrays[0]) if arrays else 0
     target = open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
     with target as handle:
         handle.write(",".join(header) + "\n")
         for start in range(0, n_rows, _WRITE_BLOCK_ROWS):
-            block = [array[start : start + _WRITE_BLOCK_ROWS].tolist() for array in arrays]
-            rows = len(block[0])
-            cells = [None] * (rows * width)
-            for j, column in enumerate(block):
-                cells[j::width] = column
-            handle.write(row * rows % tuple(cells))
+            stop = start + _WRITE_BLOCK_ROWS
+            handle.write(block_text([array[start:stop] for array in arrays]))
 
 
 def _jsonable(value):

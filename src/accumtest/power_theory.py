@@ -130,70 +130,103 @@ class CurveReport:
         return None
 
 
-def _segments(curve: SignalCurve) -> list:
-    """The curve's segments (t0, v0, t1, v1, slope), in exact rationals.
+def _dyadic(values) -> tuple[list[int], int]:
+    """Integers n_i and one shift s with values[i] == n_i / 2**s exactly.
 
-    The knots are floats and f is linear between them, so every shape
-    question has an exact answer on these values.
+    Every float is a dyadic rational, so sums and products of these
+    integers decide signs exactly, without rational division.
     """
+    ratios = [float(v).as_integer_ratio() for v in values]
+    shift = max(den.bit_length() for _, den in ratios) - 1
+    return [num << (shift - den.bit_length() + 1) for num, den in ratios], shift
+
+
+def _segment(curve: SignalCurve, i: int):
+    """Segment i as (t0, v0, t1, v1, slope) in exact rationals."""
     from fractions import Fraction
 
-    knots = [(Fraction(t), Fraction(v)) for t, v in curve.knots]
-    return [
-        (t0, v0, t1, v1, (v1 - v0) / (t1 - t0))
-        for (t0, v0), (t1, v1) in zip(knots, knots[1:])
-    ]
+    (t0, v0), (t1, v1) = (map(Fraction, knot) for knot in curve.knots[i : i + 2])
+    return t0, v0, t1, v1, (v1 - v0) / (t1 - t0)
+
+
+def _rounded(x) -> float:
+    """A rational as a float; a slope across a subnormal width may pass the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _failure(name: str, curve: SignalCurve, i: int, alpha: float):
+    """Where the failure of check ``name`` on segment i starts, and its detail."""
+    from fractions import Fraction
+
+    t0, v0, t1, v1, slope = _segment(curve, i)
+    span = f"[{float(t0):.6g}, {float(t1):.6g}]"
+    if name == "nonincreasing":
+        return t0, f"f rises with slope {_rounded(slope):.6g} on {span}"
+    if name == "steep_where_dense":
+        level = 1 - Fraction(alpha)
+        # Where f first reaches the level: the left end unless f rises.
+        start = t0 if v0 >= level else t0 + (level - v0) / slope
+        detail = (
+            f"f' = {_rounded(slope):.6g} on {span} exceeds -{curve.delta:.6g} "
+            f"where f reaches {float(max(v0, v1)):.6g}"
+        )
+        return start, detail
+    # (t * f)' falls through 0 where v0 - slope * t0 + 2 slope t = 0.
+    start = max(t0, (slope * t0 - v0) / (2 * slope))
+    return start, f"t*f(t) decreases from t = {float(start):.6g} on {span}"
 
 
 def validate_signal_curve(curve: SignalCurve, alpha: float) -> CurveReport:
     """Exact audit of the shape assumptions behind the power formula.
 
     f is linear between knots, so each check is decided segment by
-    segment, in exact arithmetic on the knots: no segment rises; every
+    segment, exactly on the float knots: no segment rises; every
     segment that reaches ``f >= 1 - alpha`` has slope at most
     ``-curve.delta``; and the expected rejection mass ``t * f(t)`` never
     decreases, that is ``(t * f)' = f + slope * t``, which is linear on
-    a segment, is nonnegative at both of its ends.  A failed check
-    records the point where its failure starts; nothing is raised.
+    a segment, is nonnegative at both of its ends.  Each test is
+    multiplied through by the segment's width, so its sign is that of
+    an integer polynomial in the knots scaled by a common power of two.
+    A failed check records the point where its failure starts; nothing
+    is raised.
     """
-    from fractions import Fraction
-
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    level = 1 - Fraction(alpha)
-    failures = {}  # check name -> (where its failure starts, detail)
-    for t0, v0, t1, v1, slope in _segments(curve):
-        span = f"[{float(t0):.6g}, {float(t1):.6g}]"
-        if slope > 0:
-            detail = f"f rises with slope {float(slope):.6g} on {span}"
-            failures.setdefault("nonincreasing", (t0, detail))
-        if max(v0, v1) >= level and slope > -curve.delta:
-            # Where f first reaches the level: the left end unless f rises.
-            start = t0 if v0 >= level else t0 + (level - v0) / slope
-            detail = (
-                f"f' = {float(slope):.6g} on {span} exceeds -{curve.delta:.6g} "
-                f"where f reaches {float(max(v0, v1)):.6g}"
-            )
-            failures.setdefault("steep_where_dense", (start, detail))
-        if min(v0 + slope * t0, v1 + slope * t1) < 0:
-            # (t * f)' falls through 0 where v0 - slope * t0 + 2 slope t = 0.
-            start = max(t0, (slope * t0 - v0) / (2 * slope))
-            detail = f"t*f(t) decreases from t = {float(start):.6g} on {span}"
-            failures.setdefault("mass_nondecreasing", (start, detail))
+    (a, *knots), shift = _dyadic([alpha, *(x for knot in curve.knots for x in knot)])
+    level = (1 << shift) - a
+    d_num, d_den = curve.delta.as_integer_ratio()
+    ts, vs = knots[0::2], knots[1::2]
+    first = {}  # check name -> the first segment that fails it
+    for i, (t0, v0, t1, v1) in enumerate(zip(ts, vs, ts[1:], vs[1:])):
+        rise, width = v1 - v0, t1 - t0
+        if rise > 0:
+            first.setdefault("nonincreasing", i)
+        # slope > -delta  <=>  rise * d_den + d_num * width > 0
+        if max(v0, v1) >= level and rise * d_den + d_num * width > 0:
+            first.setdefault("steep_where_dense", i)
+        # (t f)' at either end, times the width: v * width + rise * t.
+        if min(v0 * width + rise * t0, v1 * width + rise * t1) < 0:
+            first.setdefault("mass_nondecreasing", i)
+        if len(first) == 3:
+            break
     rules = {
         "nonincreasing": "f must never increase",
         "steep_where_dense": f"f' must be <= -{curve.delta:.6g} "
         f"wherever f >= {1 - alpha:.6g}",
         "mass_nondecreasing": "t * f(t) must never decrease",
     }
-    checks = tuple(
-        CurveCheck(name, False, float(failures[name][0]), failures[name][1])
-        if name in failures
-        else CurveCheck(name, True, None, rule)
-        for name, rule in rules.items()
-    )
-    return CurveReport(passed=not failures, checks=checks)
+    checks = []
+    for name, rule in rules.items():
+        if name in first:
+            start, detail = _failure(name, curve, first[name], alpha)
+            checks.append(CurveCheck(name, False, float(start), detail))
+        else:
+            checks.append(CurveCheck(name, True, None, rule))
+    return CurveReport(passed=not first, checks=tuple(checks))
 
 
 def _require_shape(curve: SignalCurve, alpha: float, need_rate: bool) -> None:
@@ -227,7 +260,11 @@ def asymptotic_threshold(curve: SignalCurve, alpha: float, mu: float) -> float:
     if above or below:
         return 0.0 if above else 1.0
     # f(0) > r > f(1), and every segment at or above r falls steeply.
-    t0, v0, _, _, slope = next(seg for seg in _segments(curve) if seg[3] < target)
+    # v < r  <=>  v * (1 - mu) < 1 - alpha, in integers scaled by 2^shift.
+    (a, m, *vs), shift = _dyadic([alpha, mu, *(v for _, v in curve.knots)])
+    one = 1 << shift
+    i = next(i for i, v in enumerate(vs[1:]) if v * (one - m) < (one - a) * one)
+    t0, v0, _, _, slope = _segment(curve, i)
     return float(t0 + (target - v0) / slope)
 
 

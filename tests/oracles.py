@@ -351,3 +351,30 @@ def simpson_with_splits(f, a, b, splits=(), tol=1e-9):
     piece_tol = tol / max(1, len(points) - 1)
     pieces = zip(points[:-1], points[1:])
     return sum(adaptive_simpson(f, lo, hi, piece_tol) for lo, hi in pieces)
+
+
+def curve_failures_fraction(knots, alpha, delta):
+    """First failing segment of each signal-curve check, in ``Fraction`` arithmetic.
+
+    The checks as rationals on the float knots: a segment rises; a segment
+    reaching f >= 1 - alpha has slope above -delta; (t f)' = v + slope t is
+    negative at either end of a segment.  Returns {name: segment index}.
+    """
+    level = 1 - Fraction(alpha)
+    points = [(Fraction(t), Fraction(v)) for t, v in knots]
+    first = {}
+    for i, ((t0, v0), (t1, v1)) in enumerate(zip(points, points[1:])):
+        slope = (v1 - v0) / (t1 - t0)
+        if slope > 0:
+            first.setdefault("nonincreasing", i)
+        if max(v0, v1) >= level and slope > -Fraction(delta):
+            first.setdefault("steep_where_dense", i)
+        if min(v0 + slope * t0, v1 + slope * t1) < 0:
+            first.setdefault("mass_nondecreasing", i)
+    return first
+
+
+def first_segment_below_fraction(knots, alpha, mu):
+    """Index of the first segment whose right end lies below (1 - alpha) / (1 - mu)."""
+    target = (1 - Fraction(alpha)) / (1 - Fraction(mu))
+    return next(i for i, (_, v) in enumerate(knots[1:]) if Fraction(v) < target)

@@ -668,6 +668,12 @@ class TestCsvWriter:
     SPECIAL = [
         0.1, -0.0, 0.0, 5e-324, 1e300, -1e300, float("nan"), float("inf"),
         -float("inf"), 1.0, 1 / 3, 2.0**53 + 2, 1e-5, 123456789.125,
+        # Exact ties at the 17th digit, which Python rounds half to even.
+        1234567890123456.25, 1000000000000000.25, 1000000000000000.75,
+        # Edges of a decade and of fixed notation.
+        9.9999999999999995e-05, 1e-4, 1e16, 9.9999999999999998e16, 1e17,
+        # Three-digit exponents and a subnormal.
+        1e-100, 1e200, -2.5e-310,
     ]
 
     def table(self):
@@ -676,8 +682,12 @@ class TestCsvWriter:
             [self.SPECIAL, rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200)]
         )
         n = floats.size
+        signed = rng.integers(-(2**63), 2**63 - 1, n, endpoint=True)
+        signed[:2] = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+        unsigned = rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True)
+        unsigned[:2] = 0, 2**64 - 1
         return (
-            ("method", "k", "flag", "x", "x32", "big"),
+            ("method", "k", "flag", "x", "x32", "big", "i64", "u64"),
             [
                 [f"m{i % 3}" for i in range(n)],
                 np.arange(1, n + 1),
@@ -685,6 +695,8 @@ class TestCsvWriter:
                 floats,
                 rng.standard_normal(n).astype(np.float32),
                 [int(v) for v in rng.integers(-(2**62), 2**62, n)],
+                signed,
+                unsigned,
             ],
         )
 
@@ -711,5 +723,32 @@ class TestCsvWriter:
         assert out.read_text() == per_cell_csv(header, rows)
         cli._write_csv(str(out), header, zip(*[]))
         assert out.read_text() == "s,i,b,f\n"
-        for value in (7, np.int64(-3), True, np.bool_(False), 0.1, -0.0, np.nan):
+        for value in (
+            7, np.int64(-3), True, np.bool_(False), 0.1, -0.0, np.nan,
+            np.iinfo(np.int64).min, np.uint64(2**64 - 1), *self.SPECIAL,
+        ):
             assert cli._fmt(value) == per_cell_fmt(value)
+
+    def test_random_bit_patterns(self, tmp_path):
+        # Every kind of double: NaN payloads of either sign, infinities,
+        # subnormals and every exponent, in 13 blocks of 16 384 rows.
+        rng = np.random.default_rng(19)
+        values = rng.integers(0, 2**64 - 1, 210_000, dtype=np.uint64, endpoint=True)
+        values = values.view(np.float64)
+        out = tmp_path / "t.csv"
+        cli._write_csv(str(out), ("x",), [values])
+        lines = out.read_text().split("\n")
+        assert lines[0] == "x" and lines[-1] == ""
+        assert lines[1:-1] == [per_cell_fmt(v) for v in values.tolist()]
+
+    def test_bad_columns_refused_before_writing(self, tmp_path):
+        out = tmp_path / "t.csv"
+        with pytest.raises(TypeError, match="complex128"):
+            cli._write_csv(str(out), ("a", "z"), [[1.0], np.array([1j])])
+        with pytest.raises(ValueError, match="length"):
+            cli._write_csv(str(out), ("a", "b"), [[1.0, 2.0], [1.0]])
+        with pytest.raises(ValueError, match="NUL"):
+            cli._write_csv(str(out), ("s",), [["a", "a\0b"]])
+        assert not out.exists()
+        with pytest.raises(TypeError, match="object"):
+            cli._fmt(np.array(None))

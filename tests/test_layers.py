@@ -50,6 +50,12 @@ def test_scan_sees_relative_imports():
     assert {"seqtest", "baselines", "errors"} <= package_imports("dosage")
 
 
+def test_only_cli_uses_the_writer_which_imports_no_package_module():
+    assert package_imports("_csvtext") == set()
+    users = {path.stem for path in PACKAGE.glob("*.py") if "_csvtext" in package_imports(path.stem)}
+    assert users == {"cli"}
+
+
 def package_env() -> dict[str, str]:
     """The environment with this checkout's package first on PYTHONPATH."""
     env = dict(os.environ)
@@ -133,6 +139,8 @@ def test_test_and_version_load_no_upper_module_nor_scipy(tmp_path, command):
     upper = {f"accumtest.{name}" for name in UPPER - {"cli"}}
     assert loaded & upper == set()
     assert [name for name in loaded if name.split(".")[0] == "scipy"] == []
+    # The writer loads when a table or report line is written, not for --version.
+    assert ("accumtest._csvtext" in loaded) == (command == "test")
 
 
 def test_every_public_name_resolves():

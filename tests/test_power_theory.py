@@ -6,6 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import curve_failures_fraction, first_segment_below_fraction
+
 from accumtest import (
     ContractError,
     DomainError,
@@ -108,6 +110,60 @@ class TestExactShapeChecks:
         assert names["nonincreasing"].violation_t == 0.0
         assert names["steep_where_dense"].violation_t == 0.25
         assert names["mass_nondecreasing"].violation_t == 0.625
+
+    @staticmethod
+    def edge_curves():
+        """Curves whose checks sit on their bounds, next to them, and at tiny scales."""
+        rng = np.random.Generator(np.random.Philox(key=13))
+        tiny = (5e-324, 1e-300, 2.0**-1000)
+        for _ in range(300):
+            n = int(rng.integers(2, 7))
+            ts = np.sort(rng.choice([*rng.random(8), *tiny, 0.25, 0.5, 0.75], n - 2, replace=False))
+            ts = [0.0, *ts, 1.0]
+            vs = [float(rng.choice([rng.random(), 0.5, 0.25, 0.75, 1.0, 0.0, *tiny]))]
+            for t0, t1 in zip(ts, ts[1:]):
+                v = vs[-1]
+                options = [
+                    v * t0 / t1,  # (t f)' = 0 at the right end, up to rounding
+                    v - 0.25 * (t1 - t0),  # slope -delta, up to rounding
+                    np.nextafter(v, 2.0),  # a rise of one ulp
+                    v,
+                    rng.random(),
+                ]
+                vs.append(float(min(max(rng.choice(options), 0.0), 1.0)))
+            yield SignalCurve(tuple(zip(ts, vs)), delta=0.25), float(rng.choice([0.5, 0.25, 0.3]))
+
+    def test_integer_checks_equal_fraction_reference(self):
+        for curve, alpha in self.edge_curves():
+            first = curve_failures_fraction(curve.knots, alpha, curve.delta)
+            report = validate_signal_curve(curve, alpha)
+            failed = {c.name for c in report.checks if not c.passed}
+            assert failed == set(first), (curve.knots, alpha)
+            for check in report.checks:
+                if not check.passed:
+                    t0, t1 = (t for t, _ in curve.knots[first[check.name] : first[check.name] + 2])
+                    assert t0 <= check.violation_t <= t1, (curve.knots, check)
+
+    def test_threshold_segment_equals_fraction_reference(self):
+        rng = np.random.Generator(np.random.Philox(key=14))
+        for _ in range(300):
+            ts = [0.0, *np.sort(rng.random(4)), 1.0]
+            vs = np.sort(rng.random(6))[::-1]
+            alpha, mu = rng.random(2) * 0.9 + 0.05
+            # Put the target exactly on an interior knot value half the time.
+            if rng.random() < 0.5:
+                alpha = float(1 - vs[2] * (1 - mu))
+            curve = SignalCurve(tuple(zip(ts, vs)), delta=1e-12)
+            try:
+                got = asymptotic_threshold(curve, alpha, mu)
+            except ContractError:
+                continue
+            target = (1 - Fraction(alpha)) / (1 - Fraction(mu))
+            if not Fraction(vs[-1]) < target < Fraction(vs[0]):
+                continue
+            i = first_segment_below_fraction(curve.knots, alpha, mu)
+            (t0, v0), (t1, v1) = (map(Fraction, knot) for knot in curve.knots[i : i + 2])
+            assert got == float(t0 + (target - v0) * (t1 - t0) / (v1 - v0))
 
     def test_threshold_is_exact_on_float_inputs(self):
         curve = parse_curve("f:0,0.5;1,0.3")
