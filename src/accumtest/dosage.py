@@ -524,9 +524,10 @@ def _permutation_rows(
     each complement's one-sided p comes from the same tail with the sign
     flipped, and its two-sided p is the same.
 
-    Returns (p_init, p_final, p_perm_two): the one-sided p under the
-    true labels, its rank #{relabelings with p <= p_init} / P, and the
-    same rank of the two-sided p.  On rows of ``_exact_units`` grid data
+    Returns (p_init, p_final, p_perm_two, p_two): the one-sided p under
+    the true labels, its rank #{relabelings with p <= p_init} / P, the
+    same rank of the two-sided p, and that two-sided p itself, the Welch
+    t-test of low against control.  On rows of ``_exact_units`` grid data
     relabelings with equal Welch statistics get bitwise-equal p-values,
     so the rank counts every tie.
     """
@@ -542,13 +543,14 @@ def _permutation_rows(
     hits = np.count_nonzero(one <= p_init, axis=1)
     del one
     two = _two_sided(d, tail, degenerate)
+    p_two = two[:, 0].copy()
     hits_two = np.count_nonzero(two <= two[:, :1], axis=1)
     del two
     if scored < count:
         mirrored = _one_sided(-signed, tail, degenerate)
         hits += np.count_nonzero(mirrored <= p_init, axis=1)
         hits_two *= 2
-    return p_init[:, 0], hits / count, hits_two / count
+    return p_init[:, 0], hits / count, hits_two / count, p_two
 
 
 def _chunk_rows(columns: int, chunk: Optional[int] = None) -> int:
@@ -593,7 +595,7 @@ def permutation_pvalue(
             f"pooled sample has {values.size} values but m_c + m_l = {m_c + m_l}"
         )
     plus = np.array([_as_sign(sign) is Sign.PLUS])
-    _, p_final, _ = _permutation_rows(values[None, :], m_c, m_l, plus)
+    p_final = _permutation_rows(values[None, :], m_c, m_l, plus)[1]
     return float(p_final[0])
 
 
@@ -650,14 +652,6 @@ class PipelineResult:
 
 DEFAULT_DOSAGE_ALPHAS = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
 
-_BASELINE_NAMES = ("BH-t", "Storey-t", "BH-perm", "Storey-perm")
-
-
-def _baseline_counts(name: str, pvals: np.ndarray, alpha: float) -> int:
-    if name.startswith("BH"):
-        return bh_select(pvals, alpha).count
-    return storey_select(pvals, alpha).count
-
 
 def run_pipeline(
     matrix: ExpressionMatrix,
@@ -674,7 +668,8 @@ def run_pipeline(
     k/(P+1) instead of k/P so a p-value of exactly one stays finite.
     Baselines (Benjamini-Hochberg and its null-fraction-adjusted
     variant, each on both t-test and permutation two-sided p-values)
-    see the same genes without the ordering.
+    see the same genes without the ordering.  Both kinds come from the
+    permutation pass: the t-test p-value is the true labeling's.
 
     A level of exactly zero yields zero discoveries for every method by
     definition.  Levels must lie in [0, 1).  Gene rows are scored in
@@ -694,13 +689,15 @@ def run_pipeline(
             raise DomainError(f"alpha must lie in [0, 1), got {a}")
     if chunk is not None and chunk < 1:
         raise DomainError("chunk must be positive")
-
-    ranks = high_dose_ordering(matrix)
     m_c = matrix.group_size(Group.CONTROL)
     m_l = matrix.group_size(Group.LOW)
-    control = matrix.columns(Group.CONTROL)
-    low = matrix.columns(Group.LOW)
-    pooled = np.hstack([control, low])
+    if include_baselines and (m_c < 2 or m_l < 2):
+        raise ContractError(
+            "baseline t-tests need at least 2 control and 2 low-dose columns"
+        )
+
+    ranks = high_dose_ordering(matrix)
+    pooled = np.hstack([matrix.columns(Group.CONTROL), matrix.columns(Group.LOW)])
 
     row_order = np.array([r.original_index for r in ranks], dtype=np.intp)
     plus_mask = np.array([r.sign is Sign.PLUS for r in ranks])
@@ -709,14 +706,13 @@ def run_pipeline(
     n = matrix.n_genes
     grid_size = math.comb(m_c + m_l, m_c)
     rows = _chunk_rows(_scored_columns(m_c, m_l), chunk)
-    p_init = np.empty(n)
-    p_final = np.empty(n)
-    p_perm_two = np.empty(n)
+    scores = np.empty((4, n))
     for start in range(0, n, rows):
         batch = slice(start, start + rows)
-        p_init[batch], p_final[batch], p_perm_two[batch] = _permutation_rows(
+        scores[:, batch] = _permutation_rows(
             ordered_pool[batch], m_c, m_l, plus_mask[batch]
         )
+    p_init, p_final, p_perm_two, p_t_two = scores
 
     records = tuple(
         GeneRecord(
@@ -744,24 +740,16 @@ def run_pipeline(
         discoveries.extend(counts.tolist())
 
     if include_baselines:
-        if m_c < 2 or m_l < 2:
-            raise ContractError(
-                "baseline t-tests need at least 2 control and 2 low-dose columns"
-            )
-        _, p_t_two, _ = _welch_rows(low[row_order], control[row_order], True)
-        baseline_inputs = {
-            "BH-t": p_t_two,
-            "Storey-t": p_t_two,
-            "BH-perm": p_perm_two,
-            "Storey-perm": p_perm_two,
-        }
-        for name in _BASELINE_NAMES:
+        baselines = (
+            ("BH-t", bh_select, p_t_two),
+            ("Storey-t", storey_select, p_t_two),
+            ("BH-perm", bh_select, p_perm_two),
+            ("Storey-perm", storey_select, p_perm_two),
+        )
+        for name, select, pvals in baselines:
             names.append(name)
             discoveries.extend(
-                0
-                if alpha == 0.0
-                else _baseline_counts(name, baseline_inputs[name], alpha)
-                for alpha in alphas
+                0 if alpha == 0.0 else select(pvals, alpha).count for alpha in alphas
             )
 
     columns = (

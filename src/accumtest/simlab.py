@@ -12,16 +12,19 @@ Reproducibility rules used throughout:
 * Trial ``t`` draws from a counter-based generator keyed by
   ``seed XOR mix64(t)``, so any subset of trials can be recomputed in
   any order with identical results.
-* Trials run in blocks of rows, each drawn from its own generator.
-  Per-trial stats are stacked in trial order and reduced with
-  fixed-shape array operations; paths are summed in trial order,
-  block by block, so no per-trial path is kept.
+* One engine scores trials in blocks of rows, each row drawn from its
+  trial's own generator, and hands them on as one frame per trial, in
+  trial order.  ``collect_trial_frames`` keeps those frames in a list.
+  ``aggregate`` streams any iterable of frames: it stacks their stats
+  and adds their paths into running sums in trial order.
+  ``run_simulation`` is ``aggregate`` over the engine's frames as they
+  come, so it keeps no per-trial path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -342,31 +345,45 @@ def _mean_and_se(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, se
 
 
-def _add_rows(total: np.ndarray, rows) -> None:
-    """Add ``rows`` into ``total`` one at a time, in trial order.
+def aggregate(frames: Iterable[TrialFrame]) -> AggregateResult:
+    """Reduce per-trial frames to means and standard errors in one pass.
 
-    From a zero ``total`` this adds in the order numpy's sum over axis 0
-    does, so it equals ``np.stack(rows).sum(axis=0)`` bit for bit, and a
-    path sum does not depend on how trials are blocked.
+    ``frames`` may be any iterable, a generator included.  Each frame's
+    paths are added into running sums in order, so the sums do not
+    depend on how the frames were produced, and only its stats row is
+    kept.  All frames must come from the same method list and alpha
+    grid; mixing shapes is a hard error rather than a silent broadcast.
     """
-    for row in rows:
-        total += row
-
-
-def _reduce(
-    method_names: tuple[str, ...],
-    alpha_grid: tuple[float, ...],
-    stats: np.ndarray,
-    hat_sum: Optional[np.ndarray],
-    true_sum: Optional[np.ndarray],
-) -> AggregateResult:
-    """Means and standard errors of stacked stats; path sums become means."""
-    trials = stats.shape[0]
-    mean_power, se_power = _mean_and_se(stats[:, :, :, STAT_POWER])
-    mean_fdp, se_fdp = _mean_and_se(stats[:, :, :, STAT_FDP])
+    key = hat_sum = true_sum = None
+    stats = []
+    for frame in frames:
+        shape = (
+            frame.method_names,
+            frame.alpha_grid,
+            frame.stats.shape,
+            np.shape(frame.fdp_hat_paths),
+            np.shape(frame.fdp_true_path),
+        )
+        if key is None:
+            key = shape
+            if frame.fdp_hat_paths is not None:
+                hat_sum = np.zeros(frame.fdp_hat_paths.shape)
+                true_sum = np.zeros(frame.fdp_true_path.shape)
+        elif shape != key:
+            raise ContractError("trial frames disagree in shape; cannot aggregate")
+        stats.append(frame.stats)
+        if hat_sum is not None:
+            hat_sum += frame.fdp_hat_paths
+            true_sum += frame.fdp_true_path
+    if not stats:
+        raise ContractError("aggregate needs at least one trial")
+    stack = np.stack(stats)
+    trials = stack.shape[0]
+    mean_power, se_power = _mean_and_se(stack[:, :, :, STAT_POWER])
+    mean_fdp, se_fdp = _mean_and_se(stack[:, :, :, STAT_FDP])
     return AggregateResult(
-        method_names=method_names,
-        alpha_grid=alpha_grid,
+        method_names=key[0],
+        alpha_grid=key[1],
         trials=trials,
         mean_power=mean_power,
         se_power=se_power,
@@ -377,32 +394,24 @@ def _reduce(
     )
 
 
-def aggregate(frames: Sequence[TrialFrame]) -> AggregateResult:
-    """Reduce per-trial frames to means and standard errors.
-
-    All frames must come from the same method list and alpha grid;
-    mixing shapes is a hard error rather than a silent broadcast.
-    """
-    if not frames:
-        raise ContractError("aggregate needs at least one trial")
-    first = frames[0]
-    for frame in frames[1:]:
-        if (
-            frame.method_names != first.method_names
-            or frame.alpha_grid != first.alpha_grid
-            or frame.stats.shape != first.stats.shape
-            or np.shape(frame.fdp_hat_paths) != np.shape(first.fdp_hat_paths)
-            or np.shape(frame.fdp_true_path) != np.shape(first.fdp_true_path)
-        ):
-            raise ContractError("trial frames disagree in shape; cannot aggregate")
-    hat_sum = true_sum = None
-    if first.fdp_hat_paths is not None:
-        hat_sum = np.zeros(first.fdp_hat_paths.shape)
-        true_sum = np.zeros(first.fdp_true_path.shape)
-        _add_rows(hat_sum, (f.fdp_hat_paths for f in frames))
-        _add_rows(true_sum, (f.fdp_true_path for f in frames))
-    stats = np.stack([f.stats for f in frames])
-    return _reduce(first.method_names, first.alpha_grid, stats, hat_sum, true_sum)
+def _trial_frames(
+    config: SimConfig, methods: Sequence[Method], include_paths: bool
+) -> Iterator[TrialFrame]:
+    """One frame per trial, in trial order, scored in blocks of rows."""
+    names = tuple(m.name for m in methods)
+    levels = np.array(config.alpha_grid)
+    step = _block_rows(config.n, len(methods), levels.size)
+    for first in range(0, config.trials, step):
+        pvals, null = _ranked_block(config, first, min(first + step, config.trials))
+        stats, paths, true_paths = _score_rows(pvals, null, methods, levels, include_paths)
+        for row, row_stats in enumerate(stats):
+            yield TrialFrame(
+                method_names=names,
+                alpha_grid=config.alpha_grid,
+                stats=row_stats,
+                fdp_hat_paths=None if paths is None else paths[row],
+                fdp_true_path=None if true_paths is None else true_paths[row],
+            )
 
 
 def collect_trial_frames(
@@ -411,15 +420,13 @@ def collect_trial_frames(
     include_paths: bool = False,
     workers: Optional[int] = None,
 ) -> list[TrialFrame]:
-    """Run all trials serially, in trial order, one frame per trial.
+    """Run all trials in blocks of rows, one frame per trial, in trial order.
 
+    Every frame equals ``run_trial`` on that trial drawn alone.
     ``workers`` is accepted for compatibility and ignored: trials always
     run in this process.
     """
-    return [
-        run_trial(generate_ranked_trial(config, t), methods, config.alpha_grid, include_paths)
-        for t in range(config.trials)
-    ]
+    return list(_trial_frames(config, methods, include_paths))
 
 
 def run_simulation(
@@ -429,31 +436,13 @@ def run_simulation(
 ) -> AggregateResult:
     """End-to-end protocol from trial generation through aggregation.
 
-    Equal, bit for bit, to ``aggregate(collect_trial_frames(...))``, but
-    trials run in blocks of rows and the paths are summed as they come,
-    so memory does not grow with trials x n.
+    ``aggregate`` over the block-scored frames as they are produced, so it
+    equals ``aggregate(collect_trial_frames(...))`` bit for bit, while
+    memory does not grow with trials x n.
     """
     if methods is None:
         methods = default_methods()
-    levels = np.array(config.alpha_grid)
-    stats = np.empty((config.trials, len(methods), levels.size, 4))
-    hat_sum = true_sum = None
-    if include_paths:
-        hat_sum = np.zeros((len(methods), config.n))
-        true_sum = np.zeros(config.n)
-    step = _block_rows(config.n, len(methods), levels.size)
-    for first in range(0, config.trials, step):
-        stop = min(first + step, config.trials)
-        pvals, null = _ranked_block(config, first, stop)
-        stats[first:stop], paths, true_paths = _score_rows(
-            pvals, null, methods, levels, include_paths
-        )
-        if include_paths:
-            _add_rows(hat_sum, paths)
-            _add_rows(true_sum, true_paths)
-    return _reduce(
-        tuple(m.name for m in methods), config.alpha_grid, stats, hat_sum, true_sum
-    )
+    return aggregate(_trial_frames(config, methods, include_paths))
 
 
 def simulate_count_ratio(

@@ -15,12 +15,14 @@ from accumtest import (
     Group,
     Sign,
     ValidationError,
+    bh_select,
     default_methods,
     high_dose_ordering,
     mfdp,
     permutation_pvalue,
     read_expression_csv,
     run_pipeline,
+    storey_select,
     welch_p_one_sided,
     welch_p_two_sided,
 )
@@ -199,14 +201,15 @@ class TestTwoSidedPermutationRank:
         rng = np.random.Generator(np.random.Philox(key=10 * m_c + m_l))
         pools = rng.normal(size=(6, m_c + m_l))
         plus = np.array([True, False] * 3)
-        _, _, p_two = _permutation_rows(pools, m_c, m_l, plus)
-        for pool, got in zip(pools, p_two):
+        _, _, p_two, p_t = _permutation_rows(pools, m_c, m_l, plus)
+        for pool, got, got_t in zip(pools, p_two, p_t):
             scores = [
                 welch_p_two_sided(pool[low], pool[ctrl])
                 for ctrl, low in partitions(m_c + m_l, m_c)
             ]
             want = sum(p <= scores[0] for p in scores) / len(scores)
             assert got == want
+            assert got_t.tobytes() == np.float64(scores[0]).tobytes()
 
 
 class TestPartitionTable:
@@ -399,9 +402,10 @@ class TestRunPipeline:
 
     def test_one_tcdf_element_per_relabeling(self, monkeypatch):
         # At most one t-CDF element per scored relabeling, plus one per
-        # gene each for the ordering and the baselines.  The screen pays
-        # for its own per-gene calls (the true labeling's tail and two
-        # checked thresholds) by skipping most relabelings.
+        # gene for the ordering and one per gene of slack; the baselines
+        # reuse the true labeling's tail.  The screen pays for its own
+        # per-gene calls (the true labeling's tail and two checked
+        # thresholds) by skipping most relabelings.
         counted = []
         stdtr = special.stdtr
 
@@ -475,6 +479,31 @@ class TestRunPipeline:
             run_pipeline(matrix, alpha_grid=(0.1,))
         result = run_pipeline(matrix, alpha_grid=(0.1,), include_baselines=False)
         assert set(result.method_names) == {m.name for m in default_methods()}
+
+    def test_baseline_check_fails_before_any_scoring(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("scored before the baseline check")
+
+        monkeypatch.setattr(dosage, "high_dose_ordering", unreachable)
+        monkeypatch.setattr(dosage, "_permutation_rows", unreachable)
+        with pytest.raises(ContractError, match="baseline t-tests"):
+            run_pipeline(gaussian_matrix(6, 30, 1, 11, 3), alpha_grid=(0.1,))
+
+    @pytest.mark.parametrize("m_c,m_l,decimals", [(3, 3, 2), (4, 3, None), (2, 5, 1)])
+    def test_t_baselines_are_welch_per_gene(self, m_c, m_l, decimals):
+        matrix = gaussian_matrix(
+            31, 80, m_c, m_l, 2, planted=30, low_shift=2.5, high_shift=2.0,
+            decimals=decimals,
+        )
+        alphas = (0.05, 0.2, 0.5)
+        result = run_pipeline(matrix, alpha_grid=alphas, chunk=7)
+        control = matrix.columns(Group.CONTROL)
+        low = matrix.columns(Group.LOW)
+        p_t = [welch_p_two_sided(low[i], control[i]) for i in range(matrix.n_genes)]
+        for alpha in alphas:
+            assert result.count("BH-t", alpha) == bh_select(p_t, alpha).count
+            assert result.count("Storey-t", alpha) == storey_select(p_t, alpha).count
+        assert result.count("BH-t", 0.5) > 0
 
     def test_alpha_domain(self):
         matrix = gaussian_matrix(7, 10, 2, 2, 2)
@@ -571,7 +600,7 @@ class TestExactTies:
         # relabelings are common.
         pools = (rng.normal(size=(12, m_c + m_l)) * 3 * 10.0**-decimals).round(decimals)
         plus = np.arange(len(pools)) % 2 == 0
-        _, p_final, p_two = _permutation_rows(pools, m_c, m_l, plus)
+        _, p_final, p_two, _ = _permutation_rows(pools, m_c, m_l, plus)
         mismatches = []
         tied = 0
         for pool, direction, got_one, got_two in zip(pools, plus, p_final, p_two):
@@ -608,7 +637,7 @@ class TestFloatPath:
         low = 1e4 + rng.normal(size=m_l) * spread
         pool = np.concatenate([control, low])
         plus = np.array([True])
-        p_init, p_final, p_two = _permutation_rows(pool[None, :], m_c, m_l, plus)
+        p_init, p_final, p_two, _ = _permutation_rows(pool[None, :], m_c, m_l, plus)
         with mp.workdps(60):
             want = oracles.welch_one_sided_mp(list(low), list(control), True)
         assert float(p_init[0]) == pytest.approx(float(want), rel=1e-9)
@@ -635,7 +664,7 @@ class TestFloatPath:
         assert (h_near == near).all()
         assert not r_near.any()
         for plus in (True, False):
-            _, p_final, p_two = _permutation_rows(row, 3, 3, np.array([plus]))
+            _, p_final, p_two, _ = _permutation_rows(row, 3, 3, np.array([plus]))
             assert (p_final[0], p_two[0]) == brute_force_ranks(row[0], 3, plus)
 
 

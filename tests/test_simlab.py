@@ -230,6 +230,24 @@ class TestAggregate:
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
             aggregate([])
+        with pytest.raises(ContractError):
+            aggregate(frame for frame in [])
+
+    def test_generator_streams_like_a_list(self):
+        config = SimConfig(n=60, n_nonnull=6, trials=5, seed=3)
+        frames = collect_trial_frames(config, default_methods(), include_paths=True)
+        assert_bitwise_equal(aggregate(f for f in frames), aggregate(frames))
+
+    def test_mismatched_last_frame_rejected(self):
+        config = SimConfig(n=60, n_nonnull=6, trials=4, seed=3)
+        frames = collect_trial_frames(config, default_methods(), include_paths=True)
+        without_paths = dataclasses.replace(
+            frames[-1], fdp_hat_paths=None, fdp_true_path=None
+        )
+        other_grid = dataclasses.replace(frames[-1], alpha_grid=(0.1,) * 9)
+        for last in (without_paths, other_grid):
+            with pytest.raises(ContractError):
+                aggregate(f for f in frames[:-1] + [last])
 
 
 class TestCollectTrialFrames:
@@ -295,8 +313,20 @@ def reference_ranked_trial(config, trial_index):
     return pvals[order], null_mask[order]
 
 
+def assert_frames_bitwise_equal(got: TrialFrame, want: TrialFrame):
+    assert got.method_names == want.method_names
+    assert got.alpha_grid == want.alpha_grid
+    for name in ("stats", "fdp_hat_paths", "fdp_true_path"):
+        a, b = getattr(got, name), getattr(want, name)
+        if b is None:
+            assert a is None, name
+        else:
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+
 class TestBlockEngine:
-    """``run_simulation`` runs trials in blocks; the per-trial path is the oracle."""
+    """Trials run in blocks; one-row blocks, one trial at a time, are the oracle."""
 
     n = 300
     block = simlab._block_rows(n, 4, 9)
@@ -306,15 +336,28 @@ class TestBlockEngine:
         methods = default_methods() if methods is None else methods
         got = run_simulation(config, methods, include_paths)
         frames = collect_trial_frames(config, methods, include_paths)
-        assert_bitwise_equal(got, aggregate(frames))
+        one_row = [
+            run_trial(generate_ranked_trial(config, t), methods, config.alpha_grid, include_paths)
+            for t in range(trials)
+        ]
+        assert len(frames) == trials
+        for frame, want in zip(frames, one_row):
+            assert_frames_bitwise_equal(frame, want)
+        assert_bitwise_equal(got, aggregate(one_row))
         if include_paths:
             # The stacked mean that aggregate computed before paths were summed.
-            stacked = np.stack([f.fdp_hat_paths for f in frames]).mean(axis=0)
+            stacked = np.stack([f.fdp_hat_paths for f in one_row]).mean(axis=0)
             assert got.mean_fdp_hat_path.tobytes() == stacked.tobytes()
-            stacked = np.stack([f.fdp_true_path for f in frames]).mean(axis=0)
+            stacked = np.stack([f.fdp_true_path for f in one_row]).mean(axis=0)
             assert got.mean_fdp_true_path.tobytes() == stacked.tobytes()
         else:
             assert got.mean_fdp_hat_path is None and got.mean_fdp_true_path is None
+
+    @pytest.mark.parametrize("include_paths", [True, False])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, "twice"])
+    def test_block_edges(self, extra, include_paths):
+        trials = 2 * self.block + 1 if extra == "twice" else self.block + extra
+        self.check(trials, include_paths=include_paths)
 
     def test_block_holds_several_trials(self):
         assert 6 <= self.block < 70
