@@ -183,7 +183,7 @@ def _read_pvalue_csv(path: str) -> OrderedPValues:
     (:func:`_read_pvalue_rows`).  A file the first route refuses is read
     again by the second, which alone words the errors.
     """
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         parsed = _loadtxt_pvalues(handle)
         if parsed is None:
             handle.seek(0)

@@ -61,11 +61,17 @@ MAX_PARTITIONS = 10**6
 
 _TABLE_BUDGET = 128 * 2**20
 
-_BATCH_BUDGET = 16 * 2**20
+# Bytes of (rows x P) arrays a batch may hold.  The elementwise passes
+# over them run fastest when a batch stays near the core's L2 cache: on
+# 2 MiB of L2 per core, 3-8 MiB ran alike and about a quarter faster than
+# 16 MiB, and 2 MiB, one gene per batch at 11 440 relabelings, was slower.
+_BATCH_BUDGET = 4 * 2**20
 
 # Bound on the (rows x P) float64 arrays one _permutation_rows pass holds
-# at once; tracemalloc peaks were 6-7.3 on grid rows and 10.1-10.7 on
-# off-grid rows.
+# at once; at the 4 MiB budget tracemalloc peaks were 6.1-7.3 on grid
+# rows and 9.0-10.0 on off-grid rows.  Only when P is below the column
+# count, as at m_c = m_l = 2 (P = 3, 4 columns), do the (rows x m) arrays
+# of _exact_units push a pass on values over it (13.4).
 _BATCH_ARRAYS = 12
 
 _GRID_DECIMALS = 9
@@ -231,20 +237,21 @@ def _group_sums(x: np.ndarray, indicator: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _welch_tails(
-    values: np.ndarray, m_c: int, m_l: int, indicator: np.ndarray
+    h: np.ndarray, r: np.ndarray, m_c: int, m_l: int, indicator: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Welch test of every row under every relabeling, from group sums.
 
-    ``values`` has one row per gene and m = m_c + m_l columns; column j
-    of the 0/1 ``indicator`` (m x k) marks the pseudo-control columns of
-    relabeling j and the rest are pseudo-low.  Relabeling j's statistic
-    depends only on the pseudo-control sums S = z @ I and Q = (z*z) @ I
-    (the pseudo-low sums are the row totals minus these), through the
-    shift-invariant D = m_c S_low - m_l S_control and m Q - S^2 per
-    group.  On the exact units of ``_exact_units`` these come from one
-    matmul and are exact integers.  The remainder terms of off-grid
-    rows are summed over each group's own columns in index order, so
-    swapping the groups negates d and keeps the tail bit for bit.
+    (h, r) are the ``_exact_units`` of values with one row per gene and
+    m = m_c + m_l columns; column j of the 0/1 ``indicator`` (m x k)
+    marks the pseudo-control columns of relabeling j and the rest are
+    pseudo-low.  Relabeling j's statistic depends only on the
+    pseudo-control sums S = z @ I and Q = (z*z) @ I (the pseudo-low sums
+    are the row totals minus these), through the shift-invariant
+    D = m_c S_low - m_l S_control and m Q - S^2 per group.  On the
+    exact units h these come from one matmul and are exact integers.
+    The remainder terms r of off-grid rows are summed over each group's
+    own columns in index order, so swapping the groups negates d and
+    keeps the tail bit for bit.
     Groups of size one have zero variance.
 
     Returns (d, x, df, degenerate), each of shape (rows, k): d has the
@@ -252,7 +259,6 @@ def _welch_tails(
     of the tail P(T_df <= x), and degenerate marks relabelings where both
     spread terms vanish (their x and df are not used).
     """
-    h, r = _exact_units(values)
     g = h.shape[0]
     sums = np.vstack([h, h * h]) @ indicator
     s_c, a_c = sums[:g], sums[g:]
@@ -429,7 +435,8 @@ def _welch_rows(
     n_b = b.shape[1]
     indicator = np.zeros((n_b + a.shape[1], 1))
     indicator[:n_b] = 1.0
-    d, x, df, degenerate = _welch_tails(np.hstack([b, a]), n_b, a.shape[1], indicator)
+    h, r = _exact_units(np.hstack([b, a]))
+    d, x, df, degenerate = _welch_tails(h, r, n_b, a.shape[1], indicator)
     tail = special.stdtr(df, x)
     signed = np.where(np.reshape(plus, (-1, 1)), d, -d)
     one = _one_sided(signed, tail, degenerate)
@@ -507,7 +514,11 @@ def _scored_columns(m_c: int, m_l: int) -> int:
 
 
 def _permutation_rows(
-    values: np.ndarray, m_c: int, m_l: int, plus_mask: np.ndarray
+    values: np.ndarray,
+    m_c: int,
+    m_l: int,
+    plus_mask: np.ndarray,
+    units: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank-calibrate each row of ``values`` over all relabelings.
 
@@ -522,7 +533,10 @@ def _permutation_rows(
     keep column 0 in the control group are scored: swapping the groups
     keeps the tail and df bit for bit and negates the difference, so
     each complement's one-sided p comes from the same tail with the sign
-    flipped, and its two-sided p is the same.
+    flipped, and its two-sided p is the same.  ``units`` is
+    ``_exact_units(values)`` when the caller has it already; since that
+    is computed row by row, any slice of it is the units of the same
+    slice of values.
 
     Returns (p_init, p_final, p_perm_two, p_two): the one-sided p under
     the true labels, its rank #{relabelings with p <= p_init} / P, the
@@ -534,7 +548,8 @@ def _permutation_rows(
     count = math.comb(m_c + m_l, m_c)
     scored = _scored_columns(m_c, m_l)
     indicator = _partition_table(m_c + m_l, m_c)[:, :scored]
-    d, x, df, degenerate = _welch_tails(values, m_c, m_l, indicator)
+    h, r = _exact_units(values) if units is None else units
+    d, x, df, degenerate = _welch_tails(h, r, m_c, m_l, indicator)
     tail = _screened_tails(x, df)
     del df
     signed = np.where(plus_mask[:, None], d, -d)
@@ -706,11 +721,12 @@ def run_pipeline(
     n = matrix.n_genes
     grid_size = math.comb(m_c + m_l, m_c)
     rows = _chunk_rows(_scored_columns(m_c, m_l), chunk)
+    h, r = _exact_units(ordered_pool)
     scores = np.empty((4, n))
     for start in range(0, n, rows):
         batch = slice(start, start + rows)
         scores[:, batch] = _permutation_rows(
-            ordered_pool[batch], m_c, m_l, plus_mask[batch]
+            ordered_pool[batch], m_c, m_l, plus_mask[batch], (h[batch], r[batch])
         )
     p_init, p_final, p_perm_two, p_t_two = scores
 
@@ -785,7 +801,7 @@ def read_expression_csv(path) -> ExpressionMatrix:
     H, case-insensitive).  Parsing errors report the offending row and
     column using 1-based positions.
     """
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

@@ -506,6 +506,32 @@ READER_CASES = [
 ]
 
 
+# Files of each route: the header and first row pick loadtxt or the csv
+# module, and a later row that loadtxt refuses sends the file to both.
+ROUTE_CASES = [
+    ("p,is_null\n0.1,1\n0.2,0\n", 1, 0, [True, False]),
+    ("p,is_null\n0.1,true\n0.2,FALSE\n", 0, 1, [True, False]),
+    ('"p","is_null"\n0.1,1\n0.2,0\n', 0, 1, [True, False]),
+    ("p,is_null\n0.1,1\n0.2,0\n0.3,true\n", 1, 1, [True, False, True]),
+]
+
+
+def read_counting_routes(monkeypatch, path):
+    """``_read_pvalue_csv`` of ``path`` and the calls it made to each route."""
+    calls = {"loadtxt": 0, "rows": 0}
+
+    def counted(key, function):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np, "loadtxt", counted("loadtxt", np.loadtxt))
+    monkeypatch.setattr(cli, "_read_pvalue_rows", counted("rows", cli._read_pvalue_rows))
+    return calls, cli._read_pvalue_csv(str(path))
+
+
 class TestPValueReader:
     @pytest.mark.parametrize("text, outcome", READER_CASES)
     def test_outcome(self, tmp_path, text, outcome):
@@ -522,32 +548,27 @@ class TestPValueReader:
             got_mask = None if pvals.null_mask is None else pvals.null_mask.tolist()
             assert got_mask == mask
 
-    @pytest.mark.parametrize(
-        "text, loadtxt_calls, row_reads, labels",
-        [
-            ("p,is_null\n0.1,1\n0.2,0\n", 1, 0, [True, False]),
-            ("p,is_null\n0.1,true\n0.2,FALSE\n", 0, 1, [True, False]),
-            ('"p","is_null"\n0.1,1\n0.2,0\n', 0, 1, [True, False]),
-            ("p,is_null\n0.1,1\n0.2,0\n0.3,true\n", 1, 1, [True, False, True]),
-        ],
-    )
+    @pytest.mark.parametrize("text, loadtxt_calls, row_reads, labels", ROUTE_CASES)
     def test_route_is_picked_from_header_and_first_row(
         self, tmp_path, monkeypatch, text, loadtxt_calls, row_reads, labels
     ):
-        calls = {"loadtxt": 0, "rows": 0}
-
-        def counted(key, function):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return function(*args, **kwargs)
-
-            return wrapper
-
-        monkeypatch.setattr(np, "loadtxt", counted("loadtxt", np.loadtxt))
-        monkeypatch.setattr(cli, "_read_pvalue_rows", counted("rows", cli._read_pvalue_rows))
         path = tmp_path / "p.csv"
         path.write_text(text, newline="")
-        pvals = cli._read_pvalue_csv(str(path))
+        calls, pvals = read_counting_routes(monkeypatch, path)
+        assert calls == {"loadtxt": loadtxt_calls, "rows": row_reads}
+        assert pvals.values.tolist() == [0.1, 0.2, 0.3][: len(labels)]
+        assert pvals.null_mask.tolist() == labels
+
+    @pytest.mark.parametrize("text, loadtxt_calls, row_reads, labels", ROUTE_CASES)
+    def test_byte_order_mark_is_skipped_on_every_route(
+        self, tmp_path, monkeypatch, text, loadtxt_calls, row_reads, labels
+    ):
+        # Spreadsheet programs put a UTF-8 byte-order mark before the
+        # header.  It must be skipped on both routes, also through the
+        # loadtxt route's tell/seek and its seek back to the start.
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        calls, pvals = read_counting_routes(monkeypatch, path)
         assert calls == {"loadtxt": loadtxt_calls, "rows": row_reads}
         assert pvals.values.tolist() == [0.1, 0.2, 0.3][: len(labels)]
         assert pvals.null_mask.tolist() == labels

@@ -372,6 +372,45 @@ class TestRunPipeline:
                 assert other.records == results[0].records
                 assert other.rows == results[0].rows
 
+    @pytest.mark.parametrize("m_c,m_l,decimals", [(9, 7, None), (6, 6, 2)])
+    def test_batch_budget_does_not_change_output(self, m_c, m_l, decimals, monkeypatch):
+        # At the cache-sized budget the genes span two full batches and a
+        # short third; at 16 MiB they fit in one.
+        columns = _scored_columns(m_c, m_l)
+        rows = _chunk_rows(columns)
+        n = 2 * rows + max(1, rows // 3)
+        matrix = gaussian_matrix(
+            14, n, m_c, m_l, 2, planted=n // 3, low_shift=1.5, high_shift=2.0,
+            decimals=decimals,
+        )
+        results = []
+        for budget in (_BATCH_BUDGET, 16 * 2**20):
+            monkeypatch.setattr(dosage, "_BATCH_BUDGET", budget)
+            results.append(run_pipeline(matrix, alpha_grid=(0.05, 0.2)))
+        assert _chunk_rows(columns) >= n > 2 * rows
+        small, large = (
+            np.array([(r.p_high, r.p_init, r.p_final, r.original_index) for r in result.records])
+            for result in results
+        )
+        assert small.tobytes() == large.tobytes()
+        assert [r.sign for r in results[0].records] == [r.sign for r in results[1].records]
+        assert results[0].rows == results[1].rows
+
+    @pytest.mark.parametrize("chunk", [None, 1])
+    def test_exact_units_once_for_ordering_once_for_pool(self, chunk, monkeypatch):
+        shapes = []
+        exact_units = dosage._exact_units
+
+        def counted(values):
+            shapes.append(values.shape)
+            return exact_units(values)
+
+        monkeypatch.setattr(dosage, "_exact_units", counted)
+        matrix = gaussian_matrix(15, 7, 9, 7, 4)
+        assert _chunk_rows(_scored_columns(9, 7)) < 7
+        run_pipeline(matrix, alpha_grid=(0.1,), chunk=chunk)
+        assert shapes == [(7, 20), (7, 16)]
+
     def test_chunk_rule_bounds_gathered_bytes(self):
         assert _chunk_rows(math.comb(20, 10) // 2) == 1
         for m_c, m_l in [(2, 2), (3, 3), (6, 6), (9, 7), (8, 8), (10, 9), (20, 10)]:
@@ -556,6 +595,16 @@ class TestReadExpressionCsv(object):
         )
         assert matrix.values[1].tolist() == [1, 2, 3, 4, 5, 6]
 
+    def test_byte_order_mark(self, tmp_path):
+        text = "gene_id,C1,C2,L1,L2,H1,H2\ng1,0.1,0.2,0.3,0.4,0.5,0.6\n"
+        plain = read_expression_csv(self.write(tmp_path, text))
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        matrix = read_expression_csv(path)
+        assert matrix.gene_ids == plain.gene_ids
+        assert matrix.groups == plain.groups
+        assert matrix.values.tobytes() == plain.values.tobytes()
+
     def test_bad_header(self, tmp_path):
         path = self.write(tmp_path, "name,C1,L1,H1\ng1,1,2,3\n")
         with pytest.raises(ValidationError, match="gene_id"):
@@ -712,7 +761,7 @@ def true_tails(pools, m_c, m_l):
     """The t-CDF of the true labeling per row, and the df and degenerate
     mask of every relabeling."""
     indicator = _partition_table(m_c + m_l, m_c)[:, : _scored_columns(m_c, m_l)]
-    _, x, df, degenerate = _welch_tails(pools, m_c, m_l, indicator)
+    _, x, df, degenerate = _welch_tails(*_exact_units(pools), m_c, m_l, indicator)
     return special.stdtr(df[:, 0], x[:, 0]), df, degenerate
 
 
