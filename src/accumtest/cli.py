@@ -9,7 +9,9 @@ the built-in self-check suite.
 Only the core (``accumfn``, ``seqtest``) is imported with this module.
 ``dosage``, ``simlab``, ``power_theory`` and ``validation`` are
 imported by the subcommands that use them, so ``test`` and
-``--version`` never load them, nor scipy.
+``--version`` never load them.  Only ``power`` and ``validate`` load
+scipy: ``dosage`` and ``simulate`` take their normal and Student-t
+tails from the package's own ``_tails``.
 
 P-value files are read by one ``np.loadtxt`` call when the header and
 the first data row allow it, and otherwise row by row with the ``csv``

@@ -29,6 +29,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from . import _tails
 from .baselines import bh_select, storey_select
 from .errors import ContractError, DomainError, ValidationError
 from .seqtest import (
@@ -38,8 +39,6 @@ from .seqtest import (
     select_cutoff,
     shift_discrete_pvalues,
 )
-
-# scipy is imported inside functions: loading it here would slow every CLI start.
 
 __all__ = [
     "Group",
@@ -67,20 +66,20 @@ _TABLE_BUDGET = 128 * 2**20
 # 16 MiB, and 2 MiB, one gene per batch at 11 440 relabelings, was slower.
 _BATCH_BUDGET = 4 * 2**20
 
-# Bound on the (rows x P) float64 arrays one _permutation_rows pass holds
-# at once; at the 4 MiB budget tracemalloc peaks were 6.1-7.3 on grid
-# rows and 9.0-10.0 on off-grid rows.  Only when P is below the column
-# count, as at m_c = m_l = 2 (P = 3, 4 columns), do the (rows x m) arrays
-# of _exact_units push a pass on values over it (13.4).
+# Bound on the (rows x C) float64 arrays one _permutation_rows pass holds
+# at once, where C = ``_batch_columns``; at the 4 MiB budget tracemalloc
+# peaks were 6.1-7.3 on grid rows and 9.0-10.0 on off-grid rows.  C is
+# the larger of P and the m pooled columns, since at m_c = m_l = 2 (P = 3,
+# 4 columns) the (rows x m) arrays of _exact_units held 13.4 (rows x P).
 _BATCH_ARRAYS = 12
 
 _GRID_DECIMALS = 9
 
 # Half-width of the band around the true labeling's tail inside which
 # ``_screened_tails`` evaluates the t-CDF, relative to that tail.  It
-# absorbs the t-CDF's wobble in df (below 1e-10 relative beside integer
-# df); the absolute 2^-51 added to it makes fl(1 - tail) keep the order
-# of tail outside the band.
+# absorbs any rounding wobble of the t-CDF in df or x (``_tails.stdtr``
+# is accurate to 1e-13); the absolute 2^-51 added to it makes fl(1 -
+# tail) keep the order of tail outside the band.
 _TAIL_SLACK = 2.0**-20
 _ABS_SLACK = 2.0**-51
 # Fourfold steps that move an inverse-CDF threshold outward until a
@@ -109,7 +108,11 @@ def _as_sign(sign: Union[Sign, str]) -> Sign:
 
 @dataclass(frozen=True)
 class ExpressionMatrix:
-    """Log-expression values, one row per gene, one column per sample."""
+    """Log-expression values, one row per gene, one column per sample.
+
+    Values must be finite, and each gene's must span less than the float
+    range.
+    """
 
     gene_ids: tuple[str, ...]
     values: np.ndarray
@@ -129,6 +132,12 @@ class ExpressionMatrix:
             )
         if values.size and not np.isfinite(values).all():
             raise ValidationError("expression values must be finite")
+        wide = _wide_rows(values)
+        if wide.size:
+            gene = str(self.gene_ids[wide[0]])
+            raise ValidationError(
+                f"gene {gene!r}: values span more than the float range"
+            )
         for group in Group:
             if group not in self.groups:
                 raise ValidationError(f"no columns labeled {group.value}")
@@ -169,6 +178,16 @@ class GeneRecord:
     p_init: float
     p_final: float
     original_index: int
+
+
+def _wide_rows(values: np.ndarray) -> np.ndarray:
+    """Indices of the rows whose max - min overflows.  No shift of such a
+    row to ``_exact_units`` exists, so they are refused."""
+    if not values.size:
+        return np.empty(0, dtype=np.intp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = values.max(axis=1) - values.min(axis=1)
+    return np.flatnonzero(~np.isfinite(span))
 
 
 def _check_sample(name: str, values, minimum: int) -> np.ndarray:
@@ -343,14 +362,13 @@ def _two_sided(d: np.ndarray, tail: np.ndarray, degenerate: np.ndarray) -> np.nd
 def _verified_t(df: np.ndarray, p: np.ndarray, above: np.ndarray) -> np.ndarray:
     """Per element a t with stdtr(df, t) > p where ``above``, else < p.
 
-    Starts from ``stdtrit`` and moves t away from p in growing steps
-    until one forward ``stdtr`` call confirms it, so the result rests on
-    ``stdtr`` alone, not on the accuracy of the inverse.  NaN where no
-    such t was found, as for p outside (0, 1) or a non-finite df.
+    Starts from ``_tails.stdtrit_start`` and moves t away from p in
+    growing steps until one forward ``_tails.stdtr`` call confirms it, so
+    the result rests on ``stdtr`` alone, not on the accuracy of the
+    start.  NaN where no such t was found, as for p outside (0, 1) or a
+    non-finite df.
     """
-    from scipy import special
-
-    t = special.stdtrit(df, p)
+    t = _tails.stdtrit_start(df, p)
     above = np.broadcast_to(above, t.shape)
     step = np.ldexp(np.fmax(np.abs(t), 1.0), -40)
     np.negative(step, out=step, where=~above)
@@ -361,7 +379,7 @@ def _verified_t(df: np.ndarray, p: np.ndarray, above: np.ndarray) -> np.ndarray:
     for _ in range(_WIDEN_STEPS):
         if not idx[0].size:
             break
-        tail = special.stdtr(df[idx], t[idx])
+        tail = _tails.stdtr(df[idx], t[idx])
         wrong = np.where(above[idx], tail <= p[idx], tail >= p[idx])
         idx = tuple(i[wrong] for i in idx)
         t[idx] += step[idx]
@@ -370,37 +388,61 @@ def _verified_t(df: np.ndarray, p: np.ndarray, above: np.ndarray) -> np.ndarray:
     return t
 
 
-def _screened_tails(x: np.ndarray, df: np.ndarray) -> np.ndarray:
+def _df_bounds(m_c: int, m_l: int) -> tuple[float, float]:
+    """Bounds on the Welch df of every relabeling into groups of m_c and m_l.
+
+    Welch's df lies between min(n_i) - 1 and sum(n_i - 1) over the groups
+    of two or more members; with one such group it is that group's n - 1.
+    The bounds are widened by 2^-40, relative, past the rounding of the
+    computed df.  NaN when no group has two members.
+    """
+    sizes = [n for n in (m_c, m_l) if n > 1]
+    if not sizes:
+        return math.nan, math.nan
+    lo = min(sizes) - 1
+    hi = sum(n - 1 for n in sizes)
+    return lo * (1.0 - 2.0**-40), hi * (1.0 + 2.0**-40)
+
+
+def _thresholds(tail0: np.ndarray, df_lo, df_hi) -> np.ndarray:
+    """Per row the x thresholds (below, above) of ``_screened_tails``.
+
+    stdtr(df_lo, below) < tail0 - slack and stdtr(df_hi, above) > tail0 +
+    slack, each confirmed by ``_verified_t``, with slack = ``_TAIL_SLACK``
+    * tail0 + ``_ABS_SLACK``; df_lo and df_hi bound the df of every
+    relabeling of the row.  NaN where there is no such threshold, as for
+    a tail0 of 0, or of NaN, or NaN bounds.
+    """
+    slack = tail0 * _TAIL_SLACK + _ABS_SLACK
+    return _verified_t(
+        np.stack(np.broadcast_arrays(df_lo, df_hi, tail0)[:2], axis=-1),
+        np.stack([tail0 - slack, tail0 + slack], axis=-1),
+        np.array([False, True]),
+    )
+
+
+def _screened_tails(
+    x: np.ndarray, df: np.ndarray, tail0: np.ndarray, thresholds: np.ndarray
+) -> np.ndarray:
     """The tails stdtr(df, x) as far as the rank comparisons can tell.
 
     ``x`` and ``df`` are ``_welch_tails`` output with the true labeling
-    in column 0; ``x`` is overwritten by the result.  The
-    ranks compare each tail with the true labeling's tail tail0,
-    directly, doubled, or through fl(1 - tail), and with 1/2, which no
-    tail exceeds.  So only the side of tail0 matters, and that side is
-    certain outside a band of ``_TAIL_SLACK`` * tail0 + ``_ABS_SLACK``
-    around it.  For x <= 0, stdtr(df, x) does not rise with df, so each
-    tail lies between stdtr(df_hi, x) and stdtr(df_lo, x), the bounds
-    taken over the row.  Two x thresholds per row, each confirmed by a
-    forward ``stdtr`` call, mark the relabelings whose tail is certainly
-    below the band, which get the surrogate tail 0, or certainly above
-    it, which get 1/2; every comparison gives the same answer for the
-    surrogate as for the tail.  All other relabelings get the exact
-    tail, as do those with a NaN df (every degenerate one has it) and
-    every relabeling of a row whose true tail or df bounds are not
-    finite.
+    in column 0, whose tail is ``tail0``; ``x`` is overwritten by the
+    result.  The ranks compare each tail with tail0, directly, doubled,
+    or through fl(1 - tail), and with 1/2, which no tail exceeds.  So
+    only the side of tail0 matters, and that side is certain outside a
+    band of ``_TAIL_SLACK`` * tail0 + ``_ABS_SLACK`` around it.  For x <=
+    0, stdtr(df, x) does not rise with df, so each tail lies between
+    stdtr(df_hi, x) and stdtr(df_lo, x) for any bounds df_lo <= df <=
+    df_hi.  The ``_thresholds`` of each row (below, above) mark the
+    relabelings whose tail is certainly below the band, which get the
+    surrogate tail 0, or certainly above it, which get 1/2; every
+    comparison gives the same answer for the surrogate as for the tail.
+    All other relabelings get the exact tail, as do those with a NaN df
+    (every degenerate one has it) and every relabeling of a row without
+    thresholds.
     """
-    from scipy import special
-
-    tail0 = special.stdtr(df[:, 0], x[:, 0])
-    df_lo = np.fmin.reduce(df, axis=1)
-    df_hi = np.fmax.reduce(df, axis=1)
-    slack = tail0 * _TAIL_SLACK + _ABS_SLACK
-    below, above = _verified_t(
-        np.stack([df_lo, df_hi], axis=1),
-        np.stack([tail0 - slack, tail0 + slack], axis=1),
-        np.array([False, True]),
-    ).T
+    below, above = thresholds.T
     # tail <= stdtr(df_lo, x) <= stdtr(df_lo, below) < tail0 - slack.
     low = x <= below[:, None]
     # tail >= stdtr(df_hi, x) >= stdtr(df_hi, above) > tail0 + slack.
@@ -408,11 +450,10 @@ def _screened_tails(x: np.ndarray, df: np.ndarray) -> np.ndarray:
     close |= low
     np.logical_not(close, out=close)
     close |= np.isnan(df)
-    close[~(np.isfinite(tail0) & np.isfinite(df_lo) & np.isfinite(df_hi))] = True
     close[:, 0] = False
     idx = np.nonzero(close)
     del close
-    exact = special.stdtr(df[idx], x[idx])
+    exact = _tails.stdtr(df[idx], x[idx])
     tail = x
     tail.fill(0.5)
     tail[low] = 0.0
@@ -430,29 +471,39 @@ def _welch_rows(
     scores mean(a) > mean(b).  Also returns d, which has the sign of
     mean(a) - mean(b) and is exactly zero for equal means on grid rows.
     """
-    from scipy import special
-
     n_b = b.shape[1]
     indicator = np.zeros((n_b + a.shape[1], 1))
     indicator[:n_b] = 1.0
     h, r = _exact_units(np.hstack([b, a]))
     d, x, df, degenerate = _welch_tails(h, r, n_b, a.shape[1], indicator)
-    tail = special.stdtr(df, x)
+    tail = _tails.stdtr(df, x)
     signed = np.where(np.reshape(plus, (-1, 1)), d, -d)
     one = _one_sided(signed, tail, degenerate)
     two = _two_sided(d, tail, degenerate)
     return one[:, 0], two[:, 0], d[:, 0]
 
 
+def _check_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Both samples as one-row arrays, checked, and together narrower than
+    the float range."""
+    row_a = _check_sample("a", a, 2)[None, :]
+    row_b = _check_sample("b", b, 2)[None, :]
+    if _wide_rows(np.hstack([row_a, row_b])).size:
+        raise ValidationError(
+            "samples 'a' and 'b' together span more than the float range"
+        )
+    return row_a, row_b
+
+
 def welch_p_two_sided(a, b) -> float:
     """Two-sided unequal-variance t-test p-value.
 
-    Both samples need at least two observations.  When every value in
-    both groups is identical the statistic is undefined; the convention
-    is p=1 for equal means and p=0 otherwise.
+    Both samples need at least two observations, and together they must
+    span less than the float range.  When every value in both groups is
+    identical the statistic is undefined; the convention is p=1 for equal
+    means and p=0 otherwise.
     """
-    row_a = _check_sample("a", a, 2)[None, :]
-    row_b = _check_sample("b", b, 2)[None, :]
+    row_a, row_b = _check_pair(a, b)
     return float(_welch_rows(row_a, row_b, True)[1][0])
 
 
@@ -463,8 +514,7 @@ def welch_p_one_sided(a, b, direction: Union[Sign, str]) -> float:
     mean of ``b``; ``Sign.MINUS`` scores the opposite tail.  The two
     directions sum to one for non-degenerate data.
     """
-    row_a = _check_sample("a", a, 2)[None, :]
-    row_b = _check_sample("b", b, 2)[None, :]
+    row_a, row_b = _check_pair(a, b)
     plus = _as_sign(direction) is Sign.PLUS
     return float(_welch_rows(row_a, row_b, plus)[0][0])
 
@@ -519,6 +569,7 @@ def _permutation_rows(
     m_l: int,
     plus_mask: np.ndarray,
     units: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    screen: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank-calibrate each row of ``values`` over all relabelings.
 
@@ -528,15 +579,15 @@ def _permutation_rows(
     two-sided; it holds (rows x P) float64 arrays, never the relabeled
     values themselves.  The t-CDF is evaluated only for the relabelings
     whose side of the true labeling's tail ``_screened_tails`` cannot
-    tell from bounds, so every comparison, and the rank, is that of the
-    full evaluation.  When m_c = m_l only the P/2 relabelings that
-    keep column 0 in the control group are scored: swapping the groups
-    keeps the tail and df bit for bit and negates the difference, so
-    each complement's one-sided p comes from the same tail with the sign
-    flipped, and its two-sided p is the same.  ``units`` is
+    tell from the ``_screen`` thresholds, so every comparison, and the
+    rank, is that of the full evaluation.  When m_c = m_l only the P/2
+    relabelings that keep column 0 in the control group are scored:
+    swapping the groups keeps the tail and df bit for bit and negates the
+    difference, so each complement's one-sided p comes from the same tail
+    with the sign flipped, and its two-sided p is the same.  ``units`` is
     ``_exact_units(values)`` when the caller has it already; since that
     is computed row by row, any slice of it is the units of the same
-    slice of values.
+    slice of values, and ``screen`` is ``_screen`` of those units.
 
     Returns (p_init, p_final, p_perm_two, p_two): the one-sided p under
     the true labels, its rank #{relabelings with p <= p_init} / P, the
@@ -549,8 +600,10 @@ def _permutation_rows(
     scored = _scored_columns(m_c, m_l)
     indicator = _partition_table(m_c + m_l, m_c)[:, :scored]
     h, r = _exact_units(values) if units is None else units
+    if screen is None:
+        screen = _screen(h, r, m_c, m_l)
     d, x, df, degenerate = _welch_tails(h, r, m_c, m_l, indicator)
-    tail = _screened_tails(x, df)
+    tail = _screened_tails(x, df, *screen)
     del df
     signed = np.where(plus_mask[:, None], d, -d)
     one = _one_sided(signed, tail, degenerate)
@@ -566,6 +619,29 @@ def _permutation_rows(
         hits += np.count_nonzero(mirrored <= p_init, axis=1)
         hits_two *= 2
     return p_init[:, 0], hits / count, hits_two / count, p_two
+
+
+def _screen(
+    h: np.ndarray, r: np.ndarray, m_c: int, m_l: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's true-labeling tail and its ``_thresholds``, in a few calls.
+
+    ``_welch_tails`` gives each relabeling's x and df from its own
+    indicator column alone, so the true labeling's tail has the bits of
+    column 0 of any batch's pass.  The thresholds take the df bounds of
+    the design, ``_df_bounds``, so that every row is screened before any
+    batch is scored.  Each row is handled on its own values only.
+    """
+    identity = _partition_table(m_c + m_l, m_c)[:, :1]
+    _, x, df, _ = _welch_tails(h, r, m_c, m_l, identity)
+    tail0 = _tails.stdtr(df[:, 0], x[:, 0])
+    return tail0, _thresholds(tail0, *_df_bounds(m_c, m_l))
+
+
+def _batch_columns(m_c: int, m_l: int) -> int:
+    """Columns of the widest arrays a pass holds: the relabelings scored,
+    or the m_c + m_l pooled values where those are more."""
+    return max(_scored_columns(m_c, m_l), m_c + m_l)
 
 
 def _chunk_rows(columns: int, chunk: Optional[int] = None) -> int:
@@ -600,11 +676,18 @@ def permutation_pvalue(
         sample, and also when the partition count exceeds
         ``MAX_PARTITIONS`` (in which case subsample the columns; there
         is no Monte Carlo fallback).
+    ValidationError
+        If a value is not finite, or the values span more than the float
+        range.
     """
     m_c, m_l = int(m_c), int(m_l)
     if m_c < 1 or m_l < 1:
         raise ContractError(f"need m_c, m_l >= 1, got {m_c}, {m_l}")
     values = _check_sample("control_low_values", control_low_values, 2)
+    if _wide_rows(values[None, :]).size:
+        raise ValidationError(
+            "sample 'control_low_values' spans more than the float range"
+        )
     if values.size != m_c + m_l:
         raise ContractError(
             f"pooled sample has {values.size} values but m_c + m_l = {m_c + m_l}"
@@ -720,13 +803,15 @@ def run_pipeline(
 
     n = matrix.n_genes
     grid_size = math.comb(m_c + m_l, m_c)
-    rows = _chunk_rows(_scored_columns(m_c, m_l), chunk)
+    rows = _chunk_rows(_batch_columns(m_c, m_l), chunk)
     h, r = _exact_units(ordered_pool)
+    tail0, thresholds = _screen(h, r, m_c, m_l)
     scores = np.empty((4, n))
     for start in range(0, n, rows):
         batch = slice(start, start + rows)
         scores[:, batch] = _permutation_rows(
-            ordered_pool[batch], m_c, m_l, plus_mask[batch], (h[batch], r[batch])
+            ordered_pool[batch], m_c, m_l, plus_mask[batch], (h[batch], r[batch]),
+            (tail0[batch], thresholds[batch]),
         )
     p_init, p_final, p_perm_two, p_t_two = scores
 

@@ -62,6 +62,9 @@ class SignalCurve:
             raise ValidationError("a signal curve needs at least two knots")
         ts = [t for t, _ in knots]
         vs = [v for _, v in knots]
+        # Every comparison below is false for NaN, so NaN would pass them.
+        if any(math.isnan(x) for x in ts + vs):
+            raise DomainError("knot positions and values must not be NaN")
         if ts[0] != 0.0 or ts[-1] != 1.0:
             raise ValidationError("knots must start at t=0 and end at t=1")
         if any(b <= a for a, b in zip(ts[:-1], ts[1:])):

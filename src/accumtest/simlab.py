@@ -28,6 +28,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from . import _tails
 from .densities import AlternativeDensity
 from .errors import ContractError, DomainError
 from .power_theory import SignalCurve, validate_signal_curve
@@ -41,7 +42,7 @@ from .seqtest import (
 # Not called here; kept as module attributes that the benchmark tracer wraps.
 from .seqtest import estimated_fdp_path, estimated_fdp_path_plus  # noqa: F401
 
-# scipy is imported inside functions: loading it here would slow every CLI start.
+# scipy is imported by ``normal_quantile`` alone, which no command calls.
 
 __all__ = [
     "SimConfig",
@@ -83,10 +84,8 @@ _LEVEL_BYTES = 192
 
 
 def normal_cdf(x):
-    """Standard normal distribution function, absolute error below 1e-12."""
-    from scipy import special
-
-    out = special.ndtr(np.asarray(x, dtype=float))
+    """Standard normal distribution function, relative error below 1e-14."""
+    out = _tails.ndtr(np.asarray(x, dtype=float))
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -175,8 +174,6 @@ def _ranked_block(
     Each row draws from its trial's own generator, so it equals that
     trial drawn alone.
     """
-    from scipy import special
-
     n, n_nonnull = config.n, config.n_nonnull
     prior = np.empty((stop - first, n))
     fresh = np.empty((stop - first, n))
@@ -187,8 +184,13 @@ def _ranked_block(
     # Positions below n_nonnull are the non-nulls.
     prior[:, :n_nonnull] += config.mu1
     order = np.argsort(-np.abs(prior), axis=1, kind="stable")
+    del prior
     fresh[:, :n_nonnull] += config.mu2
-    pvals = np.take_along_axis(2.0 * special.ndtr(-np.abs(fresh)), order, axis=1)
+    np.abs(fresh, out=fresh)
+    np.negative(fresh, out=fresh)
+    tails = _tails.ndtr(fresh)
+    tails *= 2.0
+    pvals = np.take_along_axis(tails, order, axis=1)
     check_unit_interval(pvals)
     return pvals, order >= n_nonnull
 

@@ -86,6 +86,28 @@ def t_cdf_mp(x, df):
     return tail if x < 0 else 1 - tail
 
 
+def t_tail_quad_mp(df, s):
+    """P(T_df <= -s) for s > 0 by quadrature, for any df and tail depth.
+
+    With a = df/2, x = df/(df + s^2) and w = x exp(-v) in the incomplete
+    beta integral, B(a, 1/2) I_x(a, 1/2) = x^a int_0^inf exp(-a v) (1 -
+    x exp(-v))^(-1/2) dv, whose integrand is smooth and positive; the
+    breakpoints follow its scales 1/a and 1 - x.  Unlike ``t_cdf_mp``,
+    this holds for large df with tails far below the float range.
+    """
+    df = mp.mpf(df)
+    s = mp.mpf(s)
+    a = df / 2
+    x = df / (df + s * s)
+    y = s * s / (df + s * s)
+    integral = mp.quad(
+        lambda v: mp.exp(-a * v) / mp.sqrt(1 - x * mp.exp(-v)),
+        sorted({mp.mpf(0), y, 1 / a, 10 / a, 100 / a, 1000 / a}) + [mp.inf],
+    )
+    ratio = mp.gamma(a + mp.mpf("0.5")) / (mp.gamma(a) * mp.sqrt(mp.pi))
+    return mp.power(x, a) * integral * ratio / 2
+
+
 def _welch_parts_mp(a, b):
     a = [mp.mpf(repr(float(x))) for x in a]
     b = [mp.mpf(repr(float(x))) for x in b]

@@ -11,6 +11,7 @@ import pytest
 from accumtest import (
     AccumTestError,
     SimConfig,
+    _tails,
     child_rng,
     cli,
     estimated_fdp_path,
@@ -167,7 +168,7 @@ class TestCmdTest:
 
 
 # Digest of the probe bits in test_multi_block_output_bytes_are_pinned.
-KERNEL_DIGEST = "ef60d62d05473ebcf865ff3894d556a9ca27082a10853ca726f54a5d20e2e566"
+KERNEL_DIGEST = "2bfa8cf443e5ecf1e7bd3a3bc70f9031dd1dbc84f058ddaea4b521b6e17258aa"
 
 
 class TestCmdSimulate:
@@ -229,18 +230,16 @@ class TestCmdSimulate:
     def test_multi_block_output_bytes_are_pinned(self, tmp_path, capsys):
         """Digests of the tables the one-trial-at-a-time engine wrote.
 
-        They hold only where numpy's ``log1p``, scipy's ``ndtr`` and the
-        Philox normal stream give the bits they gave when the digests
-        were recorded (numpy 2.4.6, scipy 1.17.1, x86-64 with AVX-512);
-        elsewhere the test is skipped and the block-versus-trial tests
-        in test_simlab.py still hold.
+        They hold only where numpy's ``log1p``, the package's ``ndtr``
+        (which rests on numpy's ``exp``) and the Philox normal stream give
+        the bits they gave when the digests were recorded (numpy 2.4.6,
+        x86-64 with AVX-512); elsewhere the test is skipped and the
+        block-versus-trial tests in test_simlab.py still hold.
         """
-        from scipy import special
-
         probe = np.linspace(0.0005, 0.9995, 2000)
         kernels = hashlib.sha256(
             np.log1p(-probe).tobytes()
-            + special.ndtr(-8.0 * probe).tobytes()
+            + _tails.ndtr(-8.0 * probe).tobytes()
             + child_rng(7, 0).standard_normal(256).tobytes()
         ).hexdigest()
         if kernels != KERNEL_DIGEST:
@@ -258,7 +257,7 @@ class TestCmdSimulate:
         }
         assert digests == {
             "summary": "1834e4c9d7c8119fc9173fc10a083dc98a53d007da4a1a03fc52ef6d0af1c16f",
-            "paths": "e0e7f41238cb85164cc29f279c223e08e7ba6971cde7b51ae35ec7a8d9668a90",
+            "paths": "926e35c1e67e0e5fabee8baa4e22130e6efcd389ad2db354655502e4e05d0823",
         }
 
     def test_no_paths_flag_skips_path_table(self, tmp_path, capsys):
@@ -313,6 +312,16 @@ class TestCmdPower:
         assert code == 4
         assert "error:" in err
 
+    @pytest.mark.parametrize("curve", ["f:0,nan;1,0.3", "f:0,0.5;nan,0.4;1,0.3"])
+    def test_nan_knot_is_a_numerical_error(self, curve, capsys):
+        code, out, err = run_cli(
+            ["power", "--curve", curve, "--alpha", "0.8", "--mu", "0.5"], capsys
+        )
+        assert code == 4
+        assert out == ""
+        assert err.count("error:") == 1 and err.startswith("error:")
+        assert "NaN" in err and "Traceback" not in err
+
     def test_narrow_spike_is_a_numerical_error(self, capsys):
         # The rise spans 1e-5, between the points of any 1e-4 grid.
         spike = "f:0,0.5;0.50002,0.5;0.50003,0.9;0.50004,0.5;1,0.5"
@@ -339,6 +348,18 @@ class TestCmdDosage:
             counts = [c for _, c in sorted(pairs)]
             assert counts == sorted(counts)
             assert dict(pairs)[0.0] == 0
+
+    def test_row_beyond_the_float_range_is_refused(self, tmp_path, capsys):
+        matrix = tmp_path / "wide.csv"
+        matrix.write_text(
+            "gene_id,C1,C2,L1,L2,H1,H2\n"
+            "g1,1,2,3,4,5,6\n"
+            "huge,1e308,-1e308,1,2,3,4\n"
+        )
+        code, out, err = run_cli(["dosage", str(matrix)], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.count("error:") == 1 and "'huge'" in err and "float range" in err
 
     def test_output_file_and_manifest(self, tmp_path, capsys):
         matrix = write_null_matrix_csv(tmp_path, seed=7, n=40)

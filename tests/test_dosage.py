@@ -7,7 +7,6 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy import special
 
 from accumtest import (
     ContractError,
@@ -26,20 +25,24 @@ from accumtest import (
     welch_p_one_sided,
     welch_p_two_sided,
 )
-from accumtest import dosage
+from accumtest import _tails, dosage
 from accumtest.dosage import (
     MAX_PARTITIONS,
     _BATCH_ARRAYS,
     _BATCH_BUDGET,
     _TABLE_BUDGET,
     _TAIL_SLACK,
+    _batch_columns,
     _chunk_rows,
+    _df_bounds,
     _exact_units,
+    _group_sums,
     _one_sided,
     _partition_table,
     _permutation_rows,
     _scored_columns,
     _screened_tails,
+    _thresholds,
     _two_sided,
     _welch_tails,
 )
@@ -359,6 +362,27 @@ class TestRunPipeline:
             assert 1 <= k <= grid_size
             assert record.p_final == k / grid_size
 
+    def test_group_sums_add_columns_in_index_order_for_any_row_count(self):
+        # Terms over 16 decades, so that any other order of additions
+        # changes the bits; BLAS kernels may pick their order by the row
+        # count, which the engine's output must not see.
+        rng = np.random.Generator(np.random.Philox(key=23))
+        x = rng.normal(size=(6, 9)) * 10.0 ** rng.integers(-8, 9, size=(6, 9))
+        indicator = _partition_table(9, 4)
+        inside, outside = _group_sums(x, indicator)
+        for row in range(x.shape[0]):
+            alone = _group_sums(x[row : row + 1], indicator)
+            assert alone[0].tobytes() == inside[row : row + 1].tobytes()
+            assert alone[1].tobytes() == outside[row : row + 1].tobytes()
+            for j in range(0, indicator.shape[1], 17):
+                total_in = x[row, 0] * indicator[0, j]
+                total_out = x[row, 0] - total_in
+                for k in range(1, x.shape[1]):
+                    term = x[row, k] * indicator[k, j]
+                    total_in += term
+                    total_out += x[row, k] - term
+                assert (inside[row, j], outside[row, j]) == (total_in, total_out)
+
     def test_chunk_size_does_not_change_output(self):
         # Off-grid rows must not take their bits from the BLAS kernel,
         # whose summation order changes with the number of rows.
@@ -422,10 +446,12 @@ class TestRunPipeline:
             assert _chunk_rows(columns, chunk=3) == min(rows, 3)
 
     @pytest.mark.parametrize(
-        "m_c,m_l,decimals", [(6, 6, 2), (9, 7, None), (4, 3, None), (10, 10, None)]
+        "m_c,m_l,decimals",
+        [(6, 6, 2), (9, 7, None), (4, 3, None), (10, 10, None), (2, 2, None)],
     )
     def test_batch_rule_bounds_what_a_pass_holds(self, m_c, m_l, decimals):
-        columns = _scored_columns(m_c, m_l)
+        # At (2, 2) the 3 relabelings are fewer than the 4 pooled columns.
+        columns = _batch_columns(m_c, m_l)
         rows = _chunk_rows(columns)
         values = gaussian_matrix(9, rows, m_c, m_l, 2, decimals=decimals).values
         pool = np.ascontiguousarray(values[:, : m_c + m_l])
@@ -446,13 +472,13 @@ class TestRunPipeline:
         # per-gene calls (the true labeling's tail and two checked
         # thresholds) by skipping most relabelings.
         counted = []
-        stdtr = special.stdtr
+        stdtr = _tails.stdtr
 
         def counting_stdtr(*args):
             counted.append(np.broadcast(*args).size)
             return stdtr(*args)
 
-        monkeypatch.setattr(special, "stdtr", counting_stdtr)
+        monkeypatch.setattr(_tails, "stdtr", counting_stdtr)
         genes = 5
         # With m_c = m_l only half the relabelings are scored.
         for m_c, m_l in [(4, 4), (4, 3)]:
@@ -702,6 +728,21 @@ class TestFloatPath:
             want = oracles.exact_permutation_ranks(pool, 3, plus)
             assert (rows[1][0], rows[2][0]) == tuple(float(w) for w in want)
 
+    def test_values_beyond_the_float_range_are_refused(self):
+        # max - min of such values overflows, so no shift to exact units
+        # exists; the rank once came out 0, below its 1/P floor.
+        rows = [[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1e308, -1e308, 1.0, 2.0, 3.0, 4.0]]
+        with pytest.raises(ValidationError, match="'huge'.*float range"):
+            make_matrix(rows, 2, 2, 2, ids=("g0", "huge"))
+        with pytest.raises(ValidationError, match="float range"):
+            permutation_pvalue([1e308, -1e308, 1.0, 2.0], 2, 2, "plus")
+        for welch in (welch_p_two_sided, lambda a, b: welch_p_one_sided(a, b, "plus")):
+            with pytest.raises(ValidationError, match="float range"):
+                welch([1e308, -1e308], [1.0, 2.0])
+        # Just inside the range the float path scores the row.
+        assert permutation_pvalue([8e307, -8e307, 1.0, 2.0], 2, 2, "plus") >= 1.0 / 6.0
+        assert 0.0 <= welch_p_two_sided([8e307, -8e307], [1.0, 2.0]) <= 1.0
+
     def test_gene_past_the_bound_falls_back_to_floats(self):
         row = np.array([[0.0, 3e7, 1e7 + 1.0, 2e7 + 3.0, 5.0, 17.0]])
         assert 6**2 * 3e7**2 >= 2.0**53
@@ -717,9 +758,10 @@ class TestFloatPath:
             assert (p_final[0], p_two[0]) == brute_force_ranks(row[0], 3, plus)
 
 
-def full_tails(x, df):
-    """Reference for ``_screened_tails``: the t-CDF of every relabeling."""
-    return special.stdtr(df, x)
+def full_tails(x, df, tail0, thresholds):
+    """Reference for ``_screened_tails``: the t-CDF of every relabeling,
+    the true labeling's included, whatever screen the caller passes."""
+    return _tails.stdtr(df, x)
 
 
 def screening_pools(case, m_c, m_l, rows=12):
@@ -762,7 +804,7 @@ def true_tails(pools, m_c, m_l):
     mask of every relabeling."""
     indicator = _partition_table(m_c + m_l, m_c)[:, : _scored_columns(m_c, m_l)]
     _, x, df, degenerate = _welch_tails(*_exact_units(pools), m_c, m_l, indicator)
-    return special.stdtr(df[:, 0], x[:, 0]), df, degenerate
+    return _tails.stdtr(df[:, 0], x[:, 0]), df, degenerate
 
 
 SCREEN_CASES = [
@@ -789,18 +831,18 @@ SCREEN_CASES = [
 
 
 def shift_stdtrit(monkeypatch, error):
-    """Make every ``stdtrit`` threshold off by ``error``, relative."""
-    stdtrit = special.stdtrit
+    """Make every ``stdtrit_start`` threshold off by ``error``, relative."""
+    start = _tails.stdtrit_start
     monkeypatch.setattr(
-        special, "stdtrit", lambda df, p: stdtrit(df, p) * (1.0 + error)
+        _tails, "stdtrit_start", lambda df, p: start(df, p) * (1.0 + error)
     )
 
 
 class TestTailScreen:
     """The t-CDF is skipped only where no rank comparison can change.
 
-    ``error`` puts every ``stdtrit`` threshold off by that much, so that
-    only the forward ``stdtr`` check keeps the screen right.
+    ``error`` puts every ``stdtrit_start`` threshold off by that much, so
+    that only the forward ``stdtr`` check keeps the screen right.
     """
 
     @pytest.mark.parametrize("error", [0.0, 1e-3, -1e-3])
@@ -823,6 +865,15 @@ class TestTailScreen:
             assert (tail0 == 0.5).any() == (m_c == m_l)
         elif case == "tiny-spread":
             assert np.isfinite(df[~degenerate]).all() and np.isfinite(tail0).any()
+
+    @pytest.mark.parametrize("case,m_c,m_l", SCREEN_CASES)
+    def test_design_df_bounds_hold_for_every_relabeling(self, case, m_c, m_l):
+        # The pipeline screens with these bounds before it scores a batch.
+        _, df, _ = true_tails(screening_pools(case, m_c, m_l), m_c, m_l)
+        lo, hi = _df_bounds(m_c, m_l)
+        finite = df[np.isfinite(df)]
+        assert ((lo <= finite) & (finite <= hi)).all()
+        assert finite.size or (m_c, m_l) == (1, 1)
 
     @pytest.mark.parametrize("decimals", [2, None])
     def test_pipeline_batches_equal_full_evaluation(self, decimals, monkeypatch):
@@ -860,17 +911,21 @@ class TestTailScreen:
         df[degenerate] = np.nan
         df[-1, 5:9] = np.nan
         tails = np.array(tails)
-        x = special.stdtrit(df, tails)
+        x = _tails.stdtrit_start(df, tails)
         x[tails == 0.0] = -1e80
         x[(targets.index(0.5) * 2, targets.index(0.5) * 2 + 1), 0] = -0.0
         x[:, 1::37] = -0.0
         d = rng.normal(size=x.shape)
-        exact = special.stdtr(df, x)
+        exact = _tails.stdtr(df, x)
         assert (exact[:, 0] == 0.0).any() and (exact[:, 0] == 0.5).any()
         assert (1.0 - exact[0, 0] == 1.0 - exact[0, 1:]).any()
 
         shift_stdtrit(monkeypatch, error)
-        screened = _screened_tails(x.copy(), df)
+        # The bounds of each row's own df, which the thresholds allow.
+        thresholds = _thresholds(
+            exact[:, 0], np.fmin.reduce(df, axis=1), np.fmax.reduce(df, axis=1)
+        )
+        screened = _screened_tails(x.copy(), df, exact[:, 0], thresholds)
         assert (screened != exact).mean() > 0.5
 
         def comparisons(tail, signed):
@@ -883,18 +938,18 @@ class TestTailScreen:
             for a, b in zip(comparisons(screened, signed), comparisons(exact, signed)):
                 assert (a == b).all()
 
-    def test_tail_premise_holds_on_installed_scipy(self):
+    def test_tail_premise_holds(self):
         # The screen bounds each tail by the t-CDF at the row's df bounds.
         df = np.geomspace(0.5, 200.0, 300)[:, None]
         x = np.geomspace(1e-3, 40.0, 300)[None, :]
-        tail = special.stdtr(df, -x)
+        tail = _tails.stdtr(df, -x)
         assert (np.diff(tail, axis=0) <= 0.0).all()
         assert (np.diff(tail, axis=1) <= 0.0).all()
         assert (tail <= 0.5).all()
-        # Beside integer df stdtr switches method and may wobble; any
-        # rise must stay far inside the slack the bands allow.
+        # Where the kernel switches method it may wobble; any rise must
+        # stay far inside the slack the bands allow.
         df = np.add.outer(np.arange(1.0, 40.0), [-1e-9, 0.0, 1e-9, 0.5]).ravel()
-        tail = special.stdtr(df[:, None], -np.geomspace(1e-6, 1e3, 1000)[None, :])
+        tail = _tails.stdtr(df[:, None], -np.geomspace(1e-6, 1e3, 1000)[None, :])
         for axis in (0, 1):
             rise = np.diff(tail, axis=axis) / np.delete(tail, -1, axis=axis)
             assert rise.max() < _TAIL_SLACK / 8

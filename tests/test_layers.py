@@ -50,6 +50,14 @@ def test_scan_sees_relative_imports():
     assert {"seqtest", "baselines", "errors"} <= package_imports("dosage")
 
 
+def test_tails_is_a_leaf_that_only_dosage_and_simlab_use():
+    assert package_imports("_tails") == set()
+    users = {
+        path.stem for path in PACKAGE.glob("*.py") if "_tails" in package_imports(path.stem)
+    }
+    assert users == {"dosage", "simlab"}
+
+
 def test_only_cli_uses_the_writer_which_imports_no_package_module():
     assert package_imports("_csvtext") == set()
     users = {path.stem for path in PACKAGE.glob("*.py") if "_csvtext" in package_imports(path.stem)}
@@ -86,12 +94,18 @@ def test_package_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
-def test_commands_never_load_scipy_stats(tmp_path):
+def write_matrix(tmp_path):
+    """A small full-precision expression matrix, split (3, 3, 2)."""
     matrix = tmp_path / "matrix.csv"
     lines = ["gene_id,C0,C1,C2,L0,L1,L2,H0,H1"]
     for i, row in enumerate(np.random.default_rng(3).normal(size=(20, 8))):
         lines.append(",".join([f"g{i}"] + [repr(float(v)) for v in row]))
     matrix.write_text("\n".join(lines) + "\n")
+    return matrix
+
+
+def test_commands_never_load_scipy_stats(tmp_path):
+    matrix = write_matrix(tmp_path)
     argvs = [
         ["dosage", str(matrix)],
         ["simulate", "--seed", "1", "--trials", "2", "--n", "200", "--n-nonnull", "20"],
@@ -141,6 +155,21 @@ def test_test_and_version_load_no_upper_module_nor_scipy(tmp_path, command):
     assert [name for name in loaded if name.split(".")[0] == "scipy"] == []
     # The writer loads when a table or report line is written, not for --version.
     assert ("accumtest._csvtext" in loaded) == (command == "test")
+
+
+@pytest.mark.parametrize("command", ["dosage", "simulate"])
+def test_dosage_and_simulate_load_no_scipy(tmp_path, command):
+    # Both run on the package's own normal and Student-t tails; power and
+    # validate, which still load scipy, exit 0 in the test above.
+    write_matrix(tmp_path)
+    argv = {
+        "dosage": ["dosage", "matrix.csv", "--out", "table.csv"],
+        "simulate": ["simulate", "--seed", "1", "--trials", "2", "--n", "200",
+                     "--n-nonnull", "20", "--out", "sim"],
+    }[command]
+    loaded = modules_loaded_by(argv, tmp_path)
+    assert "accumtest._tails" in loaded
+    assert [name for name in loaded if name.split(".")[0] == "scipy"] == []
 
 
 def test_every_public_name_resolves():

@@ -34,7 +34,7 @@ from accumtest import (
     seq_step,
     simulate_count_ratio,
 )
-from accumtest import simlab
+from accumtest import _tails, simlab
 from accumtest.simlab import (
     STAT_FDP,
     STAT_KHAT,
@@ -300,8 +300,6 @@ def assert_bitwise_equal(got: AggregateResult, want: AggregateResult):
 
 def reference_ranked_trial(config, trial_index):
     """The ranked protocol for one trial, written out one list at a time."""
-    from scipy import special
-
     rng = child_rng(config.seed, trial_index)
     null_mask = np.arange(config.n) >= config.n_nonnull
     prior = rng.standard_normal(config.n)
@@ -309,7 +307,7 @@ def reference_ranked_trial(config, trial_index):
     order = np.argsort(-np.abs(prior), kind="stable")
     fresh = rng.standard_normal(config.n)
     fresh[~null_mask] += config.mu2
-    pvals = 2.0 * special.ndtr(-np.abs(fresh))
+    pvals = 2.0 * _tails.ndtr(-np.abs(fresh))
     return pvals[order], null_mask[order]
 
 
@@ -406,7 +404,7 @@ class TestBoundedMemory:
             tracemalloc.stop()
 
     def test_peak_is_flat_in_trials(self):
-        self.peak(1)  # imports scipy outside the measured runs
+        self.peak(1)  # a first run outside the measured ones
         small, large = self.peak(50), self.peak(400)
         # Only the stacked (trials, methods, levels, 4) stats may grow.
         stats_growth = (400 - 50) * 4 * 9 * 4 * 8
