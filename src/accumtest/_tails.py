@@ -1,10 +1,8 @@
 """Normal and Student-t tails in numpy alone.
 
-``ndtr`` is the normal distribution function, ``stdtr`` the Student-t
-distribution function for real degrees of freedom, and
-``stdtrit_start`` a close start for the inverse of ``stdtr``.  They
-serve the ``dosage`` and ``simulate`` commands, which therefore load no
-scipy.
+``ndtr`` is the normal distribution function and ``stdtr`` the
+Student-t distribution function for real degrees of freedom.  They serve
+the ``dosage`` and ``simulate`` commands, which therefore load no scipy.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ import math
 
 import numpy as np
 
-__all__ = ["ndtr", "stdtr", "stdtrit_start"]
+__all__ = ["ndtr", "stdtr"]
 
 # W. J. Cody's rational Chebyshev approximations of erfc (Math. Comp. 23,
 # 1969), written for the normal argument as in his ANORM (SPECFUN),
@@ -193,7 +191,6 @@ def _depth_pairs(least: int) -> np.ndarray:
 _DIRECT_PAIRS = _depth_pairs(0)
 _SWAPPED_PAIRS = _depth_pairs(_SWAPPED_DEPTH)
 
-_START_STEPS = 3
 # Elements per pass of the t kernels, whose temporaries, the fraction's
 # table of up to 70 terms among them, stay below 1 MB.
 _CHUNK = 1024
@@ -432,9 +429,8 @@ def _bgrat(
     return total
 
 
-def _lower_tail(df: np.ndarray, s: np.ndarray, scaled_density: bool = False):
-    """P(T_df <= -s) for finite df > 0 and finite s >= 0, 1-d arrays;
-    with ``scaled_density``, also s times the density of T_df at s."""
+def _lower_tail(df: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """P(T_df <= -s) for finite df > 0 and finite s >= 0, 1-d arrays."""
     a = 0.5 * df
     with np.errstate(over="ignore", invalid="ignore"):
         square = s * s
@@ -463,7 +459,7 @@ def _lower_tail(df: np.ndarray, s: np.ndarray, scaled_density: bool = False):
         tail[i] = _fraction_tail(df[i], x[i], y[i], k[i], swap[i])
         i = np.flatnonzero(big)
         tail[i] = _bgrat(a[i], log1p_w[i], x_a[i], ratio[i])
-    return (tail, k) if scaled_density else tail
+    return tail
 
 
 def _fraction_tail(df, x, y, k, swap) -> np.ndarray:
@@ -508,128 +504,3 @@ def stdtr(df, t):
         tail[j] = _lower_tail(df.take(j), s.take(j))
     np.subtract(1.0, tail, out=tail, where=t > 0.0)
     return tail.reshape(shape)[()]
-
-
-# P. J. Acklam's rational approximation of the normal quantile (relative
-# error below 1.2e-9), lowest power last; only a start for Hill's formula.
-_ACKLAM_A = (
-    -3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-    1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00,
-)
-_ACKLAM_B = (
-    -5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-    6.680131188771972e01, -1.328068155288572e01, 1.0,
-)
-_ACKLAM_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-    -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00,
-)
-_ACKLAM_D = (
-    0.0, 7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-    3.754408661907416e00, 1.0,
-)
-
-
-def _normal_quantile_start(q: np.ndarray) -> np.ndarray:
-    """Acklam's approximation of the normal quantile for q in (0, 1/2]."""
-    r = q - 0.5
-    central = _ratio(r * r, _ACKLAM_A, _ACKLAM_B)
-    central *= r
-    low = q < 0.02425
-    if low.any():
-        r = np.sqrt(-2.0 * np.log(q[low]))
-        central[low] = _ratio(r, _ACKLAM_C, _ACKLAM_D)
-    return central
-
-
-def _hill_start(df: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """|t| with P(T_df <= -|t|) near q in (0, 1/2), by G. W. Hill's
-    Algorithm 396 (CACM 13, 1970) for the two-sided level 2q; df >= 1."""
-    h = df - 0.5
-    a = 1.0 / h
-    b = 48.0 * h * h
-    c = ((431.25 * a * a * a - 98.0) * a - 16.0) * a + 96.36
-    d = ((94.5 / (b + c) - 3.0) / b + 1.0) * np.sqrt(a * (0.5 * math.pi)) * df
-    log_y = np.log(2.0 * q * d) * (2.0 / df)
-    y = np.exp(log_y)
-    normal = (y > 0.05 + a) | ((df < 2.1) & (q > 0.25))
-    out = np.empty_like(q)
-    i = np.flatnonzero(normal)
-    if i.size:
-        x = _normal_quantile_start(q[i])
-        n, an, bn = df[i], a[i], b[i]
-        cn = (((0.05 * d[i] * x - 5.0) * x - 7.0) * x - 2.0) * x + bn + c[i]
-        cn += np.where(n < 5.0, 0.3 * (n - 4.5) * (x + 0.6), 0.0)
-        x2 = x * x
-        w = ((((0.4 * x2 + 6.3) * x2 + 36.0) * x2 + 94.5) / cn - x2 - 3.0) / bn
-        w += 1.0
-        w *= x
-        out[i] = np.sqrt(n * np.expm1(an * w * w))
-    i = np.flatnonzero(~normal)
-    if i.size:
-        n, yt = df[i], y[i]
-        w = 1.0 / (((n + 6.0) / (n * yt) - 0.089 * d[i] - 0.822) * (n + 2.0) * 3.0)
-        w += 0.5 / (n + 4.0)
-        w = (w * yt - 1.0) * (n + 1.0) / (n + 2.0) + 1.0 / yt
-        # Where y is below the rounding unit, |t| = sqrt(df / y).
-        far = np.sqrt(n) * np.exp(-0.5 * log_y[i])
-        out[i] = np.where(yt > 2.0**-52, np.sqrt(n * w), far)
-    return out
-
-
-def _halley_step(df: np.ndarray, q: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Halley's step in u = ln s towards the root of G(u) = ln(P(T_df <=
-    -s) / q): G is linear in u where the tail is a power of s, and -s^2/2
-    plus lower terms where it is normal."""
-    tail, h = _lower_tail(df, s, scaled_density=True)
-    # G_u = -h with h = s density / tail, G_uu = h (c - h - 1).
-    c = (df + 1.0) / (df / (s * s) + 1.0)
-    h /= tail
-    g = np.log(tail / q) / h
-    g /= 1.0 - 0.5 * g * (c - h - 1.0)
-    return g
-
-
-def stdtrit_start(df, p):
-    """A t with ``stdtr(df, t)`` close to p, as a start for a checked search.
-
-    Hill's start, then Halley steps on ln P(T <= -|t|) in ln|t|, where it
-    is nearly linear, while a step exceeds 1e-5: for df >= 1 and p down
-    to 1e-300 the result is within 2e-13 relative of the exact quantile,
-    near enough for a step of 2^-40 |t| to pass a forward check.  NaN
-    where p is not in (0, 1) or df is not positive; df < 1 starts from
-    the Cauchy quantile and may end further off.
-    """
-    df, p = np.broadcast_arrays(np.asarray(df, dtype=float), np.asarray(p, dtype=float))
-    shape = df.shape
-    df, p = df.ravel(), p.ravel()
-    q = np.minimum(p, 1.0 - p)
-    t = np.full(df.shape, np.nan)
-    valid = (df > 0.0) & (df < np.inf)
-    t[valid & (q == 0.5)] = 0.0
-    i = np.flatnonzero(valid & (q > 0.0) & (q < 0.5))
-    for k in range(0, i.size, _CHUNK):
-        j = i[k : k + _CHUNK]
-        t[j] = _quantile(df.take(j), q.take(j))
-    np.negative(t, out=t, where=p < 0.5)
-    return t.reshape(shape)[()]
-
-
-def _quantile(df: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """|t| with P(T_df <= -|t|) = q in (0, 1/2): Hill's start, or the
-    Cauchy quantile for df < 1, then Halley steps while they exceed 1e-5,
-    at most ``_START_STEPS``: the error after a step is about its cube."""
-    with np.errstate(all="ignore"):
-        s = _hill_start(np.maximum(df, 1.0), q)
-        if (df < 1.0).any():
-            s = np.where(df < 1.0, 1.0 / np.tan(math.pi * q), s)
-        step = _halley_step(df, q, s)
-        s *= np.exp(step)
-        i = np.flatnonzero(~(np.abs(step) <= 1e-5))
-        for _ in range(_START_STEPS - 1):
-            if not i.size:
-                break
-            step = _halley_step(df[i], q[i], s[i])
-            s[i] *= np.exp(step)
-            i = i[~(np.abs(step) <= 1e-5)]
-    return s

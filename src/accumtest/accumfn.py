@@ -209,9 +209,9 @@ def evaluate(
     return values.reshape(arr.shape)
 
 
-def unit_integral(spec: AccumulationSpec, tol: float = QUAD_TOL) -> float:
+def unit_integral(spec: AccumulationSpec) -> float:
     """Full integral of h over [0, 1]: exact for step functions, and
-    otherwise the mean of h(p) under the uniform density, to ``tol``.
+    otherwise the mean of h(p) under the uniform density, to ``QUAD_TOL``.
 
     Exists to validate specs numerically; every well-formed spec should
     return 1.
@@ -219,7 +219,7 @@ def unit_integral(spec: AccumulationSpec, tol: float = QUAD_TOL) -> float:
     steps = spec.steps
     if steps is not None:
         return piece_total(steps)
-    return nonnull_mean(spec, AlternativeDensity.uniform(), tol)
+    return nonnull_mean(spec, AlternativeDensity.uniform())
 
 
 def truncated_integral(spec: AccumulationSpec, cap: float) -> float:
@@ -246,11 +246,7 @@ def truncated_integral(spec: AccumulationSpec, cap: float) -> float:
     return -math.expm1(-cap / c)
 
 
-def nonnull_mean(
-    spec: AccumulationSpec,
-    density: AlternativeDensity,
-    tol: float = QUAD_TOL,
-) -> float:
+def nonnull_mean(spec: AccumulationSpec, density: AlternativeDensity) -> float:
     """Mean of h(p) when p is drawn from ``density``.
 
     This is the quantity that governs asymptotic power: smaller means
@@ -267,7 +263,8 @@ def nonnull_mean(
     left.  The sweep stops at s = 700 and adds the rest,
     ``G(exp(-700)) / k``, where G(u) is a constant times u**k up to a
     relative O(u) (``density.upper_tail_power`` gives k).  The
-    quadrature runs to ``tol / C``, so that C times it meets ``tol``.
+    quadrature runs to ``QUAD_TOL / C``, so that C times it meets
+    ``QUAD_TOL``.
     """
     steps = spec.steps
     if steps is not None:
@@ -277,7 +274,7 @@ def nonnull_mean(
     c = 1.0 if spec.family is Family.FORWARD_STOP else spec.c_param
     integrand = lambda s: density.upper_tail(np.exp(-s))
     kinks = [-math.log1p(-x) for x in density.kinks()]
-    body = integrate_with_splits(integrand, math.log(c), _S_MAX, kinks, tol / c)
+    body = integrate_with_splits(integrand, math.log(c), _S_MAX, kinks, QUAD_TOL / c)
     tail = float(density.upper_tail(math.exp(-_S_MAX))) / density.upper_tail_power
     return c * (body + tail)
 

@@ -82,9 +82,14 @@ _GRID_DECIMALS = 9
 # tail) keep the order of tail outside the band.
 _TAIL_SLACK = 2.0**-20
 _ABS_SLACK = 2.0**-51
-# Fourfold steps that move an inverse-CDF threshold outward until a
-# forward call confirms it; after these the threshold is dropped.
-_WIDEN_STEPS = 40
+
+# The x at which ``_tail_table`` evaluates the t-CDF: -2^(j/64) from
+# -2^64 to -2^-30, then 0, rising.  The table is a fixed cost per design
+# and a finer grid leaves fewer relabelings per gene to the t-CDF.  On
+# the benchmark's dosage data, 64 steps per octave ran as fast as 32 and
+# faster than 128, and pay off over 32 from about 200 (11 440
+# relabelings) or 4 500 (462) genes on.
+_SCREEN_POINTS = np.append(-np.exp2(np.arange(64 * 64, -30 * 64 - 1, -1) / 64.0), 0.0)
 
 
 class Group(Enum):
@@ -300,15 +305,19 @@ def _welch_tails(
             s_x += rs_x
             s_x *= rs_x
             a_x -= s_x
-        del rs_c, rs_l
+        # The loop names still hold the low group's arrays.
+        del rs_c, rs_l, rs_x, s_x, s_l
         w = r * (2.0 * h + r)
         ws_c, ws_l = _group_sums(w, indicator)
+        del w
         for n, ws_x, a_x in ((m_c, ws_c, a_c), (m_l, ws_l, a_l)):
             ws_x *= n
             a_x += ws_x
             np.maximum(a_x, 0.0, out=a_x)
-        del ws_c, ws_l
-    del sums, s_c, s_l
+        del ws_c, ws_l, ws_x
+    else:
+        del s_l
+    del sums, s_c
     spreads = ((a_l, m_l), (a_c, m_c))
     se2 = np.zeros_like(d)
     for a, n in spreads:
@@ -359,35 +368,6 @@ def _two_sided(d: np.ndarray, tail: np.ndarray, degenerate: np.ndarray) -> np.nd
     return two
 
 
-def _verified_t(df: np.ndarray, p: np.ndarray, above: np.ndarray) -> np.ndarray:
-    """Per element a t with stdtr(df, t) > p where ``above``, else < p.
-
-    Starts from ``_tails.stdtrit_start`` and moves t away from p in
-    growing steps until one forward ``_tails.stdtr`` call confirms it, so
-    the result rests on ``stdtr`` alone, not on the accuracy of the
-    start.  NaN where no such t was found, as for p outside (0, 1) or a
-    non-finite df.
-    """
-    t = _tails.stdtrit_start(df, p)
-    above = np.broadcast_to(above, t.shape)
-    step = np.ldexp(np.fmax(np.abs(t), 1.0), -40)
-    np.negative(step, out=step, where=~above)
-    t += step
-    finite = np.isfinite(t)
-    t[~finite] = np.nan
-    idx = np.nonzero(finite)
-    for _ in range(_WIDEN_STEPS):
-        if not idx[0].size:
-            break
-        tail = _tails.stdtr(df[idx], t[idx])
-        wrong = np.where(above[idx], tail <= p[idx], tail >= p[idx])
-        idx = tuple(i[wrong] for i in idx)
-        t[idx] += step[idx]
-        step[idx] *= 4.0
-    t[idx] = np.nan
-    return t
-
-
 def _df_bounds(m_c: int, m_l: int) -> tuple[float, float]:
     """Bounds on the Welch df of every relabeling into groups of m_c and m_l.
 
@@ -404,21 +384,44 @@ def _df_bounds(m_c: int, m_l: int) -> tuple[float, float]:
     return lo * (1.0 - 2.0**-40), hi * (1.0 + 2.0**-40)
 
 
-def _thresholds(tail0: np.ndarray, df_lo, df_hi) -> np.ndarray:
+@lru_cache(maxsize=1)
+def _tail_table(df_lo: float, df_hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The t-CDF at ``_SCREEN_POINTS`` for df_lo and for df_hi, made monotone.
+
+    Entry k of the first is the largest tail of df_lo at points up to
+    k, and of the second the smallest tail of df_hi at points from k on,
+    so both rise with k, and a bound met by entry k is met at every
+    point below it (first) or above it (second).  NaN throughout for NaN
+    bounds.
+    """
+    lower = np.maximum.accumulate(_tails.stdtr(df_lo, _SCREEN_POINTS))
+    upper = np.minimum.accumulate(_tails.stdtr(df_hi, _SCREEN_POINTS)[::-1])[::-1]
+    lower.setflags(write=False)
+    upper.setflags(write=False)
+    return lower, upper
+
+
+def _thresholds(tail0: np.ndarray, df_lo: float, df_hi: float) -> np.ndarray:
     """Per row the x thresholds (below, above) of ``_screened_tails``.
 
     stdtr(df_lo, below) < tail0 - slack and stdtr(df_hi, above) > tail0 +
-    slack, each confirmed by ``_verified_t``, with slack = ``_TAIL_SLACK``
-    * tail0 + ``_ABS_SLACK``; df_lo and df_hi bound the df of every
-    relabeling of the row.  NaN where there is no such threshold, as for
-    a tail0 of 0, or of NaN, or NaN bounds.
+    slack, with slack = ``_TAIL_SLACK`` * tail0 + ``_ABS_SLACK``, read off
+    the ``_tail_table`` of the design's df bounds: below is the highest
+    point whose entry, and every entry before it, meets its bound, and
+    above the lowest such point with every entry after it.  Each chosen
+    entry is checked again, so the thresholds rest on ``_tails.stdtr``
+    alone.  NaN where no point qualifies, as for a tail0 of NaN (which
+    sorts last), a below threshold for a tail0 of 0, or NaN bounds.
     """
+    lower, upper = _tail_table(df_lo, df_hi)
     slack = tail0 * _TAIL_SLACK + _ABS_SLACK
-    return _verified_t(
-        np.stack(np.broadcast_arrays(df_lo, df_hi, tail0)[:2], axis=-1),
-        np.stack([tail0 - slack, tail0 + slack], axis=-1),
-        np.array([False, True]),
-    )
+    target = tail0 - slack
+    k = np.maximum(np.searchsorted(lower, target, side="left") - 1, 0)
+    below = np.where(lower[k] < target, _SCREEN_POINTS[k], np.nan)
+    target = tail0 + slack
+    k = np.minimum(np.searchsorted(upper, target, side="right"), upper.size - 1)
+    above = np.where(upper[k] > target, _SCREEN_POINTS[k], np.nan)
+    return np.stack([below, above], axis=-1)
 
 
 def _screened_tails(
@@ -462,6 +465,25 @@ def _screened_tails(
     return tail
 
 
+def _true_tails(
+    h: np.ndarray, r: np.ndarray, m_first: int, m_second: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Welch test of each row under its true labeling, one t-CDF call.
+
+    (h, r) are the ``_exact_units`` of rows whose first ``m_first``
+    columns form one group and the other ``m_second`` the second.
+    ``_welch_tails`` gives each relabeling's x and df from its own
+    indicator column alone, so these bits are those of column 0 of any
+    permutation pass.  Returns (d, tail, degenerate) per row: d has the
+    sign of mean(second) - mean(first), tail is P(T_df <= -|t|), and
+    degenerate marks rows where both spread terms vanish.
+    """
+    identity = np.zeros((m_first + m_second, 1))
+    identity[:m_first] = 1.0
+    d, x, df, degenerate = _welch_tails(h, r, m_first, m_second, identity)
+    return d[:, 0], _tails.stdtr(df[:, 0], x[:, 0]), degenerate[:, 0]
+
+
 def _welch_rows(
     a: np.ndarray, b: np.ndarray, plus
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -471,16 +493,10 @@ def _welch_rows(
     scores mean(a) > mean(b).  Also returns d, which has the sign of
     mean(a) - mean(b) and is exactly zero for equal means on grid rows.
     """
-    n_b = b.shape[1]
-    indicator = np.zeros((n_b + a.shape[1], 1))
-    indicator[:n_b] = 1.0
     h, r = _exact_units(np.hstack([b, a]))
-    d, x, df, degenerate = _welch_tails(h, r, n_b, a.shape[1], indicator)
-    tail = _tails.stdtr(df, x)
-    signed = np.where(np.reshape(plus, (-1, 1)), d, -d)
-    one = _one_sided(signed, tail, degenerate)
-    two = _two_sided(d, tail, degenerate)
-    return one[:, 0], two[:, 0], d[:, 0]
+    d, tail, degenerate = _true_tails(h, r, b.shape[1], a.shape[1])
+    one = _one_sided(np.where(plus, d, -d), tail, degenerate)
+    return one, _two_sided(d, tail, degenerate), d
 
 
 def _check_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -563,31 +579,28 @@ def _scored_columns(m_c: int, m_l: int) -> int:
     return count // 2 if m_c == m_l else count
 
 
+def _batch_columns(m_c: int, m_l: int) -> int:
+    """Columns of the widest arrays a pass holds: the relabelings scored,
+    or the m_c + m_l pooled values where those are more."""
+    return max(_scored_columns(m_c, m_l), m_c + m_l)
+
+
+def _chunk_rows(columns: int) -> int:
+    """Gene rows per batch: the most whose ``_BATCH_ARRAYS`` (rows x
+    ``columns``) float64 arrays fit in ``_BATCH_BUDGET``, at least 1."""
+    return max(1, _BATCH_BUDGET // (columns * 8 * _BATCH_ARRAYS))
+
+
 def _permutation_rows(
-    values: np.ndarray,
-    m_c: int,
-    m_l: int,
-    plus_mask: np.ndarray,
-    units: Optional[tuple[np.ndarray, np.ndarray]] = None,
-    screen: Optional[tuple[np.ndarray, np.ndarray]] = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    values: np.ndarray, m_c: int, m_l: int, plus_mask: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Rank-calibrate each row of ``values`` over all relabelings.
 
     ``values`` has one row per gene and ``m_c + m_l`` columns with the
-    true control values first.  One ``_welch_tails`` pass scores every
-    relabeling both one-sided, in the row's ``plus_mask`` direction, and
-    two-sided; it holds (rows x P) float64 arrays, never the relabeled
-    values themselves.  The t-CDF is evaluated only for the relabelings
-    whose side of the true labeling's tail ``_screened_tails`` cannot
-    tell from the ``_screen`` thresholds, so every comparison, and the
-    rank, is that of the full evaluation.  When m_c = m_l only the P/2
-    relabelings that keep column 0 in the control group are scored:
-    swapping the groups keeps the tail and df bit for bit and negates the
-    difference, so each complement's one-sided p comes from the same tail
-    with the sign flipped, and its two-sided p is the same.  ``units`` is
-    ``_exact_units(values)`` when the caller has it already; since that
-    is computed row by row, any slice of it is the units of the same
-    slice of values, and ``screen`` is ``_screen`` of those units.
+    true control values first.  The ``_exact_units`` of every row, its
+    true labeling's tail and the ``_thresholds`` of that tail are found
+    once; the rows are then scored by ``_score_batch`` in batches of
+    ``_chunk_rows``.  Results do not depend on the batch size.
 
     Returns (p_init, p_final, p_perm_two, p_two): the one-sided p under
     the true labels, its rank #{relabelings with p <= p_init} / P, the
@@ -596,61 +609,67 @@ def _permutation_rows(
     relabelings with equal Welch statistics get bitwise-equal p-values,
     so the rank counts every tie.
     """
+    h, r = _exact_units(values)
+    d, tail0, degenerate = _true_tails(h, r, m_c, m_l)
+    scores = np.empty((4, values.shape[0]))
+    scores[3] = _two_sided(d, tail0, degenerate)
+    del d, degenerate
+    thresholds = _thresholds(tail0, *_df_bounds(m_c, m_l))
+    rows = _chunk_rows(_batch_columns(m_c, m_l))
+    for start in range(0, values.shape[0], rows):
+        batch = slice(start, start + rows)
+        scores[:3, batch] = _score_batch(
+            h[batch], r[batch], m_c, m_l, plus_mask[batch], tail0[batch],
+            thresholds[batch],
+        )
+    return tuple(scores)
+
+
+def _score_batch(
+    h: np.ndarray,
+    r: np.ndarray,
+    m_c: int,
+    m_l: int,
+    plus_mask: np.ndarray,
+    tail0: np.ndarray,
+    thresholds: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p_init, p_final, p_perm_two) of ``_permutation_rows`` for one batch.
+
+    (h, r) are the rows' ``_exact_units``, and ``tail0`` and
+    ``thresholds`` their true tails and ``_thresholds``; since each is
+    found row by row, any slice of them belongs to the same slice of
+    rows.  One ``_welch_tails`` pass scores every relabeling both
+    one-sided, in the row's ``plus_mask`` direction, and two-sided; it
+    holds (rows x P) float64 arrays, never the relabeled values
+    themselves.  The t-CDF is evaluated only for the relabelings whose
+    side of the true labeling's tail ``_screened_tails`` cannot tell from
+    the thresholds, so every comparison, and the rank, is that of the
+    full evaluation.  When m_c = m_l only the P/2 relabelings that keep
+    column 0 in the control group are scored: swapping the groups keeps
+    the tail and df bit for bit and negates the difference, so each
+    complement's one-sided p comes from the same tail with the sign
+    flipped, and its two-sided p is the same.
+    """
     count = math.comb(m_c + m_l, m_c)
     scored = _scored_columns(m_c, m_l)
     indicator = _partition_table(m_c + m_l, m_c)[:, :scored]
-    h, r = _exact_units(values) if units is None else units
-    if screen is None:
-        screen = _screen(h, r, m_c, m_l)
     d, x, df, degenerate = _welch_tails(h, r, m_c, m_l, indicator)
-    tail = _screened_tails(x, df, *screen)
+    tail = _screened_tails(x, df, tail0, thresholds)
     del df
     signed = np.where(plus_mask[:, None], d, -d)
     one = _one_sided(signed, tail, degenerate)
-    p_init = one[:, :1]
+    p_init = one[:, :1].copy()
     hits = np.count_nonzero(one <= p_init, axis=1)
     del one
     two = _two_sided(d, tail, degenerate)
-    p_two = two[:, 0].copy()
     hits_two = np.count_nonzero(two <= two[:, :1], axis=1)
     del two
     if scored < count:
         mirrored = _one_sided(-signed, tail, degenerate)
         hits += np.count_nonzero(mirrored <= p_init, axis=1)
         hits_two *= 2
-    return p_init[:, 0], hits / count, hits_two / count, p_two
-
-
-def _screen(
-    h: np.ndarray, r: np.ndarray, m_c: int, m_l: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's true-labeling tail and its ``_thresholds``, in a few calls.
-
-    ``_welch_tails`` gives each relabeling's x and df from its own
-    indicator column alone, so the true labeling's tail has the bits of
-    column 0 of any batch's pass.  The thresholds take the df bounds of
-    the design, ``_df_bounds``, so that every row is screened before any
-    batch is scored.  Each row is handled on its own values only.
-    """
-    identity = _partition_table(m_c + m_l, m_c)[:, :1]
-    _, x, df, _ = _welch_tails(h, r, m_c, m_l, identity)
-    tail0 = _tails.stdtr(df[:, 0], x[:, 0])
-    return tail0, _thresholds(tail0, *_df_bounds(m_c, m_l))
-
-
-def _batch_columns(m_c: int, m_l: int) -> int:
-    """Columns of the widest arrays a pass holds: the relabelings scored,
-    or the m_c + m_l pooled values where those are more."""
-    return max(_scored_columns(m_c, m_l), m_c + m_l)
-
-
-def _chunk_rows(columns: int, chunk: Optional[int] = None) -> int:
-    """Gene rows per batch: the most whose ``_BATCH_ARRAYS`` (rows x
-    ``columns``) float64 arrays fit in ``_BATCH_BUDGET``, at least 1, at
-    most ``chunk``.
-    """
-    rows = max(1, _BATCH_BUDGET // (columns * 8 * _BATCH_ARRAYS))
-    return rows if chunk is None else min(rows, chunk)
+    return p_init[:, 0], hits / count, hits_two / count
 
 
 def permutation_pvalue(
@@ -756,7 +775,6 @@ def run_pipeline(
     methods: Optional[Sequence[Method]] = None,
     alpha_grid: Sequence[float] = DEFAULT_DOSAGE_ALPHAS,
     include_baselines: bool = True,
-    chunk: Optional[int] = None,
 ) -> PipelineResult:
     """Rank genes, calibrate p-values, run every method, and tabulate counts.
 
@@ -770,12 +788,11 @@ def run_pipeline(
     permutation pass: the t-test p-value is the true labeling's.
 
     A level of exactly zero yields zero discoveries for every method by
-    definition.  Levels must lie in [0, 1).  Gene rows are scored in
-    batches by one ``_permutation_rows`` pass each.  The batch size
-    follows from the number of relabelings scored, so that the (rows x
-    P) float64 arrays a pass holds stay within a fixed byte budget, and
-    ``chunk`` caps it.  Results do not depend on the batch size.  The
-    count table is built as columns, ready for a column-wise writer.
+    definition.  Levels must lie in [0, 1).  ``_permutation_rows`` scores
+    the gene rows in batches sized so that the (rows x P) float64 arrays
+    a pass holds stay within a fixed byte budget; results do not depend
+    on the batch size.  The count table is built as columns, ready for a
+    column-wise writer.
     """
     if methods is None:
         methods = default_methods()
@@ -785,8 +802,6 @@ def run_pipeline(
     for a in alphas:
         if not 0.0 <= a < 1.0:
             raise DomainError(f"alpha must lie in [0, 1), got {a}")
-    if chunk is not None and chunk < 1:
-        raise DomainError("chunk must be positive")
     m_c = matrix.group_size(Group.CONTROL)
     m_l = matrix.group_size(Group.LOW)
     if include_baselines and (m_c < 2 or m_l < 2):
@@ -799,21 +814,10 @@ def run_pipeline(
 
     row_order = np.array([r.original_index for r in ranks], dtype=np.intp)
     plus_mask = np.array([r.sign is Sign.PLUS for r in ranks])
-    ordered_pool = pooled[row_order]
-
-    n = matrix.n_genes
+    p_init, p_final, p_perm_two, p_t_two = _permutation_rows(
+        pooled[row_order], m_c, m_l, plus_mask
+    )
     grid_size = math.comb(m_c + m_l, m_c)
-    rows = _chunk_rows(_batch_columns(m_c, m_l), chunk)
-    h, r = _exact_units(ordered_pool)
-    tail0, thresholds = _screen(h, r, m_c, m_l)
-    scores = np.empty((4, n))
-    for start in range(0, n, rows):
-        batch = slice(start, start + rows)
-        scores[:, batch] = _permutation_rows(
-            ordered_pool[batch], m_c, m_l, plus_mask[batch], (h[batch], r[batch]),
-            (tail0[batch], thresholds[batch]),
-        )
-    p_init, p_final, p_perm_two, p_t_two = scores
 
     records = tuple(
         GeneRecord(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -41,6 +41,11 @@ __all__ = [
     "envelope_exit_fraction",
     "centered_mgf",
 ]
+
+# Walks simulated per block by ``envelope_exit_fraction``; the draws, and
+# so the result, do not depend on it.
+_WALK_ROWS = 500
+
 
 @dataclass(frozen=True)
 class SignalCurve:
@@ -364,17 +369,14 @@ def envelope_exit_fraction(
     t_max: int,
     n_walks: int,
     seed: int,
-    increments: Optional[Callable[[np.random.Generator, tuple], np.ndarray]] = None,
-    chunk: int = 500,
 ) -> float:
     """Fraction of simulated walks that ever leave the envelope.
 
-    Walks have ``t_max`` i.i.d. centered increments, drawn from
-    ``Normal(0, sigma2)`` unless a custom sampler is given; a sampler
-    receives the generator and the required shape and must return
-    centered draws.  The envelope guarantee promises a fraction at most
-    ``epsilon`` in the appropriate moment regime, so this is the
-    companion empirical check to :func:`random_walk_envelope`.
+    Walks have ``t_max`` i.i.d. increments drawn from ``Normal(0,
+    sigma2)``, ``_WALK_ROWS`` walks at a time.  The envelope guarantee
+    promises a fraction at most ``epsilon`` in the appropriate moment
+    regime, so this is the companion empirical check to
+    :func:`random_walk_envelope`.
     """
     t_max = int(t_max)
     n_walks = int(n_walks)
@@ -386,11 +388,8 @@ def envelope_exit_fraction(
     exited = 0
     done = 0
     while done < n_walks:
-        m = min(chunk, n_walks - done)
-        if increments is None:
-            steps = rng.standard_normal((m, t_max)) * sigma
-        else:
-            steps = increments(rng, (m, t_max))
+        m = min(_WALK_ROWS, n_walks - done)
+        steps = rng.standard_normal((m, t_max)) * sigma
         walks = np.cumsum(steps, axis=1)
         exited += int(np.count_nonzero(np.any(np.abs(walks) > bound, axis=1)))
         done += m

@@ -23,6 +23,7 @@ Reproducibility rules used throughout:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -126,7 +127,9 @@ class SimConfig:
     """Parameters of the ranked-trial protocol.
 
     ``mu1`` controls how informative the ordering is, ``mu2`` how
-    strong the tested signal is.  ``seed`` is interpreted modulo 2^64.
+    strong the tested signal is.  Neither may be NaN; +-inf give the
+    limit of an infinitely strong signal, since both scores enter through
+    |z|.  ``seed`` is interpreted modulo 2^64.
     """
 
     n: int = 1000
@@ -146,6 +149,9 @@ class SimConfig:
         if not grid or any(not 0.0 < a < 1.0 for a in grid):
             raise DomainError("alpha grid values must lie in (0, 1)")
         object.__setattr__(self, "alpha_grid", grid)
+        for name in ("mu1", "mu2"):
+            if math.isnan(getattr(self, name)):
+                raise DomainError(f"{name} must be a number, got nan")
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
 

@@ -223,6 +223,30 @@ class TestCmdSimulate:
             if field.name != "seed":
                 assert getattr(args, field.name) == field.default, field.name
 
+    @pytest.mark.parametrize("option", ["--mu1", "--mu2"])
+    def test_nan_mean_is_a_domain_error(self, option, capsys):
+        # A NaN --mu1 once gave a table of zeros and exit 0, and a NaN
+        # --mu2 the unrelated "p-values must lie in [0, 1]" and exit 3.
+        args = ["simulate", "--seed", "1", "--n", "20", "--n-nonnull", "5"]
+        code, out, err = run_cli(args + ["--trials", "2", option, "nan"], capsys)
+        assert code == 4
+        assert out == ""
+        assert err == f"error: {option[2:]} must be a number, got nan\n"
+
+    @pytest.mark.parametrize("option", ["--mu1", "--mu2"])
+    def test_infinite_mean_is_the_strong_signal_limit(self, option, capsys):
+        # Both scores enter through |z|, so the sign of an infinite mean
+        # does not matter.
+        args = ["simulate", "--seed", "1", "--n", "20", "--n-nonnull", "5"]
+        outs = []
+        for value in ("inf", "-inf"):
+            code, out, _ = run_cli(args + ["--trials", "2", f"{option}={value}"], capsys)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        rows = [line.split(",") for line in outs[0].strip().splitlines()[1:]]
+        assert all(0.0 <= float(row[2]) <= 1.0 for row in rows)
+
     def test_seed_is_mandatory(self, capsys):
         code, _, err = run_cli(["simulate", "--trials", "2"], capsys)
         assert code == 2

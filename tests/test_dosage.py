@@ -7,6 +7,7 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy import special
 
 from accumtest import (
     ContractError,
@@ -30,6 +31,7 @@ from accumtest.dosage import (
     MAX_PARTITIONS,
     _BATCH_ARRAYS,
     _BATCH_BUDGET,
+    _SCREEN_POINTS,
     _TABLE_BUDGET,
     _TAIL_SLACK,
     _batch_columns,
@@ -42,6 +44,7 @@ from accumtest.dosage import (
     _permutation_rows,
     _scored_columns,
     _screened_tails,
+    _tail_table,
     _thresholds,
     _two_sided,
     _welch_tails,
@@ -72,6 +75,13 @@ def gaussian_matrix(
     if decimals is not None:
         values = values.round(decimals)
     return make_matrix(values, m_c, m_l, m_h)
+
+
+def rows_per_batch(monkeypatch, m_c, m_l, rows):
+    """Set ``_BATCH_BUDGET`` so that the engine scores ``rows`` genes per batch."""
+    budget = rows * _batch_columns(m_c, m_l) * 8 * _BATCH_ARRAYS
+    monkeypatch.setattr(dosage, "_BATCH_BUDGET", budget)
+    assert _chunk_rows(_batch_columns(m_c, m_l)) == rows
 
 
 def partitions(m, m_c):
@@ -383,15 +393,15 @@ class TestRunPipeline:
                     total_out += x[row, k] - term
                 assert (inside[row, j], outside[row, j]) == (total_in, total_out)
 
-    def test_chunk_size_does_not_change_output(self):
+    def test_chunk_size_does_not_change_output(self, monkeypatch):
         # Off-grid rows must not take their bits from the BLAS kernel,
         # whose summation order changes with the number of rows.
         for (m_c, m_l), decimals in itertools.product([(3, 3), (4, 3)], [2, None]):
             matrix = gaussian_matrix(4, 30, m_c, m_l, 2, decimals=decimals)
-            results = [
-                run_pipeline(matrix, alpha_grid=(0.15,), chunk=chunk)
-                for chunk in (1, 7, 512)
-            ]
+            results = []
+            for rows in (1, 7, 512):
+                rows_per_batch(monkeypatch, m_c, m_l, rows)
+                results.append(run_pipeline(matrix, alpha_grid=(0.15,)))
             for other in results[1:]:
                 assert other.records == results[0].records
                 assert other.rows == results[0].rows
@@ -432,7 +442,9 @@ class TestRunPipeline:
         monkeypatch.setattr(dosage, "_exact_units", counted)
         matrix = gaussian_matrix(15, 7, 9, 7, 4)
         assert _chunk_rows(_scored_columns(9, 7)) < 7
-        run_pipeline(matrix, alpha_grid=(0.1,), chunk=chunk)
+        if chunk is not None:
+            rows_per_batch(monkeypatch, 9, 7, chunk)
+        run_pipeline(matrix, alpha_grid=(0.1,))
         assert shapes == [(7, 20), (7, 16)]
 
     def test_chunk_rule_bounds_gathered_bytes(self):
@@ -443,7 +455,6 @@ class TestRunPipeline:
             assert rows >= 1
             if rows > 1:
                 assert rows * columns * 8 * _BATCH_ARRAYS <= _BATCH_BUDGET
-            assert _chunk_rows(columns, chunk=3) == min(rows, 3)
 
     @pytest.mark.parametrize(
         "m_c,m_l,decimals",
@@ -467,10 +478,11 @@ class TestRunPipeline:
 
     def test_one_tcdf_element_per_relabeling(self, monkeypatch):
         # At most one t-CDF element per scored relabeling, plus one per
-        # gene for the ordering and one per gene of slack; the baselines
-        # reuse the true labeling's tail.  The screen pays for its own
-        # per-gene calls (the true labeling's tail and two checked
-        # thresholds) by skipping most relabelings.
+        # gene for the ordering and one per gene of slack, plus the
+        # screen's table at the design's two df bounds, made once per
+        # design; the baselines reuse the true labeling's tail.  The
+        # screen pays for the table and the true labeling's tail by
+        # skipping most relabelings.
         counted = []
         stdtr = _tails.stdtr
 
@@ -479,15 +491,23 @@ class TestRunPipeline:
             return stdtr(*args)
 
         monkeypatch.setattr(_tails, "stdtr", counting_stdtr)
+        table = 2 * _SCREEN_POINTS.size
         genes = 5
         # With m_c = m_l only half the relabelings are scored.
         for m_c, m_l in [(4, 4), (4, 3)]:
             counted.clear()
+            _tail_table.cache_clear()
             run_pipeline(gaussian_matrix(8, genes, m_c, m_l, 3), alpha_grid=(0.1,))
-            assert sum(counted) <= genes * _scored_columns(m_c, m_l) + genes + genes
+            bound = genes * _scored_columns(m_c, m_l) + genes + genes + table
+            assert sum(counted) <= bound
         counted.clear()
+        _tail_table.cache_clear()
         genes = 200
         run_pipeline(gaussian_matrix(3, genes, 6, 5, 3), alpha_grid=(0.1,))
+        assert sum(counted) < 0.1 * genes * _scored_columns(6, 5) + table
+        # A second run of the same design reads the cached table.
+        counted.clear()
+        run_pipeline(gaussian_matrix(4, genes, 6, 5, 3), alpha_grid=(0.1,))
         assert sum(counted) < 0.1 * genes * _scored_columns(6, 5)
 
     def test_planted_signal_beats_step_up_baselines(self):
@@ -555,13 +575,14 @@ class TestRunPipeline:
             run_pipeline(gaussian_matrix(6, 30, 1, 11, 3), alpha_grid=(0.1,))
 
     @pytest.mark.parametrize("m_c,m_l,decimals", [(3, 3, 2), (4, 3, None), (2, 5, 1)])
-    def test_t_baselines_are_welch_per_gene(self, m_c, m_l, decimals):
+    def test_t_baselines_are_welch_per_gene(self, m_c, m_l, decimals, monkeypatch):
         matrix = gaussian_matrix(
             31, 80, m_c, m_l, 2, planted=30, low_shift=2.5, high_shift=2.0,
             decimals=decimals,
         )
         alphas = (0.05, 0.2, 0.5)
-        result = run_pipeline(matrix, alpha_grid=alphas, chunk=7)
+        rows_per_batch(monkeypatch, m_c, m_l, 7)
+        result = run_pipeline(matrix, alpha_grid=alphas)
         control = matrix.columns(Group.CONTROL)
         low = matrix.columns(Group.LOW)
         p_t = [welch_p_two_sided(low[i], control[i]) for i in range(matrix.n_genes)]
@@ -830,25 +851,30 @@ SCREEN_CASES = [
 ]
 
 
-def shift_stdtrit(monkeypatch, error):
-    """Make every ``stdtrit_start`` threshold off by ``error``, relative."""
-    start = _tails.stdtrit_start
-    monkeypatch.setattr(
-        _tails, "stdtrit_start", lambda df, p: start(df, p) * (1.0 + error)
-    )
+def shift_points(monkeypatch, error):
+    """Move every point of the screen's t-CDF table by ``error``, relative."""
+    monkeypatch.setattr(dosage, "_SCREEN_POINTS", _SCREEN_POINTS * (1.0 + error))
+    _tail_table.cache_clear()
 
 
 class TestTailScreen:
     """The t-CDF is skipped only where no rank comparison can change.
 
-    ``error`` puts every ``stdtrit_start`` threshold off by that much, so
-    that only the forward ``stdtr`` check keeps the screen right.
+    ``error`` moves every point of the threshold table by that much, so
+    that the thresholds rest on the ``stdtr`` values at the points alone,
+    not on where the points lie.
     """
+
+    @pytest.fixture(autouse=True)
+    def fresh_table(self):
+        _tail_table.cache_clear()
+        yield
+        _tail_table.cache_clear()
 
     @pytest.mark.parametrize("error", [0.0, 1e-3, -1e-3])
     @pytest.mark.parametrize("case,m_c,m_l", SCREEN_CASES)
     def test_ranks_equal_full_evaluation(self, case, m_c, m_l, error, monkeypatch):
-        shift_stdtrit(monkeypatch, error)
+        shift_points(monkeypatch, error)
         pools = screening_pools(case, m_c, m_l)
         plus = np.arange(len(pools)) % 2 == 0
         got = _permutation_rows(pools, m_c, m_l, plus)
@@ -880,7 +906,9 @@ class TestTailScreen:
         matrix = gaussian_matrix(
             12, 40, 5, 4, 2, planted=8, low_shift=2.0, high_shift=3.0, decimals=decimals
         )
-        got = run_pipeline(matrix, alpha_grid=(0.1, 0.3), chunk=1)
+        with monkeypatch.context() as patch:
+            rows_per_batch(patch, 5, 4, 1)
+            got = run_pipeline(matrix, alpha_grid=(0.1, 0.3))
         monkeypatch.setattr(dosage, "_screened_tails", full_tails)
         want = run_pipeline(matrix, alpha_grid=(0.1, 0.3))
         assert got.records == want.records
@@ -891,8 +919,9 @@ class TestTailScreen:
         """Rows built around a given true tail, where rank comparisons
         are closest: fl(1 - tail) collapsing near 1, a true tail of 1/2
         or 0, tails just beside the true one or just below 1/2, NaN df.
-        Each target gets a row with one df, where the bands are tight,
-        and a row with a wide df range."""
+        Each target gets a row with one df and a row with a wide df
+        range; one pair of df bounds covers every row.  The x of each
+        tail comes from scipy's inverse t."""
         rng = np.random.Generator(np.random.Philox(key=77))
         k = 400
         targets = [1e-16, 3e-17, 2.0**-52, 0.5, 0.0, 1e-3, 0.2, 0.4999]
@@ -911,7 +940,7 @@ class TestTailScreen:
         df[degenerate] = np.nan
         df[-1, 5:9] = np.nan
         tails = np.array(tails)
-        x = _tails.stdtrit_start(df, tails)
+        x = special.stdtrit(df, tails)
         x[tails == 0.0] = -1e80
         x[(targets.index(0.5) * 2, targets.index(0.5) * 2 + 1), 0] = -0.0
         x[:, 1::37] = -0.0
@@ -920,11 +949,9 @@ class TestTailScreen:
         assert (exact[:, 0] == 0.0).any() and (exact[:, 0] == 0.5).any()
         assert (1.0 - exact[0, 0] == 1.0 - exact[0, 1:]).any()
 
-        shift_stdtrit(monkeypatch, error)
-        # The bounds of each row's own df, which the thresholds allow.
-        thresholds = _thresholds(
-            exact[:, 0], np.fmin.reduce(df, axis=1), np.fmax.reduce(df, axis=1)
-        )
+        shift_points(monkeypatch, error)
+        # Every row's df was drawn from [2, 12).
+        thresholds = _thresholds(exact[:, 0], 2.0, 12.0)
         screened = _screened_tails(x.copy(), df, exact[:, 0], thresholds)
         assert (screened != exact).mean() > 0.5
 
@@ -937,6 +964,34 @@ class TestTailScreen:
         for signed in (d, -d):
             for a, b in zip(comparisons(screened, signed), comparisons(exact, signed)):
                 assert (a == b).all()
+
+    def test_thresholds_at_the_ends_of_the_table(self, monkeypatch):
+        lo, hi = _df_bounds(2, 2)
+        far = _tails.stdtr(lo, _SCREEN_POINTS[0])
+        below, above = _thresholds(np.array([np.nan, 0.0, 0.25]), lo, hi).T
+        # NaN sorts last, past every entry: no threshold may come of it.
+        assert np.isnan(below[0]) and np.isnan(above[0])
+        assert np.isnan(below[1]) and above[1] < 0.0
+        assert below[2] < above[2] < 0.0
+        # True tails below the table's far end at m_c = m_l = 2, where the
+        # df bound is 1: a spread of 1e-25 against a constant arm, in both
+        # directions and with the arms swapped.
+        pools = np.array(
+            [
+                [0.0, 1e-25, 1.0, 1.0],
+                [0.0, 3e-25, 2.0, 2.0],
+                [5.0, 5.0, 0.0, 2e-25],
+                [1.0, 1.0, 0.0, 4e-25],
+            ]
+        )
+        plus = np.array([True, False, True, False])
+        tail0 = true_tails(pools, 2, 2)[0]
+        assert (tail0 < far).all() and (tail0 > 0.0).all()
+        got = _permutation_rows(pools, 2, 2, plus)
+        monkeypatch.setattr(dosage, "_screened_tails", full_tails)
+        want = _permutation_rows(pools, 2, 2, plus)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
     def test_tail_premise_holds(self):
         # The screen bounds each tail by the t-CDF at the row's df bounds.

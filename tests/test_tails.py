@@ -5,6 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy import special
 
 from accumtest import _tails
 
@@ -23,13 +24,13 @@ STDTR_TAILS = (0.3, 0.01, 1e-5, 1e-20, 1e-100, 1e-300)
 
 
 def stdtr_points():
-    """(df, t) pairs: t at set tails, where |t| <= 1e4, at |t| = 1e4, on
-    both sides of each crossover x = (a + 1)/(a + 5/2) and of y = 0.3, and
-    a few positive t."""
+    """(df, t) pairs: t at set tails, placed by scipy's inverse t, where
+    |t| <= 1e4, at |t| = 1e4, on both sides of each crossover x = (a +
+    1)/(a + 5/2) and of y = 0.3, and a few positive t."""
     df, t = [], []
     for d in STDTR_DF:
         for tail in STDTR_TAILS:
-            value = float(_tails.stdtrit_start(d, tail))
+            value = float(special.stdtrit(d, tail))
             if abs(value) <= 1e4:
                 df.append(d)
                 t.append(value)
@@ -118,32 +119,3 @@ def test_bits_do_not_depend_on_the_other_elements():
     assert _tails.stdtr(df[order], t[order]).tobytes() == together[order].tobytes()
     x = rng.normal(scale=10.0, size=600)
     assert _tails.ndtr(x).tobytes() == np.array([_tails.ndtr(v) for v in x]).tobytes()
-    p = np.exp(rng.uniform(math.log(1e-300), math.log(0.5), 600))
-    starts = _tails.stdtrit_start(df, p)
-    alone = np.array([_tails.stdtrit_start(d, q) for d, q in zip(df, p)])
-    assert starts.tobytes() == alone.tobytes()
-
-
-def test_stdtrit_start_passes_a_first_check():
-    # The checked search moves the start max(|t|, 1) 2^-40 outward and
-    # confirms it with one forward call; that call must succeed.
-    df = np.repeat(np.concatenate([np.geomspace(1.0, 300.0, 40), [1e3, 1e6]]), 60)
-    levels = np.concatenate(
-        [np.geomspace(1e-300, 0.4, 50), 0.5 - np.geomspace(1e-12, 0.1, 10)]
-    )
-    p = np.tile(levels, 42)
-    t = _tails.stdtrit_start(df, p)
-    step = np.ldexp(np.fmax(np.abs(t), 1.0), -40)
-    assert (_tails.stdtr(df, t - step) < p).all()
-    assert (_tails.stdtr(df, t + step) > p).all()
-
-
-def test_stdtrit_start_edges():
-    t = _tails.stdtrit_start(
-        [3.0, 3.0, 3.0, 3.0, np.nan, -1.0, 3.0], [0.0, 1.0, -0.1, 0.5, 0.2, 0.2, np.nan]
-    )
-    assert np.isnan(t[[0, 1, 2, 4, 5, 6]]).all() and t[3] == 0.0
-    assert _tails.stdtrit_start(4.0, 0.975) == -_tails.stdtrit_start(4.0, 1.0 - 0.975)
-    # Below df = 1 the start comes from the Cauchy quantile.
-    low = _tails.stdtrit_start(0.5, 1e-10)
-    assert _tails.stdtr(0.5, low) == pytest.approx(1e-10, rel=1e-9)
