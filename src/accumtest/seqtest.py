@@ -134,10 +134,8 @@ def estimated_fdp_path(pvals: PValueInput, spec: AccumulationSpec) -> np.ndarray
     Returns the array of (1/k) * sum_{i<=k} h(p_i) for k = 1..n, taken
     along the last axis, so a 2-d block gives one path per row.
     """
-    values = _as_values(pvals)
-    h = evaluate(spec, values)
-    k = np.arange(1, values.shape[-1] + 1, dtype=float)
-    return np.cumsum(h, axis=-1) / k
+    sums = np.cumsum(evaluate(spec, _as_values(pvals)), axis=-1)
+    return _fdp_path(sums, None, out=sums)
 
 
 def estimated_fdp_path_plus(
@@ -150,10 +148,23 @@ def estimated_fdp_path_plus(
     c = float(c)
     if not c >= 0.0:
         raise DomainError(f"plus-rule constant must be nonnegative, got {c}")
-    values = _as_values(pvals)
-    h = evaluate(spec, values)
-    k = np.arange(1, values.shape[-1] + 1, dtype=float)
-    return (c + np.cumsum(h, axis=-1)) / (1.0 + k)
+    sums = np.cumsum(evaluate(spec, _as_values(pvals)), axis=-1)
+    return _fdp_path(sums, c, out=sums)
+
+
+def _fdp_path(
+    sums: np.ndarray, c: Optional[float], out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The path from the running sums of h along the last axis.
+
+    That is sums / k when ``c`` is None and (c + sums) / (1 + k) for the
+    plus rule.  ``out`` may be ``sums`` itself.
+    """
+    k = np.arange(1, sums.shape[-1] + 1, dtype=float)
+    if c is None:
+        return np.divide(sums, k, out=out)
+    out = np.add(sums, c, out=out)
+    return np.divide(out, 1.0 + k, out=out)
 
 
 def select_cutoff(
@@ -183,11 +194,17 @@ def select_cutoff(
         raise DomainError("path must be a nonempty 1-d sequence or 2-d block of paths")
     # floor[..., j] = min(path[..., j:]) never decreases along the last
     # axis, and floor[..., j] <= alpha exactly when some position at or
-    # after j qualifies, so the cutoff is the count of such entries.
-    # The comparison holds one byte per path entry and level.
-    floor = np.fmin.accumulate(arr[..., ::-1], axis=-1)[..., ::-1]
-    hits = floor[..., np.newaxis, :] <= levels.reshape(-1, 1)
-    cutoffs = np.count_nonzero(hits, axis=-1).reshape(arr.shape[:-1] + levels.shape)
+    # after j qualifies, so the cutoff is the count of such entries: a
+    # binary search for alpha from the right.  fmin skips NaN, so NaN is
+    # left only in an all-NaN suffix, where searchsorted places it too.
+    floor = np.empty(arr.shape)
+    np.fmin.accumulate(arr[..., ::-1], axis=-1, out=floor[..., ::-1])
+    rows = floor.reshape(-1, arr.shape[-1])
+    flat = levels.ravel()
+    cutoffs = np.empty((len(rows), flat.size), dtype=np.intp)
+    for row, out in zip(rows, cutoffs):
+        out[:] = row.searchsorted(flat, side="right")
+    cutoffs = cutoffs.reshape(arr.shape[:-1] + levels.shape)
     return int(cutoffs) if cutoffs.ndim == 0 else cutoffs
 
 

@@ -19,23 +19,31 @@ Reproducibility rules used throughout:
   and adds their paths into running sums in trial order.
   ``run_simulation`` is ``aggregate`` over the engine's frames as they
   come, so it keeps no per-trial path.
+* A row lists its hypotheses by decreasing |prior z|, ties broken by
+  index.  numpy's fastest argsort, which need not be stable, ranks the
+  block; distinct keys have one sorted order, so only rows that hold a
+  tie are sorted again, stably.
+* The engine evaluates h once per run of methods that share an
+  accumulation function (SeqStep and SeqStep+), and finds each cutoff by
+  a binary search in the path's running minimum from the end.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import _tails
+from .accumfn import _eval_array
 from .densities import AlternativeDensity
 from .errors import ContractError, DomainError
-from .power_theory import SignalCurve, validate_signal_curve
 from .seqtest import (
     Method,
     OrderedPValues,
+    _fdp_path,
     check_unit_interval,
     default_methods,
     select_cutoff,
@@ -43,7 +51,11 @@ from .seqtest import (
 # Not called here; kept as module attributes that the benchmark tracer wraps.
 from .seqtest import estimated_fdp_path, estimated_fdp_path_plus  # noqa: F401
 
-# scipy is imported by ``normal_quantile`` alone, which no command calls.
+# scipy is imported by ``normal_quantile`` alone, which no command calls,
+# and ``power_theory`` by ``generate_from_curve`` alone, which simulate
+# does not call.
+if TYPE_CHECKING:
+    from .power_theory import SignalCurve
 
 __all__ = [
     "SimConfig",
@@ -72,14 +84,21 @@ _MASK64 = (1 << 64) - 1
 
 STAT_KHAT, STAT_FALSE_POS, STAT_POWER, STAT_FDP = range(4)
 
-# Bytes one block of trials may hold.  At n = 1000, 1 to 4 MiB ran
-# within noise of each other and 256 KiB about 1.5x slower.
+# Bytes one block of trials may hold.  Warm run_simulation of 1000
+# trials at n = 1000 took 0.38, 0.29, 0.23, 0.23 and 0.20 s at 256 KiB,
+# 512 KiB, 1, 2 and 4 MiB (medians of 7, 2 cores, numpy 2.4).  2 and
+# 4 MiB ran 0-10 % faster than 1 MiB at n = 101 and 300, and 20 % at
+# n = 5000, where 1 MiB holds one trial, but 2 MiB raised the command's
+# peak RSS by 0.5 MB, so the budget stays at 1 MiB.
 _BLOCK_BUDGET = 2**20
 
 # Bounds on what one block holds at once besides its paths: (rows x n)
-# float64 arrays, and bytes per row and level besides the cutoff scan and
-# the stats.  Tracemalloc peaks were 5.7-7.5 arrays at n = 200 to 5000
-# and 9 levels, and up to 140 bytes at 120 and 1000 levels.
+# float64 arrays, and bytes per row and level besides the stats.
+# Tracemalloc peaks were 5.7-6.7 arrays at n = 200 to 5000 and 9 levels,
+# and up to 47 bytes at 120 and 1000 levels.  ``_row_bytes`` adds n bytes
+# of slack per level: without them blocks at n = 1000 hold 10 trials
+# instead of 9, which raised the command's peak RSS by 0.3 MB and ran no
+# faster.
 _BLOCK_ARRAYS = 8
 _LEVEL_BYTES = 192
 
@@ -160,8 +179,8 @@ def _row_bytes(n: int, n_methods: int, n_levels: int) -> int:
     """Bound on the bytes one trial adds to a block.
 
     That is ``_BLOCK_ARRAYS`` float64 arrays of length n plus one path
-    per method, and per level the cutoff scan's n bytes, 32 bytes of
-    stats per method and ``_LEVEL_BYTES`` of temporaries.
+    per method, and per level n bytes of slack, 32 bytes of stats per
+    method and ``_LEVEL_BYTES`` of temporaries.
     """
     per_level = n + 32 * n_methods + _LEVEL_BYTES
     return 8 * n * (_BLOCK_ARRAYS + n_methods) + n_levels * per_level
@@ -181,24 +200,37 @@ def _ranked_block(
     trial drawn alone.
     """
     n, n_nonnull = config.n, config.n_nonnull
-    prior = np.empty((stop - first, n))
-    fresh = np.empty((stop - first, n))
+    rows = stop - first
+    prior = np.empty((rows, n))
+    fresh = np.empty((rows, n))
     for row, trial in enumerate(range(first, stop)):
         rng = child_rng(config.seed, trial)
         rng.standard_normal(out=prior[row])
         rng.standard_normal(out=fresh[row])
     # Positions below n_nonnull are the non-nulls.
     prior[:, :n_nonnull] += config.mu1
-    order = np.argsort(-np.abs(prior), axis=1, kind="stable")
-    del prior
+    keys = np.abs(prior, out=prior)
+    np.negative(keys, out=keys)
+    # Distinct keys have one sorted order, so the fast unstable sort gives
+    # the stable one except in rows with a tie, which are sorted again.
+    # ``order`` holds flat indices into the block from here on.
+    order = np.argsort(keys, axis=1)
+    offsets = np.arange(0, rows * n, n).reshape(-1, 1)
+    order += offsets
+    ranked = keys.take(order)
+    tied = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
+    del ranked
+    if tied.any():
+        order[tied] = np.argsort(keys[tied], axis=1, kind="stable") + offsets[tied]
+    del prior, keys
     fresh[:, :n_nonnull] += config.mu2
     np.abs(fresh, out=fresh)
     np.negative(fresh, out=fresh)
     tails = _tails.ndtr(fresh)
     tails *= 2.0
-    pvals = np.take_along_axis(tails, order, axis=1)
+    pvals = tails.take(order)
     check_unit_interval(pvals)
-    return pvals, order >= n_nonnull
+    return pvals, order >= offsets + n_nonnull
 
 
 def generate_ranked_trial(config: SimConfig, trial_index: int) -> OrderedPValues:
@@ -229,6 +261,8 @@ def generate_from_curve(
         If the curve increases somewhere or k * f(k/n) is not
         nondecreasing, since then no 0/1 planting can track it.
     """
+    from .power_theory import validate_signal_curve
+
     n = int(n)
     if n < 1:
         raise DomainError(f"n must be positive, got {n}")
@@ -274,9 +308,10 @@ def _score_rows(
 ) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
     """Score a block of trials, one per row of ``pvals`` and ``null``.
 
-    Returns the (rows, methods, levels, 4) stats and, when
-    ``include_paths``, the (rows, methods, n) estimated paths and the
-    (rows, n) true FDP paths.
+    ``pvals`` must already lie in [0, 1], as ``_ranked_block`` and
+    ``OrderedPValues`` check.  Returns the (rows, methods, levels, 4)
+    stats and, when ``include_paths``, the (rows, methods, n) estimated
+    paths and the (rows, n) true FDP paths.
     """
     rows, n = pvals.shape
     # nulls_before[r, k] counts the nulls among row r's first k positions.
@@ -285,14 +320,23 @@ def _score_rows(
     nonnull = n - nulls_before[:, -1:]
     if not nonnull.all():
         raise ContractError("power is undefined without any non-null hypothesis")
+    offsets = np.arange(0, rows * (n + 1), n + 1).reshape(-1, 1)
     stats = np.empty((rows, len(methods), levels.size, 4))
     paths = np.empty((rows, len(methods), n)) if include_paths else None
+    path = None if include_paths else np.empty((rows, n))
+    spec = sums = None
     for m, method in enumerate(methods):
-        path = method.path(pvals)
+        # Consecutive methods with one spec share its running sum of h,
+        # and the last spec's sum is dropped before the next one's is made.
+        if sums is None or method.spec != spec:
+            spec, sums = method.spec, None
+            sums = _eval_array(spec, pvals)
+            np.cumsum(sums, axis=1, out=sums)
         if include_paths:
-            paths[:, m] = path
+            path = paths[:, m]
+        _fdp_path(sums, method.plus_constant, out=path)
         k_hat = select_cutoff(path, levels)
-        false_pos = np.take_along_axis(nulls_before, k_hat, axis=1)
+        false_pos = nulls_before.take(k_hat + offsets)
         stats[:, m, :, STAT_KHAT] = k_hat
         stats[:, m, :, STAT_FALSE_POS] = false_pos
         stats[:, m, :, STAT_POWER] = (k_hat - false_pos) / nonnull

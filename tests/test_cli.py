@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import io
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from accumtest import (
     shift_discrete_pvalues,
     simlab,
 )
+
+from test_layers import package_env
 
 
 def run_cli(argv, capsys):
@@ -170,6 +174,11 @@ class TestCmdTest:
 # Digest of the probe bits in test_multi_block_output_bytes_are_pinned.
 KERNEL_DIGEST = "2bfa8cf443e5ecf1e7bd3a3bc70f9031dd1dbc84f058ddaea4b521b6e17258aa"
 
+# numpy >= 2 dispatches argsort (and log1p) to AVX-512 kernels under these
+# names; with them disabled it takes other kernels.  A numpy that does not
+# know a name only raises an ImportWarning, which Python ignores.
+OTHER_KERNELS = "X86_V4 AVX512_ICL AVX512_SPR"
+
 
 class TestCmdSimulate:
     def test_hingeexp_leads_at_default_settings(self, capsys):
@@ -283,6 +292,33 @@ class TestCmdSimulate:
             "summary": "1834e4c9d7c8119fc9173fc10a083dc98a53d007da4a1a03fc52ef6d0af1c16f",
             "paths": "926e35c1e67e0e5fabee8baa4e22130e6efcd389ad2db354655502e4e05d0823",
         }
+
+    def test_other_sort_kernels_give_the_same_tables(self, tmp_path, capsys):
+        # The engine ranks with numpy's fastest argsort, whose kernel
+        # depends on the CPU.  Ranks, cutoffs and true FDP paths must not;
+        # the estimated paths may move in the last bits with log1p's kernel.
+        args = ["simulate", "--seed", "7", "--n", "300", "--trials", "70"]
+        env = package_env()
+        env["NPY_DISABLE_CPU_FEATURES"] = OTHER_KERNELS
+        proc = subprocess.run(
+            [sys.executable, "-m", "accumtest", *args, "--out", "other"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, _, _ = run_cli(args + ["--out", str(tmp_path / "here")], capsys)
+        assert code == 0
+        assert (tmp_path / "other_summary.csv").read_bytes() == (
+            tmp_path / "here_summary.csv"
+        ).read_bytes()
+        other, here = (
+            np.loadtxt(tmp_path / f"{name}_paths.csv", delimiter=",", skiprows=1, dtype=str)
+            for name in ("other", "here")
+        )
+        assert other.shape == here.shape == (4 * 300, 4)
+        assert np.array_equal(other[:, [0, 1, 3]], here[:, [0, 1, 3]])
+        np.testing.assert_allclose(
+            other[:, 2].astype(float), here[:, 2].astype(float), rtol=1e-12, atol=0
+        )
 
     def test_no_paths_flag_skips_path_table(self, tmp_path, capsys):
         code, _, _ = run_cli(

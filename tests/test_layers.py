@@ -172,6 +172,17 @@ def test_dosage_and_simulate_load_no_scipy(tmp_path, command):
     assert [name for name in loaded if name.split(".")[0] == "scipy"] == []
 
 
+def test_simulate_loads_no_power_theory(tmp_path):
+    # simlab needs power_theory only to plant a signal curve.  (-X
+    # importtime does not list simlab, which the command imports through
+    # importlib; _tails, which simlab imports, shows that it ran.)
+    argv = ["simulate", "--seed", "1", "--trials", "2", "--n", "200",
+            "--n-nonnull", "20", "--out", "sim"]
+    loaded = modules_loaded_by(argv, tmp_path)
+    assert "accumtest._tails" in loaded
+    assert "accumtest.power_theory" not in loaded
+
+
 def test_every_public_name_resolves():
     for name in accumtest.__all__:
         assert getattr(accumtest, name) is not None, name

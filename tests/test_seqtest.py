@@ -215,6 +215,29 @@ class TestSelectCutoff:
             want = [select_cutoff(path, levels).tolist() for path in block]
             assert got.tolist() == want
 
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (9, 1000), (300, 5)])
+    def test_blocks_match_loop_oracle(self, shape):
+        rows, n = shape
+        rng = np.random.Generator(np.random.Philox(key=rows * n))
+        # Unsorted, with a duplicate; paths below put entries exactly on
+        # the first three.
+        levels = np.array([0.3, 0.05, 0.3, 0.2, 0.9, 0.6, 0.11])
+        # A random walk around the levels rises and dips back under them.
+        block = np.abs(np.cumsum(rng.normal(0.0, 0.2, shape), axis=1) + 0.3)
+        block[rng.random(shape) < 0.05] = math.nan
+        block[rng.random(shape) < 0.05] = math.inf
+        on_level = rng.random(shape) < 0.05
+        block[on_level] = rng.choice(levels[:3], size=on_level.sum())
+        block[::3, n - n // 4:] = math.nan  # all-NaN suffixes
+        block[1::4, -1] = 0.01  # a last entry under every level
+        got = select_cutoff(block, levels)
+        assert got.shape == (rows, levels.size)
+        want = [[oracles.brute_select(path, a) for a in levels] for path in block]
+        assert got.tolist() == want
+        scalar = select_cutoff(block, 0.2)
+        assert scalar.shape == (rows,)
+        assert scalar.tolist() == [row[3] for row in want]
+
     def test_three_dimensional_path_or_two_dimensional_alpha_rejected(self):
         with pytest.raises(DomainError):
             select_cutoff(np.full((2, 2, 3), 0.1), 0.5)

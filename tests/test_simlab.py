@@ -299,8 +299,12 @@ def assert_bitwise_equal(got: AggregateResult, want: AggregateResult):
 
 
 def reference_ranked_trial(config, trial_index):
-    """The ranked protocol for one trial, written out one list at a time."""
-    rng = child_rng(config.seed, trial_index)
+    """The ranked protocol for one trial, written out one list at a time.
+
+    It draws from ``simlab.child_rng``, so a test that patches that
+    generator patches the oracle too.
+    """
+    rng = simlab.child_rng(config.seed, trial_index)
     null_mask = np.arange(config.n) >= config.n_nonnull
     prior = rng.standard_normal(config.n)
     prior[~null_mask] += config.mu1
@@ -389,6 +393,53 @@ class TestBlockEngine:
             one = generate_ranked_trial(config, trial)
             assert one.values.tobytes() == want_p.tobytes()
             assert np.array_equal(one.null_mask, want_null)
+
+
+class RoundedNormals:
+    """A generator whose normals are rounded to one decimal, so that
+    |z| ties within a list."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def standard_normal(self, size=None, out=None):
+        draws = self.rng.standard_normal(size, out=out)
+        return np.round(draws, 1, out=draws)
+
+
+class TestTiedKeys:
+    """Rows with tied |prior z| keep the stable order, ties broken by index.
+
+    The block engine sorts with numpy's fastest argsort, which need not
+    be stable, and sorts again stably only the rows that hold a tie.
+    """
+
+    def check(self, config, first, stop):
+        pvals, null = simlab._ranked_block(config, first, stop)
+        for row, trial in enumerate(range(first, stop)):
+            want_p, want_null = reference_ranked_trial(config, trial)
+            assert pvals[row].tobytes() == want_p.tobytes(), trial
+            assert np.array_equal(null[row], want_null), trial
+
+    @pytest.mark.parametrize("mu1", [math.inf, -math.inf])
+    def test_infinite_prior_mean_ties_every_non_null(self, mu1):
+        config = SimConfig(n=1000, n_nonnull=100, mu1=mu1, trials=1, seed=19)
+        self.check(config, 0, 9)
+
+    def test_finite_ties_in_some_rows(self, monkeypatch):
+        # Even trials draw rounded normals, odd ones continuous normals,
+        # so one block holds rows with and without ties.
+        child_rng = simlab.child_rng
+
+        def rounded_on_even_trials(seed, index):
+            rng = child_rng(seed, index)
+            return RoundedNormals(rng) if index % 2 == 0 else rng
+
+        monkeypatch.setattr(simlab, "child_rng", rounded_on_even_trials)
+        config = SimConfig(n=1000, n_nonnull=100, mu1=0.5, trials=1, seed=23)
+        rounded = np.abs(simlab.child_rng(config.seed, 4).standard_normal(config.n))
+        assert np.unique(rounded).size < rounded.size
+        self.check(config, 3, 12)
 
 
 class TestBoundedMemory:
