@@ -38,16 +38,19 @@ from accumtest.dosage import (
     _chunk_rows,
     _df_bounds,
     _exact_units,
-    _group_sums,
     _one_sided,
+    _pair_sums,
     _partition_table,
     _permutation_rows,
+    _remainder_columns,
+    _scale_bits,
     _scored_columns,
     _screened_tails,
+    _sum_screen,
     _tail_table,
     _thresholds,
     _two_sided,
-    _welch_tails,
+    _welch_stats,
 )
 
 import oracles
@@ -104,6 +107,24 @@ def brute_force_ranks(pool, m_c, plus):
         sum(p <= one[0] for p in one) / count,
         sum(p <= two[0] for p in two) / count,
     )
+
+
+def assert_pass_within_budget(m_c, m_l, decimals):
+    """One full batch of a ``_permutation_rows`` pass holds at most
+    ``_BATCH_ARRAYS`` (rows x ``_batch_columns``) float64 arrays."""
+    columns = _batch_columns(m_c, m_l)
+    rows = _chunk_rows(columns)
+    values = gaussian_matrix(9, rows, m_c, m_l, 2, decimals=decimals).values
+    pool = np.ascontiguousarray(values[:, : m_c + m_l])
+    plus = np.arange(rows) % 2 == 0
+    _permutation_rows(pool[:1], m_c, m_l, plus[:1])
+    tracemalloc.start()
+    try:
+        _permutation_rows(pool, m_c, m_l, plus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= rows * columns * 8 * _BATCH_ARRAYS
 
 
 class TestWelchTwoSided:
@@ -372,19 +393,25 @@ class TestRunPipeline:
             assert 1 <= k <= grid_size
             assert record.p_final == k / grid_size
 
-    def test_group_sums_add_columns_in_index_order_for_any_row_count(self):
+    def test_pair_sums_add_columns_in_index_order_for_any_pair_count(self):
         # Terms over 16 decades, so that any other order of additions
         # changes the bits; BLAS kernels may pick their order by the row
         # count, which the engine's output must not see.
         rng = np.random.Generator(np.random.Philox(key=23))
         x = rng.normal(size=(6, 9)) * 10.0 ** rng.integers(-8, 9, size=(6, 9))
         indicator = _partition_table(9, 4)
-        inside, outside = _group_sums(x, indicator)
+        count = indicator.shape[1]
+        rows = np.repeat(np.arange(6), count)
+        cols = np.tile(np.arange(count), 6)
+        inside, outside = _pair_sums(x.T[:, rows], indicator[:, cols])
+        inside, outside = inside.reshape(6, count), outside.reshape(6, count)
         for row in range(x.shape[0]):
-            alone = _group_sums(x[row : row + 1], indicator)
-            assert alone[0].tobytes() == inside[row : row + 1].tobytes()
-            assert alone[1].tobytes() == outside[row : row + 1].tobytes()
-            for j in range(0, indicator.shape[1], 17):
+            alone = _pair_sums(x.T[:, [row] * count], indicator)
+            assert alone[0].tobytes() == inside[row].tobytes()
+            assert alone[1].tobytes() == outside[row].tobytes()
+            for j in range(0, count, 17):
+                one = _pair_sums(x.T[:, [row]], indicator[:, [j]])
+                assert (one[0][0], one[1][0]) == (inside[row, j], outside[row, j])
                 total_in = x[row, 0] * indicator[0, j]
                 total_out = x[row, 0] - total_in
                 for k in range(1, x.shape[1]):
@@ -462,19 +489,14 @@ class TestRunPipeline:
     )
     def test_batch_rule_bounds_what_a_pass_holds(self, m_c, m_l, decimals):
         # At (2, 2) the 3 relabelings are fewer than the 4 pooled columns.
-        columns = _batch_columns(m_c, m_l)
-        rows = _chunk_rows(columns)
-        values = gaussian_matrix(9, rows, m_c, m_l, 2, decimals=decimals).values
-        pool = np.ascontiguousarray(values[:, : m_c + m_l])
-        plus = np.arange(rows) % 2 == 0
-        _permutation_rows(pool[:1], m_c, m_l, plus[:1])
-        tracemalloc.start()
-        try:
-            _permutation_rows(pool, m_c, m_l, plus)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= rows * columns * 8 * _BATCH_ARRAYS
+        assert_pass_within_budget(m_c, m_l, decimals)
+
+    @pytest.mark.parametrize("m_c,m_l", [(9, 7), (2, 2)])
+    def test_batch_rule_bounds_a_pass_that_settles_nothing(self, m_c, m_l, monkeypatch):
+        # Every relabeling left open by the screen is scored exactly, a
+        # chunk of them at a time.
+        settle_nothing(monkeypatch)
+        assert_pass_within_budget(m_c, m_l, None)
 
     def test_one_tcdf_element_per_relabeling(self, monkeypatch):
         # At most one t-CDF element per scored relabeling, plus one per
@@ -779,10 +801,15 @@ class TestFloatPath:
             assert (p_final[0], p_two[0]) == brute_force_ranks(row[0], 3, plus)
 
 
-def full_tails(x, df, tail0, thresholds):
-    """Reference for ``_screened_tails``: the t-CDF of every relabeling,
-    the true labeling's included, whatever screen the caller passes."""
-    return _tails.stdtr(df, x)
+def settle_nothing(monkeypatch):
+    """The full evaluation: with NaN thresholds neither ``_sum_screen`` nor
+    ``_screened_tails`` settles a relabeling, so every one is scored by
+    ``_welch_stats`` and the t-CDF (the true labeling keeps its tail)."""
+    monkeypatch.setattr(
+        dosage,
+        "_thresholds",
+        lambda tail0, df_lo, df_hi: np.full((np.size(tail0), 2), np.nan),
+    )
 
 
 def screening_pools(case, m_c, m_l, rows=12):
@@ -817,14 +844,64 @@ def screening_pools(case, m_c, m_l, rows=12):
         if m_c == m_l:
             pools[::2] = pools[::2].round(2)
             pools[::2, m_c:] = pools[::2, m_c - 1 :: -1]
+    elif case == "top-scale":
+        # Units up to the top of the 2^bits scale, each with a remainder
+        # near +-1/2, where the remainder terms are largest; half the rows
+        # hold every value but one (0) within 8 units of the top.
+        top = 2.0 ** _scale_bits(m_c + m_l)
+        units = top - 1.0 - rng.integers(0, int(top) // 2, size=pools.shape)
+        units[::2] = top - 1.0 - rng.integers(0, 8, size=units[::2].shape)
+        sign = np.where(rng.random(pools.shape) < 0.5, -1.0, 1.0)
+        pools = (units + sign * (0.5 - 2.0**-10 * rng.random(pools.shape))) / top
+        pools[np.arange(rows), rng.integers(0, m_c + m_l, size=rows)] = 0.0
+    elif case == "clusters":
+        # m_c columns, not the true control ones, within 8 units of the
+        # bottom of the 2^bits scale and the rest within 8 of the top:
+        # the relabeling that splits the clusters has spreads of a few
+        # units, which the remainders move by a large share.
+        top = 2.0 ** _scale_bits(m_c + m_l)
+        units = top - 1.0 - rng.integers(0, 8, size=pools.shape)
+        for row in range(rows):
+            bottom = rng.choice(m_c + m_l, size=m_c, replace=False)
+            if (m_c + m_l > 2) and set(bottom) == set(range(m_c)):
+                bottom[0] = m_c
+            units[row, bottom] = rng.integers(0, 8, size=m_c)
+        pools = (units + rng.uniform(-0.49, 0.49, size=pools.shape)) / top
+    elif case == "tiny-next-to-large":
+        # A spread of an ulp or two next to values near 1, against one
+        # 1e-25 wide next to 0: the first arm's spread is lost when its
+        # remainder terms round.
+        pools = 1.0 + 2.0**-52 * rng.integers(0, 3, size=pools.shape)
+        pools[:, m_c:] = 1e-25 * rng.integers(0, 4, size=(rows, m_l))
+        if (m_c, m_l) == (2, 2):
+            pools[:4] = [
+                [0.0, 1e-25, 1.0, 1.0 + 2.0**-52],
+                [1.0, 1.0 + 2.0**-52, 0.0, 1e-25],
+                [-2.0, -2.0, 0.0, 3e-25],
+                [0.0, 3e-25, -2.0, -2.0],
+            ]
     return pools
+
+
+def every_relabeling(pools, m_c, m_l, remainders=True):
+    """``_welch_stats`` (d, x, df, degenerate) of every scored relabeling of
+    each pool, (rows x P'), from its exact sums and, unless
+    ``remainders`` is false, the sums of its remainders."""
+    h, r = _exact_units(pools)
+    indicator = _partition_table(m_c + m_l, m_c)[:, : _scored_columns(m_c, m_l)]
+    sums = np.vstack([h, h * h]) @ indicator
+    pair_sums = None
+    if remainders and r.any():
+        pair_sums = _pair_sums(_remainder_columns(h, r)[..., None], indicator[:, None, :])
+    g = h.shape[0]
+    totals = h.sum(axis=1, keepdims=True), (h * h).sum(axis=1, keepdims=True)
+    return _welch_stats(sums[:g], sums[g:], *totals, m_c, m_l, pair_sums)
 
 
 def true_tails(pools, m_c, m_l):
     """The t-CDF of the true labeling per row, and the df and degenerate
     mask of every relabeling."""
-    indicator = _partition_table(m_c + m_l, m_c)[:, : _scored_columns(m_c, m_l)]
-    _, x, df, degenerate = _welch_tails(*_exact_units(pools), m_c, m_l, indicator)
+    _, x, df, degenerate = every_relabeling(pools, m_c, m_l)
     return _tails.stdtr(df[:, 0], x[:, 0]), df, degenerate
 
 
@@ -848,6 +925,15 @@ SCREEN_CASES = [
     ("tiny-spread", 5, 4),
     ("near-half", 4, 4),
     ("near-half", 5, 3),
+    ("top-scale", 4, 3),
+    ("top-scale", 3, 3),
+    ("top-scale", 3, 18),
+    ("clusters", 4, 3),
+    ("clusters", 5, 5),
+    ("tiny-next-to-large", 2, 2),
+    ("tiny-next-to-large", 5, 4),
+    ("off-grid", 2, 18),
+    ("off-grid", 1, 20),
 ]
 
 
@@ -878,11 +964,23 @@ class TestTailScreen:
         pools = screening_pools(case, m_c, m_l)
         plus = np.arange(len(pools)) % 2 == 0
         got = _permutation_rows(pools, m_c, m_l, plus)
-        monkeypatch.setattr(dosage, "_screened_tails", full_tails)
+        settle_nothing(monkeypatch)
         want = _permutation_rows(pools, m_c, m_l, plus)
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
         tail0, df, degenerate = true_tails(pools, m_c, m_l)
+        if case in ("top-scale", "tiny-next-to-large"):
+            # The remainder terms move x past the rounding of any float
+            # step, so that the screen's margin has to hold them.
+            if case == "top-scale":
+                h, r = _exact_units(pools)
+                assert ((abs(r) > 0.49).sum(axis=1) == m_c + m_l - 1).all()
+                assert (h.max(axis=1) > 0.75 * 2.0 ** _scale_bits(m_c + m_l)).all()
+            x = every_relabeling(pools, m_c, m_l)[1]
+            x_h = every_relabeling(pools, m_c, m_l, remainders=False)[1]
+            with np.errstate(invalid="ignore"):
+                moved = abs(x - x_h) > 2.0**-30 * abs(x)
+            assert moved.any()
         if case == "underflow":
             assert (tail0 == 0.0).all()
         elif case == "near-half":
@@ -909,7 +1007,7 @@ class TestTailScreen:
         with monkeypatch.context() as patch:
             rows_per_batch(patch, 5, 4, 1)
             got = run_pipeline(matrix, alpha_grid=(0.1, 0.3))
-        monkeypatch.setattr(dosage, "_screened_tails", full_tails)
+        settle_nothing(monkeypatch)
         want = run_pipeline(matrix, alpha_grid=(0.1, 0.3))
         assert got.records == want.records
         assert got.rows == want.rows
@@ -952,7 +1050,11 @@ class TestTailScreen:
         shift_points(monkeypatch, error)
         # Every row's df was drawn from [2, 12).
         thresholds = _thresholds(exact[:, 0], 2.0, 12.0)
-        screened = _screened_tails(x.copy(), df, exact[:, 0], thresholds)
+        true = np.zeros(x.shape, dtype=bool)
+        true[:, 0] = True
+        screened = _screened_tails(
+            x.copy(), df, np.broadcast_to(exact[:, :1], x.shape), thresholds[:, None], true
+        )
         assert (screened != exact).mean() > 0.5
 
         def comparisons(tail, signed):
@@ -988,7 +1090,7 @@ class TestTailScreen:
         tail0 = true_tails(pools, 2, 2)[0]
         assert (tail0 < far).all() and (tail0 > 0.0).all()
         got = _permutation_rows(pools, 2, 2, plus)
-        monkeypatch.setattr(dosage, "_screened_tails", full_tails)
+        settle_nothing(monkeypatch)
         want = _permutation_rows(pools, 2, 2, plus)
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
@@ -1008,3 +1110,87 @@ class TestTailScreen:
         for axis in (0, 1):
             rise = np.diff(tail, axis=axis) / np.delete(tail, -1, axis=axis)
             assert rise.max() < _TAIL_SLACK / 8
+
+    @pytest.mark.parametrize("m_c,m_l", [(2, 2), (4, 3), (9, 7), (3, 18), (1, 20)])
+    def test_remainders_stay_within_the_written_bound(self, m_c, m_l):
+        # Units from 0 to 2^bits and remainders up to +-1/2.  Half the
+        # rows alternate low and 2^bits units within each group, with
+        # remainders that widen every such pair, and a quarter put -1/2
+        # on the control columns and +1/2 on the low ones: there the
+        # true labeling's se2 and d come close to their bounds.
+        m = m_c + m_l
+        top = 2.0 ** _scale_bits(m)
+        rng = np.random.Generator(np.random.Philox(key=m_c * 100 + m_l))
+        rows = 40
+        h = rng.integers(0, int(top) + 1, size=(rows, m)).astype(float)
+        r = rng.uniform(-0.5, 0.5, size=(rows, m))
+        columns = np.arange(m)
+        alternate = np.where((columns - np.where(columns < m_c, 0, m_c)) % 2 == 1, top, 0.0)
+        # Low units of 1 in the low group keep the arms' means apart.
+        alternate[m_c:][alternate[m_c:] == 0.0] = 1.0
+        h[::2] = alternate
+        r[::2] = np.where(alternate == top, 0.5, -0.5)
+        r[1::4] = np.where(columns < m_c, -0.5, 0.5)
+        indicator = _partition_table(m, m_c)[:, : _scored_columns(m_c, m_l)]
+        sums = np.vstack([h, h * h]) @ indicator
+        totals = h.sum(axis=1, keepdims=True), (h * h).sum(axis=1, keepdims=True)
+        pair_sums = _pair_sums(_remainder_columns(h, r)[..., None], indicator[:, None, :])
+        d, x, _, _ = _welch_stats(sums[:rows], sums[rows:], *totals, m_c, m_l, pair_sums)
+        d_h, x_h, _, _ = _welch_stats(sums[:rows], sums[rows:], *totals, m_c, m_l)
+        # se2 from d and x = -|d / (sqrt(se2) m_c m_l)|, to a few ulps.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            se2 = (d / (x * m_c * m_l)) ** 2
+            se2_h = (d_h / (x_h * m_c * m_l)) ** 2
+        known = (d != 0.0) & (d_h != 0.0) & (x != 0.0) & (x_h != 0.0)
+        # 1. |d - d_h| <= m_c m_l, and a per group within its pairs'
+        # p_n (2^(b+1) + 1), plus the rounding the bound allows.
+        gap_d = abs(d - d_h) - 2.0**-52 * abs(d_h)
+        assert (gap_d <= m_c * m_l * (1.0 + 2.0**-40)).all()
+        spread = sum(
+            (n * (n - 1) // 2 * (2.0 * top + 1.0) + 2.0**-45 * n**3 * 2.0 * top) / (n * n * (n - 1))
+            for n in (m_c, m_l)
+            if n > 1
+        )
+        gap_se2 = abs(se2 - se2_h)[known] - 2.0**-46 * se2_h[known]
+        assert (gap_se2 <= spread).all()
+        # The rows built to meet the bound come close to it.
+        assert gap_d.max() > 0.9 * m_c * m_l
+        assert gap_se2.max() > 0.4 * spread
+
+    @pytest.mark.parametrize(
+        "case,m_c,m_l",
+        [("top-scale", 4, 3), ("top-scale", 3, 18), ("clusters", 4, 3), ("clusters", 3, 18),
+         ("off-grid", 5, 5), ("tiny-next-to-large", 5, 4), ("grid2", 4, 3), ("off-grid", 1, 20)],
+    )
+    def test_settled_relabelings_lie_past_their_thresholds(self, case, m_c, m_l):
+        # Thresholds a hair beyond each relabeling's own x, so that the
+        # screen must leave that relabeling open, however little its
+        # remainder terms move x.
+        pools = screening_pools(case, m_c, m_l, rows=4)
+        _, x, df, degenerate = every_relabeling(pools, m_c, m_l)
+        k = x.shape[1]
+        rng = np.random.Generator(np.random.Philox(key=7))
+        picks = rng.integers(1, k, size=(60, len(pools)))
+        # The relabeling with the largest |t|, the cluster split on
+        # ``clusters`` rows.
+        picks[0] = 1 + np.argmin(x[:, 1:], axis=1)
+        rows = np.tile(np.arange(len(pools)), 60)
+        near = x[rows, picks.ravel()][:, None]
+        thresholds = np.hstack([near * (1.0 + 2.0**-40), near * (1.0 - 2.0**-40)])
+        thresholds[1::2, 0] = near[1::2, 0] * (1.0 - 2.0**-40)
+        thresholds[1::2, 1] = near[1::2, 0] * (1.0 + 2.0**-40)
+        h, r = _exact_units(pools[rows])
+        sums = np.vstack([h, h * h]) @ _partition_table(m_c + m_l, m_c)[:, :k]
+        g = h.shape[0]
+        counts, open_ = _sum_screen(
+            sums[:g], sums[g:], h.sum(axis=1, keepdims=True),
+            (h * h).sum(axis=1, keepdims=True), r.any(axis=1), m_c, m_l, thresholds,
+        )
+        x, df, degenerate = x[rows], df[rows], degenerate[rows]
+        settled = ~open_
+        low = settled & (x <= thresholds[:, :1])
+        high = settled & (x >= thresholds[:, 1:]) & np.isfinite(df) & ~degenerate
+        assert (low | high).tolist() == settled.tolist()
+        assert (counts[0] == low.sum(axis=1)).all()
+        assert (counts[2] == high.sum(axis=1)).all()
+        assert settled.mean() > 0.3

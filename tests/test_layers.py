@@ -2,6 +2,7 @@
 the package or running a command loads no more of scipy than it needs."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -123,9 +124,21 @@ def test_commands_never_load_scipy_stats(tmp_path):
 
 
 def modules_loaded_by(argv, cwd) -> set[str]:
-    """Modules that ``python -m accumtest ARGV`` imports, from -X importtime."""
+    """Modules in ``sys.modules`` once ``python -m accumtest ARGV`` has run
+    in a fresh interpreter.  Unlike -X importtime, this sees the modules
+    that ``cli._lazy`` loads through importlib."""
+    code = (
+        "import json, runpy, sys\n"
+        f"sys.argv = ['accumtest', *{list(argv)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('accumtest', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as stop:\n"
+        "    assert not stop.code, stop.code\n"
+        "with open('modules.json', 'w') as handle:\n"
+        "    json.dump(sorted(sys.modules), handle)\n"
+    )
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "accumtest", *argv],
+        [sys.executable, "-c", code],
         cwd=cwd,
         env=package_env(),
         capture_output=True,
@@ -133,11 +146,11 @@ def modules_loaded_by(argv, cwd) -> set[str]:
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return {
-        line.rsplit("|", 1)[1].strip()
-        for line in proc.stderr.splitlines()
-        if line.startswith("import time:") and line.count("|") == 2
-    }
+    return set(json.loads((Path(cwd) / "modules.json").read_text()))
+
+
+def scipy_modules(loaded: set[str]) -> list[str]:
+    return [name for name in loaded if name.split(".")[0] == "scipy"]
 
 
 @pytest.mark.parametrize("command", ["test", "version"])
@@ -152,34 +165,37 @@ def test_test_and_version_load_no_upper_module_nor_scipy(tmp_path, command):
     assert "accumtest.cli" in loaded
     upper = {f"accumtest.{name}" for name in UPPER - {"cli"}}
     assert loaded & upper == set()
-    assert [name for name in loaded if name.split(".")[0] == "scipy"] == []
+    assert scipy_modules(loaded) == []
     # The writer loads when a table or report line is written, not for --version.
     assert ("accumtest._csvtext" in loaded) == (command == "test")
+
+
+SIMULATE_ARGV = ["simulate", "--seed", "1", "--trials", "2", "--n", "200",
+                 "--n-nonnull", "20", "--out", "sim"]
 
 
 @pytest.mark.parametrize("command", ["dosage", "simulate"])
 def test_dosage_and_simulate_load_no_scipy(tmp_path, command):
     # Both run on the package's own normal and Student-t tails; power and
-    # validate, which still load scipy, exit 0 in the test above.
+    # validate, which still load scipy, exit 0 in the test above.  Nor do
+    # they load numpy.ma, which np.unique once imported for the writer's
+    # method-name column.
     write_matrix(tmp_path)
     argv = {
         "dosage": ["dosage", "matrix.csv", "--out", "table.csv"],
-        "simulate": ["simulate", "--seed", "1", "--trials", "2", "--n", "200",
-                     "--n-nonnull", "20", "--out", "sim"],
+        "simulate": SIMULATE_ARGV,
     }[command]
     loaded = modules_loaded_by(argv, tmp_path)
-    assert "accumtest._tails" in loaded
-    assert [name for name in loaded if name.split(".")[0] == "scipy"] == []
+    engine = {"dosage": "accumtest.dosage", "simulate": "accumtest.simlab"}[command]
+    assert {engine, "accumtest._tails", "accumtest._csvtext"} <= loaded
+    assert scipy_modules(loaded) == []
+    assert "numpy.ma" not in loaded
 
 
 def test_simulate_loads_no_power_theory(tmp_path):
-    # simlab needs power_theory only to plant a signal curve.  (-X
-    # importtime does not list simlab, which the command imports through
-    # importlib; _tails, which simlab imports, shows that it ran.)
-    argv = ["simulate", "--seed", "1", "--trials", "2", "--n", "200",
-            "--n-nonnull", "20", "--out", "sim"]
-    loaded = modules_loaded_by(argv, tmp_path)
-    assert "accumtest._tails" in loaded
+    # simlab needs power_theory only to plant a signal curve.
+    loaded = modules_loaded_by(SIMULATE_ARGV, tmp_path)
+    assert "accumtest.simlab" in loaded
     assert "accumtest.power_theory" not in loaded
 
 
