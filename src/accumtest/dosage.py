@@ -23,8 +23,8 @@ those alone ``_sum_screen`` settles most relabelings on one side of the
 true labeling's tail, under a written bound on the remainder terms of
 off-grid values.  Only the relabelings it leaves open, about 2 % on the
 benchmark's data sets, go through the float Welch arithmetic of
-``_welch_stats`` and, where still close, the t-CDF.  Every rank and
-output bit is that of scoring each relabeling in full.
+``_welch_stats`` and the t-CDF.  Every rank and output bit is that of
+scoring each relabeling in full.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import _tails
 from .baselines import bh_select, storey_select
-from .errors import ContractError, DomainError, ValidationError
+from .errors import ContractError, DomainError, ValidationError, whole_number
 from .seqtest import (
     Method,
     OrderedPValues,
@@ -85,11 +85,11 @@ _BATCH_ARRAYS = 12
 
 _GRID_DECIMALS = 9
 
-# Half-width of the band around the true labeling's tail inside which
-# ``_screened_tails`` evaluates the t-CDF, relative to that tail.  It
-# absorbs any rounding wobble of the t-CDF in df or x (``_tails.stdtr``
-# is accurate to 1e-13); the absolute 2^-51 added to it makes fl(1 -
-# tail) keep the order of tail outside the band.
+# Half-width of the band around the true labeling's tail that
+# ``_thresholds`` keeps clear of, relative to that tail.  It absorbs any
+# rounding wobble of the t-CDF in df or x (``_tails.stdtr`` is accurate
+# to 1e-13); the absolute 2^-51 added to it makes fl(1 - tail) keep the
+# order of tail outside the band.
 _TAIL_SLACK = 2.0**-20
 _ABS_SLACK = 2.0**-51
 
@@ -118,7 +118,12 @@ class Sign(Enum):
 
 
 def _as_sign(sign: Union[Sign, str]) -> Sign:
-    return sign if isinstance(sign, Sign) else Sign(str(sign).lower())
+    """The ``Sign`` for ``sign``, given as a member or its value in any case."""
+    try:
+        return sign if isinstance(sign, Sign) else Sign(str(sign).lower())
+    except ValueError:
+        choices = ", ".join(repr(s.value) for s in Sign)
+        raise DomainError(f"unknown sign {sign!r}; expected one of {choices}") from None
 
 
 @dataclass(frozen=True)
@@ -427,11 +432,14 @@ def _tail_table(df_lo: float, df_hi: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _thresholds(tail0: np.ndarray, df_lo: float, df_hi: float) -> np.ndarray:
-    """Per row the x thresholds (below, above) of ``_screened_tails``.
+    """Per row the x thresholds (below, above) of ``_sum_screen``.
 
     stdtr(df_lo, below) < tail0 - slack and stdtr(df_hi, above) > tail0 +
-    slack, with slack = ``_TAIL_SLACK`` * tail0 + ``_ABS_SLACK``, read off
-    the ``_tail_table`` of the design's df bounds: below is the highest
+    slack, with slack = ``_TAIL_SLACK`` * tail0 + ``_ABS_SLACK``.  For x
+    <= 0, stdtr(df, x) does not rise with df, so for any df_lo <= df <=
+    df_hi a relabeling's tail lies below that band where x <= below and
+    above it where x >= above.  They are read off the ``_tail_table`` of
+    the design's df bounds: below is the highest
     point whose entry, and every entry before it, meets its bound, and
     above the lowest such point with every entry after it.  Each chosen
     entry is checked again, so the thresholds rest on ``_tails.stdtr``
@@ -447,52 +455,6 @@ def _thresholds(tail0: np.ndarray, df_lo: float, df_hi: float) -> np.ndarray:
     k = np.minimum(np.searchsorted(upper, target, side="right"), upper.size - 1)
     above = np.where(upper[k] > target, _SCREEN_POINTS[k], np.nan)
     return np.stack([below, above], axis=-1)
-
-
-def _screened_tails(
-    x: np.ndarray,
-    df: np.ndarray,
-    tail0: np.ndarray,
-    thresholds: np.ndarray,
-    true: np.ndarray,
-) -> np.ndarray:
-    """The tails stdtr(df, x) as far as the rank comparisons can tell.
-
-    Each element is one relabeling of one row: ``x`` and ``df`` come
-    from ``_welch_stats``, ``tail0`` and ``thresholds`` (its last axis
-    holding below and above) are its row's true tail and ``_thresholds``,
-    and ``true`` marks the true labeling, whose tail is tail0.  ``x`` is
-    overwritten by the result.  The ranks compare each tail with tail0,
-    directly, doubled, or through fl(1 - tail), and with 1/2, which no
-    tail exceeds.  So only the side of
-    tail0 matters, and that side is certain outside a band of
-    ``_TAIL_SLACK`` * tail0 + ``_ABS_SLACK`` around it.  For x <= 0,
-    stdtr(df, x) does not rise with df, so each tail lies between
-    stdtr(df_hi, x) and stdtr(df_lo, x) for any bounds df_lo <= df <=
-    df_hi.  The thresholds (below, above) mark the relabelings whose
-    tail is certainly below the band, which get the surrogate tail 0, or
-    certainly above it, which get 1/2; every comparison gives the same
-    answer for the surrogate as for the tail.  All other relabelings get
-    the exact tail, as do those with a NaN df (every degenerate one has
-    it) and every relabeling of a row without thresholds.
-    """
-    # tail <= stdtr(df_lo, x) <= stdtr(df_lo, below) < tail0 - slack.
-    low = x <= thresholds[..., 0]
-    # tail >= stdtr(df_hi, x) >= stdtr(df_hi, above) > tail0 + slack.
-    close = x >= thresholds[..., 1]
-    close |= low
-    np.logical_not(close, out=close)
-    close |= np.isnan(df)
-    close &= ~true
-    idx = np.nonzero(close)
-    del close
-    exact = _tails.stdtr(df[idx], x[idx])
-    tail = x
-    tail.fill(0.5)
-    tail[low] = 0.0
-    tail[idx] = exact
-    tail[true] = tail0[true]
-    return tail
 
 
 def _true_tails(
@@ -566,6 +528,16 @@ def welch_p_one_sided(a, b, direction: Union[Sign, str]) -> float:
     ``Sign.PLUS`` scores evidence that the mean of ``a`` exceeds the
     mean of ``b``; ``Sign.MINUS`` scores the opposite tail.  The two
     directions sum to one for non-degenerate data.
+
+    Raises
+    ------
+    DomainError
+        If ``direction`` is neither ``plus`` nor ``minus``.
+    ContractError
+        If a sample has fewer than two values.
+    ValidationError
+        If a value is not finite, or the samples together span more than
+        the float range.
     """
     row_a, row_b = _check_pair(a, b)
     plus = _as_sign(direction) is Sign.PLUS
@@ -684,8 +656,8 @@ def _sum_screen(
     for the one group of two or more; se2_h = sum a_h / k_n.  A
     relabeling is settled low when ``_welch_stats`` would give x <=
     below, and high when it would give x >= above with se2 > 0 (so a
-    finite df); ``_screened_tails`` would then give it the surrogate
-    tail 0 or 1/2.  The bound behind that, with u = 2^-53, b =
+    finite df); ``_settled_hits`` counts what it adds to the ranks.  The
+    bound behind that, with u = 2^-53, b =
     ``_scale_bits``(m) and delta = m_c m_l on off-grid rows (0 on grid
     rows, whose sums are exact):
 
@@ -785,6 +757,37 @@ def _sum_screen(
     return counts, low
 
 
+def _settled_hits(
+    counts: np.ndarray,
+    plus_mask: np.ndarray,
+    p_init: np.ndarray,
+    p_two: np.ndarray,
+    mirror: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row rank hits of the relabelings ``_sum_screen`` settled.
+
+    ``counts`` holds per row the relabelings settled low, those of them
+    with d > 0, and those settled high.  A settled relabeling's tail lies
+    outside the band of ``_thresholds`` around the true tail, below it
+    (low) or above it (high), so every rank comparison comes out as for
+    the tail 0 or 1/2: its one-sided p as 0 where its directed difference
+    is positive and 1 where negative (low), or as 1/2 (high), and its
+    mirror's the other way round; its two-sided p as 0 or 1.  Returns the
+    one-sided hits, the mirrors' included when ``mirror``, and the
+    two-sided hits without them.
+    """
+    low, up, high = counts
+    top = p_init >= 1.0
+    half = high * (p_init >= 0.5)
+    if mirror:
+        hits = low * (1 + top) + 2 * half
+    else:
+        plus = np.where(plus_mask, up, low - up)
+        hits = plus + (low - plus) * top + half
+    hits_two = low + high * (p_two >= 1.0)
+    return hits, hits_two
+
+
 def _score_batch(
     h: np.ndarray,
     r: np.ndarray,
@@ -803,13 +806,12 @@ def _score_batch(
     one- and two-sided p; since each is found row by row, any slice of
     them belongs to the same slice of rows.  One matrix product gives
     the exact sums of every relabeling, and ``_sum_screen`` settles most
-    of them from those alone.  Only the relabelings it leaves open, and the true
-    labeling, are scored by ``_welch_stats`` (with the ``_pair_sums`` of
-    their remainders, on off-grid rows) and ``_screened_tails``, a chunk
-    of them at a time, so that the pass holds O(open) floats, not
-    O(open x m).  A settled relabeling's one-sided p is 0 or 1 (low, by
-    the sign of its directed difference) or 1/2 (high), and its
-    two-sided p 0 or 1, so the ranks count them per row.  Every
+    of them from those alone; ``_settled_hits`` counts them per row.
+    Only the relabelings it leaves open, the true labeling among them,
+    are scored by ``_welch_stats`` (with the ``_pair_sums`` of their
+    remainders, on off-grid rows), a chunk of them at a time, so that
+    the pass holds O(open) floats, not O(open x m).  Each gets its
+    t-CDF, except the true labeling, which keeps its row's tail0.  Every
     comparison, and the rank, is that of the full evaluation.  When m_c
     = m_l only the P/2 relabelings that keep column 0 in the control
     group are scored: swapping the groups keeps the tail and df bit for
@@ -841,23 +843,10 @@ def _score_batch(
     counts, open_ = _sum_screen(
         sums[:g], sums[g:], s, q, off_grid, m_c, m_l, thresholds
     )
-    open_[:, 0] = True
     pairs = np.flatnonzero(open_)
     del open_
-
-    # A settled relabeling's one-sided p is 0 where its directed
-    # difference is positive and 1 where negative (low), or 1/2 (high),
-    # and its mirror's the other way round; its two-sided p is 0 or 1.
-    low, up, high = counts
-    top = p_init >= 1.0
-    half = high * (p_init >= 0.5)
-    if mirror:
-        hits = low * (1 + top) + 2 * half
-    else:
-        plus = np.where(plus_mask, up, low - up)
-        hits = plus + (low - plus) * top + half
-    hits_two = low + high * (p_two >= 1.0)
-    del counts, low, up, high, top, half
+    hits, hits_two = _settled_hits(counts, plus_mask, p_init, p_two, mirror)
+    del counts
 
     remainders = off_grid.any()
     step = max(1, g * _batch_columns(m_c, m_l) // (2 * (m_c + m_l) + 12))
@@ -874,8 +863,12 @@ def _score_batch(
             m_c, m_l, pair_sums,
         )
         del pair_sums
-        tail = _screened_tails(x, df, tail0[rows], thresholds[rows], cols == 0)
-        del x, df
+        true = cols == 0
+        other = ~true
+        tail = x
+        tail[other] = _tails.stdtr(df[other], x[other])
+        tail[true] = tail0[rows[true]]
+        del df
         signed = np.where(plus_mask[rows], d, -d)
         p0 = p_init[rows]
         one = _one_sided(signed, tail, degenerate)
@@ -908,6 +901,9 @@ def permutation_pvalue(
 
     Raises
     ------
+    DomainError
+        If ``m_c`` or ``m_l`` is not a whole number, or ``sign`` is
+        neither ``plus`` nor ``minus``.
     ContractError
         If the group sizes are below one or disagree with the pooled
         sample, and also when the partition count exceeds
@@ -917,7 +913,7 @@ def permutation_pvalue(
         If a value is not finite, or the values span more than the float
         range.
     """
-    m_c, m_l = int(m_c), int(m_l)
+    m_c, m_l = whole_number("m_c", m_c, DomainError), whole_number("m_l", m_l, DomainError)
     if m_c < 1 or m_l < 1:
         raise ContractError(f"need m_c, m_l >= 1, got {m_c}, {m_l}")
     values = _check_sample("control_low_values", control_low_values, 2)

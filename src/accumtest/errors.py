@@ -11,6 +11,9 @@ command line front end) can map them to distinct exit statuses:
 * :class:`ContractError` for calls that violate a documented
   precondition, such as asking for power when no ground-truth labels
   are available.
+
+:func:`whole_number` refuses a count that is not a finite whole number
+with whichever of these its caller documents.
 """
 
 __all__ = [
@@ -35,3 +38,15 @@ class ValidationError(AccumTestError):
 
 class ContractError(AccumTestError):
     """A documented precondition of an operation was violated."""
+
+
+def whole_number(name: str, value, error: type[AccumTestError]) -> int:
+    """``value`` as an int; raises ``error``, naming ``name``, unless
+    ``value`` is a finite whole number."""
+    try:
+        number = int(value)
+    except (OverflowError, ValueError):
+        number = None
+    if number is None or number != value:
+        raise error(f"{name} must be a whole number, got {value!r}")
+    return number

@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .accumfn import AccumulationSpec, evaluate, forward_stop, hinge_exp, seq_step
-from .errors import ContractError, DomainError, ValidationError
+from .errors import ContractError, DomainError, ValidationError, whole_number
 
 __all__ = [
     "Rule",
@@ -355,11 +355,12 @@ def shift_discrete_pvalues(pvals: PValueInput, grid_size: int) -> OrderedPValues
     ------
     ValidationError
         If any value is farther than 1e-12 from the grid, or grid_size
-        is not a positive integer.
+        is not a whole number from 1 to 2^53 - 1, past which k/(G+1)
+        rounds to k/G.
     """
-    grid_size = int(grid_size)
-    if grid_size < 1:
-        raise ValidationError(f"grid_size must be >= 1, got {grid_size}")
+    grid_size = whole_number("grid_size", grid_size, ValidationError)
+    if not 1 <= grid_size < 2**53:
+        raise ValidationError(f"grid_size must lie in [1, 2^53), got {grid_size}")
     mask = pvals.null_mask if isinstance(pvals, OrderedPValues) else None
     values = _as_values(pvals)
     numerators = np.rint(values * grid_size)

@@ -39,7 +39,7 @@ import numpy as np
 from . import _tails
 from .accumfn import _eval_array
 from .densities import AlternativeDensity
-from .errors import ContractError, DomainError
+from .errors import ContractError, DomainError, whole_number
 from .seqtest import (
     Method,
     OrderedPValues,
@@ -148,7 +148,9 @@ class SimConfig:
     ``mu1`` controls how informative the ordering is, ``mu2`` how
     strong the tested signal is.  Neither may be NaN; +-inf give the
     limit of an infinitely strong signal, since both scores enter through
-    |z|.  ``seed`` is interpreted modulo 2^64.
+    |z|.  ``n``, ``n_nonnull``, ``trials`` and ``seed`` must be whole
+    numbers, ``n`` and ``trials`` below 2^63, the largest count numpy
+    can index; ``seed`` is interpreted modulo 2^64.
     """
 
     n: int = 1000
@@ -160,6 +162,12 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n", "n_nonnull", "trials", "seed"):
+            value = getattr(self, name)
+            number = whole_number(name, value, DomainError)
+            if name in ("n", "trials") and number >= 2**63:
+                raise DomainError(f"{name} must be below 2^63, got {value!r}")
+            object.__setattr__(self, name, number)
         if not 0 < self.n_nonnull < self.n:
             raise DomainError(
                 f"need 0 < n_nonnull < n, got n_nonnull={self.n_nonnull}, n={self.n}"

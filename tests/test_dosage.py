@@ -45,7 +45,7 @@ from accumtest.dosage import (
     _remainder_columns,
     _scale_bits,
     _scored_columns,
-    _screened_tails,
+    _settled_hits,
     _sum_screen,
     _tail_table,
     _thresholds,
@@ -802,9 +802,9 @@ class TestFloatPath:
 
 
 def settle_nothing(monkeypatch):
-    """The full evaluation: with NaN thresholds neither ``_sum_screen`` nor
-    ``_screened_tails`` settles a relabeling, so every one is scored by
-    ``_welch_stats`` and the t-CDF (the true labeling keeps its tail)."""
+    """The full evaluation: with NaN thresholds ``_sum_screen`` settles no
+    relabeling, so every one is scored by ``_welch_stats`` and the t-CDF
+    (the true labeling keeps its tail)."""
     monkeypatch.setattr(
         dosage,
         "_thresholds",
@@ -990,6 +990,43 @@ class TestTailScreen:
         elif case == "tiny-spread":
             assert np.isfinite(df[~degenerate]).all() and np.isfinite(tail0).any()
 
+    @pytest.mark.parametrize("screen", [True, False])
+    @pytest.mark.parametrize(
+        "case,m_c,m_l", [("grid2", 5, 3), ("off-grid", 4, 3), ("grid1", 4, 4), ("off-grid", 1, 5)]
+    )
+    def test_tcdf_elements_equal_the_open_relabelings(self, case, m_c, m_l, screen, monkeypatch):
+        # One t-CDF element for each relabeling the sum screen leaves
+        # open: the true labeling's in the call that scores every row's
+        # true tail, every other one's in its batch.  Without the screen
+        # every scored relabeling is open.
+        pools = screening_pools(case, m_c, m_l, rows=40)
+        plus = np.arange(len(pools)) % 3 == 0
+        if not screen:
+            settle_nothing(monkeypatch)
+        # The design's table is made here, and read from the cache below.
+        _permutation_rows(pools, m_c, m_l, plus)
+        counted, opened = [], []
+        stdtr, sum_screen = _tails.stdtr, dosage._sum_screen
+
+        def counting_stdtr(*args):
+            counted.append(np.broadcast(*args).size)
+            return stdtr(*args)
+
+        def counting_screen(*args):
+            counts, open_ = sum_screen(*args)
+            opened.append(np.count_nonzero(open_))
+            return counts, open_
+
+        monkeypatch.setattr(_tails, "stdtr", counting_stdtr)
+        monkeypatch.setattr(dosage, "_sum_screen", counting_screen)
+        _permutation_rows(pools, m_c, m_l, plus)
+        assert sum(counted) == sum(opened)
+        scored = len(pools) * _scored_columns(m_c, m_l)
+        if screen:
+            assert len(pools) <= sum(opened) < scored / 2
+        else:
+            assert sum(opened) == scored
+
     @pytest.mark.parametrize("case,m_c,m_l", SCREEN_CASES)
     def test_design_df_bounds_hold_for_every_relabeling(self, case, m_c, m_l):
         # The pipeline screens with these bounds before it scores a batch.
@@ -1016,21 +1053,27 @@ class TestTailScreen:
     def test_every_comparison_agrees_on_set_tails(self, error, monkeypatch):
         """Rows built around a given true tail, where rank comparisons
         are closest: fl(1 - tail) collapsing near 1, a true tail of 1/2
-        or 0, tails just beside the true one or just below 1/2, NaN df.
-        Each target gets a row with one df and a row with a wide df
-        range; one pair of df bounds covers every row.  The x of each
-        tail comes from scipy's inverse t."""
+        or 0, tails just beside the true one or just below 1/2, NaN df,
+        and degenerate relabelings with and without a difference.  Each
+        target gets a row at the lower df bound, where the screen settles
+        tails closest to the true one, a row with one df and a row with a
+        wide df range; one pair of df bounds covers every row.  The x of
+        each tail comes from scipy's inverse t.  The relabelings the
+        screen may settle, low at x <= below and high at x >= above with
+        a finite df, never the true labeling, must add to each row's
+        one-sided, mirrored and two-sided ranks, through
+        ``_settled_hits``, what their exact comparisons add."""
         rng = np.random.Generator(np.random.Philox(key=77))
         k = 400
-        targets = [1e-16, 3e-17, 2.0**-52, 0.5, 0.0, 1e-3, 0.2, 0.4999]
+        targets = [1e-16, 3e-17, 2.0**-52, 6e-16, 0.5, 0.0, 1e-3, 0.2, 0.4999]
         tails, df = [], []
-        for target, one_df in itertools.product(targets, (True, False)):
+        for target, size in itertools.product(targets, (0, 1, k)):
             near = np.minimum(target * rng.uniform(0.2, 2.0, size=k), 0.5)
             near[: k // 4] = rng.uniform(0.0, 0.5, size=k // 4)
             near[k // 4 : k // 2] = 0.5 - rng.uniform(0.0, 1e-6, size=k // 4)
             near[0] = target
             tails.append(near)
-            row_df = rng.uniform(2.0, 12.0, size=1 if one_df else k)
+            row_df = rng.uniform(2.0, 12.0, size=size) if size else 2.0
             df.append(np.broadcast_to(row_df, k))
         df = np.array(df)
         degenerate = np.zeros(df.shape, dtype=bool)
@@ -1040,9 +1083,12 @@ class TestTailScreen:
         tails = np.array(tails)
         x = special.stdtrit(df, tails)
         x[tails == 0.0] = -1e80
-        x[(targets.index(0.5) * 2, targets.index(0.5) * 2 + 1), 0] = -0.0
+        x[3 * targets.index(0.5) : 3 * targets.index(0.5) + 3, 0] = -0.0
         x[:, 1::37] = -0.0
         d = rng.normal(size=x.shape)
+        # As ``_welch_stats`` gives them: without spread, x = -|d / 0|.
+        d[:, -1] = 0.0
+        x[:, -3:-1] = -np.inf
         exact = _tails.stdtr(df, x)
         assert (exact[:, 0] == 0.0).any() and (exact[:, 0] == 0.5).any()
         assert (1.0 - exact[0, 0] == 1.0 - exact[0, 1:]).any()
@@ -1050,22 +1096,29 @@ class TestTailScreen:
         shift_points(monkeypatch, error)
         # Every row's df was drawn from [2, 12).
         thresholds = _thresholds(exact[:, 0], 2.0, 12.0)
-        true = np.zeros(x.shape, dtype=bool)
-        true[:, 0] = True
-        screened = _screened_tails(
-            x.copy(), df, np.broadcast_to(exact[:, :1], x.shape), thresholds[:, None], true
-        )
-        assert (screened != exact).mean() > 0.5
+        low = x <= thresholds[:, :1]
+        high = (x >= thresholds[:, 1:]) & np.isfinite(df)
+        low[:, 0] = high[:, 0] = False
+        settled = low | high
+        assert settled.mean() > 0.5 and low[:, -3:-1].any()
+        counts = np.stack([low.sum(axis=1), (low & (d > 0.0)).sum(axis=1), high.sum(axis=1)])
 
-        def comparisons(tail, signed):
-            one = _one_sided(signed, tail, degenerate)
-            two = _two_sided(d, tail, degenerate)
-            mirrored = _one_sided(-signed, tail, degenerate)
-            return one <= one[:, :1], two <= two[:, :1], mirrored <= one[:, :1]
+        def settled_hits(p, p0):
+            return ((p <= p0[:, None]) & settled).sum(axis=1).tolist()
 
-        for signed in (d, -d):
-            for a, b in zip(comparisons(screened, signed), comparisons(exact, signed)):
-                assert (a == b).all()
+        two = _two_sided(d, exact, degenerate)
+        rows = np.arange(x.shape[0])
+        for plus in (rows % 2 == 0, rows % 2 == 1):
+            signed = np.where(plus[:, None], d, -d)
+            one = _one_sided(signed, exact, degenerate)
+            mirrored = _one_sided(-signed, exact, degenerate)
+            for mirror in (False, True):
+                hits, hits_two = _settled_hits(counts, plus, one[:, 0], two[:, 0], mirror)
+                want = np.array(settled_hits(one, one[:, 0]))
+                if mirror:
+                    want += settled_hits(mirrored, one[:, 0])
+                assert hits.tolist() == want.tolist()
+                assert hits_two.tolist() == settled_hits(two, two[:, 0])
 
     def test_thresholds_at_the_ends_of_the_table(self, monkeypatch):
         lo, hi = _df_bounds(2, 2)

@@ -7,6 +7,12 @@ when it fails and none when it succeeds, raise no RuntimeWarning, and
 finish within ``TIME_LIMIT_S``.  Successful runs must meet the
 invariants of their output: p-values in [0, 1], permutation p-values on
 {1/P, ..., 1}, and at most n discoveries.
+
+The public functions called outside the CLI get the edge values of
+``NUMBERS`` in each numeric parameter, one at a time, and bad strings in
+their sign and rule parameters.  Each call must return a value that
+meets its invariants or raise an ``AccumTestError``, raise no
+RuntimeWarning, and finish within ``TIME_LIMIT_S``.
 """
 
 import contextlib
@@ -18,7 +24,24 @@ import warnings
 import numpy as np
 import pytest
 
-from accumtest import cli, dosage
+from accumtest import (
+    AccumTestError,
+    SimConfig,
+    bh_select,
+    cli,
+    dosage,
+    forward_stop,
+    hinge_exp,
+    permutation_pvalue,
+    run_accumulation_test,
+    run_simulation,
+    select_cutoff,
+    seq_step,
+    shift_discrete_pvalues,
+    storey_select,
+    welch_p_one_sided,
+    welch_p_two_sided,
+)
 
 TIME_LIMIT_S = 10.0
 CASES = 60
@@ -253,3 +276,141 @@ def test_power_fails_cleanly(seed):
         report = dict(line.split(" = ") for line in out.strip().splitlines())
         assert 0.0 <= float(report["T"]) <= 1.0
         assert 0.0 <= float(report["power"]) <= 1.0
+
+
+# --- public functions ------------------------------------------------------
+
+NUMBERS = (math.nan, math.inf, -math.inf, 0.0, -1.0, 2.5, 1e308, 5e-324)
+SIGNS = ("plus", "MINUS", "up", "", "plus ", "none")
+
+
+def call_cleanly(function, *args):
+    """``function(*args)``, or None when it raises an ``AccumTestError``;
+    any other exception fails the case."""
+    start = time.perf_counter()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = function(*args)
+        except AccumTestError:
+            result = None
+    elapsed = time.perf_counter() - start
+    runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert runtime == [], (function.__name__, args, runtime)
+    assert elapsed < TIME_LIMIT_S, (function.__name__, args, elapsed)
+    return result
+
+
+def edge_calls(rng, args, numeric, strings=()):
+    """Copies of ``args`` with one numeric argument, or one element of an
+    array argument, set to each of ``NUMBERS``, and with each string
+    argument set to each of ``SIGNS``."""
+    for i in numeric:
+        for value in NUMBERS:
+            changed = list(args)
+            if isinstance(args[i], np.ndarray):
+                changed[i] = args[i].copy()
+                changed[i][rng.integers(args[i].size)] = value
+            else:
+                changed[i] = value
+            yield changed
+    for i in strings:
+        for value in SIGNS:
+            changed = list(args)
+            changed[i] = value
+            yield changed
+
+
+def check_unit(p):
+    assert 0.0 <= p <= 1.0, p
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_permutation_pvalue_fails_cleanly(seed):
+    rng = np.random.default_rng([5, seed])
+    m_c, m_l = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    pool = rng.normal(size=m_c + m_l).round(int(rng.integers(0, 3)))
+    for args in edge_calls(rng, [pool, m_c, m_l, "plus"], numeric=(0, 1, 2), strings=(3,)):
+        p = call_cleanly(permutation_pvalue, *args)
+        if p is not None:
+            count = math.comb(int(args[1]) + int(args[2]), int(args[1]))
+            assert p * count == round(p * count) and 1 <= p * count <= count, (args, p)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_welch_fails_cleanly(seed):
+    rng = np.random.default_rng([6, seed])
+    a, b = rng.normal(size=int(rng.integers(2, 5))), rng.normal(size=int(rng.integers(2, 5)))
+    for args in edge_calls(rng, [a, b, "plus"], numeric=(0, 1), strings=(2,)):
+        p = call_cleanly(welch_p_one_sided, *args)
+        if p is not None:
+            check_unit(p)
+        p = call_cleanly(welch_p_two_sided, *args[:2])
+        if p is not None:
+            check_unit(p)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_simulation_fails_cleanly(seed):
+    rng = np.random.default_rng([7, seed])
+    fields = ("n", "n_nonnull", "mu1", "mu2", "alpha_grid", "trials", "seed")
+    base = [12, 3, 2.0, 1.5, np.array([0.1, 0.3]), 2, int(rng.integers(2**31))]
+
+    def simulate(*args):
+        config = SimConfig(**dict(zip(fields, args)))
+        return config, run_simulation(config, include_paths=False)
+
+    for args in edge_calls(rng, base, numeric=range(len(base))):
+        result = call_cleanly(simulate, *args)
+        if result is not None:
+            config, summary = result
+            assert summary.trials == config.trials == args[5]
+            for table in (summary.mean_power, summary.mean_fdp):
+                assert ((0.0 <= table) & (table <= 1.0)).all(), (args, table)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_step_up_baselines_fail_cleanly(seed):
+    rng = np.random.default_rng([8, seed])
+    p = rng.random(int(rng.integers(1, 12)))
+    for select, base in ((bh_select, [p, 0.2]), (storey_select, [p, 0.2, 0.5])):
+        for args in edge_calls(rng, base, numeric=range(len(base))):
+            chosen = call_cleanly(select, *args)
+            if chosen is not None:
+                assert 0 <= chosen.count <= p.size == args[0].size
+                assert len(set(chosen.indices)) == len(chosen.indices) == chosen.count
+                assert all(0 <= i < p.size for i in chosen.indices)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_select_cutoff_fails_cleanly(seed):
+    rng = np.random.default_rng([9, seed])
+    path = rng.exponential(0.3, size=int(rng.integers(1, 12)))
+    for args in edge_calls(rng, [path, 0.2], numeric=(0, 1)):
+        k = call_cleanly(select_cutoff, *args)
+        if k is not None:
+            assert isinstance(k, int) and 0 <= k <= path.size
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_shift_discrete_pvalues_fails_cleanly(seed):
+    rng = np.random.default_rng([10, seed])
+    grid = int(rng.integers(1, 30))
+    p = rng.integers(1, grid + 1, size=int(rng.integers(1, 12))) / grid
+    for args in edge_calls(rng, [p, grid], numeric=(0, 1)):
+        shifted = call_cleanly(shift_discrete_pvalues, *args)
+        if shifted is not None:
+            values = shifted.values
+            assert values.size == p.size and ((0.0 < values) & (values < 1.0)).all()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_accumulation_test_fails_cleanly(seed):
+    rng = np.random.default_rng([11, seed])
+    p = rng.random(int(rng.integers(1, 12))) ** 2
+    spec = (forward_stop(), hinge_exp(2.0), seq_step(2.0))[seed % 3]
+    base = [p, spec, 0.2, "plus", 2.0]
+    for args in edge_calls(rng, base, numeric=(0, 2, 4), strings=(3,)):
+        result = call_cleanly(run_accumulation_test, *args)
+        if result is not None:
+            assert 0 <= result.k_hat <= p.size == result.fdp_hat_path.size
