@@ -80,7 +80,6 @@ _PUBLIC = {
         "generate_from_curve",
         "generate_ranked_trial",
         "normal_cdf",
-        "normal_quantile",
         "run_simulation",
         "run_trial",
         "simulate_count_ratio",

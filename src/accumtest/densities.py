@@ -17,6 +17,11 @@ experiment can be written down exactly and the run replayed:
   ``scipy.special`` (``xlogy``, ``xlog1py``, ``betaln``), so the
   module never imports ``scipy.stats``.
 * ``piecewise(pieces)``: constant levels on a partition of [0, 1].
+
+scipy is an optional extra (``accumtest[theory]``).  Only the
+two_sided_z evaluations and sampling and the beta pdf, cdf and upper
+tail load it, through ``scipy_special``; uniform and piecewise
+densities, and beta sampling, run on numpy alone.
 """
 
 from __future__ import annotations
@@ -34,13 +39,44 @@ from ._pieces import (
     piece_levels_at,
     piece_total,
 )
-from .errors import DomainError, ValidationError
-
-# scipy is imported inside functions: loading it here would slow every CLI start.
+from .errors import ContractError, DomainError, ValidationError
 
 __all__ = ["DensityForm", "AlternativeDensity"]
 
 _UNIT_TOL = 1e-9
+
+
+def scipy_special():
+    """``scipy.special``, imported on first use: loading it with this
+    module would slow every CLI start, and scipy is an optional extra.
+
+    Raises ``ContractError`` when scipy is not installed.
+    """
+    try:
+        from scipy import special
+    except ImportError:
+        raise ContractError(
+            "scipy is not installed; the two_sided_z and beta densities and "
+            "validate need it: pip install 'accumtest[theory]'"
+        ) from None
+    return special
+
+
+def _unit_points(t) -> tuple[np.ndarray, np.ndarray]:
+    """``t`` as an array and as a flat 1-d view, checked to lie in [0, 1]."""
+    arr = np.asarray(t, dtype=float)
+    flat = np.atleast_1d(arr)
+    if flat.size and (np.isnan(flat).any() or flat.min() < 0 or flat.max() > 1):
+        raise DomainError("density evaluation points must lie in [0, 1]")
+    return arr, flat
+
+
+def _shaped(out: np.ndarray, arr: np.ndarray):
+    """``out``, computed on the flat points, in the shape of ``arr``: a
+    float for a scalar."""
+    if arr.ndim == 0:
+        return float(out[0])
+    return out.reshape(arr.shape)
 
 
 class DensityForm(enum.Enum):
@@ -110,12 +146,7 @@ class AlternativeDensity:
 
     def pdf(self, t):
         """Density value at ``t`` (scalar or array), points in [0, 1]."""
-        from scipy import special
-
-        arr = np.asarray(t, dtype=float)
-        flat = np.atleast_1d(arr)
-        if flat.size and (np.isnan(flat).any() or flat.min() < 0 or flat.max() > 1):
-            raise DomainError("density evaluation points must lie in [0, 1]")
+        arr, flat = _unit_points(t)
         form = self.form
         if form is DensityForm.UNIFORM:
             out = np.ones_like(flat)
@@ -125,11 +156,11 @@ class AlternativeDensity:
                 out = np.ones_like(flat)
             else:
                 # The cosh as two exponentials, so no inf * 0 at large mu.
-                z = -special.ndtri(0.5 * flat)
+                z = -scipy_special().ndtri(0.5 * flat)
                 with np.errstate(over="ignore"):
                     out = 0.5 * (np.exp(mu * z - shift) + np.exp(-mu * z - shift))
         elif form is DensityForm.BETA:
-            a, b = self.a, self.b
+            a, b, special = self.a, self.b, scipy_special()
             with np.errstate(divide="ignore"):
                 log_pdf = special.xlogy(a - 1.0, flat) + special.xlog1py(
                     b - 1.0, -flat
@@ -137,39 +168,29 @@ class AlternativeDensity:
                 out = np.exp(log_pdf - special.betaln(a, b))
         else:
             out = piece_levels_at(self.pieces, flat)
-        if arr.ndim == 0:
-            return float(out[0])
-        return out.reshape(arr.shape)
+        return _shaped(out, arr)
 
     def cdf(self, t):
         """Cumulative distribution at ``t``."""
-        from scipy import special
-
-        arr = np.asarray(t, dtype=float)
-        flat = np.atleast_1d(arr)
-        if flat.size and (np.isnan(flat).any() or flat.min() < 0 or flat.max() > 1):
-            raise DomainError("density evaluation points must lie in [0, 1]")
+        arr, flat = _unit_points(t)
         form = self.form
         if form is DensityForm.UNIFORM:
             out = flat.copy()
         elif form is DensityForm.TWO_SIDED_Z:
             # P(2 * (1 - Phi(|Z|)) <= t) with Z ~ Normal(mu, 1).
+            special = scipy_special()
             z = -special.ndtri(0.5 * flat)
             out = special.ndtr(self.mu - z) + special.ndtr(-z - self.mu)
         elif form is DensityForm.BETA:
-            out = special.betainc(self.a, self.b, flat)
+            out = scipy_special().betainc(self.a, self.b, flat)
         else:
-            lows = np.array([lo for lo, _, _ in self.pieces])
-            levels = np.array([level for _, _, level in self.pieces])
-            widths = np.array([hi - lo for lo, hi, _ in self.pieces])
+            lows, levels, widths = self._piece_arrays()
             cum = np.concatenate([[0.0], np.cumsum(levels * widths)])
             idx = np.minimum(
                 np.searchsorted(lows, flat, side="right") - 1, len(self.pieces) - 1
             )
             out = cum[idx] + levels[idx] * (flat - lows[idx])
-        if arr.ndim == 0:
-            return float(np.clip(out[0], 0.0, 1.0))
-        return np.clip(out.reshape(arr.shape), 0.0, 1.0)
+        return _shaped(np.clip(out, 0.0, 1.0), arr)
 
     def upper_tail(self, u):
         """P(p > 1 - u), the mass within ``u`` of 1, for u in [0, 1].
@@ -180,19 +201,18 @@ class AlternativeDensity:
         mass of |Z| < z with z = sqrt(2) erfinv(u), and piecewise the
         overlap of each piece with [1 - u, 1].
         """
-        from scipy import special
-
         u = np.asarray(u, dtype=float)
         form = self.form
         if form is DensityForm.UNIFORM:
             return u.copy()
         if form is DensityForm.TWO_SIDED_Z:
             # p > 1 - u iff |Z| < z; |mu| keeps both terms in the lower tail.
+            special = scipy_special()
             z = math.sqrt(2.0) * special.erfinv(u)
             mu = abs(self.mu)
             return special.ndtr(z - mu) - special.ndtr(-z - mu)
         if form is DensityForm.BETA:
-            return special.betainc(self.b, self.a, u)
+            return scipy_special().betainc(self.b, self.a, u)
         # Piece [lo, hi) is u-interval [1 - hi, 1 - lo); the top one starts at 0.
         return sum(
             level * np.clip(np.minimum(u, 1.0 - lo) - (1.0 - hi), 0.0, None)
@@ -201,19 +221,15 @@ class AlternativeDensity:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` independent values from the density."""
-        from scipy import special
-
         form = self.form
         if form is DensityForm.UNIFORM:
             return rng.random(size)
         if form is DensityForm.TWO_SIDED_Z:
             z = rng.standard_normal(size) + self.mu
-            return 2.0 * special.ndtr(-np.abs(z))
+            return 2.0 * scipy_special().ndtr(-np.abs(z))
         if form is DensityForm.BETA:
             return rng.beta(self.a, self.b, size)
-        levels = np.array([level for _, _, level in self.pieces])
-        lows = np.array([lo for lo, _, _ in self.pieces])
-        widths = np.array([hi - lo for lo, hi, _ in self.pieces])
+        lows, levels, widths = self._piece_arrays()
         weights = levels * widths
         cum = np.cumsum(weights)
         u = rng.random(size) * cum[-1]
@@ -221,6 +237,13 @@ class AlternativeDensity:
         prev = np.where(idx > 0, cum[idx - 1], 0.0)
         frac = (u - prev) / weights[idx]
         return lows[idx] + frac * widths[idx]
+
+    def _piece_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pieces' lower edges, levels and widths as arrays."""
+        lows = np.array([lo for lo, _, _ in self.pieces])
+        levels = np.array([level for _, _, level in self.pieces])
+        widths = np.array([hi - lo for lo, hi, _ in self.pieces])
+        return lows, levels, widths
 
     # ---- structural queries ---------------------------------------------
 

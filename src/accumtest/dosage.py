@@ -761,7 +761,6 @@ def _settled_hits(
     counts: np.ndarray,
     plus_mask: np.ndarray,
     p_init: np.ndarray,
-    p_two: np.ndarray,
     mirror: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row rank hits of the relabelings ``_sum_screen`` settled.
@@ -775,17 +774,30 @@ def _settled_hits(
     mirror's the other way round; its two-sided p as 0 or 1.  Returns the
     one-sided hits, the mirrors' included when ``mirror``, and the
     two-sided hits without them.
+
+    A settled p of 1, a low relabeling's one-sided p where its
+    difference is negative or a high one's two-sided p, would count only
+    where the true p is 1 as well.  No row with such relabelings has
+    that:
+
+    * p_init >= 1 needs fl(1 - tail0) = 1, so tail0 <= 2^-54 (a
+      degenerate row has tail0 NaN, and NaN thresholds settle nothing).
+      There tail0 - slack < 0, as ``_ABS_SLACK`` = 2^-51, and no table
+      entry, a t-CDF value >= 0, lies below it: ``_thresholds`` gives no
+      below threshold, and the row has no low relabeling.
+    * p_two >= 1 needs 2 tail0 >= 1, so tail0 >= 1/2.  Every ``upper``
+      entry is at most the table's last, stdtr(df_hi, 0) = 1/2, so none
+      exceeds tail0 + slack: there is no above threshold, and the row
+      has no high relabeling.
     """
     low, up, high = counts
-    top = p_init >= 1.0
     half = high * (p_init >= 0.5)
     if mirror:
-        hits = low * (1 + top) + 2 * half
+        hits = low + 2 * half
     else:
-        plus = np.where(plus_mask, up, low - up)
-        hits = plus + (low - plus) * top + half
-    hits_two = low + high * (p_two >= 1.0)
-    return hits, hits_two
+        hits = np.where(plus_mask, up, low - up) + half
+    # A fresh array: the caller adds the open relabelings' hits in place.
+    return hits, low.copy()
 
 
 def _score_batch(
@@ -845,7 +857,7 @@ def _score_batch(
     )
     pairs = np.flatnonzero(open_)
     del open_
-    hits, hits_two = _settled_hits(counts, plus_mask, p_init, p_two, mirror)
+    hits, hits_two = _settled_hits(counts, plus_mask, p_init, mirror)
     del counts
 
     remainders = off_grid.any()

@@ -51,9 +51,10 @@ from .seqtest import (
 # Not called here; kept as module attributes that the benchmark tracer wraps.
 from .seqtest import estimated_fdp_path, estimated_fdp_path_plus  # noqa: F401
 
-# scipy is imported by ``normal_quantile`` alone, which no command calls,
-# and ``power_theory`` by ``generate_from_curve`` alone, which simulate
-# does not call.
+# ``power_theory`` is imported by ``generate_from_curve`` alone, which
+# simulate does not call.  Nothing here loads scipy: only the
+# two_sided_z and beta densities that a caller may hand to
+# ``generate_from_curve`` do.
 if TYPE_CHECKING:
     from .power_theory import SignalCurve
 
@@ -64,7 +65,6 @@ __all__ = [
     "AggregateResult",
     "default_methods",
     "normal_cdf",
-    "normal_quantile",
     "child_seed",
     "child_rng",
     "generate_ranked_trial",
@@ -92,6 +92,12 @@ STAT_KHAT, STAT_FALSE_POS, STAT_POWER, STAT_FDP = range(4)
 # peak RSS by 0.5 MB, so the budget stays at 1 MiB.
 _BLOCK_BUDGET = 2**20
 
+# Bytes one trial's ``_row_bytes(n, 0, 0)`` arrays may take, as
+# ``dosage._TABLE_BUDGET`` caps a design's partition table: n up to
+# 2 097 152.  A larger n is refused before anything is allocated,
+# instead of failing on an allocation far beyond the host's memory.
+_TRIAL_BUDGET = 128 * 2**20
+
 # Bounds on what one block holds at once besides its paths: (rows x n)
 # float64 arrays, and bytes per row and level besides the stats.
 # Tracemalloc peaks were 5.7-6.7 arrays at n = 200 to 5000 and 9 levels,
@@ -107,18 +113,6 @@ def normal_cdf(x):
     """Standard normal distribution function, relative error below 1e-14."""
     out = _tails.ndtr(np.asarray(x, dtype=float))
     return float(out) if np.ndim(x) == 0 else out
-
-
-def normal_quantile(q):
-    """Inverse of :func:`normal_cdf`; endpoints map to -inf/+inf."""
-    from scipy import special
-
-    arr = np.asarray(q, dtype=float)
-    flat = np.atleast_1d(arr)
-    if flat.size and (np.isnan(flat).any() or flat.min() < 0 or flat.max() > 1):
-        raise DomainError("quantile levels must lie in [0, 1]")
-    out = special.ndtri(arr)
-    return float(out) if arr.ndim == 0 else out
 
 
 def _mix64(value: int) -> int:
@@ -150,7 +144,9 @@ class SimConfig:
     limit of an infinitely strong signal, since both scores enter through
     |z|.  ``n``, ``n_nonnull``, ``trials`` and ``seed`` must be whole
     numbers, ``n`` and ``trials`` below 2^63, the largest count numpy
-    can index; ``seed`` is interpreted modulo 2^64.
+    can index; ``seed`` is interpreted modulo 2^64.  An ``n`` whose one
+    trial would take more than ``_TRIAL_BUDGET`` bytes raises
+    ``ContractError``.
     """
 
     n: int = 1000
@@ -168,6 +164,13 @@ class SimConfig:
             if name in ("n", "trials") and number >= 2**63:
                 raise DomainError(f"{name} must be below 2^63, got {value!r}")
             object.__setattr__(self, name, number)
+        needed = _row_bytes(self.n, 0, 0)
+        if needed > _TRIAL_BUDGET:
+            raise ContractError(
+                f"n = {self.n} needs {needed / 2**20:.0f} MiB per trial, over the "
+                f"{_TRIAL_BUDGET // 2**20} MiB budget; the largest n is "
+                f"{_TRIAL_BUDGET // _row_bytes(1, 0, 0)}"
+            )
         if not 0 < self.n_nonnull < self.n:
             raise DomainError(
                 f"need 0 < n_nonnull < n, got n_nonnull={self.n_nonnull}, n={self.n}"

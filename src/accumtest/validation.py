@@ -3,7 +3,9 @@
 Each check re-derives a known quantity through an independent route,
 most often a closed form, and compares it to the library's answer.
 Everything is deterministic and the whole suite runs in a few seconds,
-so it doubles as a quick install check.
+so it doubles as a quick install check.  Several checks integrate the
+two_sided_z and beta densities, so the suite needs scipy, the
+``accumtest[theory]`` extra.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import accumfn, baselines, dosage, power_theory, seqtest, simlab
+from . import accumfn, baselines, densities, dosage, power_theory, seqtest, simlab
 
 __all__ = ["CheckResult", "run_suite", "CHECKS"]
 
@@ -241,7 +243,12 @@ CHECKS: tuple[tuple[str, Callable[[], None]], ...] = (
 
 
 def run_suite(write=print) -> list[CheckResult]:
-    """Run every check, emitting one pass/fail line per check."""
+    """Run every check, emitting one pass/fail line per check.
+
+    Raises ``ContractError`` before any check runs when scipy is not
+    installed.
+    """
+    densities.scipy_special()
     results = []
     for name, check in CHECKS:
         try:

@@ -200,6 +200,16 @@ class TestCmdSimulate:
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         assert max(float(row[2]) for row in rows) < 0.1
 
+    def test_oversized_n_exits_4_before_allocation(self, capsys):
+        code, out, err = run_cli(
+            ["simulate", "--seed", "1", "--n", "100000000000", "--trials", "1",
+             "--no-paths"],
+            capsys,
+        )
+        assert (code, out) == (4, "")
+        assert err.startswith("error: n = 100000000000 needs ")
+        assert len(err.splitlines()) == 1
+
     def test_single_trial_reruns_are_byte_identical(self, tmp_path, capsys):
         args = [
             "simulate", "--seed", "3", "--trials", "1",

@@ -1113,7 +1113,7 @@ class TestTailScreen:
             one = _one_sided(signed, exact, degenerate)
             mirrored = _one_sided(-signed, exact, degenerate)
             for mirror in (False, True):
-                hits, hits_two = _settled_hits(counts, plus, one[:, 0], two[:, 0], mirror)
+                hits, hits_two = _settled_hits(counts, plus, one[:, 0], mirror)
                 want = np.array(settled_hits(one, one[:, 0]))
                 if mirror:
                     want += settled_hits(mirrored, one[:, 0])

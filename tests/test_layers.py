@@ -1,5 +1,7 @@
-"""Module layering: the core depends on nothing above it, and importing
-the package or running a command loads no more of scipy than it needs."""
+"""Module layering: the core depends on nothing above it, importing the
+package or running a command loads no more of scipy than it needs, and
+everything but ``validate`` and the scipy-backed densities runs without
+scipy installed."""
 
 import ast
 import json
@@ -176,8 +178,7 @@ SIMULATE_ARGV = ["simulate", "--seed", "1", "--trials", "2", "--n", "200",
 
 @pytest.mark.parametrize("command", ["dosage", "simulate"])
 def test_dosage_and_simulate_load_no_scipy(tmp_path, command):
-    # Both run on the package's own normal and Student-t tails; power and
-    # validate, which still load scipy, exit 0 in the test above.  Nor do
+    # Both run on the package's own normal and Student-t tails.  Nor do
     # they load numpy.ma, which np.unique once imported for the writer's
     # method-name column.
     write_matrix(tmp_path)
@@ -205,3 +206,138 @@ def test_every_public_name_resolves():
     assert set(accumtest.__all__) <= set(dir(accumtest))
     with pytest.raises(AttributeError):
         accumtest.no_such_name
+
+
+def test_only_densities_imports_scipy():
+    def imports_scipy(path):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                return True
+        return False
+
+    assert {path.stem for path in PACKAGE.glob("*.py") if imports_scipy(path)} == {
+        "densities"
+    }
+
+
+# Run in a fresh interpreter, where ``sys.modules['scipy'] = None`` makes
+# every import of scipy fail as if it were not installed.
+BLOCK_SCIPY = "import sys\nsys.modules['scipy'] = None\n"
+
+RUN_COMMANDS = """
+import contextlib, io, json, os
+from accumtest import cli
+results = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    os.chdir(name)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    results[name] = [code, out.getvalue()]
+    os.chdir("..")
+print(json.dumps(results))
+"""
+
+
+def run_commands(tmp_path, argvs, block):
+    """Exit code and stdout of each command, each run in its own copy of
+    ``tmp_path / 'inputs'``, in one fresh interpreter."""
+    root = tmp_path / ("without" if block else "with")
+    for name in argvs:
+        (root / name).mkdir(parents=True)
+        for source in (tmp_path / "inputs").iterdir():
+            (root / name / source.name).write_bytes(source.read_bytes())
+    proc = subprocess.run(
+        [sys.executable, "-c", (BLOCK_SCIPY if block else "import sys\n") + RUN_COMMANDS,
+         json.dumps(argvs)],
+        cwd=root,
+        env=package_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout), root
+
+
+def test_commands_without_scipy_match_those_with_it(tmp_path):
+    (tmp_path / "inputs").mkdir()
+    write_matrix(tmp_path / "inputs")
+    (tmp_path / "inputs" / "p.csv").write_text("p,is_null\n0.01,0\n0.02,0\n0.7,1\n")
+    argvs = {
+        "version": ["--version"],
+        "test": ["test", "p.csv", "--method", "hingeexp:C=2", "--alpha", "0.2",
+                 "--out", "path.csv"],
+        "dosage": ["dosage", "matrix.csv", "--out", "table.csv"],
+        "simulate": SIMULATE_ARGV,
+        "simulate-stdout": SIMULATE_ARGV[:-2] + ["--no-paths"],
+        "power": ["power", "--curve", "f:0,0.5;1,0.3", "--alpha", "0.8", "--mu", "0.5"],
+    }
+    with_scipy, with_root = run_commands(tmp_path, argvs, block=False)
+    without, without_root = run_commands(tmp_path, argvs, block=True)
+    assert without == with_scipy
+    assert {name: code for name, (code, _) in without.items()} == dict.fromkeys(argvs, 0)
+    for name, (_, out) in without.items():
+        files = sorted(path.name for path in (with_root / name).iterdir())
+        assert files == sorted(path.name for path in (without_root / name).iterdir())
+        for file in files:
+            assert (with_root / name / file).read_bytes() == (
+                without_root / name / file
+            ).read_bytes(), (name, file)
+        # Each run printed its result or wrote it beside the two inputs.
+        assert out or len(files) > 2, name
+
+
+def test_validate_without_scipy_fails_fast():
+    proc = subprocess.run(
+        [sys.executable, "-c", BLOCK_SCIPY + "from accumtest.cli import main\n"
+         "raise SystemExit(main(['validate']))"],
+        env=package_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "accumtest[theory]" in line
+
+
+DENSITY_CALLS = """
+import json
+import numpy as np
+from accumtest import AlternativeDensity, ContractError
+points = np.linspace(0.0, 1.0, 11)
+results = []
+for density in (
+    AlternativeDensity.uniform(),
+    AlternativeDensity.piecewise([(0.0, 0.25, 2.0), (0.25, 1.0, 2.0 / 3.0)]),
+):
+    for values in (
+        density.pdf(points), density.cdf(points), density.upper_tail(points),
+        density.sample(np.random.default_rng(5), 7),
+    ):
+        results.append(values.tolist())
+    results.append([density.pdf(0.3), density.cdf(0.3)])
+beta = AlternativeDensity.beta(1.0, 2.0)
+results.append(beta.sample(np.random.default_rng(5), 7).tolist())
+try:
+    beta.cdf(0.5)
+except ContractError as error:
+    results.append(str(error))
+print(json.dumps(results))
+"""
+
+
+def test_numpy_densities_run_without_scipy():
+    without = json.loads(run_python(BLOCK_SCIPY + DENSITY_CALLS))
+    with_scipy = json.loads(run_python(DENSITY_CALLS))
+    assert without[:-1] == with_scipy
+    assert len(without) == len(with_scipy) + 1 == 12
+    assert "accumtest[theory]" in without[-1]

@@ -26,7 +26,6 @@ from accumtest import (
     generate_from_curve,
     generate_ranked_trial,
     normal_cdf,
-    normal_quantile,
     parse_curve,
     power_of_cutoff,
     run_trial,
@@ -54,20 +53,6 @@ class TestNormalFunctions:
         for x, want in oracles.NORMAL_CDF_REFERENCE.items():
             assert abs(normal_cdf(x) - want) <= 1e-12
             assert abs(normal_cdf(-x) - (1.0 - want)) <= 1e-12
-
-    def test_quantile_inverts_cdf(self):
-        for x in (-4.0, -2.0, -0.5, 0.0, 1.0, 3.0, 4.0):
-            assert normal_quantile(normal_cdf(x)) == pytest.approx(x, abs=1e-9)
-
-    def test_quantile_endpoints(self):
-        assert normal_quantile(0.0) == -math.inf
-        assert normal_quantile(1.0) == math.inf
-
-    def test_quantile_domain(self):
-        with pytest.raises(DomainError):
-            normal_quantile(-0.1)
-        with pytest.raises(DomainError):
-            normal_quantile(1.1)
 
 
 class TestChildStreams:
@@ -120,6 +105,22 @@ class TestGenerateRankedTrial:
             SimConfig(alpha_grid=(0.5, 1.0))
         with pytest.raises(DomainError):
             SimConfig(trials=0)
+
+    def test_oversized_n_refused_before_allocation(self):
+        # The config is what run_simulation and generate_ranked_trial
+        # take, so no trial array exists when it is refused.
+        largest = simlab._TRIAL_BUDGET // simlab._row_bytes(1, 0, 0)
+        assert largest >= 100_000
+        assert SimConfig(n=largest, n_nonnull=1, trials=1).n == largest
+        tracemalloc.start()
+        try:
+            for n in (largest + 1, 10**11, 2**63 - 1):
+                with pytest.raises(ContractError, match=f"largest n is {largest}"):
+                    SimConfig(n=n, n_nonnull=1, trials=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
 
 class TestRunTrial:
