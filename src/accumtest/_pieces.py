@@ -1,9 +1,11 @@
 """Validation and evaluation helpers for piecewise-constant functions on [0,1].
 
 Shared by the piecewise accumulation-function family and the piecewise
-alternative density.  A piece list is a sequence of ``(lo, hi, level)``
-triples that must tile ``[0, 1]`` contiguously from 0 to 1.  Each piece
-is half-open ``[lo, hi)`` except the last, which is closed at 1.
+alternative density; ``unit_points`` and ``shaped`` serve every function
+evaluated at points of [0, 1].  A piece list is a sequence of
+``(lo, hi, level)`` triples that must tile ``[0, 1]`` contiguously from
+0 to 1.  Each piece is half-open ``[lo, hi)`` except the last, which is
+closed at 1.
 """
 
 from __future__ import annotations
@@ -62,3 +64,21 @@ def piece_levels_at(pieces: Sequence[Piece], t: np.ndarray) -> np.ndarray:
     idx = np.searchsorted(uppers, t, side="right")
     idx = np.minimum(idx, len(pieces) - 1)
     return levels[idx]
+
+
+def unit_points(t, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``t`` as an array, and as a view of at least one dimension, checked
+    to lie in [0, 1]; otherwise ``DomainError`` names ``what`` they are."""
+    arr = np.asarray(t, dtype=float)
+    flat = np.atleast_1d(arr)
+    if flat.size and (np.isnan(flat).any() or flat.min() < 0 or flat.max() > 1):
+        raise DomainError(f"{what} must lie in [0, 1]")
+    return arr, flat
+
+
+def shaped(out: np.ndarray, arr: np.ndarray):
+    """``out``, computed on the flat points, in the shape of ``arr``: a
+    float for a scalar."""
+    if arr.ndim == 0:
+        return float(out[0])
+    return out.reshape(arr.shape)

@@ -36,7 +36,14 @@ from typing import Union
 
 import numpy as np
 
-from ._pieces import Piece, normalize_pieces, piece_levels_at, piece_total
+from ._pieces import (
+    Piece,
+    normalize_pieces,
+    piece_levels_at,
+    piece_total,
+    shaped,
+    unit_points,
+)
 from .densities import AlternativeDensity
 from .errors import DomainError, ValidationError
 from .quadrature import integrate_with_splits
@@ -197,16 +204,8 @@ def evaluate(
     DomainError
         If any evaluation point falls outside ``[0, 1]``.
     """
-    arr = np.asarray(t, dtype=float)
-    flat = np.atleast_1d(arr)
-    if flat.size == 0:
-        return np.empty_like(arr)
-    if np.isnan(flat).any() or flat.min() < 0.0 or flat.max() > 1.0:
-        raise DomainError("evaluation points must lie in [0, 1]")
-    values = _eval_array(spec, flat)
-    if arr.ndim == 0:
-        return float(values[0])
-    return values.reshape(arr.shape)
+    arr, flat = unit_points(t, "evaluation points")
+    return shaped(_eval_array(spec, flat), arr)
 
 
 def unit_integral(spec: AccumulationSpec) -> float:

@@ -38,6 +38,8 @@ from ._pieces import (
     normalize_pieces,
     piece_levels_at,
     piece_total,
+    shaped,
+    unit_points,
 )
 from .errors import ContractError, DomainError, ValidationError
 
@@ -60,23 +62,6 @@ def scipy_special():
             "validate need it: pip install 'accumtest[theory]'"
         ) from None
     return special
-
-
-def _unit_points(t) -> tuple[np.ndarray, np.ndarray]:
-    """``t`` as an array and as a flat 1-d view, checked to lie in [0, 1]."""
-    arr = np.asarray(t, dtype=float)
-    flat = np.atleast_1d(arr)
-    if flat.size and (np.isnan(flat).any() or flat.min() < 0 or flat.max() > 1):
-        raise DomainError("density evaluation points must lie in [0, 1]")
-    return arr, flat
-
-
-def _shaped(out: np.ndarray, arr: np.ndarray):
-    """``out``, computed on the flat points, in the shape of ``arr``: a
-    float for a scalar."""
-    if arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
 
 
 class DensityForm(enum.Enum):
@@ -146,7 +131,7 @@ class AlternativeDensity:
 
     def pdf(self, t):
         """Density value at ``t`` (scalar or array), points in [0, 1]."""
-        arr, flat = _unit_points(t)
+        arr, flat = unit_points(t, "density evaluation points")
         form = self.form
         if form is DensityForm.UNIFORM:
             out = np.ones_like(flat)
@@ -168,11 +153,11 @@ class AlternativeDensity:
                 out = np.exp(log_pdf - special.betaln(a, b))
         else:
             out = piece_levels_at(self.pieces, flat)
-        return _shaped(out, arr)
+        return shaped(out, arr)
 
     def cdf(self, t):
         """Cumulative distribution at ``t``."""
-        arr, flat = _unit_points(t)
+        arr, flat = unit_points(t, "density evaluation points")
         form = self.form
         if form is DensityForm.UNIFORM:
             out = flat.copy()
@@ -190,7 +175,7 @@ class AlternativeDensity:
                 np.searchsorted(lows, flat, side="right") - 1, len(self.pieces) - 1
             )
             out = cum[idx] + levels[idx] * (flat - lows[idx])
-        return _shaped(np.clip(out, 0.0, 1.0), arr)
+        return shaped(np.clip(out, 0.0, 1.0), arr)
 
     def upper_tail(self, u):
         """P(p > 1 - u), the mass within ``u`` of 1, for u in [0, 1].

@@ -17,10 +17,12 @@ steps 1 and 2 are invariant under any relabeling of control and
 low-dose columns, which is what makes the ordering legitimate.
 
 The calibration of step 3 (``_permutation_rows``) scores a relabeling
-from the sums of its pseudo-control group.  One matrix product per
-batch of genes gives every relabeling's exact integer sums, and from
-those alone ``_sum_screen`` settles most relabelings on one side of the
-true labeling's tail, under a written bound on the remainder terms of
+from the sums of its pseudo-control group.  Each gene's true labeling
+is scored once, by ``_true_labeling``, which also gives the Welch
+p-values of steps 1 and 3.  One matrix product per batch of genes then
+gives every other relabeling's exact integer sums, and from those alone
+``_sum_screen`` settles most of them on one side of the true
+labeling's tail, under a written bound on the remainder terms of
 off-grid values.  Only the relabelings it leaves open, about 2 % on the
 benchmark's data sets, go through the float Welch arithmetic of
 ``_welch_stats`` and the t-CDF.  Every rank and output bit is that of
@@ -131,7 +133,7 @@ class ExpressionMatrix:
     """Log-expression values, one row per gene, one column per sample.
 
     Values must be finite, and each gene's must span less than the float
-    range.
+    range; errors name the gene, and a sample column counted from 1.
     """
 
     gene_ids: tuple[str, ...]
@@ -150,8 +152,13 @@ class ExpressionMatrix:
             raise ValidationError(
                 f"{len(self.groups)} group labels for {values.shape[1]} columns"
             )
-        if values.size and not np.isfinite(values).all():
-            raise ValidationError("expression values must be finite")
+        bad = np.argwhere(~np.isfinite(values))
+        if bad.size:
+            row, column = bad[0]
+            raise ValidationError(
+                f"gene {str(self.gene_ids[row])!r}, sample column {column + 1}: "
+                f"expression values must be finite, got {values[row, column]}"
+            )
         wide = _wide_rows(values)
         if wide.size:
             gene = str(self.gene_ids[wide[0]])
@@ -457,18 +464,23 @@ def _thresholds(tail0: np.ndarray, df_lo: float, df_hi: float) -> np.ndarray:
     return np.stack([below, above], axis=-1)
 
 
-def _true_tails(
-    h: np.ndarray, r: np.ndarray, m_first: int, m_second: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _true_labeling(
+    h: np.ndarray, r: np.ndarray, m_first: int, m_second: int, plus
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The Welch test of each row under its true labeling, one t-CDF call.
 
     (h, r) are the ``_exact_units`` of rows whose first ``m_first``
     columns form one group and the other ``m_second`` the second.
     ``_welch_stats`` scores each relabeling from its own sums alone, so
-    these bits are those of the true labeling in any permutation pass.
-    Returns (d, tail, degenerate) per row: d has the sign of
-    mean(second) - mean(first), tail is P(T_df <= -|t|), and degenerate
-    marks rows where both spread terms vanish.
+    these bits are those the true labeling would get in any permutation
+    pass.  ``plus`` (one bool, or one per row) is true where the
+    one-sided p scores mean(second) > mean(first).
+
+    Returns (d, tail, degenerate, one, two) per row: d has the sign of
+    mean(second) - mean(first) and is exactly zero for equal means on
+    grid rows, tail is P(T_df <= -|t|), degenerate marks rows where both
+    spread terms vanish, and one and two are the one- and two-sided p,
+    never NaN (``_permutation_rows`` says why).
     """
     hh = h * h
     remainders = None
@@ -480,34 +492,21 @@ def _true_tails(
         h[:, :m_first].sum(axis=1), hh[:, :m_first].sum(axis=1), h.sum(axis=1),
         hh.sum(axis=1), m_first, m_second, remainders,
     )
-    return d, _tails.stdtr(df, x), degenerate
-
-
-def _welch_rows(
-    a: np.ndarray, b: np.ndarray, plus
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One- and two-sided Welch p-values per row from one t-CDF call.
-
-    ``plus`` (one bool, or one per row) is true where the one-sided p
-    scores mean(a) > mean(b).  Also returns d, which has the sign of
-    mean(a) - mean(b) and is exactly zero for equal means on grid rows.
-    """
-    h, r = _exact_units(np.hstack([b, a]))
-    d, tail, degenerate = _true_tails(h, r, b.shape[1], a.shape[1])
+    tail = _tails.stdtr(df, x)
     one = _one_sided(np.where(plus, d, -d), tail, degenerate)
-    return one, _two_sided(d, tail, degenerate), d
+    return d, tail, degenerate, one, _two_sided(d, tail, degenerate)
 
 
-def _check_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Both samples as one-row arrays, checked, and together narrower than
-    the float range."""
-    row_a = _check_sample("a", a, 2)[None, :]
-    row_b = _check_sample("b", b, 2)[None, :]
-    if _wide_rows(np.hstack([row_a, row_b])).size:
+def _pair_units(a, b) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """The ``_exact_units`` of b then a as one row, and their sizes; the
+    samples are checked, and together narrower than the float range."""
+    row_a, row_b = _check_sample("a", a, 2), _check_sample("b", b, 2)
+    pooled = np.hstack([row_b, row_a])[None, :]
+    if _wide_rows(pooled).size:
         raise ValidationError(
             "samples 'a' and 'b' together span more than the float range"
         )
-    return row_a, row_b
+    return (*_exact_units(pooled), row_b.size, row_a.size)
 
 
 def welch_p_two_sided(a, b) -> float:
@@ -518,8 +517,7 @@ def welch_p_two_sided(a, b) -> float:
     identical the statistic is undefined; the convention is p=1 for equal
     means and p=0 otherwise.
     """
-    row_a, row_b = _check_pair(a, b)
-    return float(_welch_rows(row_a, row_b, True)[1][0])
+    return float(_true_labeling(*_pair_units(a, b), True)[4][0])
 
 
 def welch_p_one_sided(a, b, direction: Union[Sign, str]) -> float:
@@ -539,9 +537,8 @@ def welch_p_one_sided(a, b, direction: Union[Sign, str]) -> float:
         If a value is not finite, or the samples together span more than
         the float range.
     """
-    row_a, row_b = _check_pair(a, b)
-    plus = _as_sign(direction) is Sign.PLUS
-    return float(_welch_rows(row_a, row_b, plus)[0][0])
+    units = _pair_units(a, b)
+    return float(_true_labeling(*units, _as_sign(direction) is Sign.PLUS)[3][0])
 
 
 @lru_cache(maxsize=1)
@@ -607,9 +604,24 @@ def _permutation_rows(
 
     ``values`` has one row per gene and ``m_c + m_l`` columns with the
     true control values first.  The ``_exact_units`` of every row, its
-    true labeling's tail and p-values and the ``_thresholds`` of that
-    tail are found once; the rows are then scored by ``_score_batch`` in
-    batches of ``_chunk_rows``.  Results do not depend on the batch size.
+    ``_true_labeling`` test and the ``_thresholds`` of that tail are
+    found once.  ``_score_batch`` then counts, in batches of
+    ``_chunk_rows``, the hits of every other relabeling; results do not
+    depend on the batch size.
+
+    The true labeling's own hits are added here: 1 to each rank, and
+    when m_c = m_l 1 to the one-sided rank where its complement, with the
+    same tail and the negated difference, has a p of at most p_init; the
+    two-sided rank is then doubled, as each complement's two-sided p is
+    that of its relabeling.  The true p counts itself, as it is never
+    NaN.  A degenerate row gets 0, 1/2 or 1 from ``_one_sided`` and 0 or
+    1 from ``_two_sided`` whatever its tail, and at m_c = m_l = 1, where
+    the true labeling and its complement are all P, every row is
+    degenerate.  Otherwise se2 > 0, each spread term a_i / se2 lies in
+    [0, 1] and the largest, of group i, is at least about 1/2, so the sum
+    behind the Welch df is at least about 1/(4 (n_i - 1)) and at most
+    sum 1/(n_i - 1): df is finite and positive.  x = -|d / t| with finite
+    d and t > 0 lies in [-inf, 0], where the t-CDF is a number.
 
     Returns (p_init, p_final, p_perm_two, p_two): the one-sided p under
     the true labels, its rank #{relabelings with p <= p_init} / P, the
@@ -619,20 +631,21 @@ def _permutation_rows(
     so the rank counts every tie.
     """
     h, r = _exact_units(values)
-    d, tail0, degenerate = _true_tails(h, r, m_c, m_l)
-    scores = np.empty((4, values.shape[0]))
-    scores[0] = _one_sided(np.where(plus_mask, d, -d), tail0, degenerate)
-    scores[3] = _two_sided(d, tail0, degenerate)
-    del d, degenerate
+    d, tail0, degenerate, p_init, p_two = _true_labeling(h, r, m_c, m_l, plus_mask)
     thresholds = _thresholds(tail0, *_df_bounds(m_c, m_l))
+    hits = np.ones((2, values.shape[0]), dtype=np.intp)
     rows = _chunk_rows(_batch_columns(m_c, m_l))
     for start in range(0, values.shape[0], rows):
         batch = slice(start, start + rows)
-        scores[1:3, batch] = _score_batch(
-            h[batch], r[batch], m_c, m_l, plus_mask[batch], tail0[batch],
-            thresholds[batch], scores[0, batch], scores[3, batch],
+        hits[:, batch] += _score_batch(
+            h[batch], r[batch], m_c, m_l, plus_mask[batch], thresholds[batch],
+            p_init[batch], p_two[batch],
         )
-    return tuple(scores)
+    if m_c == m_l:
+        hits[0] += _one_sided(np.where(plus_mask, -d, d), tail0, degenerate) <= p_init
+        hits[1] *= 2
+    count = math.comb(m_c + m_l, m_c)
+    return p_init, hits[0] / count, hits[1] / count, p_two
 
 
 def _sum_screen(
@@ -690,8 +703,7 @@ def _sum_screen(
     with f = 2^-28 far above the relative error of every step above and
     eta = 2^-20.  Low forces |d_h| > 2^10 delta', so d has the sign
     of d_h; high forces V > Mv, so se2 > 0.  A NaN threshold, or V at or
-    below its bound, settles nothing, as the true labeling (column 0)
-    never is.
+    below its bound, settles nothing.
 
     Returns the per-row counts (low, low with d > 0, high) as a (3,
     rows) array, and the mask of the relabelings left open.
@@ -744,8 +756,6 @@ def _sum_screen(
     v -= high_shift
     high = d < v
     del d, v
-    low[:, 0] = False
-    high[:, 0] = False
     counts = np.empty((3, s_c.shape[0]), dtype=np.intp)
     counts[0] = np.count_nonzero(low, axis=1)
     up &= low
@@ -801,39 +811,32 @@ def _settled_hits(
 
 
 def _score_batch(
-    h: np.ndarray,
-    r: np.ndarray,
-    m_c: int,
-    m_l: int,
-    plus_mask: np.ndarray,
-    tail0: np.ndarray,
-    thresholds: np.ndarray,
-    p_init: np.ndarray,
-    p_two: np.ndarray,
+    h: np.ndarray, r: np.ndarray, m_c: int, m_l: int, plus_mask: np.ndarray,
+    thresholds: np.ndarray, p_init: np.ndarray, p_two: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(p_final, p_perm_two) of ``_permutation_rows`` for one batch.
+    """Per-row one- and two-sided rank hits of all but the true labeling.
 
-    (h, r) are the rows' ``_exact_units``, and ``tail0``, ``thresholds``,
-    ``p_init`` and ``p_two`` their true tails, ``_thresholds`` and true
-    one- and two-sided p; since each is found row by row, any slice of
-    them belongs to the same slice of rows.  One matrix product gives
-    the exact sums of every relabeling, and ``_sum_screen`` settles most
-    of them from those alone; ``_settled_hits`` counts them per row.
-    Only the relabelings it leaves open, the true labeling among them,
-    are scored by ``_welch_stats`` (with the ``_pair_sums`` of their
-    remainders, on off-grid rows), a chunk of them at a time, so that
-    the pass holds O(open) floats, not O(open x m).  Each gets its
-    t-CDF, except the true labeling, which keeps its row's tail0.  Every
+    (h, r) are the rows' ``_exact_units``, and ``thresholds``, ``p_init``
+    and ``p_two`` their ``_thresholds`` and true one- and two-sided p;
+    since each is found row by row, any slice of them belongs to the
+    same slice of rows.  One matrix product gives the exact sums of the
+    relabelings after the true one, column 0 of the ``_partition_table``,
+    and ``_sum_screen`` settles most of them from those alone;
+    ``_settled_hits`` counts them per row.  Only the relabelings it
+    leaves open get ``_welch_stats`` (with the ``_pair_sums`` of their
+    remainders, on off-grid rows) and the t-CDF, a chunk of them at a
+    time, so that the pass holds O(open) floats, not O(open x m).  Every
     comparison, and the rank, is that of the full evaluation.  When m_c
     = m_l only the P/2 relabelings that keep column 0 in the control
     group are scored: swapping the groups keeps the tail and df bit for
     bit and negates the difference, so each complement's one-sided p
     comes from the same tail with the sign flipped, and its two-sided p
-    is the same.
+    is the same.  The one-sided hits count the complements, the
+    two-sided ones do not.
     """
-    count = math.comb(m_c + m_l, m_c)
+    mirror = m_c == m_l
     scored = _scored_columns(m_c, m_l)
-    mirror = scored < count
+    others = scored - 1
     table = _partition_table(m_c + m_l, m_c)
     g = h.shape[0]
     hh = h * h
@@ -845,11 +848,13 @@ def _score_batch(
     # OpenBLAS runs a product of at most 2^18 multiply-adds on one thread;
     # a batch's whole (2 rows x m) @ (m x P) product, run on two threads,
     # took from 0.1 to 8 ms on a 2-core host, against 0.2 ms in blocks.
-    sums = np.empty((2 * g, scored))
+    # Slices of the cached table are views; a copy of all its other
+    # columns would outweigh the batch at m = 20.
+    sums = np.empty((2 * g, others))
     block = max(1, 2**18 // factors.size)
-    for start in range(0, scored, block):
-        part = slice(start, min(start + block, scored))
-        np.matmul(factors, table[:, part], out=sums[:, part])
+    for start in range(1, scored, block):
+        stop = min(start + block, scored)
+        np.matmul(factors, table[:, start:stop], out=sums[:, start - 1 : stop - 1])
     del factors
     off_grid = r.any(axis=1)
     counts, open_ = _sum_screen(
@@ -858,29 +863,24 @@ def _score_batch(
     pairs = np.flatnonzero(open_)
     del open_
     hits, hits_two = _settled_hits(counts, plus_mask, p_init, mirror)
-    del counts
 
     remainders = off_grid.any()
     step = max(1, g * _batch_columns(m_c, m_l) // (2 * (m_c + m_l) + 12))
     for start in range(0, pairs.size, step):
         chunk = pairs[start : start + step]
-        rows, cols = np.divmod(chunk, scored)
+        rows, cols = np.divmod(chunk, others)
         pair_sums = None
         if remainders:
             terms = _remainder_columns(h.take(rows, axis=0), r.take(rows, axis=0))
-            pair_sums = _pair_sums(terms, table.take(cols, axis=1))
+            pair_sums = _pair_sums(terms, table.take(cols + 1, axis=1))
             del terms
         d, x, df, degenerate = _welch_stats(
-            sums.take(chunk), sums.take(chunk + g * scored), s[rows, 0], q[rows, 0],
+            sums.take(chunk), sums.take(chunk + g * others), s[rows, 0], q[rows, 0],
             m_c, m_l, pair_sums,
         )
         del pair_sums
-        true = cols == 0
-        other = ~true
-        tail = x
-        tail[other] = _tails.stdtr(df[other], x[other])
-        tail[true] = tail0[rows[true]]
-        del df
+        tail = _tails.stdtr(df, x)
+        del df, x
         signed = np.where(plus_mask[rows], d, -d)
         p0 = p_init[rows]
         one = _one_sided(signed, tail, degenerate)
@@ -890,9 +890,7 @@ def _score_batch(
             hits += np.bincount(rows[mirrored <= p0], minlength=g)
         two = _two_sided(d, tail, degenerate)
         hits_two += np.bincount(rows[two <= p_two[rows]], minlength=g)
-    if mirror:
-        hits_two *= 2
-    return hits / count, hits_two / count
+    return hits, hits_two
 
 
 def permutation_pvalue(
@@ -957,7 +955,8 @@ def high_dose_ordering(matrix: ExpressionMatrix) -> list[HighDoseRank]:
             "high-dose ordering needs at least 2 high-dose columns and "
             "2 other columns"
         )
-    _, p_high, diff = _welch_rows(high, rest, True)
+    h, r = _exact_units(np.hstack([rest, high]))
+    diff, _, _, _, p_high = _true_labeling(h, r, rest.shape[1], high.shape[1], True)
     order = np.lexsort((np.arange(matrix.n_genes), p_high))
     return [
         HighDoseRank(

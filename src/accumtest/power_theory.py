@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._pieces import shaped, unit_points
 from .accumfn import AccumulationSpec, nonnull_mean
 from .densities import AlternativeDensity
 from .errors import ContractError, DomainError, ValidationError
@@ -85,16 +86,10 @@ class SignalCurve:
         return cls(((0.0, value), (1.0, value)), delta=delta)
 
     def __call__(self, t):
-        arr = np.asarray(t, dtype=float)
-        flat = np.atleast_1d(arr)
-        if flat.size and (np.isnan(flat).any() or flat.min() < 0 or flat.max() > 1):
-            raise DomainError("curve evaluation points must lie in [0, 1]")
+        arr, flat = unit_points(t, "curve evaluation points")
         ts = np.array([k[0] for k in self.knots])
         vs = np.array([k[1] for k in self.knots])
-        out = np.interp(flat, ts, vs)
-        if arr.ndim == 0:
-            return float(out[0])
-        return out.reshape(arr.shape)
+        return shaped(np.interp(flat, ts, vs), arr)
 
 
 def parse_curve(text: str, delta: float = 1e-9) -> SignalCurve:

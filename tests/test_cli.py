@@ -431,6 +431,20 @@ class TestCmdDosage:
         assert out == ""
         assert err.count("error:") == 1 and "'huge'" in err and "float range" in err
 
+    def test_non_finite_value_names_gene_and_sample_column(self, tmp_path, capsys):
+        matrix = tmp_path / "nan.csv"
+        matrix.write_text(
+            "gene_id,C1,C2,L1,L2,H1,H2\n"
+            "g0,1,2,3,4,5,6\n"
+            "g1,1,2,3,nan,5,6\n"
+            "g2,1,inf,3,4,5,6\n"
+        )
+        code, out, err = run_cli(["dosage", str(matrix)], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.count("error:") == 1
+        assert "gene 'g1', sample column 4: expression values must be finite, got nan" in err
+
     def test_output_file_and_manifest(self, tmp_path, capsys):
         matrix = write_null_matrix_csv(tmp_path, seed=7, n=40)
         out_path = str(tmp_path / "counts.csv")

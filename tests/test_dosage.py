@@ -628,7 +628,7 @@ class TestExpressionMatrix:
     def test_non_finite_rejected(self):
         values = np.zeros((2, 6))
         values[1, 3] = math.inf
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="'g1', sample column 4: .* got inf"):
             make_matrix(values, 2, 2, 2)
 
     def test_column_selection(self):
@@ -711,12 +711,24 @@ class TestExactTies:
     """Rounded data: every relabeling that ties the true labeling counts."""
 
     @pytest.mark.parametrize("decimals", [1, 2])
-    @pytest.mark.parametrize("m_c,m_l", [(3, 3), (4, 4), (4, 3), (5, 3)])
+    @pytest.mark.parametrize(
+        "m_c,m_l", [(3, 3), (4, 4), (4, 3), (5, 3), (1, 1), (1, 5), (5, 1), (2, 2)]
+    )
     def test_ranks_equal_exact_oracle(self, m_c, m_l, decimals):
         rng = np.random.Generator(np.random.Philox(key=100 * m_c + 10 * m_l + decimals))
         # About 20 grid points per pool, so equal values and tied
         # relabelings are common.
         pools = (rng.normal(size=(12, m_c + m_l)) * 3 * 10.0**-decimals).round(decimals)
+        # The true labeling's own hits, and its complement's when m_c =
+        # m_l: flat rows, rows flat within each arm (degenerate, with a
+        # difference either way) and, when m_c = m_l, a row whose low arm
+        # repeats the control values in reverse (d = 0).
+        extra = np.repeat(pools[:4, :1], m_c + m_l, axis=1)
+        extra[1:3, m_c:] = pools[1:3, -1:]
+        if m_c == m_l:
+            extra[3, :m_c] = pools[3, :m_c]
+            extra[3, m_c:] = pools[3, m_c - 1 :: -1]
+        pools = np.vstack([pools, extra])
         plus = np.arange(len(pools)) % 2 == 0
         _, p_final, p_two, _ = _permutation_rows(pools, m_c, m_l, plus)
         mismatches = []
@@ -803,8 +815,9 @@ class TestFloatPath:
 
 def settle_nothing(monkeypatch):
     """The full evaluation: with NaN thresholds ``_sum_screen`` settles no
-    relabeling, so every one is scored by ``_welch_stats`` and the t-CDF
-    (the true labeling keeps its tail)."""
+    relabeling, so every one but the true labeling, which
+    ``_true_labeling`` scores once per gene outside the batches, is scored
+    by ``_welch_stats`` and the t-CDF in its batch."""
     monkeypatch.setattr(
         dosage,
         "_thresholds",
@@ -995,10 +1008,11 @@ class TestTailScreen:
         "case,m_c,m_l", [("grid2", 5, 3), ("off-grid", 4, 3), ("grid1", 4, 4), ("off-grid", 1, 5)]
     )
     def test_tcdf_elements_equal_the_open_relabelings(self, case, m_c, m_l, screen, monkeypatch):
-        # One t-CDF element for each relabeling the sum screen leaves
-        # open: the true labeling's in the call that scores every row's
-        # true tail, every other one's in its batch.  Without the screen
-        # every scored relabeling is open.
+        # t-CDF elements = open relabelings + one per gene: the true
+        # labeling's, in the call that scores every row's true tail, and
+        # one for each other relabeling the sum screen leaves open, in
+        # its batch.  Without the screen every other scored relabeling
+        # is open.
         pools = screening_pools(case, m_c, m_l, rows=40)
         plus = np.arange(len(pools)) % 3 == 0
         if not screen:
@@ -1020,12 +1034,12 @@ class TestTailScreen:
         monkeypatch.setattr(_tails, "stdtr", counting_stdtr)
         monkeypatch.setattr(dosage, "_sum_screen", counting_screen)
         _permutation_rows(pools, m_c, m_l, plus)
-        assert sum(counted) == sum(opened)
+        assert sum(counted) == sum(opened) + len(pools)
         scored = len(pools) * _scored_columns(m_c, m_l)
         if screen:
-            assert len(pools) <= sum(opened) < scored / 2
+            assert sum(opened) + len(pools) < scored / 2
         else:
-            assert sum(opened) == scored
+            assert sum(opened) + len(pools) == scored
 
     @pytest.mark.parametrize("case,m_c,m_l", SCREEN_CASES)
     def test_design_df_bounds_hold_for_every_relabeling(self, case, m_c, m_l):
