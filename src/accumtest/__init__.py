@@ -8,52 +8,27 @@ classical step-up baselines, asymptotic power calculations for signal
 curves, a reproducible simulation lab, and a dose-response permutation
 pipeline.
 
-Public names are resolved on first use (PEP 562), so importing the
-package, or running one command, loads only the modules that command
-needs.
+``import accumtest`` loads the core: ``errors``, ``densities``,
+``accumfn``, ``seqtest`` and ``baselines``, whose public names it
+re-exports.  The engines, ``dosage``, ``simlab``, ``power_theory`` and
+``validation``, are imported on first use of one of their names
+(PEP 562), so running one command loads only the engine it needs.
 """
 
 import importlib
 
-# Every command needs the densities (accumfn imports them), and
-# bench/run.py times their import under ``import accumtest``.
-from . import densities  # noqa: F401
+from . import accumfn, baselines, densities, errors, seqtest
+from .accumfn import *  # noqa: F403
+from .baselines import *  # noqa: F403
+from .densities import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .seqtest import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-_PUBLIC = {
-    "errors": ("AccumTestError", "ContractError", "DomainError", "ValidationError"),
-    "accumfn": (
-        "AccumulationSpec",
-        "Family",
-        "evaluate",
-        "format_spec",
-        "forward_stop",
-        "hinge_exp",
-        "nonnull_mean",
-        "parse_spec",
-        "piecewise_constant",
-        "seq_step",
-        "truncated_integral",
-        "unit_integral",
-    ),
-    "densities": ("AlternativeDensity", "DensityForm"),
-    "seqtest": (
-        "CutoffResult",
-        "Method",
-        "OrderedPValues",
-        "Rule",
-        "default_methods",
-        "estimated_fdp_path",
-        "estimated_fdp_path_plus",
-        "fdp",
-        "mfdp",
-        "power_of_cutoff",
-        "run_accumulation_test",
-        "select_cutoff",
-        "shift_discrete_pvalues",
-    ),
-    "baselines": ("RejectionSet", "bh_select", "storey_select"),
+# Each engine's ``__all__`` less the core names it re-exports, which
+# tests/test_layers.py checks.  ``cli`` resolves its engine names here too.
+_ENGINES = {
     "power_theory": (
         "CurveCheck",
         "CurveReport",
@@ -80,15 +55,19 @@ _PUBLIC = {
         "generate_from_curve",
         "generate_ranked_trial",
         "normal_cdf",
+        "path_table_columns",
+        "power_table_columns",
         "run_simulation",
         "run_trial",
         "simulate_count_ratio",
     ),
     "dosage": (
+        "DEFAULT_DOSAGE_ALPHAS",
         "ExpressionMatrix",
         "GeneRecord",
         "Group",
         "HighDoseRank",
+        "MAX_PARTITIONS",
         "PipelineResult",
         "Sign",
         "high_dose_ordering",
@@ -98,11 +77,20 @@ _PUBLIC = {
         "welch_p_one_sided",
         "welch_p_two_sided",
     ),
+    "validation": ("CHECKS", "CheckResult", "run_suite"),
 }
 
-_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+_HOME = {name: module for module, names in _ENGINES.items() for name in names}
 
-__all__ = ["__version__", *_HOME]
+__all__ = [
+    "__version__",
+    *errors.__all__,
+    *densities.__all__,
+    *accumfn.__all__,
+    *seqtest.__all__,
+    *baselines.__all__,
+    *_HOME,
+]
 
 
 def __getattr__(name: str):

@@ -6,14 +6,16 @@ ordered p-values, ``simulate`` runs the ranked Monte Carlo protocol,
 curve, ``dosage`` runs the expression pipeline, and ``validate`` runs
 the built-in self-check suite.
 
-Only the core (``accumfn``, ``seqtest``) is imported with this module.
-``dosage``, ``simlab``, ``power_theory`` and ``validation`` are
-imported by the subcommands that use them, so ``test`` and
-``--version`` never load them.  Only ``validate`` loads scipy, which
-is the optional ``accumtest[theory]`` extra; without it, ``validate``
-fails with exit status 4 before any check runs.  ``dosage`` and
-``simulate`` take their normal and Student-t tails from the package's
-own ``_tails``, and ``power`` works on knot curves alone.
+Only the core that ``import accumtest`` loads is imported with this
+module.  A subcommand reaches the names of its engine (``dosage``,
+``simlab``, ``power_theory`` or ``validation``) through the package's
+name table, which imports the engine on first use, so ``test`` and
+``--version`` load none of them, ``dosage``, ``simulate`` and ``power``
+load one each, and ``validate`` loads all four.  Only ``validate``
+loads scipy, which is the optional ``accumtest[theory]`` extra; without
+it, ``validate`` fails with exit status 4 before any check runs.
+``dosage`` and ``simulate`` take their normal and Student-t tails from
+the package's own ``_tails``, and ``power`` works on knot curves alone.
 
 P-value files are read by one ``np.loadtxt`` call when the header and
 the first data row allow it, and otherwise row by row with the ``csv``
@@ -37,14 +39,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import importlib
 import json
 import sys
-from typing import Callable, Optional, Sequence, TextIO
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
-from . import __version__
+from . import _HOME, __version__
 from .accumfn import parse_spec
 from .errors import AccumTestError, DomainError, ValidationError
 from .seqtest import (
@@ -60,33 +61,17 @@ from .seqtest import (
 
 __all__ = ["main", "build_parser"]
 
-# Names the dosage, simulate, power and validate subcommands take from
-# modules above the core, with the module each lives in.  They are
-# imported on first access (PEP 562).  Commands reach them as ``_lazy.X``,
-# attributes of this module, so that rebinding ``cli.X`` (as
-# bench/tracer.py does to time a layer) also rebinds what they call.
-_DEFERRED = {
-    "DEFAULT_DOSAGE_ALPHAS": "dosage",
-    "read_expression_csv": "dosage",
-    "run_pipeline": "dosage",
-    "SimConfig": "simlab",
-    "path_table_columns": "simlab",
-    "power_table_columns": "simlab",
-    "run_simulation": "simlab",
-    "asymptotic_power": "power_theory",
-    "asymptotic_threshold": "power_theory",
-    "parse_curve": "power_theory",
-    "run_suite": "validation",
-}
-
 
 def __getattr__(name: str):
-    module = _DEFERRED.get(name)
-    if module is None:
+    """An engine's public name, resolved through the package's table.
+
+    Commands reach these names as ``_lazy.X``, attributes of this
+    module, so that rebinding ``cli.X`` (as bench/tracer.py does to time
+    a layer) also rebinds what they call.
+    """
+    if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __package__), name)
-    globals()[name] = value
-    return value
+    return getattr(sys.modules[__package__], name)
 
 
 _lazy = sys.modules[__name__]
@@ -128,16 +113,6 @@ def _write_csv(path: Optional[str], header: Sequence[str], columns) -> None:
             handle.write(block_text([array[start:stop] for array in arrays]))
 
 
-def _jsonable(value):
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
-
-
 def _write_manifest(
     path: str,
     subcommand: str,
@@ -147,7 +122,7 @@ def _write_manifest(
     outputs: Sequence[str],
 ) -> None:
     parameters = {
-        key: _jsonable(value)
+        key: value
         for key, value in vars(args).items()
         if key != "func" and not callable(value)
     }
@@ -334,14 +309,13 @@ def cmd_test(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace, argv: Sequence[str]) -> int:
+    # Options left unset take SimConfig's defaults, which the manifest records.
+    fields = ("n", "n_nonnull", "mu1", "mu2", "alpha_grid", "trials")
+    for name in fields:
+        if getattr(args, name) is None:
+            setattr(args, name, getattr(_lazy.SimConfig, name))
     config = _lazy.SimConfig(
-        n=args.n,
-        n_nonnull=args.n_nonnull,
-        mu1=args.mu1,
-        mu2=args.mu2,
-        alpha_grid=args.alpha_grid,
-        trials=args.trials,
-        seed=args.seed,
+        seed=args.seed, **{name: getattr(args, name) for name in fields}
     )
     methods = default_methods(args.c)
     include_paths = bool(args.out) and not args.no_paths
@@ -376,6 +350,8 @@ def cmd_power(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 
 def cmd_dosage(args: argparse.Namespace, argv: Sequence[str]) -> int:
+    if args.alpha_grid is None:
+        args.alpha_grid = _lazy.DEFAULT_DOSAGE_ALPHAS
     matrix = _lazy.read_expression_csv(args.input)
     result = _lazy.run_pipeline(
         matrix,
@@ -395,29 +371,6 @@ def cmd_validate(args: argparse.Namespace, argv: Sequence[str]) -> int:
     return 0 if all(r.passed for r in results) else 4
 
 
-class _SubcommandParser(argparse.ArgumentParser):
-    """Parser of one subcommand whose defaults may come from a deferred module.
-
-    ``lazy_defaults`` returns them; it is called only when this
-    subcommand is parsed, so building the full parser imports nothing
-    above the core.
-    """
-
-    def __init__(self, *args, lazy_defaults: Optional[Callable[[], dict]] = None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._lazy_defaults = lazy_defaults
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._lazy_defaults is not None:
-            self.set_defaults(**self._lazy_defaults())
-        return super().parse_known_args(args, namespace)
-
-
-def _simulate_defaults() -> dict:
-    fields = ("n", "n_nonnull", "mu1", "mu2", "trials", "alpha_grid")
-    return {name: getattr(_lazy.SimConfig, name) for name in fields}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="accumtest",
@@ -425,9 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Use 'accumtest --replay MANIFEST.json' to rerun a recorded invocation.",
     )
     parser.add_argument("--version", action="version", version=f"accumtest {__version__}")
-    sub = parser.add_subparsers(
-        dest="subcommand", required=True, parser_class=_SubcommandParser
-    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_test = sub.add_parser("test", help="run one accumulation test on a p-value CSV")
     p_test.add_argument("input", help="CSV with column p (optional is_null)")
@@ -461,9 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.set_defaults(func=cmd_test)
 
     p_sim = sub.add_parser(
-        "simulate",
-        help="Monte Carlo power/FDP study on ranked hypotheses",
-        lazy_defaults=_simulate_defaults,
+        "simulate", help="Monte Carlo power/FDP study on ranked hypotheses"
     )
     p_sim.add_argument("--seed", type=int, required=True, help="master seed (required)")
     p_sim.add_argument("--n", type=int, help="hypotheses per trial")
@@ -498,9 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pow.set_defaults(func=cmd_power)
 
     p_dos = sub.add_parser(
-        "dosage",
-        help="dose-response screening pipeline on a matrix CSV",
-        lazy_defaults=lambda: {"alpha_grid": _lazy.DEFAULT_DOSAGE_ALPHAS},
+        "dosage", help="dose-response screening pipeline on a matrix CSV"
     )
     p_dos.add_argument("input", help="CSV: gene_id header plus C*/L*/H* sample columns")
     p_dos.add_argument(
@@ -528,8 +475,8 @@ def _replay(argv: Sequence[str]) -> int:
     try:
         with open(argv[1]) as handle:
             manifest = json.load(handle)
-        stored = manifest["arguments"]
-    except (OSError, ValueError, KeyError) as exc:
+        stored = manifest["arguments"] if isinstance(manifest, dict) else None
+    except (OSError, ValueError, KeyError, RecursionError) as exc:
         print(f"error: cannot replay {argv[1]}: {exc}", file=sys.stderr)
         return 3
     if not isinstance(stored, list) or any(not isinstance(s, str) for s in stored):

@@ -66,6 +66,7 @@ __all__ = [
     "run_pipeline",
     "read_expression_csv",
     "MAX_PARTITIONS",
+    "DEFAULT_DOSAGE_ALPHAS",
 ]
 
 MAX_PARTITIONS = 10**6

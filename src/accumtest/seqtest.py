@@ -138,6 +138,13 @@ def estimated_fdp_path(pvals: PValueInput, spec: AccumulationSpec) -> np.ndarray
     return _fdp_path(sums, None, out=sums)
 
 
+def _plus_constant(c: float) -> float:
+    c = float(c)
+    if not c >= 0.0:
+        raise DomainError(f"plus-rule constant must be nonnegative, got {c}")
+    return c
+
+
 def estimated_fdp_path_plus(
     pvals: PValueInput, spec: AccumulationSpec, c: float
 ) -> np.ndarray:
@@ -145,9 +152,7 @@ def estimated_fdp_path_plus(
 
     Like :func:`estimated_fdp_path`, a 2-d block gives one path per row.
     """
-    c = float(c)
-    if not c >= 0.0:
-        raise DomainError(f"plus-rule constant must be nonnegative, got {c}")
+    c = _plus_constant(c)
     sums = np.cumsum(evaluate(spec, _as_values(pvals)), axis=-1)
     return _fdp_path(sums, c, out=sums)
 
@@ -238,13 +243,14 @@ class Method:
     @property
     def plus_constant(self) -> Optional[float]:
         """The constant of the plus rule, ``c`` when given, else the
-        spec's C parameter; None under ``Rule.PLAIN``."""
+        spec's C parameter; None under ``Rule.PLAIN``.  A constant that
+        is negative or NaN raises ``DomainError``."""
         if self.rule is Rule.PLAIN:
             return None
         c = self.spec.c_param if self.c is None else self.c
         if c is None:
             raise ContractError("the plus rule needs an explicit constant c")
-        return float(c)
+        return _plus_constant(c)
 
     def path(self, pvals: PValueInput) -> np.ndarray:
         c = self.plus_constant

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from accumtest import (
+    DEFAULT_DOSAGE_ALPHAS,
     AccumTestError,
     SimConfig,
     _tails,
@@ -236,11 +237,17 @@ class TestCmdSimulate:
             tmp_path / "w2_summary.csv"
         ).read_bytes()
 
-    def test_defaults_are_the_sim_config_defaults(self):
-        args = cli.build_parser().parse_args(["simulate", "--seed", "1"])
+    def test_defaults_are_the_sim_config_defaults(self, tmp_path, capsys):
+        prefix = str(tmp_path / "run")
+        assert run_cli(["simulate", "--seed", "1", "--out", prefix], capsys)[0] == 0
+        manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+        recorded = manifest["parameters"]
         for field in dataclasses.fields(SimConfig):
             if field.name != "seed":
-                assert getattr(args, field.name) == field.default, field.name
+                value = recorded[field.name]
+                if isinstance(value, list):
+                    value = tuple(value)
+                assert value == field.default, field.name
 
     @pytest.mark.parametrize("option", ["--mu1", "--mu2"])
     def test_nan_mean_is_a_domain_error(self, option, capsys):
@@ -459,6 +466,13 @@ class TestCmdDosage:
         assert manifest["subcommand"] == "dosage"
         assert manifest["inputs"] == [matrix]
 
+    def test_manifest_records_the_default_alpha_grid(self, tmp_path, capsys):
+        matrix = write_null_matrix_csv(tmp_path, seed=7, n=40)
+        out_path = str(tmp_path / "counts.csv")
+        assert run_cli(["dosage", matrix, "--out", out_path], capsys)[0] == 0
+        manifest = json.loads((tmp_path / "counts.csv.manifest.json").read_text())
+        assert tuple(manifest["parameters"]["alpha_grid"]) == DEFAULT_DOSAGE_ALPHAS
+
     def test_missing_group_names_it(self, tmp_path, capsys):
         path = tmp_path / "nohigh.csv"
         path.write_text("gene_id,C1,C2,L1,L2\ng1,1,2,3,4\n")
@@ -490,6 +504,25 @@ class TestReplay:
         )
         assert code == 3
         assert "error:" in err
+
+    @pytest.mark.parametrize("content", ["[1, 2]", '"x"', "null"])
+    def test_replay_of_a_manifest_that_is_not_an_object(self, tmp_path, capsys, content):
+        # These once ended in a TypeError traceback and exit 1.
+        manifest = tmp_path / "m.json"
+        manifest.write_text(content)
+        code, out, err = run_cli(["--replay", str(manifest)], capsys)
+        assert (code, out) == (3, "")
+        assert err == f"error: manifest {manifest} has no argument vector\n"
+
+    def test_replay_of_an_array_nested_past_the_recursion_limit(self, tmp_path, capsys):
+        # json.load raises RecursionError here, which once ended in a
+        # traceback and exit 1.
+        manifest = tmp_path / "deep.json"
+        manifest.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(["--replay", str(manifest)], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: cannot replay {manifest}: ")
+        assert len(err.splitlines()) == 1
 
 
 class TestExitCodes:

@@ -4,6 +4,7 @@ everything but ``validate`` and the scipy-backed densities runs without
 scipy installed."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -95,6 +96,27 @@ def test_package_import_loads_no_scipy():
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     assert out.strip() == "[]"
+
+
+CORE = ("errors", "densities", "accumfn", "seqtest", "baselines")
+
+
+def test_engine_table_is_each_engines_all_less_the_core_names():
+    modules = [importlib.import_module(f"accumtest.{module}") for module in CORE]
+    core = {name for module in modules for name in module.__all__}
+    assert set(accumtest._ENGINES) == {"dosage", "simlab", "power_theory", "validation"}
+    for module, names in accumtest._ENGINES.items():
+        engine = importlib.import_module(f"accumtest.{module}")
+        assert sorted(names) == sorted(set(engine.__all__) - core), module
+
+
+def test_package_import_loads_exactly_the_core():
+    out = run_python(
+        "import json, sys, accumtest\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('accumtest.'))))"
+    )
+    helpers = ("_pieces", "quadrature")
+    assert json.loads(out) == sorted(f"accumtest.{module}" for module in CORE + helpers)
 
 
 def write_matrix(tmp_path):
@@ -198,6 +220,20 @@ def test_simulate_loads_no_power_theory(tmp_path):
     loaded = modules_loaded_by(SIMULATE_ARGV, tmp_path)
     assert "accumtest.simlab" in loaded
     assert "accumtest.power_theory" not in loaded
+
+
+@pytest.mark.parametrize("command", ["dosage", "simulate", "power"])
+def test_each_command_loads_its_engine_alone(tmp_path, command):
+    write_matrix(tmp_path)
+    argv, engine = {
+        "dosage": (["dosage", "matrix.csv", "--out", "table.csv"], "dosage"),
+        "simulate": (SIMULATE_ARGV, "simlab"),
+        "power": (["power", "--curve", "f:0,0.5;1,0.3", "--alpha", "0.2", "--mu", "0.5"],
+                  "power_theory"),
+    }[command]
+    loaded = modules_loaded_by(argv, tmp_path)
+    engines = {f"accumtest.{module}" for module in accumtest._ENGINES}
+    assert loaded & engines == {f"accumtest.{engine}"}
 
 
 def test_every_public_name_resolves():

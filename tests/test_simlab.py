@@ -28,6 +28,7 @@ from accumtest import (
     normal_cdf,
     parse_curve,
     power_of_cutoff,
+    run_accumulation_test,
     run_trial,
     select_cutoff,
     seq_step,
@@ -564,3 +565,14 @@ class TestPlusRuleAgainstDirectForm:
             if (c + c * hits) / (1.0 + k) <= 0.25:
                 best = k
         assert frame.stats[0, 0, STAT_KHAT] == best
+
+    @pytest.mark.parametrize("c", [-1.0, math.nan])
+    def test_bad_constant_is_refused_as_in_the_one_list_test(self, c):
+        # The block engine once scored these constants: c = -1 gave a
+        # mean power of 0.667 and c = NaN a power of 0.0.
+        method = Method("S+", seq_step(2.0), "plus", c=c)
+        config = SimConfig(n=50, n_nonnull=5, trials=3, seed=1)
+        with pytest.raises(DomainError, match="plus-rule constant"):
+            run_simulation(config, [method], include_paths=False)
+        with pytest.raises(DomainError, match="plus-rule constant"):
+            run_accumulation_test([0.1, 0.5, 0.9], seq_step(2.0), 0.2, "plus", c)
