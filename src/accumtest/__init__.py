@@ -64,10 +64,7 @@ _ENGINES = {
     "dosage": (
         "DEFAULT_DOSAGE_ALPHAS",
         "ExpressionMatrix",
-        "GeneRecord",
         "Group",
-        "HighDoseRank",
-        "MAX_PARTITIONS",
         "PipelineResult",
         "Sign",
         "high_dose_ordering",

@@ -26,8 +26,9 @@ report line is written).
 
 Every file-writing run also writes a JSON manifest next to its outputs
 holding the exact argument vector, so ``accumtest --replay MANIFEST``
-reproduces the run byte for byte.  Floats are serialized with 17
-significant digits, which round-trips the underlying doubles exactly.
+reproduces the run byte for byte.  Floats are serialized by ``json`` in
+their shortest round-trip form (``0.1``, not ``0.10000000000000001``),
+which gives back the underlying doubles exactly.
 
 Exit status: 0 on success, 2 for usage errors, 3 for malformed or
 out-of-range input data, 4 for numerical or precondition failures

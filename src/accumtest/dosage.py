@@ -12,6 +12,9 @@ dose arms (low and high) into an ordered multiple-testing problem:
 4. Accumulation tests run down the ordered calibrated p-values, while
    Benjamini-Hochberg style baselines see the unordered two-sided ones.
 
+Every per-gene result is a numpy array in tested order, from
+``high_dose_ordering`` to the ``PipelineResult`` of ``run_pipeline``.
+
 Because the high-dose arm is disjoint from the columns being permuted,
 steps 1 and 2 are invariant under any relabeling of control and
 low-dose columns, which is what makes the ordering legitimate.
@@ -46,7 +49,6 @@ from .baselines import bh_select, storey_select
 from .errors import ContractError, DomainError, ValidationError, whole_number
 from .seqtest import (
     Method,
-    OrderedPValues,
     default_methods,
     select_cutoff,
     shift_discrete_pvalues,
@@ -56,8 +58,6 @@ __all__ = [
     "Group",
     "Sign",
     "ExpressionMatrix",
-    "GeneRecord",
-    "HighDoseRank",
     "PipelineResult",
     "welch_p_two_sided",
     "welch_p_one_sided",
@@ -65,11 +65,8 @@ __all__ = [
     "high_dose_ordering",
     "run_pipeline",
     "read_expression_csv",
-    "MAX_PARTITIONS",
     "DEFAULT_DOSAGE_ALPHAS",
 ]
-
-MAX_PARTITIONS = 10**6
 
 _TABLE_BUDGET = 128 * 2**20
 
@@ -186,26 +183,6 @@ class ExpressionMatrix:
     @property
     def n_genes(self) -> int:
         return len(self.gene_ids)
-
-
-@dataclass(frozen=True)
-class HighDoseRank:
-    """One gene's position in the high-dose ordering."""
-
-    original_index: int
-    p_high: float
-    sign: Sign
-
-
-@dataclass(frozen=True)
-class GeneRecord:
-    """Fully scored gene: ordering evidence plus calibrated p-values."""
-
-    p_high: float
-    sign: Sign
-    p_init: float
-    p_final: float
-    original_index: int
 
 
 def _wide_rows(values: np.ndarray) -> np.ndarray:
@@ -552,16 +529,12 @@ def _partition_table(m: int, m_first: int) -> np.ndarray:
     ones holding column 0 and their complements are the last P/2; set j
     and set P-1-j are complements.
 
-    Raises ``ContractError`` before allocating when P exceeds
-    ``MAX_PARTITIONS`` or the indicator plus its index table, 8 * P *
-    (m + m_first) bytes, exceed ``_TABLE_BUDGET``.
+    Raises ``ContractError`` before allocating when the indicator plus
+    its index table, 8 * P * (m + m_first) bytes, exceed
+    ``_TABLE_BUDGET``.  That cap also bounds the work: the largest
+    table within 128 MiB, at m = 22 and m_first = 9, has 497 420 sets.
     """
     count = math.comb(m, m_first)
-    if count > MAX_PARTITIONS:
-        raise ContractError(
-            f"partition count {count} exceeds {MAX_PARTITIONS}; "
-            "subsample the control/low columns instead"
-        )
     needed = count * (m * 8 + m_first * np.dtype(np.intp).itemsize)
     if needed > _TABLE_BUDGET:
         raise ContractError(
@@ -917,9 +890,9 @@ def permutation_pvalue(
         neither ``plus`` nor ``minus``.
     ContractError
         If the group sizes are below one or disagree with the pooled
-        sample, and also when the partition count exceeds
-        ``MAX_PARTITIONS`` (in which case subsample the columns; there
-        is no Monte Carlo fallback).
+        sample, and also when the table of partitions exceeds its
+        memory budget (in which case subsample the columns; there is no
+        Monte Carlo fallback).
     ValidationError
         If a value is not finite, or the values span more than the float
         range.
@@ -941,13 +914,17 @@ def permutation_pvalue(
     return float(p_final[0])
 
 
-def high_dose_ordering(matrix: ExpressionMatrix) -> list[HighDoseRank]:
+def high_dose_ordering(
+    matrix: ExpressionMatrix,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank genes by two-sided high-dose-versus-rest evidence.
 
     The p-value compares the high-dose columns against the pooled
-    control and low-dose columns; the sign records whether the
-    high-dose mean was at least the pooled mean (ties count as plus).
-    Output is sorted by p ascending with ties kept in input order.
+    control and low-dose columns.  Returns (order, p_high, plus) in
+    tested order, sorted by p ascending with ties kept in input order:
+    ``order[j]`` is the input row of the j-th tested gene, ``p_high[j]``
+    its p-value, and ``plus[j]`` is true where its high-dose mean was at
+    least the pooled mean.
     """
     high = matrix.columns(Group.HIGH)
     rest = matrix.columns(Group.CONTROL, Group.LOW)
@@ -958,26 +935,28 @@ def high_dose_ordering(matrix: ExpressionMatrix) -> list[HighDoseRank]:
         )
     h, r = _exact_units(np.hstack([rest, high]))
     diff, _, _, _, p_high = _true_labeling(h, r, rest.shape[1], high.shape[1], True)
-    order = np.lexsort((np.arange(matrix.n_genes), p_high))
-    return [
-        HighDoseRank(
-            original_index=int(i),
-            p_high=float(p_high[i]),
-            sign=Sign.PLUS if diff[i] >= 0.0 else Sign.MINUS,
-        )
-        for i in order
-    ]
+    order = np.argsort(p_high, kind="stable")
+    return order, p_high[order], diff[order] >= 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PipelineResult:
-    """Ordered gene records plus the discovery-count table.
+    """Per-gene arrays in tested order plus the discovery-count table.
 
-    ``columns`` holds the table's method, alpha and discoveries columns,
-    method-major; ``rows`` gives the same table as row tuples.
+    Entry j of each read-only array belongs to the j-th tested gene:
+    ``order`` holds its input row, ``p_high`` and ``plus`` its
+    ``high_dose_ordering`` p-value and sign, ``p_init`` its one-sided
+    low-dose Welch p-value in that direction, and ``p_final`` the
+    permutation rank of ``p_init``.  ``columns`` holds the table's
+    method, alpha and discoveries columns, method-major; ``rows`` gives
+    the same table as row tuples.
     """
 
-    records: tuple[GeneRecord, ...]
+    order: np.ndarray
+    p_high: np.ndarray
+    plus: np.ndarray
+    p_init: np.ndarray
+    p_final: np.ndarray
     columns: tuple[tuple[str, ...], tuple[float, ...], tuple[int, ...]]
     method_names: tuple[str, ...]
     alpha_grid: tuple[float, ...]
@@ -1004,10 +983,13 @@ def run_pipeline(
 ) -> PipelineResult:
     """Rank genes, calibrate p-values, run every method, and tabulate counts.
 
-    Accumulation methods run down the ordered calibrated p-values and
-    report their cutoff position as the discovery count.  Methods whose
-    accumulation function blows up at 1 receive the grid-shifted values
-    k/(P+1) instead of k/P so a p-value of exactly one stays finite.
+    The result holds each gene's input row, high-dose p-value and sign,
+    one-sided Welch p-value and permutation rank, as arrays in tested
+    order.  Accumulation methods run down the ordered calibrated
+    p-values and report their cutoff position as the discovery count.
+    Methods whose accumulation function blows up at 1 receive the
+    grid-shifted values k/(P+1) instead of k/P so a p-value of exactly
+    one stays finite.
     Baselines (Benjamini-Hochberg and its null-fraction-adjusted
     variant, each on both t-test and permutation two-sided p-values)
     see the same genes without the ordering.  Both kinds come from the
@@ -1035,29 +1017,14 @@ def run_pipeline(
             "baseline t-tests need at least 2 control and 2 low-dose columns"
         )
 
-    ranks = high_dose_ordering(matrix)
+    order, p_high, plus = high_dose_ordering(matrix)
     pooled = np.hstack([matrix.columns(Group.CONTROL), matrix.columns(Group.LOW)])
-
-    row_order = np.array([r.original_index for r in ranks], dtype=np.intp)
-    plus_mask = np.array([r.sign is Sign.PLUS for r in ranks])
     p_init, p_final, p_perm_two, p_t_two = _permutation_rows(
-        pooled[row_order], m_c, m_l, plus_mask
+        pooled[order], m_c, m_l, plus
     )
-    grid_size = math.comb(m_c + m_l, m_c)
-
-    records = tuple(
-        GeneRecord(
-            p_high=r.p_high,
-            sign=r.sign,
-            p_init=float(p_init[j]),
-            p_final=float(p_final[j]),
-            original_index=r.original_index,
-        )
-        for j, r in enumerate(ranks)
-    )
-
-    plain_pvals = OrderedPValues(p_final)
-    shifted_pvals = shift_discrete_pvalues(plain_pvals, grid_size)
+    for values in (order, p_high, plus, p_init, p_final):
+        values.setflags(write=False)
+    shifted = shift_discrete_pvalues(p_final, math.comb(m_c + m_l, m_c))
 
     levels = np.array(alphas)
     positive = levels > 0.0
@@ -1065,7 +1032,7 @@ def run_pipeline(
     names: list[str] = []
     for method in methods:
         names.append(method.name)
-        inputs = plain_pvals if method.spec.bounded else shifted_pvals
+        inputs = p_final if method.spec.bounded else shifted
         counts = np.zeros(len(alphas), dtype=int)
         counts[positive] = select_cutoff(method.path(inputs), levels[positive])
         discoveries.extend(counts.tolist())
@@ -1089,7 +1056,7 @@ def run_pipeline(
         tuple(discoveries),
     )
     return PipelineResult(
-        records=records,
+        order, p_high, plus, p_init, p_final,
         columns=columns,
         method_names=tuple(names),
         alpha_grid=alphas,

@@ -56,7 +56,8 @@ def check_truncated_tail() -> None:
 
 def check_cutoff_scan() -> None:
     rng = np.random.Generator(np.random.Philox(key=2024))
-    pvals = rng.random(40)
+    # Sorted, so that each cutoff is an inner position: 3, 15 and 28.
+    pvals = np.sort(rng.random(40))
     spec = accumfn.forward_stop()
     path = seqtest.estimated_fdp_path(pvals, spec)
     for alpha in (0.05, 0.2, 0.5):

@@ -19,8 +19,10 @@ from accumtest import (
     cli,
     estimated_fdp_path,
     parse_spec,
+    seqtest,
     shift_discrete_pvalues,
     simlab,
+    validation,
 )
 
 from test_layers import package_env
@@ -438,6 +440,13 @@ class TestCmdDosage:
         assert out == ""
         assert err.count("error:") == 1 and "'huge'" in err and "float range" in err
 
+    def test_design_past_the_table_budget_asks_to_subsample(self, tmp_path, capsys):
+        matrix = write_null_matrix_csv(tmp_path, seed=3, n=3, m_c=12, m_l=12)
+        code, out, err = run_cli(["dosage", matrix], capsys)
+        assert code == 4
+        assert out == ""
+        assert err.count("error:") == 1 and "MiB budget; subsample" in err
+
     def test_non_finite_value_names_gene_and_sample_column(self, tmp_path, capsys):
         matrix = tmp_path / "nan.csv"
         matrix.write_text(
@@ -603,6 +612,12 @@ class TestValidateAndVersion:
         assert code == 0
         assert "ok" in out
         assert "FAIL" not in out
+
+    def test_cutoff_scan_check_catches_a_wrong_cutoff(self, monkeypatch):
+        validation.check_cutoff_scan()
+        monkeypatch.setattr(seqtest, "select_cutoff", lambda path, alpha: 0)
+        with pytest.raises(AssertionError, match="cutoff disagrees"):
+            validation.check_cutoff_scan()
 
     def test_version_flag(self, capsys):
         code, out, _ = run_cli(["--version"], capsys)

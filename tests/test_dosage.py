@@ -28,7 +28,6 @@ from accumtest import (
 )
 from accumtest import _tails, dosage
 from accumtest.dosage import (
-    MAX_PARTITIONS,
     _BATCH_ARRAYS,
     _BATCH_BUDGET,
     _SCREEN_POINTS,
@@ -85,6 +84,14 @@ def rows_per_batch(monkeypatch, m_c, m_l, rows):
     budget = rows * _batch_columns(m_c, m_l) * 8 * _BATCH_ARRAYS
     monkeypatch.setattr(dosage, "_BATCH_BUDGET", budget)
     assert _chunk_rows(_batch_columns(m_c, m_l)) == rows
+
+
+def per_gene_bytes(result):
+    """The bytes of a ``run_pipeline`` result's per-gene arrays, in field order."""
+    return [
+        getattr(result, name).tobytes()
+        for name in ("order", "p_high", "plus", "p_init", "p_final")
+    ]
 
 
 def partitions(m, m_c):
@@ -274,7 +281,6 @@ class TestPartitionTable:
         assert _partition_table.cache_info().currsize == 1
 
     def test_footprint_guard_fires_before_allocating(self):
-        assert math.comb(22, 11) <= MAX_PARTITIONS
         assert math.comb(22, 11) * (22 + 11) * 8 > _TABLE_BUDGET
         tracemalloc.start()
         try:
@@ -293,24 +299,24 @@ class TestHighDoseOrdering:
         rng = np.random.Generator(np.random.Philox(key=5))
         values = rng.normal(size=(4, 8))
         values[2, 4:] += 50.0
-        ranks = high_dose_ordering(make_matrix(values, 2, 2, 4))
-        assert ranks[0].original_index == 2
-        assert ranks[0].sign is Sign.PLUS
+        order, _, plus = high_dose_ordering(make_matrix(values, 2, 2, 4))
+        assert order[0] == 2
+        assert plus[0]
 
     def test_all_identical_keeps_input_order(self):
         values = np.tile([1.0, 2.0, 1.0, 2.0, 1.5, 1.5], (3, 1))
-        ranks = high_dose_ordering(make_matrix(values, 2, 2, 2))
-        assert [r.original_index for r in ranks] == [0, 1, 2]
-        assert all(r.p_high == 1.0 for r in ranks)
+        order, p_high, _ = high_dose_ordering(make_matrix(values, 2, 2, 2))
+        assert order.tolist() == [0, 1, 2]
+        assert (p_high == 1.0).all()
 
     def test_sign_follows_mean_difference(self):
         base = np.zeros((2, 6))
         base[0, 4:] = 0.7
         base[1, 4:] = -0.7
-        ranks = high_dose_ordering(make_matrix(base, 2, 2, 2))
-        by_index = {r.original_index: r for r in ranks}
-        assert by_index[0].sign is Sign.PLUS
-        assert by_index[1].sign is Sign.MINUS
+        order, _, plus = high_dose_ordering(make_matrix(base, 2, 2, 2))
+        by_index = dict(zip(order.tolist(), plus.tolist()))
+        assert by_index[0] is True
+        assert by_index[1] is False
 
     def test_needs_two_columns_per_side(self):
         values = np.zeros((2, 3))
@@ -339,12 +345,11 @@ class TestPermutationInvariance:
             alpha_grid=(0.2,),
             include_baselines=False,
         )
-        for a, b in zip(base.records, shuffled.records):
-            assert a.original_index == b.original_index
-            assert a.sign is b.sign
-            assert a.p_high == pytest.approx(b.p_high, abs=1e-12)
-            assert a.p_init == pytest.approx(b.p_init, abs=1e-12)
-            assert a.p_final == b.p_final
+        assert (base.order == shuffled.order).all()
+        assert (base.plus == shuffled.plus).all()
+        assert base.p_high == pytest.approx(shuffled.p_high, abs=1e-12)
+        assert base.p_init == pytest.approx(shuffled.p_init, abs=1e-12)
+        assert (base.p_final == shuffled.p_final).all()
         assert base.rows == shuffled.rows
 
     def test_control_low_swap_preserves_score_multiset(self):
@@ -383,15 +388,13 @@ class TestRunPipeline:
         matrix = gaussian_matrix(3, 25, 4, 4, 2)
         result = run_pipeline(matrix, alpha_grid=(0.1,), include_baselines=False)
         grid_size = math.comb(8, 4)
-        p_highs = [r.p_high for r in result.records]
-        assert p_highs == sorted(p_highs)
-        assert sorted(r.original_index for r in result.records) == list(range(25))
-        for record in result.records:
-            assert 0.0 <= record.p_high <= 1.0
-            assert 0.0 <= record.p_init <= 1.0
-            k = round(record.p_final * grid_size)
-            assert 1 <= k <= grid_size
-            assert record.p_final == k / grid_size
+        assert (np.diff(result.p_high) >= 0.0).all()
+        assert sorted(result.order.tolist()) == list(range(25))
+        assert ((0.0 <= result.p_high) & (result.p_high <= 1.0)).all()
+        assert ((0.0 <= result.p_init) & (result.p_init <= 1.0)).all()
+        k = np.rint(result.p_final * grid_size)
+        assert ((1 <= k) & (k <= grid_size)).all()
+        assert (result.p_final == k / grid_size).all()
 
     def test_pair_sums_add_columns_in_index_order_for_any_pair_count(self):
         # Terms over 16 decades, so that any other order of additions
@@ -430,7 +433,7 @@ class TestRunPipeline:
                 rows_per_batch(monkeypatch, m_c, m_l, rows)
                 results.append(run_pipeline(matrix, alpha_grid=(0.15,)))
             for other in results[1:]:
-                assert other.records == results[0].records
+                assert per_gene_bytes(other) == per_gene_bytes(results[0])
                 assert other.rows == results[0].rows
 
     @pytest.mark.parametrize("m_c,m_l,decimals", [(9, 7, None), (6, 6, 2)])
@@ -449,12 +452,7 @@ class TestRunPipeline:
             monkeypatch.setattr(dosage, "_BATCH_BUDGET", budget)
             results.append(run_pipeline(matrix, alpha_grid=(0.05, 0.2)))
         assert _chunk_rows(columns) >= n > 2 * rows
-        small, large = (
-            np.array([(r.p_high, r.p_init, r.p_final, r.original_index) for r in result.records])
-            for result in results
-        )
-        assert small.tobytes() == large.tobytes()
-        assert [r.sign for r in results[0].records] == [r.sign for r in results[1].records]
+        assert per_gene_bytes(results[0]) == per_gene_bytes(results[1])
         assert results[0].rows == results[1].rows
 
     @pytest.mark.parametrize("chunk", [None, 1])
@@ -613,6 +611,38 @@ class TestRunPipeline:
             assert result.count("Storey-t", alpha) == storey_select(p_t, alpha).count
         assert result.count("BH-t", 0.5) > 0
 
+    @pytest.mark.parametrize("m_c,m_l,decimals", [(3, 3, 2), (4, 3, None)])
+    def test_per_gene_arrays_are_the_public_functions(
+        self, m_c, m_l, decimals, monkeypatch
+    ):
+        matrix = gaussian_matrix(
+            17, 30, m_c, m_l, 2, planted=10, low_shift=2.0, high_shift=2.5,
+            decimals=decimals,
+        )
+        rows_per_batch(monkeypatch, m_c, m_l, 7)
+        result = run_pipeline(matrix, alpha_grid=(0.1,))
+        assert sorted(result.order.tolist()) == list(range(30))
+        assert 0 < result.plus.sum() < 30
+        control = matrix.columns(Group.CONTROL)
+        low = matrix.columns(Group.LOW)
+        high = matrix.columns(Group.HIGH)
+        rest = matrix.columns(Group.CONTROL, Group.LOW)
+        for j, i in enumerate(result.order):
+            sign = Sign.PLUS if result.plus[j] else Sign.MINUS
+            want = (
+                welch_p_two_sided(high[i], rest[i]),
+                welch_p_one_sided(low[i], control[i], sign.value),
+                permutation_pvalue(rest[i], m_c, m_l, sign),
+            )
+            got = (result.p_high[j], result.p_init[j], result.p_final[j])
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (j, got, want)
+
+    def test_per_gene_arrays_are_read_only(self):
+        result = run_pipeline(gaussian_matrix(5, 6, 2, 2, 2), alpha_grid=(0.1,))
+        for name in ("order", "p_high", "plus", "p_init", "p_final"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(result, name)[0] = 0
+
     def test_alpha_domain(self):
         matrix = gaussian_matrix(7, 10, 2, 2, 2)
         with pytest.raises(Exception) as info:
@@ -750,10 +780,10 @@ class TestExactTies:
         # each arm: their high-dose p-values must be bitwise equal.
         first = [8.69, 7.85, 6.49, 7.13, 7.33, 8.39]
         second = [7.85, 8.69, 7.13, 6.49, 8.39, 7.33]
-        ranks = high_dose_ordering(make_matrix([first, second], 2, 2, 2))
-        assert [r.original_index for r in ranks] == [0, 1]
-        assert ranks[0].p_high == ranks[1].p_high
-        assert ranks[0].sign is ranks[1].sign
+        order, p_high, plus = high_dose_ordering(make_matrix([first, second], 2, 2, 2))
+        assert order.tolist() == [0, 1]
+        assert p_high[0] == p_high[1]
+        assert plus[0] == plus[1]
 
 
 class TestFloatPath:
@@ -1060,7 +1090,7 @@ class TestTailScreen:
             got = run_pipeline(matrix, alpha_grid=(0.1, 0.3))
         settle_nothing(monkeypatch)
         want = run_pipeline(matrix, alpha_grid=(0.1, 0.3))
-        assert got.records == want.records
+        assert per_gene_bytes(got) == per_gene_bytes(want)
         assert got.rows == want.rows
 
     @pytest.mark.parametrize("error", [0.0, 1e-3, -1e-3])

@@ -137,10 +137,10 @@ def check_dosage_run(path, argv, code, out, genes, m_c, m_l):
         matrix, alpha_grid=(0.1, 0.3), include_baselines="--no-baselines" not in argv
     )
     count = math.comb(m_c + m_l, m_c)
-    for record in result.records:
-        assert 0.0 <= record.p_high <= 1.0 and 0.0 <= record.p_init <= 1.0
-        k = record.p_final * count
-        assert k == round(k) and 1 <= k <= count, (record, count)
+    for p_high, p_init, p_final in zip(result.p_high, result.p_init, result.p_final):
+        assert 0.0 <= p_high <= 1.0 and 0.0 <= p_init <= 1.0
+        k = p_final * count
+        assert k == round(k) and 1 <= k <= count, (p_high, p_init, p_final, count)
 
 
 @pytest.mark.parametrize("seed", range(CASES))
