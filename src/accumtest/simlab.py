@@ -15,8 +15,9 @@ Reproducibility rules used throughout:
 * One engine scores trials in blocks of rows, each row drawn from its
   trial's own generator, and hands them on as one frame per trial, in
   trial order.  ``collect_trial_frames`` keeps those frames in a list.
-  ``aggregate`` streams any iterable of frames: it stacks their stats
-  and adds their paths into running sums in trial order.
+  ``aggregate`` streams any iterable of frames: it keeps each frame's
+  power and FDP, two floats per method and level, and adds its paths into
+  running sums in trial order.
   ``run_simulation`` is ``aggregate`` over the engine's frames as they
   come, so it keeps no per-trial path.
 * A row lists its hypotheses by decreasing |prior z|, ties broken by
@@ -413,12 +414,16 @@ def aggregate(frames: Iterable[TrialFrame]) -> AggregateResult:
 
     ``frames`` may be any iterable, a generator included.  Each frame's
     paths are added into running sums in order, so the sums do not
-    depend on how the frames were produced, and only its stats row is
-    kept.  All frames must come from the same method list and alpha
-    grid; mixing shapes is a hard error rather than a silent broadcast.
+    depend on how the frames were produced.  Of its stats, only power and
+    FDP are kept, two float64 per method and level (576 bytes per trial
+    for four methods at nine levels), in one buffer that doubles as it
+    fills; their means and standard errors equal, bit for bit, those of
+    all frames' stats stacked.  All frames must come from the same method
+    list and alpha grid, with stats of shape (methods, levels, 4); mixing
+    shapes is a hard error rather than a silent broadcast.
     """
-    key = hat_sum = true_sum = None
-    stats = []
+    key = hat_sum = true_sum = kept = None
+    trials = 0
     for frame in frames:
         shape = (
             frame.method_names,
@@ -428,22 +433,35 @@ def aggregate(frames: Iterable[TrialFrame]) -> AggregateResult:
             np.shape(frame.fdp_true_path),
         )
         if key is None:
+            cells = (len(frame.method_names), len(frame.alpha_grid))
+            if frame.stats.shape != (*cells, 4):
+                raise ContractError(
+                    f"trial stats have shape {frame.stats.shape}, need {(*cells, 4)} "
+                    "for the frame's methods and alpha grid"
+                )
             key = shape
+            kept = np.empty((1, *cells, 2))
             if frame.fdp_hat_paths is not None:
                 hat_sum = np.zeros(frame.fdp_hat_paths.shape)
                 true_sum = np.zeros(frame.fdp_true_path.shape)
         elif shape != key:
             raise ContractError("trial frames disagree in shape; cannot aggregate")
-        stats.append(frame.stats)
+        if trials == len(kept):
+            grown = np.empty((2 * trials, *kept.shape[1:]))
+            grown[:trials] = kept
+            kept = grown
+        # STAT_POWER and STAT_FDP are adjacent, so this copies both at once
+        # and holds no reference to the frame's block.
+        kept[trials] = frame.stats[..., STAT_POWER:STAT_FDP + 1]
+        trials += 1
         if hat_sum is not None:
             hat_sum += frame.fdp_hat_paths
             true_sum += frame.fdp_true_path
-    if not stats:
+    if key is None:
         raise ContractError("aggregate needs at least one trial")
-    stack = np.stack(stats)
-    trials = stack.shape[0]
-    mean_power, se_power = _mean_and_se(stack[:, :, :, STAT_POWER])
-    mean_fdp, se_fdp = _mean_and_se(stack[:, :, :, STAT_FDP])
+    kept = kept[:trials]
+    mean_power, se_power = _mean_and_se(kept[..., 0])
+    mean_fdp, se_fdp = _mean_and_se(kept[..., 1])
     return AggregateResult(
         method_names=key[0],
         alpha_grid=key[1],

@@ -13,6 +13,7 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 30
 
@@ -63,6 +64,20 @@ def hinge_exp_h(c):
         return c * math.log(1.0 / (c * (1.0 - p)))
 
     return h
+
+
+def stacked_mean_and_se(frames, stat):
+    """Mean and standard error over trials of one stat, from all frames stacked.
+
+    ``np.stack`` of every frame's (methods, levels, 4) stats, then the
+    sample mean and ``std(ddof=1) / sqrt(trials)`` of the ``stat`` slice
+    along the trial axis, with a standard error of 0 for one trial.
+    """
+    stack = np.stack([frame.stats for frame in frames])[:, :, :, stat]
+    mean = stack.mean(axis=0)
+    if stack.shape[0] == 1:
+        return mean, np.zeros_like(mean)
+    return mean, stack.std(axis=0, ddof=1) / np.sqrt(stack.shape[0])
 
 
 def brute_bh(pvals, alpha):
