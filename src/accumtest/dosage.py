@@ -30,6 +30,11 @@ off-grid values.  Only the relabelings it leaves open, about 2 % on the
 benchmark's data sets, go through the float Welch arithmetic of
 ``_welch_stats`` and the t-CDF.  Every rank and output bit is that of
 scoring each relabeling in full.
+
+A gene's rank, the count k of the P relabelings scoring at or below its
+true labeling, stays an integer from the engine to ``run_pipeline``,
+which divides it once per point where h is read: k/P, the gene's
+``p_final``, or k/(P+1) for an h that is infinite at 1.
 """
 
 from __future__ import annotations
@@ -47,12 +52,7 @@ import numpy as np
 from . import _tails
 from .baselines import bh_select, storey_select
 from .errors import ContractError, DomainError, ValidationError, whole_number
-from .seqtest import (
-    Method,
-    default_methods,
-    select_cutoff,
-    shift_discrete_pvalues,
-)
+from .seqtest import Method, default_methods, select_cutoff
 
 __all__ = [
     "Group",
@@ -597,12 +597,12 @@ def _permutation_rows(
     sum 1/(n_i - 1): df is finite and positive.  x = -|d / t| with finite
     d and t > 0 lies in [-inf, 0], where the t-CDF is a number.
 
-    Returns (p_init, p_final, p_perm_two, p_two): the one-sided p under
-    the true labels, its rank #{relabelings with p <= p_init} / P, the
-    same rank of the two-sided p, and that two-sided p itself, the Welch
-    t-test of low against control.  On rows of ``_exact_units`` grid data
-    relabelings with equal Welch statistics get bitwise-equal p-values,
-    so the rank counts every tie.
+    Returns (p_init, rank, rank_two, p_two): the one-sided p under the
+    true labels, its rank numerator #{relabelings with p <= p_init} as
+    intp in [1, P], the same numerator of the two-sided p, and that
+    two-sided p itself, the Welch t-test of low against control.  On
+    rows of ``_exact_units`` grid data relabelings with equal Welch
+    statistics get bitwise-equal p-values, so the rank counts every tie.
     """
     h, r = _exact_units(values)
     d, tail0, degenerate, p_init, p_two = _true_labeling(h, r, m_c, m_l, plus_mask)
@@ -618,8 +618,7 @@ def _permutation_rows(
     if m_c == m_l:
         hits[0] += _one_sided(np.where(plus_mask, -d, d), tail0, degenerate) <= p_init
         hits[1] *= 2
-    count = math.comb(m_c + m_l, m_c)
-    return p_init, hits[0] / count, hits[1] / count, p_two
+    return p_init, hits[0], hits[1], p_two
 
 
 def _sum_screen(
@@ -910,8 +909,8 @@ def permutation_pvalue(
             f"pooled sample has {values.size} values but m_c + m_l = {m_c + m_l}"
         )
     plus = np.array([_as_sign(sign) is Sign.PLUS])
-    p_final = _permutation_rows(values[None, :], m_c, m_l, plus)[1]
-    return float(p_final[0])
+    rank = _permutation_rows(values[None, :], m_c, m_l, plus)[1]
+    return float(rank[0] / math.comb(m_c + m_l, m_c))
 
 
 def high_dose_ordering(
@@ -946,16 +945,18 @@ class PipelineResult:
     Entry j of each read-only array belongs to the j-th tested gene:
     ``order`` holds its input row, ``p_high`` and ``plus`` its
     ``high_dose_ordering`` p-value and sign, ``p_init`` its one-sided
-    low-dose Welch p-value in that direction, and ``p_final`` the
-    permutation rank of ``p_init``.  ``columns`` holds the table's
-    method, alpha and discoveries columns, method-major; ``rows`` gives
-    the same table as row tuples.
+    low-dose Welch p-value in that direction, ``rank`` the intp count
+    k in [1, P] of the P relabelings whose p is at most ``p_init``, and
+    ``p_final`` its permutation p-value k / P.  ``columns`` holds the
+    table's method, alpha and discoveries columns, method-major;
+    ``rows`` gives the same table as row tuples.
     """
 
     order: np.ndarray
     p_high: np.ndarray
     plus: np.ndarray
     p_init: np.ndarray
+    rank: np.ndarray
     p_final: np.ndarray
     columns: tuple[tuple[str, ...], tuple[float, ...], tuple[int, ...]]
     method_names: tuple[str, ...]
@@ -984,12 +985,11 @@ def run_pipeline(
     """Rank genes, calibrate p-values, run every method, and tabulate counts.
 
     The result holds each gene's input row, high-dose p-value and sign,
-    one-sided Welch p-value and permutation rank, as arrays in tested
-    order.  Accumulation methods run down the ordered calibrated
-    p-values and report their cutoff position as the discovery count.
-    Methods whose accumulation function blows up at 1 receive the
-    grid-shifted values k/(P+1) instead of k/P so a p-value of exactly
-    one stays finite.
+    one-sided Welch p-value, permutation rank k and p-value k/P, as
+    arrays in tested order.  Accumulation methods run down the ordered
+    genes and report their cutoff position as the discovery count.  A
+    method reads its h at k/P when h is bounded, and at k/(P+1) when h
+    is infinite at 1, so that a rank of P stays finite.
     Baselines (Benjamini-Hochberg and its null-fraction-adjusted
     variant, each on both t-test and permutation two-sided p-values)
     see the same genes without the ordering.  Both kinds come from the
@@ -1019,12 +1019,11 @@ def run_pipeline(
 
     order, p_high, plus = high_dose_ordering(matrix)
     pooled = np.hstack([matrix.columns(Group.CONTROL), matrix.columns(Group.LOW)])
-    p_init, p_final, p_perm_two, p_t_two = _permutation_rows(
-        pooled[order], m_c, m_l, plus
-    )
-    for values in (order, p_high, plus, p_init, p_final):
+    p_init, rank, rank_two, p_t_two = _permutation_rows(pooled[order], m_c, m_l, plus)
+    count = math.comb(m_c + m_l, m_c)
+    p_final = rank / count
+    for values in (order, p_high, plus, p_init, rank, p_final):
         values.setflags(write=False)
-    shifted = shift_discrete_pvalues(p_final, math.comb(m_c + m_l, m_c))
 
     levels = np.array(alphas)
     positive = levels > 0.0
@@ -1032,12 +1031,13 @@ def run_pipeline(
     names: list[str] = []
     for method in methods:
         names.append(method.name)
-        inputs = p_final if method.spec.bounded else shifted
+        inputs = p_final if method.spec.bounded else rank / (count + 1.0)
         counts = np.zeros(len(alphas), dtype=int)
         counts[positive] = select_cutoff(method.path(inputs), levels[positive])
         discoveries.extend(counts.tolist())
 
     if include_baselines:
+        p_perm_two = rank_two / count
         baselines = (
             ("BH-t", bh_select, p_t_two),
             ("Storey-t", storey_select, p_t_two),
@@ -1056,7 +1056,7 @@ def run_pipeline(
         tuple(discoveries),
     )
     return PipelineResult(
-        order, p_high, plus, p_init, p_final,
+        order, p_high, plus, p_init, rank, p_final,
         columns=columns,
         method_names=tuple(names),
         alpha_grid=alphas,

@@ -355,7 +355,9 @@ def shift_discrete_pvalues(pvals: PValueInput, grid_size: int) -> OrderedPValues
     this utility nudges every grid point down by one denominator step.
     The transformation is offered separately rather than applied
     silently, because it slightly perturbs the distributional
-    guarantees.
+    guarantees.  It serves ``accumtest test --shift-grid`` and the
+    self-check of ``accumtest validate``; the dosage pipeline keeps its
+    ranks as integers and divides them by G + 1 itself.
 
     Raises
     ------

@@ -419,7 +419,8 @@ def aggregate(frames: Iterable[TrialFrame]) -> AggregateResult:
     for four methods at nine levels), in one buffer that doubles as it
     fills; their means and standard errors equal, bit for bit, those of
     all frames' stats stacked.  All frames must come from the same method
-    list and alpha grid, with stats of shape (methods, levels, 4); mixing
+    list and alpha grid, with stats of shape (methods, levels, 4) and
+    either no paths or paths of shapes (methods, n) and (n,); mixing
     shapes is a hard error rather than a silent broadcast.
     """
     key = hat_sum = true_sum = kept = None
@@ -438,6 +439,13 @@ def aggregate(frames: Iterable[TrialFrame]) -> AggregateResult:
                 raise ContractError(
                     f"trial stats have shape {frame.stats.shape}, need {(*cells, 4)} "
                     "for the frame's methods and alpha grid"
+                )
+            hat, true = shape[3:]
+            has_paths = frame.fdp_hat_paths is not None or frame.fdp_true_path is not None
+            if has_paths and (len(true) != 1 or hat != (cells[0], *true)):
+                raise ContractError(
+                    f"trial paths have shapes {hat} and {true}, need ({cells[0]}, n) "
+                    "and (n,) for the frame's methods"
                 )
             key = shape
             kept = np.empty((1, *cells, 2))

@@ -10,6 +10,7 @@ import pytest
 from scipy import special
 
 from accumtest import (
+    DEFAULT_DOSAGE_ALPHAS,
     ContractError,
     ExpressionMatrix,
     Group,
@@ -22,6 +23,8 @@ from accumtest import (
     permutation_pvalue,
     read_expression_csv,
     run_pipeline,
+    select_cutoff,
+    shift_discrete_pvalues,
     storey_select,
     welch_p_one_sided,
     welch_p_two_sided,
@@ -90,7 +93,7 @@ def per_gene_bytes(result):
     """The bytes of a ``run_pipeline`` result's per-gene arrays, in field order."""
     return [
         getattr(result, name).tobytes()
-        for name in ("order", "p_high", "plus", "p_init", "p_final")
+        for name in ("order", "p_high", "plus", "p_init", "rank", "p_final")
     ]
 
 
@@ -103,17 +106,22 @@ def partitions(m, m_c):
 
 
 def brute_force_ranks(pool, m_c, plus):
-    """p_final and p_perm_two by scoring each relabeling with the public Welch tests."""
+    """The one- and two-sided rank numerators, by scoring each relabeling
+    with the public Welch tests."""
     sign = Sign.PLUS if plus else Sign.MINUS
     one, two = [], []
     for ctrl, low in partitions(len(pool), m_c):
         one.append(welch_p_one_sided(pool[low], pool[ctrl], sign))
         two.append(welch_p_two_sided(pool[low], pool[ctrl]))
-    count = len(one)
-    return (
-        sum(p <= one[0] for p in one) / count,
-        sum(p <= two[0] for p in two) / count,
-    )
+    return sum(p <= one[0] for p in one), sum(p <= two[0] for p in two)
+
+
+def oracle_ranks(pool, m_c, plus):
+    """The rank numerators of ``oracles.exact_permutation_ranks``."""
+    count = math.comb(len(pool), m_c)
+    ranks = [rank * count for rank in oracles.exact_permutation_ranks(pool, m_c, plus)]
+    assert all(rank.denominator == 1 for rank in ranks)
+    return tuple(int(rank) for rank in ranks)
 
 
 def assert_pass_within_budget(m_c, m_l, decimals):
@@ -242,14 +250,14 @@ class TestTwoSidedPermutationRank:
         rng = np.random.Generator(np.random.Philox(key=10 * m_c + m_l))
         pools = rng.normal(size=(6, m_c + m_l))
         plus = np.array([True, False] * 3)
-        _, _, p_two, p_t = _permutation_rows(pools, m_c, m_l, plus)
-        for pool, got, got_t in zip(pools, p_two, p_t):
+        _, _, rank_two, p_t = _permutation_rows(pools, m_c, m_l, plus)
+        assert rank_two.dtype == np.intp
+        for pool, got, got_t in zip(pools, rank_two, p_t):
             scores = [
                 welch_p_two_sided(pool[low], pool[ctrl])
                 for ctrl, low in partitions(m_c + m_l, m_c)
             ]
-            want = sum(p <= scores[0] for p in scores) / len(scores)
-            assert got == want
+            assert got == sum(p <= scores[0] for p in scores)
             assert got_t.tobytes() == np.float64(scores[0]).tobytes()
 
 
@@ -392,9 +400,32 @@ class TestRunPipeline:
         assert sorted(result.order.tolist()) == list(range(25))
         assert ((0.0 <= result.p_high) & (result.p_high <= 1.0)).all()
         assert ((0.0 <= result.p_init) & (result.p_init <= 1.0)).all()
-        k = np.rint(result.p_final * grid_size)
+        k = result.rank
+        assert k.dtype == np.intp
         assert ((1 <= k) & (k <= grid_size)).all()
-        assert (result.p_final == k / grid_size).all()
+        assert result.p_final.tobytes() == (k / grid_size).tobytes()
+
+    @pytest.mark.parametrize("decimals", [2, None])
+    def test_tables_equal_the_public_route(self, decimals):
+        # The public route reads h at shift_discrete_pvalues(p_final) for
+        # h infinite at 1 and at p_final otherwise.
+        matrix = gaussian_matrix(
+            43, 80, 3, 3, 2, planted=30, low_shift=2.0, high_shift=2.5,
+            decimals=decimals,
+        )
+        result = run_pipeline(matrix, include_baselines=False)
+        grid_size = math.comb(6, 3)
+        # A gene ranked last, where h infinite at 1 must not be read at 1.
+        assert (result.rank == grid_size).any()
+        levels = np.array(DEFAULT_DOSAGE_ALPHAS)
+        want = []
+        for method in default_methods():
+            x = result.p_final
+            if not method.spec.bounded:
+                x = shift_discrete_pvalues(x, grid_size)
+            want.extend(select_cutoff(method.path(x), levels).tolist())
+        assert result.columns[2] == tuple(want)
+        assert sum(want) > 0
 
     def test_pair_sums_add_columns_in_index_order_for_any_pair_count(self):
         # Terms over 16 decades, so that any other order of additions
@@ -639,7 +670,7 @@ class TestRunPipeline:
 
     def test_per_gene_arrays_are_read_only(self):
         result = run_pipeline(gaussian_matrix(5, 6, 2, 2, 2), alpha_grid=(0.1,))
-        for name in ("order", "p_high", "plus", "p_init", "p_final"):
+        for name in ("order", "p_high", "plus", "p_init", "rank", "p_final"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(result, name)[0] = 0
 
@@ -760,12 +791,13 @@ class TestExactTies:
             extra[3, m_c:] = pools[3, m_c - 1 :: -1]
         pools = np.vstack([pools, extra])
         plus = np.arange(len(pools)) % 2 == 0
-        _, p_final, p_two, _ = _permutation_rows(pools, m_c, m_l, plus)
+        _, rank, rank_two, _ = _permutation_rows(pools, m_c, m_l, plus)
+        assert rank.dtype == rank_two.dtype == np.intp
         mismatches = []
         tied = 0
-        for pool, direction, got_one, got_two in zip(pools, plus, p_final, p_two):
-            want = oracles.exact_permutation_ranks(list(pool), m_c, direction)
-            if (got_one, got_two) != tuple(map(float, want)):
+        for pool, direction, got_one, got_two in zip(pools, plus, rank, rank_two):
+            want = oracle_ranks(list(pool), m_c, direction)
+            if (got_one, got_two) != want:
                 mismatches.append((list(pool), direction, got_one, got_two, want))
             keys = [
                 oracles.welch_key(pool[low], pool[ctrl])
@@ -797,11 +829,11 @@ class TestFloatPath:
         low = 1e4 + rng.normal(size=m_l) * spread
         pool = np.concatenate([control, low])
         plus = np.array([True])
-        p_init, p_final, p_two, _ = _permutation_rows(pool[None, :], m_c, m_l, plus)
+        p_init, rank, rank_two, _ = _permutation_rows(pool[None, :], m_c, m_l, plus)
         with mp.workdps(60):
             want = oracles.welch_one_sided_mp(list(low), list(control), True)
         assert float(p_init[0]) == pytest.approx(float(want), rel=1e-9)
-        assert (p_final[0], p_two[0]) == brute_force_ranks(pool, m_c, True)
+        assert (rank[0], rank_two[0]) == brute_force_ranks(pool, m_c, True)
 
     def test_tiny_spread_keeps_the_one_over_p_floor(self):
         # Spread terms whose squares underflow once made the Welch df 0/0,
@@ -810,8 +842,7 @@ class TestFloatPath:
         assert permutation_pvalue(pool, 3, 3, Sign.PLUS) == 1.0 / 20.0
         for plus in (True, False):
             rows = _permutation_rows(np.array([pool]), 3, 3, np.array([plus]))
-            want = oracles.exact_permutation_ranks(pool, 3, plus)
-            assert (rows[1][0], rows[2][0]) == tuple(float(w) for w in want)
+            assert (rows[1][0], rows[2][0]) == oracle_ranks(pool, 3, plus)
 
     def test_values_beyond_the_float_range_are_refused(self):
         # max - min of such values overflows, so no shift to exact units
@@ -839,8 +870,8 @@ class TestFloatPath:
         assert (h_near == near).all()
         assert not r_near.any()
         for plus in (True, False):
-            _, p_final, p_two, _ = _permutation_rows(row, 3, 3, np.array([plus]))
-            assert (p_final[0], p_two[0]) == brute_force_ranks(row[0], 3, plus)
+            _, rank, rank_two, _ = _permutation_rows(row, 3, 3, np.array([plus]))
+            assert (rank[0], rank_two[0]) == brute_force_ranks(row[0], 3, plus)
 
 
 def settle_nothing(monkeypatch):

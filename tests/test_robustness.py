@@ -137,10 +137,11 @@ def check_dosage_run(path, argv, code, out, genes, m_c, m_l):
         matrix, alpha_grid=(0.1, 0.3), include_baselines="--no-baselines" not in argv
     )
     count = math.comb(m_c + m_l, m_c)
-    for p_high, p_init, p_final in zip(result.p_high, result.p_init, result.p_final):
+    assert result.rank.dtype == np.intp
+    for p_high, p_init, k in zip(result.p_high, result.p_init, result.rank):
         assert 0.0 <= p_high <= 1.0 and 0.0 <= p_init <= 1.0
-        k = p_final * count
-        assert k == round(k) and 1 <= k <= count, (p_high, p_init, p_final, count)
+        assert 1 <= k <= count, (p_high, p_init, k, count)
+    assert result.p_final.tobytes() == (result.rank / count).tobytes()
 
 
 @pytest.mark.parametrize("seed", range(CASES))

@@ -247,6 +247,23 @@ class TestAggregate:
         with pytest.raises(ContractError):
             aggregate([frame] * 2)
 
+    def test_paths_disagreeing_with_names_or_each_other_rejected(self):
+        # Path-table columns of lengths 10, 15, 15 and 21 once came out.
+        frame = TrialFrame(
+            ("a", "b"), (0.1,), np.zeros((2, 1, 4)),
+            fdp_hat_paths=np.zeros((3, 5)), fdp_true_path=np.zeros(7),
+        )
+        with pytest.raises(ContractError, match="trial paths"):
+            aggregate([frame] * 2)
+        for hat, true in (((3, 5), (5,)), ((2, 5), (7,)), ((2, 5), None), (None, (5,))):
+            frame = TrialFrame(
+                ("a", "b"), (0.1,), np.zeros((2, 1, 4)),
+                fdp_hat_paths=None if hat is None else np.zeros(hat),
+                fdp_true_path=None if true is None else np.zeros(true),
+            )
+            with pytest.raises(ContractError, match="trial paths"):
+                aggregate([frame] * 2)
+
     @pytest.mark.parametrize("shape", [(1, 1, 3), (4,)])
     def test_stats_without_four_per_level_rejected(self, shape):
         frame = TrialFrame(("m",), (0.1,), np.zeros(shape))
