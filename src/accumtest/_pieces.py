@@ -4,8 +4,8 @@ Shared by the piecewise accumulation-function family and the piecewise
 alternative density; ``unit_points`` and ``shaped`` serve every function
 evaluated at points of [0, 1].  A piece list is a sequence of
 ``(lo, hi, level)`` triples that must tile ``[0, 1]`` contiguously from
-0 to 1.  Each piece is half-open ``[lo, hi)`` except the last, which is
-closed at 1.
+0 to 1 and integrate to 1 within ``_UNIT_TOL``.  Each piece is half-open
+``[lo, hi)`` except the last, which is closed at 1.
 """
 
 from __future__ import annotations
@@ -19,10 +19,11 @@ from .errors import DomainError, ValidationError
 Piece = tuple[float, float, float]
 
 _EDGE_TOL = 1e-12
+_UNIT_TOL = 1e-9
 
 
-def normalize_pieces(pieces: Iterable[Sequence[float]]) -> tuple[Piece, ...]:
-    """Validate a piece list and return it as a canonical tuple of floats."""
+def unit_pieces(pieces: Iterable[Sequence[float]]) -> tuple[Piece, ...]:
+    """Validate a piece list of unit mass; return it as canonical floats."""
     out: list[Piece] = []
     for item in pieces:
         if len(item) != 3:
@@ -45,6 +46,9 @@ def normalize_pieces(pieces: Iterable[Sequence[float]]) -> tuple[Piece, ...]:
             raise ValidationError(
                 f"pieces must be contiguous; gap between {left[1]} and {right[0]}"
             )
+    total = piece_total(out)
+    if abs(total - 1.0) > _UNIT_TOL:
+        raise ValidationError(f"piecewise levels integrate to {total:.12g}, expected 1")
     return tuple(out)
 
 

@@ -38,10 +38,11 @@ import numpy as np
 
 from ._pieces import (
     Piece,
-    normalize_pieces,
+    _UNIT_TOL,
     piece_levels_at,
     piece_total,
     shaped,
+    unit_pieces,
     unit_points,
 )
 from .densities import AlternativeDensity
@@ -67,7 +68,6 @@ QUAD_TOL = 1e-9
 # Where the survival-form sweep of nonnull_mean stops; exp(-700) is
 # still a normal float.
 _S_MAX = 700.0
-_UNIT_TOL = 1e-9
 
 
 class Family(enum.Enum):
@@ -127,13 +127,7 @@ class AccumulationSpec:
                 raise ValidationError("piecewise takes no C parameter")
             if self.pieces is None:
                 raise ValidationError("piecewise requires a piece list")
-            normalized = normalize_pieces(self.pieces)
-            total = piece_total(normalized)
-            if abs(total - 1.0) > _UNIT_TOL:
-                raise ValidationError(
-                    f"piecewise levels integrate to {total:.12g}, expected 1"
-                )
-            object.__setattr__(self, "pieces", normalized)
+            object.__setattr__(self, "pieces", unit_pieces(self.pieces))
         else:  # pragma: no cover - enum is closed
             raise ValidationError(f"unknown family {fam!r}")
 

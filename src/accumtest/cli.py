@@ -41,6 +41,7 @@ import argparse
 import contextlib
 import csv
 import json
+import os
 import sys
 from typing import Optional, Sequence, TextIO
 
@@ -112,6 +113,17 @@ def _write_csv(path: Optional[str], header: Sequence[str], columns) -> None:
         for start in range(0, n_rows, _WRITE_BLOCK_ROWS):
             stop = start + _WRITE_BLOCK_ROWS
             handle.write(block_text([array[start:stop] for array in arrays]))
+
+
+def _check_out_dir(path: Optional[str]) -> None:
+    """Raise the error ``open(path, "w")`` would for a directory that cannot
+    be reached, before a run's work instead of after it."""
+    directory = os.path.dirname(path or "")
+    if directory:
+        try:
+            os.stat(directory)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _write_manifest(
@@ -189,10 +201,9 @@ def _loadtxt_columns(handle: TextIO) -> Optional[tuple[int, Optional[int]]]:
     header = handle.readline()
     if '"' in header:
         return None
-    names = [cell.strip().lower() for cell in header.rstrip("\r\n").split(",")]
-    if "p" not in names:
+    p_col, null_col = _pvalue_columns(header.rstrip("\r\n").split(","))
+    if p_col is None:
         return None
-    null_col = names.index("is_null") if "is_null" in names else None
     start = handle.tell()
     line = handle.readline()
     while line in ("\n", "\r\n", "\r"):
@@ -208,7 +219,14 @@ def _loadtxt_columns(handle: TextIO) -> Optional[tuple[int, Optional[int]]]:
         if any(char in chunk for char in _LOADTXT_UNSAFE):
             return None
     handle.seek(start)
-    return names.index("p"), null_col
+    return p_col, null_col
+
+
+def _pvalue_columns(header: Sequence[str]) -> tuple[Optional[int], Optional[int]]:
+    """Indices of the ``p`` and ``is_null`` columns among the header's cells,
+    named in any case with blanks around; None for a column not there."""
+    names = [cell.strip().lower() for cell in header]
+    return tuple(names.index(name) if name in names else None for name in ("p", "is_null"))
 
 
 def _loadtxt_pvalues(handle: TextIO) -> Optional[tuple[np.ndarray, Optional[np.ndarray]]]:
@@ -243,13 +261,11 @@ def _read_pvalue_rows(path: str, handle: TextIO) -> tuple[np.ndarray, Optional[n
     """p-values and null labels parsed row by row with the ``csv`` module."""
     reader = csv.reader(handle)
     try:
-        header = [cell.strip().lower() for cell in next(reader)]
+        p_col, null_col = _pvalue_columns(next(reader))
     except StopIteration:
         raise ValidationError(f"{path}: empty file") from None
-    if "p" not in header:
+    if p_col is None:
         raise ValidationError(f"{path}: no column named p")
-    p_col = header.index("p")
-    null_col = header.index("is_null") if "is_null" in header else None
     values = []
     labels = []
     for row_number, row in enumerate(reader, start=2):
@@ -287,6 +303,7 @@ def cmd_test(args: argparse.Namespace, argv: Sequence[str]) -> int:
     spec = parse_spec(args.method)
     if args.shift_grid is not None:
         pvals = shift_discrete_pvalues(pvals, args.shift_grid)
+    _check_out_dir(args.out)
     result = run_accumulation_test(pvals, spec, args.alpha, rule=args.rule, c=args.c)
     # Every reported value is computed before any is printed, so a failing
     # metric leaves stdout empty instead of half a report.
@@ -320,13 +337,14 @@ def cmd_simulate(args: argparse.Namespace, argv: Sequence[str]) -> int:
     )
     methods = default_methods(args.c)
     include_paths = bool(args.out) and not args.no_paths
+    summary = f"{args.out}_summary.csv" if args.out else None
+    _check_out_dir(summary)
     agg = _lazy.run_simulation(config, methods, include_paths)
     header = ("method", "alpha", "mean_power", "se_power", "mean_fdp", "se_fdp")
     columns = _lazy.power_table_columns(agg)
     if not args.out:
         _write_csv(None, header, columns)
         return 0
-    summary = f"{args.out}_summary.csv"
     outputs = [summary]
     _write_csv(summary, header, columns)
     if include_paths:
@@ -354,6 +372,7 @@ def cmd_dosage(args: argparse.Namespace, argv: Sequence[str]) -> int:
     if args.alpha_grid is None:
         args.alpha_grid = _lazy.DEFAULT_DOSAGE_ALPHAS
     matrix = _lazy.read_expression_csv(args.input)
+    _check_out_dir(args.out)
     result = _lazy.run_pipeline(
         matrix,
         methods=default_methods(args.c),

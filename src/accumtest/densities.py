@@ -18,10 +18,10 @@ experiment can be written down exactly and the run replayed:
   module never imports ``scipy.stats``.
 * ``piecewise(pieces)``: constant levels on a partition of [0, 1].
 
-scipy is an optional extra (``accumtest[theory]``).  Only the
-two_sided_z evaluations and sampling and the beta pdf, cdf and upper
-tail load it, through ``scipy_special``; uniform and piecewise
-densities, and beta sampling, run on numpy alone.
+scipy is an optional extra (``accumtest[theory]``).  Only the pdf, cdf
+and upper tail of two_sided_z (for ``ndtri`` and ``erfinv``) and beta
+load it, through ``scipy_special``; Phi is the simulations' ``_tails.ndtr``,
+so the other forms, and all sampling, run on numpy alone.
 """
 
 from __future__ import annotations
@@ -32,20 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._pieces import (
-    Piece,
-    interior_edges,
-    normalize_pieces,
-    piece_levels_at,
-    piece_total,
-    shaped,
-    unit_points,
-)
+from ._pieces import Piece, interior_edges, piece_levels_at, shaped, unit_pieces, unit_points
 from .errors import ContractError, DomainError, ValidationError
 
 __all__ = ["DensityForm", "AlternativeDensity"]
-
-_UNIT_TOL = 1e-9
 
 
 def scipy_special():
@@ -101,13 +91,7 @@ class AlternativeDensity:
         elif form is DensityForm.PIECEWISE:
             if self.pieces is None:
                 raise ValidationError("piecewise density requires a piece list")
-            normalized = normalize_pieces(self.pieces)
-            total = piece_total(normalized)
-            if abs(total - 1.0) > _UNIT_TOL:
-                raise ValidationError(
-                    f"piecewise density integrates to {total:.12g}, expected 1"
-                )
-            object.__setattr__(self, "pieces", normalized)
+            object.__setattr__(self, "pieces", unit_pieces(self.pieces))
 
     # ---- constructors -------------------------------------------------
 
@@ -133,17 +117,15 @@ class AlternativeDensity:
         """Density value at ``t`` (scalar or array), points in [0, 1]."""
         arr, flat = unit_points(t, "density evaluation points")
         form = self.form
-        if form is DensityForm.UNIFORM:
+        # two_sided_z(0) is the uniform density: its pdf and cdf are exact.
+        if form is DensityForm.UNIFORM or self.mu == 0.0:
             out = np.ones_like(flat)
         elif form is DensityForm.TWO_SIDED_Z:
             mu, shift = self.mu, 0.5 * self.mu**2
-            if mu == 0.0:
-                out = np.ones_like(flat)
-            else:
-                # The cosh as two exponentials, so no inf * 0 at large mu.
-                z = -scipy_special().ndtri(0.5 * flat)
-                with np.errstate(over="ignore"):
-                    out = 0.5 * (np.exp(mu * z - shift) + np.exp(-mu * z - shift))
+            # The cosh as two exponentials, so no inf * 0 at large mu.
+            z = -scipy_special().ndtri(0.5 * flat)
+            with np.errstate(over="ignore"):
+                out = 0.5 * (np.exp(mu * z - shift) + np.exp(-mu * z - shift))
         elif form is DensityForm.BETA:
             a, b, special = self.a, self.b, scipy_special()
             with np.errstate(divide="ignore"):
@@ -159,13 +141,13 @@ class AlternativeDensity:
         """Cumulative distribution at ``t``."""
         arr, flat = unit_points(t, "density evaluation points")
         form = self.form
-        if form is DensityForm.UNIFORM:
+        if form is DensityForm.UNIFORM or self.mu == 0.0:
             out = flat.copy()
         elif form is DensityForm.TWO_SIDED_Z:
             # P(2 * (1 - Phi(|Z|)) <= t) with Z ~ Normal(mu, 1).
-            special = scipy_special()
-            z = -special.ndtri(0.5 * flat)
-            out = special.ndtr(self.mu - z) + special.ndtr(-z - self.mu)
+            from ._tails import ndtr
+            z = -scipy_special().ndtri(0.5 * flat)
+            out = ndtr(self.mu - z) + ndtr(-z - self.mu)
         elif form is DensityForm.BETA:
             out = scipy_special().betainc(self.a, self.b, flat)
         else:
@@ -192,10 +174,10 @@ class AlternativeDensity:
             return u.copy()
         if form is DensityForm.TWO_SIDED_Z:
             # p > 1 - u iff |Z| < z; |mu| keeps both terms in the lower tail.
-            special = scipy_special()
-            z = math.sqrt(2.0) * special.erfinv(u)
+            from ._tails import ndtr
+            z = math.sqrt(2.0) * scipy_special().erfinv(u)
             mu = abs(self.mu)
-            return special.ndtr(z - mu) - special.ndtr(-z - mu)
+            return ndtr(z - mu) - ndtr(-z - mu)
         if form is DensityForm.BETA:
             return scipy_special().betainc(self.b, self.a, u)
         # Piece [lo, hi) is u-interval [1 - hi, 1 - lo); the top one starts at 0.
@@ -210,8 +192,9 @@ class AlternativeDensity:
         if form is DensityForm.UNIFORM:
             return rng.random(size)
         if form is DensityForm.TWO_SIDED_Z:
+            from ._tails import ndtr
             z = rng.standard_normal(size) + self.mu
-            return 2.0 * scipy_special().ndtr(-np.abs(z))
+            return 2.0 * ndtr(-np.abs(z))
         if form is DensityForm.BETA:
             return rng.beta(self.a, self.b, size)
         lows, levels, widths = self._piece_arrays()

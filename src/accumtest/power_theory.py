@@ -368,10 +368,11 @@ def envelope_exit_fraction(
     """Fraction of simulated walks that ever leave the envelope.
 
     Walks have ``t_max`` i.i.d. increments drawn from ``Normal(0,
-    sigma2)``, ``_WALK_ROWS`` walks at a time.  The envelope guarantee
-    promises a fraction at most ``epsilon`` in the appropriate moment
-    regime, so this is the companion empirical check to
-    :func:`random_walk_envelope`.
+    sigma2)``, ``_WALK_ROWS`` walks at a time, in order from the one
+    stream ``np.random.default_rng(seed)``, not from per-walk generators
+    like the simulations' trials.  The envelope guarantee promises a
+    fraction at most ``epsilon`` in the appropriate moment regime, so
+    this is the companion empirical check to :func:`random_walk_envelope`.
     """
     t_max = int(t_max)
     n_walks = int(n_walks)

@@ -53,9 +53,8 @@ from .seqtest import (
 from .seqtest import estimated_fdp_path, estimated_fdp_path_plus  # noqa: F401
 
 # ``power_theory`` is imported by ``generate_from_curve`` alone, which
-# simulate does not call.  Nothing here loads scipy: only the
-# two_sided_z and beta densities that a caller may hand to
-# ``generate_from_curve`` do.
+# simulate does not call.  Nothing here loads scipy: every density
+# that a caller may hand to ``generate_from_curve`` samples on numpy alone.
 if TYPE_CHECKING:
     from .power_theory import SignalCurve
 
@@ -273,15 +272,12 @@ def generate_from_curve(
         If the curve increases somewhere or k * f(k/n) is not
         nondecreasing, since then no 0/1 planting can track it.
     """
-    from .power_theory import validate_signal_curve
+    from .power_theory import _require_shape
 
     n = int(n)
     if n < 1:
         raise DomainError(f"n must be positive, got {n}")
-    report = validate_signal_curve(curve, alpha=0.5)
-    for check in report.checks:
-        if check.name in ("nonincreasing", "mass_nondecreasing") and not check.passed:
-            raise ContractError(f"curve cannot be planted: {check.detail}")
+    _require_shape(curve, alpha=0.5, need_rate=False)
 
     k = np.arange(1, n + 1, dtype=float)
     mass = k * np.atleast_1d(curve(k / n))
@@ -426,18 +422,19 @@ def aggregate(frames: Iterable[TrialFrame]) -> AggregateResult:
     key = hat_sum = true_sum = kept = None
     trials = 0
     for frame in frames:
+        stats = np.asarray(frame.stats)
         shape = (
             frame.method_names,
             frame.alpha_grid,
-            frame.stats.shape,
+            stats.shape,
             np.shape(frame.fdp_hat_paths),
             np.shape(frame.fdp_true_path),
         )
         if key is None:
             cells = (len(frame.method_names), len(frame.alpha_grid))
-            if frame.stats.shape != (*cells, 4):
+            if stats.shape != (*cells, 4):
                 raise ContractError(
-                    f"trial stats have shape {frame.stats.shape}, need {(*cells, 4)} "
+                    f"trial stats have shape {stats.shape}, need {(*cells, 4)} "
                     "for the frame's methods and alpha grid"
                 )
             hat, true = shape[3:]
@@ -449,9 +446,8 @@ def aggregate(frames: Iterable[TrialFrame]) -> AggregateResult:
                 )
             key = shape
             kept = np.empty((1, *cells, 2))
-            if frame.fdp_hat_paths is not None:
-                hat_sum = np.zeros(frame.fdp_hat_paths.shape)
-                true_sum = np.zeros(frame.fdp_true_path.shape)
+            if has_paths:
+                hat_sum, true_sum = np.zeros(hat), np.zeros(true)
         elif shape != key:
             raise ContractError("trial frames disagree in shape; cannot aggregate")
         if trials == len(kept):
@@ -460,7 +456,7 @@ def aggregate(frames: Iterable[TrialFrame]) -> AggregateResult:
             kept = grown
         # STAT_POWER and STAT_FDP are adjacent, so this copies both at once
         # and holds no reference to the frame's block.
-        kept[trials] = frame.stats[..., STAT_POWER:STAT_FDP + 1]
+        kept[trials] = stats[..., STAT_POWER:STAT_FDP + 1]
         trials += 1
         if hat_sum is not None:
             hat_sum += frame.fdp_hat_paths
@@ -487,6 +483,8 @@ def _trial_frames(
     config: SimConfig, methods: Sequence[Method], include_paths: bool
 ) -> Iterator[TrialFrame]:
     """One frame per trial, in trial order, scored in blocks of rows."""
+    if not methods:
+        raise ContractError("a simulation needs at least one method")
     names = tuple(m.name for m in methods)
     levels = np.array(config.alpha_grid)
     step = _block_rows(config.n, len(methods), levels.size)

@@ -606,6 +606,52 @@ class TestExitCodes:
         assert code == 3
 
 
+class TestMissingOutDirectory:
+    """An --out in a missing directory fails with the error line and exit
+    code that open() gives, after the inputs are read and before the engine
+    runs."""
+
+    @pytest.mark.parametrize(
+        "engine, argv, written",
+        [
+            (
+                "run_accumulation_test",
+                ["test", "{p}", "--method", "forwardstop", "--alpha", "0.2"],
+                "",
+            ),
+            (
+                "run_simulation",
+                ["simulate", "--seed", "1", "--n", "10", "--n-nonnull", "1", "--trials", "2"],
+                "_summary.csv",
+            ),
+            ("run_pipeline", ["dosage", "{matrix}"], ""),
+        ],
+    )
+    def test_fails_before_the_engine(
+        self, tmp_path, capsys, monkeypatch, engine, argv, written
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{engine} ran")
+
+        monkeypatch.setattr(cli, engine, refuse)
+        inputs = {
+            "p": write_pvalue_csv(tmp_path, [0.1, 0.5]),
+            "matrix": write_null_matrix_csv(tmp_path, seed=1, n=5),
+        }
+        out = str(tmp_path / "absent" / "x")
+        argv = [arg.format(**inputs) for arg in argv] + ["--out", out]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 3
+        assert stdout == ""
+        assert err == f"error: [Errno 2] No such file or directory: {out + written!r}\n"
+
+    def test_missing_input_is_reported_first(self, tmp_path, capsys):
+        out = str(tmp_path / "absent" / "x")
+        code, _, err = run_cli(["dosage", str(tmp_path / "ghost.csv"), "--out", out], capsys)
+        assert code == 3
+        assert "ghost.csv" in err
+
+
 class TestValidateAndVersion:
     def test_validate_passes(self, capsys):
         code, out, _ = run_cli(["validate"], capsys)

@@ -54,12 +54,15 @@ def test_scan_sees_relative_imports():
     assert {"seqtest", "baselines", "errors"} <= package_imports("dosage")
 
 
-def test_tails_is_a_leaf_that_only_dosage_and_simlab_use():
+def test_tails_is_a_leaf_that_the_package_import_does_not_load():
     assert package_imports("_tails") == set()
     users = {
         path.stem for path in PACKAGE.glob("*.py") if "_tails" in package_imports(path.stem)
     }
-    assert users == {"dosage", "simlab"}
+    # densities, which the package import loads, imports it on first use.
+    assert users == {"densities", "dosage", "simlab"}
+    out = run_python("import sys, accumtest\nprint('accumtest._tails' in sys.modules)")
+    assert out.strip() == "False"
 
 
 def test_only_cli_uses_the_writer_which_imports_no_package_module():
@@ -363,6 +366,8 @@ for density in (
     results.append([density.pdf(0.3), density.cdf(0.3)])
 beta = AlternativeDensity.beta(1.0, 2.0)
 results.append(beta.sample(np.random.default_rng(5), 7).tolist())
+z = AlternativeDensity.two_sided_z(1.5)
+results.append(z.sample(np.random.default_rng(5), 7).tolist())
 try:
     beta.cdf(0.5)
 except ContractError as error:
@@ -375,5 +380,5 @@ def test_numpy_densities_run_without_scipy():
     without = json.loads(run_python(BLOCK_SCIPY + DENSITY_CALLS))
     with_scipy = json.loads(run_python(DENSITY_CALLS))
     assert without[:-1] == with_scipy
-    assert len(without) == len(with_scipy) + 1 == 12
+    assert len(without) == len(with_scipy) + 1 == 13
     assert "accumtest[theory]" in without[-1]

@@ -214,6 +214,13 @@ class TestAggregate:
         assert agg.mean_power[0, 0] == pytest.approx(0.3)
         assert agg.se_power[0, 0] == pytest.approx(0.1)
 
+    def test_frames_given_as_nested_lists(self):
+        frame = TrialFrame(("a",), (0.1,), [[[1, 0, 1, 0]]], [[0.5, 0.25]], [0.0, 0.5])
+        agg = aggregate([frame, frame])
+        assert agg.mean_power.tolist() == [[1.0]] and agg.mean_fdp.tolist() == [[0.0]]
+        assert agg.mean_fdp_hat_path.tolist() == [[0.5, 0.25]]
+        assert agg.mean_fdp_true_path.tolist() == [0.0, 0.5]
+
     def test_shape_mismatch_rejected(self):
         good = self.make_frame(0.2, 0.0)
         bad = TrialFrame(("other",), (0.1,), np.zeros((1, 1, 4)))
@@ -353,6 +360,16 @@ class TestCollectTrialFrames:
         par = collect_trial_frames(self.config, methods, workers=3)
         for a, b in zip(seq, par):
             assert np.array_equal(a.stats, b.stats)
+
+    def test_empty_method_list_refused_before_any_trial(self, monkeypatch):
+        def no_trial(*args):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(simlab, "_ranked_block", no_trial)
+        with pytest.raises(ContractError, match="at least one method"):
+            run_simulation(self.config, methods=())
+        with pytest.raises(ContractError, match="at least one method"):
+            collect_trial_frames(self.config, [])
 
     def test_aggregate_means_in_range(self):
         frames = collect_trial_frames(self.config, default_methods(), workers=1)
