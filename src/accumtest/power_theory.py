@@ -43,9 +43,13 @@ __all__ = [
     "centered_mgf",
 ]
 
-# Walks simulated per block by ``envelope_exit_fraction``; the draws, and
-# so the result, do not depend on it.
-_WALK_ROWS = 500
+# Bytes one block of ``envelope_exit_fraction``'s walks may hold, at
+# ``_STEP_BYTES`` per step: a float64 position, a boolean exit flag and
+# the envelope (tracemalloc peaks of 9.2 bytes per step at t_max = 100
+# and 1000).  At t_max = 1000 a block holds 419 walks; the draws, and so
+# the result, do not depend on it.  A t_max above 419 430 is refused.
+_WALK_BUDGET = 2**22
+_STEP_BYTES = 10
 
 
 @dataclass(frozen=True)
@@ -368,27 +372,37 @@ def envelope_exit_fraction(
     """Fraction of simulated walks that ever leave the envelope.
 
     Walks have ``t_max`` i.i.d. increments drawn from ``Normal(0,
-    sigma2)``, ``_WALK_ROWS`` walks at a time, in order from the one
-    stream ``np.random.default_rng(seed)``, not from per-walk generators
-    like the simulations' trials.  The envelope guarantee promises a
-    fraction at most ``epsilon`` in the appropriate moment regime, so
-    this is the companion empirical check to :func:`random_walk_envelope`.
+    sigma2)``, as many walks at a time as fit in ``_WALK_BUDGET`` bytes,
+    in order from the one stream ``np.random.default_rng(seed)``, not
+    from per-walk generators like the simulations' trials; the result
+    does not depend on how many walks a block holds.  A ``t_max`` whose
+    one walk needs more than the budget raises ``ContractError`` before
+    anything is drawn.  The envelope guarantee promises a fraction at
+    most ``epsilon`` in the appropriate moment regime, so this is the
+    companion empirical check to :func:`random_walk_envelope`.
     """
     t_max = int(t_max)
     n_walks = int(n_walks)
     if t_max < 1 or n_walks < 1:
         raise DomainError("t_max and n_walks must be positive")
+    if t_max * _STEP_BYTES > _WALK_BUDGET:
+        raise ContractError(
+            f"t_max = {t_max} needs {t_max * _STEP_BYTES / 2**20:.0f} MiB per walk, "
+            f"over the {_WALK_BUDGET // 2**20} MiB budget; the largest t_max is "
+            f"{_WALK_BUDGET // _STEP_BYTES}"
+        )
     bound = random_walk_envelope(sigma2, b, epsilon, np.arange(1, t_max + 1))
     rng = np.random.default_rng(seed)
     sigma = math.sqrt(float(sigma2))
+    walks = np.empty((min(_WALK_BUDGET // (t_max * _STEP_BYTES), n_walks), t_max))
     exited = 0
-    done = 0
-    while done < n_walks:
-        m = min(_WALK_ROWS, n_walks - done)
-        steps = rng.standard_normal((m, t_max)) * sigma
-        walks = np.cumsum(steps, axis=1)
-        exited += int(np.count_nonzero(np.any(np.abs(walks) > bound, axis=1)))
-        done += m
+    for done in range(0, n_walks, len(walks)):
+        block = walks[: n_walks - done]
+        rng.standard_normal(out=block)
+        block *= sigma
+        np.cumsum(block, axis=1, out=block)
+        np.abs(block, out=block)
+        exited += int(np.count_nonzero(np.any(block > bound, axis=1)))
     return exited / n_walks
 
 

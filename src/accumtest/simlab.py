@@ -13,13 +13,13 @@ Reproducibility rules used throughout:
   ``seed XOR mix64(t)``, so any subset of trials can be recomputed in
   any order with identical results.
 * One engine scores trials in blocks of rows, each row drawn from its
-  trial's own generator, and hands them on as one frame per trial, in
-  trial order.  ``collect_trial_frames`` keeps those frames in a list.
-  ``aggregate`` streams any iterable of frames: it keeps each frame's
+  trial's own generator, in trial order.  One reducer keeps each trial's
   power and FDP, two floats per method and level, and adds its paths into
-  running sums in trial order.
-  ``run_simulation`` is ``aggregate`` over the engine's frames as they
-  come, so it keeps no per-trial path.
+  running sums in trial order.  ``run_simulation`` reduces the engine's
+  blocks as they come, so it keeps no per-trial path or frame.
+  ``collect_trial_frames`` splits each block into one frame per trial,
+  and ``aggregate`` feeds any iterable of frames to the reducer as
+  one-row blocks.
 * A row lists its hypotheses by decreasing |prior z|, ties broken by
   index.  numpy's fastest argsort, which need not be stable, ranks the
   block; distinct keys have one sorted order, so only rows that hold a
@@ -31,6 +31,7 @@ Reproducibility rules used throughout:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
@@ -84,6 +85,9 @@ _MASK64 = (1 << 64) - 1
 
 STAT_KHAT, STAT_FALSE_POS, STAT_POWER, STAT_FDP = range(4)
 
+# A block of trials as ``_score_rows`` returns it: stats, paths, true paths.
+_Block = tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]
+
 # Bytes one block of trials may hold.  Warm run_simulation of 1000
 # trials at n = 1000 took 0.38, 0.29, 0.23, 0.23 and 0.20 s at 256 KiB,
 # 512 KiB, 1, 2 and 4 MiB (medians of 7, 2 cores, numpy 2.4).  2 and
@@ -96,7 +100,11 @@ _BLOCK_BUDGET = 2**20
 # ``dosage._TABLE_BUDGET`` caps a design's partition table: n up to
 # 2 097 152.  A larger n is refused before anything is allocated,
 # instead of failing on an allocation far beyond the host's memory.
+# ``simulate_count_ratio`` holds all its (trials x n) cells at once, at
+# most ``_RATIO_CELL_BYTES`` each (a tracemalloc peak of 17: a float64
+# draw, an intp rank and boolean masks), under the same budget.
 _TRIAL_BUDGET = 128 * 2**20
+_RATIO_CELL_BYTES = 24
 
 # Bounds on what one block holds at once besides its paths: (rows x n)
 # float64 arrays, and bytes per row and level besides the stats.
@@ -164,26 +172,43 @@ class SimConfig:
             if name in ("n", "trials") and number >= 2**63:
                 raise DomainError(f"{name} must be below 2^63, got {value!r}")
             object.__setattr__(self, name, number)
-        needed = _row_bytes(self.n, 0, 0)
-        if needed > _TRIAL_BUDGET:
-            raise ContractError(
-                f"n = {self.n} needs {needed / 2**20:.0f} MiB per trial, over the "
-                f"{_TRIAL_BUDGET // 2**20} MiB budget; the largest n is "
-                f"{_TRIAL_BUDGET // _row_bytes(1, 0, 0)}"
-            )
+        _require_trial_size(self.n)
         if not 0 < self.n_nonnull < self.n:
             raise DomainError(
                 f"need 0 < n_nonnull < n, got n_nonnull={self.n_nonnull}, n={self.n}"
             )
-        grid = tuple(float(a) for a in self.alpha_grid)
-        if not grid or any(not 0.0 < a < 1.0 for a in grid):
-            raise DomainError("alpha grid values must lie in (0, 1)")
-        object.__setattr__(self, "alpha_grid", grid)
+        object.__setattr__(self, "alpha_grid", _alpha_grid(self.alpha_grid))
         for name in ("mu1", "mu2"):
             if math.isnan(getattr(self, name)):
                 raise DomainError(f"{name} must be a number, got nan")
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
+
+
+def _require_trial_size(n: int) -> None:
+    """Refuse an n whose one trial would take more than ``_TRIAL_BUDGET`` bytes."""
+    needed = _row_bytes(n, 0, 0)
+    if needed > _TRIAL_BUDGET:
+        raise ContractError(
+            f"n = {n} needs {needed / 2**20:.0f} MiB per trial, over the "
+            f"{_TRIAL_BUDGET // 2**20} MiB budget; the largest n is "
+            f"{_TRIAL_BUDGET // _row_bytes(1, 0, 0)}"
+        )
+
+
+def _alpha_grid(values: Iterable[float]) -> tuple[float, ...]:
+    """``values`` as a tuple of floats, refused if empty or outside (0, 1)."""
+    grid = tuple(float(a) for a in values)
+    if not grid or any(not 0.0 < a < 1.0 for a in grid):
+        raise DomainError("alpha grid values must lie in (0, 1)")
+    return grid
+
+
+def _method_names(methods: Sequence[Method]) -> tuple[str, ...]:
+    """The methods' names, refused if there are none."""
+    if not methods:
+        raise ContractError("a simulation needs at least one method")
+    return tuple(m.name for m in methods)
 
 
 def _row_bytes(n: int, n_methods: int, n_levels: int) -> int:
@@ -270,13 +295,15 @@ def generate_from_curve(
     ------
     ContractError
         If the curve increases somewhere or k * f(k/n) is not
-        nondecreasing, since then no 0/1 planting can track it.
+        nondecreasing, since then no 0/1 planting can track it, or if n
+        is above the largest n that ``SimConfig`` accepts.
     """
     from .power_theory import _require_shape
 
     n = int(n)
     if n < 1:
         raise DomainError(f"n must be positive, got {n}")
+    _require_trial_size(n)
     _require_shape(curve, alpha=0.5, need_rate=False)
 
     k = np.arange(1, n + 1, dtype=float)
@@ -313,7 +340,7 @@ def _score_rows(
     methods: Sequence[Method],
     levels: np.ndarray,
     include_paths: bool,
-) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+) -> _Block:
     """Score a block of trials, one per row of ``pvals`` and ``null``.
 
     ``pvals`` must already lie in [0, 1], as ``_ranked_block`` and
@@ -355,6 +382,14 @@ def _score_rows(
     return stats, paths, true_paths
 
 
+def _frames(
+    names: tuple[str, ...], alpha_grid: tuple[float, ...], block: _Block
+) -> list[TrialFrame]:
+    """One frame per trial of a ``_score_rows`` block, viewing its rows."""
+    arrays = [a for a in block if a is not None]
+    return [TrialFrame(names, alpha_grid, *row) for row in zip(*arrays)]
+
+
 def run_trial(
     pvals: OrderedPValues,
     methods: Sequence[Method],
@@ -364,22 +399,19 @@ def run_trial(
     """Apply every method at every level to one trial's p-values.
 
     Power is the share of non-nulls within the cutoff and FDP the share
-    of nulls among the rejections (0 when nothing is rejected).
+    of nulls among the rejections (0 when nothing is rejected).  An empty
+    method list or alpha grid is refused, as ``run_simulation`` and
+    ``SimConfig`` refuse them.
     """
     if pvals.null_mask is None:
         raise ContractError("run_trial needs ground-truth labels")
-    alphas = tuple(float(a) for a in alpha_grid)
-    stats, paths, true_paths = _score_rows(
+    names = _method_names(methods)
+    alphas = _alpha_grid(alpha_grid)
+    block = _score_rows(
         pvals.values[np.newaxis], pvals.null_mask[np.newaxis], methods,
         np.array(alphas), include_paths,
     )
-    return TrialFrame(
-        method_names=tuple(m.name for m in methods),
-        alpha_grid=alphas,
-        stats=stats[0],
-        fdp_hat_paths=None if paths is None else paths[0],
-        fdp_true_path=None if true_paths is None else true_paths[0],
-    )
+    return _frames(names, alphas, block)[0]
 
 
 @dataclass
@@ -405,100 +437,101 @@ def _mean_and_se(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, se
 
 
-def aggregate(frames: Iterable[TrialFrame]) -> AggregateResult:
-    """Reduce per-trial frames to means and standard errors in one pass.
+def _reduce(
+    names: tuple[str, ...], alpha_grid: tuple[float, ...], blocks: Iterable[_Block]
+) -> AggregateResult:
+    """Means and standard errors over blocks of trials, in trial order.
 
-    ``frames`` may be any iterable, a generator included.  Each frame's
-    paths are added into running sums in order, so the sums do not
-    depend on how the frames were produced.  Of its stats, only power and
-    FDP are kept, two float64 per method and level (576 bytes per trial
-    for four methods at nine levels), in one buffer that doubles as it
-    fills; their means and standard errors equal, bit for bit, those of
-    all frames' stats stacked.  All frames must come from the same method
-    list and alpha grid, with stats of shape (methods, levels, 4) and
-    either no paths or paths of shapes (methods, n) and (n,); mixing
-    shapes is a hard error rather than a silent broadcast.
+    Paths are None in every block or in none.  Power and FDP are kept in
+    one buffer that doubles from one row until each block fits, and path
+    rows are added into running sums one trial at a time.
     """
-    key = hat_sum = true_sum = kept = None
+    kept = np.empty((1, len(names), len(alpha_grid), 2))
+    hat_sum = true_sum = None
     trials = 0
-    for frame in frames:
-        stats = np.asarray(frame.stats)
-        shape = (
-            frame.method_names,
-            frame.alpha_grid,
-            stats.shape,
-            np.shape(frame.fdp_hat_paths),
-            np.shape(frame.fdp_true_path),
-        )
-        if key is None:
-            cells = (len(frame.method_names), len(frame.alpha_grid))
-            if stats.shape != (*cells, 4):
-                raise ContractError(
-                    f"trial stats have shape {stats.shape}, need {(*cells, 4)} "
-                    "for the frame's methods and alpha grid"
-                )
-            hat, true = shape[3:]
-            has_paths = frame.fdp_hat_paths is not None or frame.fdp_true_path is not None
-            if has_paths and (len(true) != 1 or hat != (cells[0], *true)):
-                raise ContractError(
-                    f"trial paths have shapes {hat} and {true}, need ({cells[0]}, n) "
-                    "and (n,) for the frame's methods"
-                )
-            key = shape
-            kept = np.empty((1, *cells, 2))
-            if has_paths:
-                hat_sum, true_sum = np.zeros(hat), np.zeros(true)
-        elif shape != key:
-            raise ContractError("trial frames disagree in shape; cannot aggregate")
-        if trials == len(kept):
-            grown = np.empty((2 * trials, *kept.shape[1:]))
-            grown[:trials] = kept
+    for stats, paths, true_paths in blocks:
+        stop = trials + len(stats)
+        if stop > len(kept):
+            grown = np.empty((1 << (stop - 1).bit_length(), *kept.shape[1:]))
+            grown[:trials] = kept[:trials]
             kept = grown
         # STAT_POWER and STAT_FDP are adjacent, so this copies both at once
-        # and holds no reference to the frame's block.
-        kept[trials] = stats[..., STAT_POWER:STAT_FDP + 1]
-        trials += 1
-        if hat_sum is not None:
-            hat_sum += frame.fdp_hat_paths
-            true_sum += frame.fdp_true_path
-    if key is None:
-        raise ContractError("aggregate needs at least one trial")
+        # and holds no reference to the block.
+        kept[trials:stop] = stats[..., STAT_POWER:STAT_FDP + 1]
+        trials = stop
+        if paths is not None:
+            if hat_sum is None:
+                hat_sum, true_sum = np.zeros(paths.shape[1:]), np.zeros(true_paths.shape[1:])
+            for hat, true in zip(paths, true_paths):
+                hat_sum += hat
+                true_sum += true
     kept = kept[:trials]
-    mean_power, se_power = _mean_and_se(kept[..., 0])
-    mean_fdp, se_fdp = _mean_and_se(kept[..., 1])
+    paths = (None, None) if hat_sum is None else (hat_sum / trials, true_sum / trials)
     return AggregateResult(
-        method_names=key[0],
-        alpha_grid=key[1],
-        trials=trials,
-        mean_power=mean_power,
-        se_power=se_power,
-        mean_fdp=mean_fdp,
-        se_fdp=se_fdp,
-        mean_fdp_hat_path=None if hat_sum is None else hat_sum / trials,
-        mean_fdp_true_path=None if true_sum is None else true_sum / trials,
+        names, alpha_grid, trials,
+        *_mean_and_se(kept[..., 0]), *_mean_and_se(kept[..., 1]), *paths,
     )
 
 
-def _trial_frames(
+def _frame_key(frame: TrialFrame) -> tuple:
+    """What frames must share to be aggregated together: names, grid, shapes."""
+    arrays = (frame.stats, frame.fdp_hat_paths, frame.fdp_true_path)
+    return (frame.method_names, frame.alpha_grid, *map(np.shape, arrays))
+
+
+def aggregate(frames: Iterable[TrialFrame]) -> AggregateResult:
+    """Reduce per-trial frames to means and standard errors in one pass.
+
+    ``frames`` may be any iterable, a generator included.  Each frame goes
+    to ``run_simulation``'s reducer as a block of one trial, so the result
+    does not depend on how the frames were produced.  Of its stats only
+    power and FDP are kept (576 bytes per trial for four methods at nine
+    levels), and its paths are added into running sums in order.  All
+    frames must come from the same nonempty method list and alpha grid,
+    with stats of shape (methods, levels, 4) and either no paths or paths
+    of shapes (methods, n) and (n,); mixing shapes is a hard error rather
+    than a silent broadcast.
+    """
+    frames = iter(frames)
+    first = next(frames, None)
+    if first is None:
+        raise ContractError("aggregate needs at least one trial")
+    key = _frame_key(first)
+    names, grid, shape, hat, true = key
+    cells = (len(names), len(grid))
+    if 0 in cells:
+        raise ContractError("trial frames need at least one method and one level")
+    if shape != (*cells, 4):
+        raise ContractError(
+            f"trial stats have shape {shape}, need {(*cells, 4)} "
+            "for the frame's methods and alpha grid"
+        )
+    has_paths = first.fdp_hat_paths is not None or first.fdp_true_path is not None
+    if has_paths and (len(true) != 1 or hat != (cells[0], *true)):
+        raise ContractError(
+            f"trial paths have shapes {hat} and {true}, need ({cells[0]}, n) "
+            "and (n,) for the frame's methods"
+        )
+
+    def blocks() -> Iterator[_Block]:
+        for frame in itertools.chain([first], frames):
+            if _frame_key(frame) != key:
+                raise ContractError("trial frames disagree in shape; cannot aggregate")
+            arrays = (frame.stats, frame.fdp_hat_paths, frame.fdp_true_path)
+            yield tuple(None if a is None else np.asarray(a)[np.newaxis] for a in arrays)
+
+    return _reduce(names, grid, blocks())
+
+
+def _blocks(
     config: SimConfig, methods: Sequence[Method], include_paths: bool
-) -> Iterator[TrialFrame]:
-    """One frame per trial, in trial order, scored in blocks of rows."""
-    if not methods:
-        raise ContractError("a simulation needs at least one method")
-    names = tuple(m.name for m in methods)
+) -> Iterator[_Block]:
+    """The engine: ``_score_rows`` over blocks of trials, in trial order."""
     levels = np.array(config.alpha_grid)
     step = _block_rows(config.n, len(methods), levels.size)
     for first in range(0, config.trials, step):
         pvals, null = _ranked_block(config, first, min(first + step, config.trials))
-        stats, paths, true_paths = _score_rows(pvals, null, methods, levels, include_paths)
-        for row, row_stats in enumerate(stats):
-            yield TrialFrame(
-                method_names=names,
-                alpha_grid=config.alpha_grid,
-                stats=row_stats,
-                fdp_hat_paths=None if paths is None else paths[row],
-                fdp_true_path=None if true_paths is None else true_paths[row],
-            )
+        yield _score_rows(pvals, null, methods, levels, include_paths)
 
 
 def collect_trial_frames(
@@ -507,13 +540,18 @@ def collect_trial_frames(
     include_paths: bool = False,
     workers: Optional[int] = None,
 ) -> list[TrialFrame]:
-    """Run all trials in blocks of rows, one frame per trial, in trial order.
+    """Run all trials in blocks of rows, split into one frame per trial.
 
-    Every frame equals ``run_trial`` on that trial drawn alone.
-    ``workers`` is accepted for compatibility and ignored: trials always
-    run in this process.
+    Frames come in trial order, and each equals ``run_trial`` on that
+    trial drawn alone.  ``workers`` is accepted for compatibility and
+    ignored: trials always run in this process.
     """
-    return list(_trial_frames(config, methods, include_paths))
+    names = _method_names(methods)
+    return [
+        frame
+        for block in _blocks(config, methods, include_paths)
+        for frame in _frames(names, config.alpha_grid, block)
+    ]
 
 
 def run_simulation(
@@ -523,13 +561,14 @@ def run_simulation(
 ) -> AggregateResult:
     """End-to-end protocol from trial generation through aggregation.
 
-    ``aggregate`` over the block-scored frames as they are produced, so it
-    equals ``aggregate(collect_trial_frames(...))`` bit for bit, while
-    memory does not grow with trials x n.
+    The engine's blocks go to the reducer as they are scored, so no
+    per-trial frame is built and memory does not grow with trials x n.
+    The result equals ``aggregate(collect_trial_frames(...))`` bit for bit.
     """
     if methods is None:
         methods = default_methods()
-    return aggregate(_trial_frames(config, methods, include_paths))
+    names = _method_names(methods)
+    return _reduce(names, config.alpha_grid, _blocks(config, methods, include_paths))
 
 
 def simulate_count_ratio(
@@ -548,7 +587,9 @@ def simulate_count_ratio(
         M = (1 + number of nulls) / (1 + null successes).
 
     Its expectation never exceeds 1/rho; this simulation backs the
-    conservativeness argument for the cutoff rules.
+    conservativeness argument for the cutoff rules.  A trials x n above
+    ``_TRIAL_BUDGET // _RATIO_CELL_BYTES`` (5 592 405) raises
+    ``ContractError`` before anything is drawn.
     """
     n = int(n)
     trials = int(trials)
@@ -559,6 +600,13 @@ def simulate_count_ratio(
         raise DomainError(f"rho must lie in (0, 1), got {rho}")
     if not 0 <= n_nonnull < n:
         raise DomainError("n_nonnull must lie in [0, n)")
+    cells = trials * n
+    if cells * _RATIO_CELL_BYTES > _TRIAL_BUDGET:
+        raise ContractError(
+            f"trials x n = {cells} needs {cells * _RATIO_CELL_BYTES / 2**20:.0f} MiB, "
+            f"over the {_TRIAL_BUDGET // 2**20} MiB budget; the largest trials x n is "
+            f"{_TRIAL_BUDGET // _RATIO_CELL_BYTES}"
+        )
     rng = child_rng(seed, 0)
     n_null = n - n_nonnull
     draws = rng.random((trials, n)) < rho

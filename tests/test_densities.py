@@ -224,6 +224,21 @@ class TestUpperTail:
             want = float(upper_tail_reference(density, u))
             assert value == pytest.approx(want, rel=1e-12, abs=floor), u
 
+    @pytest.mark.parametrize("mu", [0.0, 0.3, 1.5, -3.0, 8.0, 30.0])
+    def test_z_tail_keeps_relative_precision(self, mu):
+        # Phi(z - |mu|) - Phi(-z - |mu|) alone cancels every digit once the
+        # mass is below about 1e-16: at mu = 0 it gave 0 for u = 1e-300.
+        # That difference cancels about 300 digits at u = 1e-300, so the
+        # oracle needs more than 300; at 60 it reports the exact series
+        # as wrong.  Below the normal range a float keeps only 2^-1074.
+        us = np.geomspace(1e-300, 0.9, 120)
+        got = AlternativeDensity.two_sided_z(mu).upper_tail(us)
+        tail = z_tail_mp(mu)
+        with mp.workdps(340):
+            want = np.array([float(tail(mp.mpf(float(u)))) for u in us])
+        tolerance = np.maximum(1e-13 * want, 2.0**-1074)
+        assert np.all(np.abs(got - want) <= tolerance)
+
     @pytest.mark.parametrize("mu", [2.0, 8.0])
     def test_z_tail_depends_on_shift_size_only(self, mu):
         # With -mu both terms would sit near 1, where their difference

@@ -1,6 +1,7 @@
 """Signal curves, limiting power, optimality gap, and walk envelopes."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,7 @@ from accumtest import (
     step_optimality_gap,
     validate_signal_curve,
 )
+from accumtest import power_theory
 
 
 def linear_curve(a, b):
@@ -336,6 +338,26 @@ class TestRandomWalkEnvelope:
         )
         se = math.sqrt(max(frac * (1 - frac), 1e-12) / 2000)
         assert frac <= 0.05 + 4 * se
+
+    def test_result_does_not_depend_on_walks_per_block(self, monkeypatch):
+        want = [envelope_exit_fraction(1.0, 0.0, 0.5, t, 300, seed=7) for t in (1, 40)]
+        for budget in (40 * power_theory._STEP_BYTES, 1000 * 40 * power_theory._STEP_BYTES):
+            monkeypatch.setattr(power_theory, "_WALK_BUDGET", budget)
+            got = [envelope_exit_fraction(1.0, 0.0, 0.5, t, 300, seed=7) for t in (1, 40)]
+            assert got == want
+
+    def test_oversized_walk_refused_before_allocation(self):
+        largest = power_theory._WALK_BUDGET // power_theory._STEP_BYTES
+        assert largest >= 1000
+        tracemalloc.start()
+        try:
+            for t_max in (largest + 1, 10**12):
+                with pytest.raises(ContractError, match=f"largest t_max is {largest}"):
+                    envelope_exit_fraction(1.0, 0.0, 0.05, t_max=t_max, n_walks=2, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
 
 class TestSubexponentialBounds:

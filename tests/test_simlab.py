@@ -165,6 +165,19 @@ class TestRunTrial:
         with pytest.raises(ContractError):
             run_trial(OrderedPValues([0.1]), self.methods, [0.5])
 
+    def test_empty_method_list_refused_as_by_run_simulation(self):
+        pvals = OrderedPValues([0.1, 0.9], null_mask=[False, True])
+        with pytest.raises(ContractError, match="a simulation needs at least one method"):
+            run_trial(pvals, [], [0.1])
+
+    @pytest.mark.parametrize("grid", [(), (0.1, 1.0)])
+    def test_bad_alpha_grid_refused_as_by_sim_config(self, grid):
+        pvals = OrderedPValues([0.1, 0.9], null_mask=[False, True])
+        with pytest.raises(DomainError, match=r"alpha grid values must lie in \(0, 1\)"):
+            SimConfig(alpha_grid=grid)
+        with pytest.raises(DomainError, match=r"alpha grid values must lie in \(0, 1\)"):
+            run_trial(pvals, self.methods, grid)
+
     def test_all_null_mask_rejected(self):
         pvals = OrderedPValues([0.01, 0.5, 0.9], null_mask=np.ones(3, dtype=bool))
         with pytest.raises(ContractError):
@@ -241,6 +254,14 @@ class TestAggregate:
             aggregate([])
         with pytest.raises(ContractError):
             aggregate(frame for frame in [])
+
+    @pytest.mark.parametrize("names, grid", [((), (0.1,)), (("m",), ())])
+    def test_frames_without_methods_or_levels_rejected(self, names, grid):
+        # They would give empty tables, where run_simulation refuses an
+        # empty method list and SimConfig an empty grid.
+        frame = TrialFrame(names, grid, np.zeros((len(names), len(grid), 4)))
+        with pytest.raises(ContractError, match="at least one method and one level"):
+            aggregate([frame] * 2)
 
     def test_generator_streams_like_a_list(self):
         config = SimConfig(n=60, n_nonnull=6, trials=5, seed=3)
@@ -370,6 +391,20 @@ class TestCollectTrialFrames:
             run_simulation(self.config, methods=())
         with pytest.raises(ContractError, match="at least one method"):
             collect_trial_frames(self.config, [])
+
+    def test_run_simulation_builds_no_frame_and_calls_no_aggregate(self, monkeypatch):
+        # run_simulation hands the engine's blocks to the reducer; frames
+        # and aggregate are for callers that ask for them.
+        methods = default_methods()
+        want = aggregate(collect_trial_frames(self.config, methods, include_paths=True))
+
+        def refused(*args, **kwargs):
+            raise AssertionError("run_simulation built a frame or called aggregate")
+
+        monkeypatch.setattr(simlab, "TrialFrame", refused)
+        monkeypatch.setattr(simlab, "aggregate", refused)
+        assert_bitwise_equal(run_simulation(self.config, methods, include_paths=True), want)
+        run_simulation(self.config, methods, include_paths=False)
 
     def test_aggregate_means_in_range(self):
         frames = collect_trial_frames(self.config, default_methods(), workers=1)
@@ -639,6 +674,19 @@ class TestGenerateFromCurve:
         with pytest.raises(ContractError):
             generate_from_curve(curve, 100, self.density, seed=1)
 
+    def test_oversized_n_refused_before_allocation(self):
+        curve = SignalCurve(((0.0, 0.5), (1.0, 0.3)))
+        largest = simlab._TRIAL_BUDGET // simlab._row_bytes(1, 0, 0)
+        tracemalloc.start()
+        try:
+            for n in (largest + 1, 10**11):
+                with pytest.raises(ContractError, match=f"largest n is {largest}"):
+                    generate_from_curve(curve, n, self.density, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
     def test_deterministic_in_seed(self):
         curve = SignalCurve(((0.0, 0.5), (1.0, 0.3)))
         a = generate_from_curve(curve, 300, self.density, seed=8)
@@ -656,6 +704,19 @@ class TestCountRatio:
         ratios = simulate_count_ratio(n=60, rho=0.3, trials=500, seed=2, n_nonnull=20)
         assert np.all(ratios >= (1.0 + 40.0) / (1.0 + 40.0))
         assert np.all(ratios <= 41.0)
+
+    def test_oversized_draw_refused_before_allocation(self):
+        largest = simlab._TRIAL_BUDGET // simlab._RATIO_CELL_BYTES
+        assert largest >= 2_000_000
+        tracemalloc.start()
+        try:
+            for n, trials in ((largest + 1, 1), (1000, largest // 1000 + 1), (10**9, 10**9)):
+                with pytest.raises(ContractError, match=f"largest trials x n is {largest}"):
+                    simulate_count_ratio(n, 0.5, trials, 1, n_nonnull=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
     def test_parameter_domains(self):
         with pytest.raises(DomainError):
