@@ -89,6 +89,16 @@ def _far_scaled(y: np.ndarray) -> np.ndarray:
     return r
 
 
+def _scaled(y: np.ndarray, far: np.ndarray) -> np.ndarray:
+    """exp(y^2/2) Phi(-y) for y > ``_NEAR``, where ``far`` indexes the
+    y > ``_MID``; overwrites y."""
+    tail = _far_scaled(y.take(far))
+    np.minimum(y, _MID, out=y)
+    out = _ratio(y, _MID_P, _MID_Q)
+    out[far] = tail
+    return out
+
+
 def _upper(y: np.ndarray) -> np.ndarray:
     """Phi(-y) for y > ``_NEAR`` (NaN stays NaN); overwrites y.
 
@@ -96,24 +106,12 @@ def _upper(y: np.ndarray) -> np.ndarray:
     beyond, ``_half_square_exp`` keeps the relative error at a few ulps.
     """
     np.minimum(y, 40.0, out=y)
-    out = _mid_upper(y)
-    far = y > _MID
-    if far.any():
-        i = np.flatnonzero(far)
-        yf = y.take(i)
-        tail = _half_square_exp(yf)
-        tail *= _far_scaled(yf)
-        out[i] = tail
-    return out
-
-
-def _mid_upper(y: np.ndarray) -> np.ndarray:
-    """Phi(-y) for ``_NEAR`` < y <= ``_MID`` (finite, and meaningless,
-    for y up to 40)."""
+    far = np.flatnonzero(y > _MID)
     out = y * y
     out *= -0.5
     np.exp(out, out=out)
-    out *= _ratio(y, _MID_P, _MID_Q)
+    out[far] = _half_square_exp(y.take(far))
+    out *= _scaled(y, far)
     return out
 
 
@@ -362,17 +360,6 @@ def _swapped_fraction(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _contracted(-(a + 0.5) * y / 1.5, even, odd, pairs, m)
 
 
-def _scaled(y: np.ndarray) -> np.ndarray:
-    """exp(y^2/2) Phi(-y) for y > ``_NEAR``."""
-    out = np.empty_like(y)
-    mid = y <= _MID
-    i = np.flatnonzero(mid)
-    out[i] = _ratio(y.take(i), _MID_P, _MID_Q)
-    i = np.flatnonzero(~mid)
-    out[i] = _far_scaled(y.take(i))
-    return out
-
-
 def _bgrat_coefficients() -> tuple[float, ...]:
     """The d_n of BGRAT for b = 1/2, which depend on b alone."""
     b = 0.5
@@ -402,7 +389,8 @@ def _bgrat(
     nu = a - 0.25
     z = nu * log1p_w
     root_z = np.sqrt(z)
-    j = _scaled(np.sqrt(2.0 * z))
+    y = np.sqrt(2.0 * z)
+    j = _scaled(y, np.flatnonzero(y > _MID))
     j *= 2.0 / (_INV_SQRT_PI * root_z)
     total = j.copy()
     v = 0.25 / (nu * nu)

@@ -520,15 +520,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(code) if isinstance(code, int) else 2
     try:
         return args.func(args, argv)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except AccumTestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

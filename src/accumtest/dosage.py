@@ -52,6 +52,7 @@ import numpy as np
 from . import _tails
 from .baselines import bh_select, storey_select
 from .errors import ContractError, DomainError, ValidationError, whole_number
+from .errors import _require_budget
 from .seqtest import Method, default_methods, select_cutoff
 
 __all__ = [
@@ -68,8 +69,6 @@ __all__ = [
     "DEFAULT_DOSAGE_ALPHAS",
 ]
 
-_TABLE_BUDGET = 128 * 2**20
-
 # Bytes of (rows x P) arrays a batch may hold.  The elementwise passes
 # over them run fastest when a batch stays near the core's L2 cache: on
 # 2 MiB of L2 per core, 3-8 MiB ran alike and about a quarter faster than
@@ -77,7 +76,7 @@ _TABLE_BUDGET = 128 * 2**20
 _BATCH_BUDGET = 4 * 2**20
 
 # Bound on the (rows x C) float64 arrays one _permutation_rows pass holds
-# at once, where C = ``_batch_columns``; at the 4 MiB budget tracemalloc
+# at once, where C = ``_batch_columns``; at a 4 MiB _BATCH_BUDGET tracemalloc
 # peaks were 6.1-7.3 on grid rows and 9.0-10.0 on off-grid rows.  C is
 # the larger of P and the m pooled columns, since at m_c = m_l = 2 (P = 3,
 # 4 columns) the (rows x m) arrays of _exact_units held 13.4 (rows x P).
@@ -130,8 +129,8 @@ def _as_sign(sign: Union[Sign, str]) -> Sign:
 class ExpressionMatrix:
     """Log-expression values, one row per gene, one column per sample.
 
-    Values must be finite, and each gene's must span less than the float
-    range; errors name the gene, and a sample column counted from 1.
+    At least one gene, each with finite values spanning less than the
+    float range; errors name the gene, and a sample column counted from 1.
     """
 
     gene_ids: tuple[str, ...]
@@ -142,6 +141,8 @@ class ExpressionMatrix:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 2:
             raise ValidationError("expression values must form a 2-d matrix")
+        if not values.shape[0]:
+            raise ValidationError("no gene rows")
         if len(self.gene_ids) != values.shape[0]:
             raise ValidationError(
                 f"{len(self.gene_ids)} gene ids for {values.shape[0]} rows"
@@ -299,7 +300,7 @@ def _welch_stats(
     totals (the pseudo-low sums are the totals minus these).  These are
     exact integers, and the statistic rests on the shift-invariant
     D = m_c S_low - m_l S_control and m Q - S^2 per group.  Off-grid rows
-    pass ``remainders``, the ``_pair_sums`` (inside, outside) of their
+    pass ``remainders``, the index-order sums (control, low) of their
     r and w = r (2h + r), each stacked as [r, w]; with S = S_h + S_r and
     (h + r)^2 = h^2 + w, each group's m Q - S^2 gains m W - (2 S_h +
     S_r) S_r, clamped at 0.  On grid rows (r = 0) these terms are exact
@@ -463,9 +464,8 @@ def _true_labeling(
     hh = h * h
     remainders = None
     if r.any():
-        identity = np.zeros((h.shape[1], 1))
-        identity[:m_first] = 1.0
-        remainders = _pair_sums(_remainder_columns(h, r), identity)
+        terms = _remainder_columns(h, r)
+        remainders = terms[:m_first].sum(axis=0), terms[m_first:].sum(axis=0)
     d, x, df, degenerate = _welch_stats(
         h[:, :m_first].sum(axis=1), hh[:, :m_first].sum(axis=1), h.sum(axis=1),
         hh.sum(axis=1), m_first, m_second, remainders,
@@ -531,17 +531,15 @@ def _partition_table(m: int, m_first: int) -> np.ndarray:
 
     Raises ``ContractError`` before allocating when the indicator plus
     its index table, 8 * P * (m + m_first) bytes, exceed
-    ``_TABLE_BUDGET``.  That cap also bounds the work: the largest
+    ``errors._MEMORY_BUDGET``.  That cap also bounds the work: the largest
     table within 128 MiB, at m = 22 and m_first = 9, has 497 420 sets.
     """
     count = math.comb(m, m_first)
-    needed = count * (m * 8 + m_first * np.dtype(np.intp).itemsize)
-    if needed > _TABLE_BUDGET:
-        raise ContractError(
-            f"partition table for {m} columns needs {needed / 2**20:.0f} MiB, "
-            f"over the {_TABLE_BUDGET // 2**20} MiB budget; "
-            "subsample the control/low columns instead"
-        )
+    _require_budget(
+        f"partition table for {m} columns",
+        count * (m * 8 + m_first * np.dtype(np.intp).itemsize),
+        "subsample the control/low columns instead",
+    )
     members = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(m), m_first)),
         dtype=np.intp,
@@ -654,10 +652,10 @@ def _sum_screen(
     2. Their float rounding.  The index-order sums of r and w, the terms
        m W - (2 S_h + S_r) S_r and their addition to a_h round by at
        most 2^-45 n^3 2^(b+1) + 2^-51 a_h; those of d by 2^-40 m_c m_l
-       + u |d| (m <= 4096 under ``_TABLE_BUDGET``).  So the computed a
-       lies within M_n = p_n (2^(b+1) + 1) + 2^-45 n^3 2^(b+1) (plus
-       2^-51 a_h) of a_h, and |d| within delta' = delta (1 + 2^-40) of
-       |d_h|, up to a relative u.
+       + u |d| (m <= 4096 under ``errors._MEMORY_BUDGET``).  So the
+       computed a lies within M_n = p_n (2^(b+1) + 1) + 2^-45 n^3
+       2^(b+1) (plus 2^-51 a_h) of a_h, and |d| within delta' = delta
+       (1 + 2^-40) of |d_h|, up to a relative u.
     3. The clamp.  max(a, 0) >= a keeps the lower bound a_h - M_n, and
        max(a, 0) <= a_h + M_n as a_h >= 0 keeps the upper one.  So,
        with Mv = w_l M_l + w_c M_c, the computed se2 lies in [(V - Mv),

@@ -23,6 +23,11 @@ __all__ = [
     "ContractError",
 ]
 
+# Bytes the arrays of one unit of work may take (a design's partition table,
+# one simulated trial).  ``_require_budget`` refuses more before anything is
+# allocated, instead of failing on an allocation far beyond the host's memory.
+_MEMORY_BUDGET = 128 * 2**20
+
 
 class AccumTestError(ValueError):
     """Base class for all errors raised by this package."""
@@ -45,8 +50,20 @@ def whole_number(name: str, value, error: type[AccumTestError]) -> int:
     ``value`` is a finite whole number."""
     try:
         number = int(value)
-    except (OverflowError, ValueError):
+    except (OverflowError, TypeError, ValueError):
         number = None
     if number is None or number != value:
         raise error(f"{name} must be a whole number, got {value!r}")
     return number
+
+
+def _require_budget(
+    what: str, needed: int, advice: str, per: str = "", budget: int = _MEMORY_BUDGET
+) -> None:
+    """Raise ``ContractError`` "<what> needs N MiB<per>, over the B MiB
+    budget; <advice>" when ``needed`` bytes exceed ``budget``."""
+    if needed > budget:
+        raise ContractError(
+            f"{what} needs {needed / 2**20:.0f} MiB{per}, over the "
+            f"{budget // 2**20} MiB budget; {advice}"
+        )

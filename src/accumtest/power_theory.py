@@ -25,7 +25,8 @@ import numpy as np
 from ._pieces import shaped, unit_points
 from .accumfn import AccumulationSpec, nonnull_mean
 from .densities import AlternativeDensity
-from .errors import ContractError, DomainError, ValidationError
+from .errors import ContractError, DomainError, ValidationError, whole_number
+from .errors import _require_budget
 
 __all__ = [
     "SignalCurve",
@@ -314,6 +315,8 @@ def step_optimality_gap(
 
     Raises
     ------
+    DomainError
+        If ``c`` is below 1, NaN or infinite.
     ContractError
         If ``spec`` is unbounded or has a level above ``c``, or if the
         density increases somewhere.
@@ -321,6 +324,8 @@ def step_optimality_gap(
     c = float(c)
     if not c >= 1.0:
         raise DomainError(f"the bound c must be >= 1, got {c}")
+    if math.isinf(c):
+        raise DomainError("the bound c must be finite, got inf")
     steps = spec.steps
     if steps is None:
         raise ContractError(f"{spec.family.value} is unbounded; gap undefined")
@@ -353,7 +358,7 @@ def random_walk_envelope(sigma2: float, b: float, epsilon: float, t):
     if not 0.0 < epsilon <= 1.0:
         raise DomainError(f"epsilon must lie in (0, 1], got {epsilon}")
     t_arr = np.asarray(t, dtype=float)
-    if np.any(np.atleast_1d(t_arr) <= 0.0):
+    if not np.all(t_arr > 0.0):
         raise DomainError("envelope times must be positive")
     level = math.sqrt(2.0 * math.log2(4.0 / epsilon))
     scale = level * max(math.sqrt(sigma2), b * level)
@@ -381,16 +386,16 @@ def envelope_exit_fraction(
     most ``epsilon`` in the appropriate moment regime, so this is the
     companion empirical check to :func:`random_walk_envelope`.
     """
-    t_max = int(t_max)
-    n_walks = int(n_walks)
+    t_max = whole_number("t_max", t_max, DomainError)
+    n_walks = whole_number("n_walks", n_walks, DomainError)
+    seed = whole_number("seed", seed, DomainError)
     if t_max < 1 or n_walks < 1:
         raise DomainError("t_max and n_walks must be positive")
-    if t_max * _STEP_BYTES > _WALK_BUDGET:
-        raise ContractError(
-            f"t_max = {t_max} needs {t_max * _STEP_BYTES / 2**20:.0f} MiB per walk, "
-            f"over the {_WALK_BUDGET // 2**20} MiB budget; the largest t_max is "
-            f"{_WALK_BUDGET // _STEP_BYTES}"
-        )
+    _require_budget(
+        f"t_max = {t_max}", t_max * _STEP_BYTES,
+        f"the largest t_max is {_WALK_BUDGET // _STEP_BYTES}", per=" per walk",
+        budget=_WALK_BUDGET,
+    )
     bound = random_walk_envelope(sigma2, b, epsilon, np.arange(1, t_max + 1))
     rng = np.random.default_rng(seed)
     sigma = math.sqrt(float(sigma2))

@@ -301,7 +301,7 @@ def run_accumulation_test(
 
 
 def _check_k(k: int, n: int) -> int:
-    k = int(k)
+    k = whole_number("k", k, DomainError)
     if not 0 <= k <= n:
         raise DomainError(f"k must lie in [0, {n}], got {k}")
     return k

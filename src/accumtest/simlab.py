@@ -42,6 +42,7 @@ from . import _tails
 from .accumfn import _eval_array
 from .densities import AlternativeDensity
 from .errors import ContractError, DomainError, whole_number
+from .errors import _MEMORY_BUDGET, _require_budget
 from .seqtest import (
     Method,
     OrderedPValues,
@@ -96,14 +97,11 @@ _Block = tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]
 # peak RSS by 0.5 MB, so the budget stays at 1 MiB.
 _BLOCK_BUDGET = 2**20
 
-# Bytes one trial's ``_row_bytes(n, 0, 0)`` arrays may take, as
-# ``dosage._TABLE_BUDGET`` caps a design's partition table: n up to
-# 2 097 152.  A larger n is refused before anything is allocated,
-# instead of failing on an allocation far beyond the host's memory.
-# ``simulate_count_ratio`` holds all its (trials x n) cells at once, at
-# most ``_RATIO_CELL_BYTES`` each (a tracemalloc peak of 17: a float64
-# draw, an intp rank and boolean masks), under the same budget.
-_TRIAL_BUDGET = 128 * 2**20
+# One trial's ``_row_bytes(n, 0, 0)`` arrays stay within
+# ``errors._MEMORY_BUDGET``: n up to 2 097 152.  ``simulate_count_ratio``
+# holds all its (trials x n) cells at once, at most ``_RATIO_CELL_BYTES``
+# each (a tracemalloc peak of 17: a float64 draw, an intp rank and
+# boolean masks), under the same budget.
 _RATIO_CELL_BYTES = 24
 
 # Bounds on what one block holds at once besides its paths: (rows x n)
@@ -132,10 +130,11 @@ def _mix64(value: int) -> int:
 
 
 def child_seed(seed: int, index: int) -> int:
-    """Derive the key for stream ``index`` from the master seed."""
+    """Derive the key for stream ``index`` from the master seed mod 2^64."""
+    index = whole_number("index", index, DomainError)
     if index < 0:
         raise DomainError(f"stream index must be nonnegative, got {index}")
-    return (int(seed) & _MASK64) ^ _mix64(int(index))
+    return (whole_number("seed", seed, DomainError) & _MASK64) ^ _mix64(index)
 
 
 def child_rng(seed: int, index: int) -> np.random.Generator:
@@ -153,7 +152,7 @@ class SimConfig:
     |z|.  ``n``, ``n_nonnull``, ``trials`` and ``seed`` must be whole
     numbers, ``n`` and ``trials`` below 2^63, the largest count numpy
     can index; ``seed`` is interpreted modulo 2^64.  An ``n`` whose one
-    trial would take more than ``_TRIAL_BUDGET`` bytes raises
+    trial would take more than ``errors._MEMORY_BUDGET`` bytes raises
     ``ContractError``.
     """
 
@@ -186,14 +185,11 @@ class SimConfig:
 
 
 def _require_trial_size(n: int) -> None:
-    """Refuse an n whose one trial would take more than ``_TRIAL_BUDGET`` bytes."""
-    needed = _row_bytes(n, 0, 0)
-    if needed > _TRIAL_BUDGET:
-        raise ContractError(
-            f"n = {n} needs {needed / 2**20:.0f} MiB per trial, over the "
-            f"{_TRIAL_BUDGET // 2**20} MiB budget; the largest n is "
-            f"{_TRIAL_BUDGET // _row_bytes(1, 0, 0)}"
-        )
+    """Refuse an n whose one trial's arrays would exceed the memory budget."""
+    _require_budget(
+        f"n = {n}", _row_bytes(n, 0, 0),
+        f"the largest n is {_MEMORY_BUDGET // _row_bytes(1, 0, 0)}", per=" per trial",
+    )
 
 
 def _alpha_grid(values: Iterable[float]) -> tuple[float, ...]:
@@ -300,7 +296,7 @@ def generate_from_curve(
     """
     from .power_theory import _require_shape
 
-    n = int(n)
+    n = whole_number("n", n, DomainError)
     if n < 1:
         raise DomainError(f"n must be positive, got {n}")
     _require_trial_size(n)
@@ -588,12 +584,12 @@ def simulate_count_ratio(
 
     Its expectation never exceeds 1/rho; this simulation backs the
     conservativeness argument for the cutoff rules.  A trials x n above
-    ``_TRIAL_BUDGET // _RATIO_CELL_BYTES`` (5 592 405) raises
+    ``errors._MEMORY_BUDGET // _RATIO_CELL_BYTES`` (5 592 405) raises
     ``ContractError`` before anything is drawn.
     """
-    n = int(n)
-    trials = int(trials)
-    n_nonnull = int(n_nonnull)
+    n = whole_number("n", n, DomainError)
+    trials = whole_number("trials", trials, DomainError)
+    n_nonnull = whole_number("n_nonnull", n_nonnull, DomainError)
     if n < 1 or trials < 1:
         raise DomainError("n and trials must be positive")
     if not 0.0 < rho < 1.0:
@@ -601,12 +597,10 @@ def simulate_count_ratio(
     if not 0 <= n_nonnull < n:
         raise DomainError("n_nonnull must lie in [0, n)")
     cells = trials * n
-    if cells * _RATIO_CELL_BYTES > _TRIAL_BUDGET:
-        raise ContractError(
-            f"trials x n = {cells} needs {cells * _RATIO_CELL_BYTES / 2**20:.0f} MiB, "
-            f"over the {_TRIAL_BUDGET // 2**20} MiB budget; the largest trials x n is "
-            f"{_TRIAL_BUDGET // _RATIO_CELL_BYTES}"
-        )
+    _require_budget(
+        f"trials x n = {cells}", cells * _RATIO_CELL_BYTES,
+        f"the largest trials x n is {_MEMORY_BUDGET // _RATIO_CELL_BYTES}",
+    )
     rng = child_rng(seed, 0)
     n_null = n - n_nonnull
     draws = rng.random((trials, n)) < rho

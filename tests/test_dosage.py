@@ -30,11 +30,11 @@ from accumtest import (
     welch_p_two_sided,
 )
 from accumtest import _tails, dosage
+from accumtest.errors import _MEMORY_BUDGET
 from accumtest.dosage import (
     _BATCH_ARRAYS,
     _BATCH_BUDGET,
     _SCREEN_POINTS,
-    _TABLE_BUDGET,
     _TAIL_SLACK,
     _batch_columns,
     _chunk_rows,
@@ -289,7 +289,7 @@ class TestPartitionTable:
         assert _partition_table.cache_info().currsize == 1
 
     def test_footprint_guard_fires_before_allocating(self):
-        assert math.comb(22, 11) * (22 + 11) * 8 > _TABLE_BUDGET
+        assert math.comb(22, 11) * (22 + 11) * 8 > _MEMORY_BUDGET
         tracemalloc.start()
         try:
             with pytest.raises(ContractError, match="MiB budget; subsample"):
@@ -691,6 +691,10 @@ class TestExpressionMatrix:
         values[1, 3] = math.inf
         with pytest.raises(ValidationError, match="'g1', sample column 4: .* got inf"):
             make_matrix(values, 2, 2, 2)
+
+    def test_zero_genes_rejected(self):
+        with pytest.raises(ValidationError, match="^no gene rows$"):
+            make_matrix(np.empty((0, 6)), 2, 2, 2)
 
     def test_column_selection(self):
         values = np.arange(12.0).reshape(2, 6)

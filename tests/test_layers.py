@@ -382,3 +382,13 @@ def test_numpy_densities_run_without_scipy():
     assert without[:-1] == with_scipy
     assert len(without) == len(with_scipy) + 1 == 13
     assert "accumtest[theory]" in without[-1]
+
+
+def test_one_module_owns_the_memory_budget():
+    """The 128 MiB cap and the wording of its refusal live in errors.py alone."""
+    owners = {
+        path.stem
+        for path in PACKAGE.glob("*.py")
+        if any(rule in path.read_text() for rule in ("MiB budget", "128 * 2**20"))
+    }
+    assert owners == {"errors"}

@@ -282,6 +282,11 @@ class TestStepOptimalityGap:
         with pytest.raises(ContractError):
             step_optimality_gap(forward_stop(), 2.0, self.density)
 
+    def test_infinite_bound_rejected(self):
+        # The step mean would be inf * 0, a NaN gap.
+        with pytest.raises(DomainError, match="finite"):
+            step_optimality_gap(seq_step(2.0), math.inf, AlternativeDensity.uniform())
+
     def test_spec_exceeding_cap_rejected(self):
         spec = piecewise_constant([(0.0, 0.5, 0.0), (0.5, 1.0, 2.0)])
         with pytest.raises(ContractError):
@@ -329,8 +334,9 @@ class TestRandomWalkEnvelope:
             random_walk_envelope(1.0, 0.0, 0.0, 10.0)
         with pytest.raises(DomainError):
             random_walk_envelope(1.0, 0.0, 1.5, 10.0)
-        with pytest.raises(DomainError):
-            random_walk_envelope(1.0, 0.0, 0.5, 0.0)
+        for t in (0.0, math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(DomainError):
+                random_walk_envelope(1.0, 0.0, 0.5, t)
 
     def test_gaussian_walks_rarely_exit(self):
         frac = envelope_exit_fraction(

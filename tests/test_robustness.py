@@ -12,7 +12,9 @@ The public functions called outside the CLI get the edge values of
 ``NUMBERS`` in each numeric parameter, one at a time, and bad strings in
 their sign and rule parameters.  Each call must return a value that
 meets its invariants or raise an ``AccumTestError``, raise no
-RuntimeWarning, and finish within ``TIME_LIMIT_S``.
+RuntimeWarning, and finish within ``TIME_LIMIT_S``.  Every count, seed
+and index they take is refused with a ``DomainError`` naming it unless it
+is a whole number, and never truncated.
 """
 
 import contextlib
@@ -26,18 +28,29 @@ import pytest
 
 from accumtest import (
     AccumTestError,
+    AlternativeDensity,
+    DomainError,
+    SignalCurve,
     SimConfig,
     bh_select,
+    child_rng,
+    child_seed,
     cli,
     dosage,
+    envelope_exit_fraction,
+    fdp,
     forward_stop,
+    generate_from_curve,
     hinge_exp,
+    mfdp,
     permutation_pvalue,
+    power_of_cutoff,
     run_accumulation_test,
     run_simulation,
     select_cutoff,
     seq_step,
     shift_discrete_pvalues,
+    simulate_count_ratio,
     storey_select,
     welch_p_one_sided,
     welch_p_two_sided,
@@ -415,3 +428,68 @@ def test_accumulation_test_fails_cleanly(seed):
         result = call_cleanly(run_accumulation_test, *args)
         if result is not None:
             assert 0 <= result.k_hat <= p.size == result.fdp_hat_path.size
+
+
+# --- counts ----------------------------------------------------------------
+
+MASK = np.array([True, False, False, True])
+CURVE = SignalCurve(((0.0, 0.5), (1.0, 0.3)))
+DENSITY = AlternativeDensity.beta(1.0, 2.0)
+
+# Each count, seed and index of a public function: its name in the error
+# message, and a call that passes it a value in place of 3.
+COUNTS = {
+    "fdp k": ("k", lambda v: fdp(v, MASK)),
+    "mfdp k": ("k", lambda v: mfdp(v, MASK, 1.0)),
+    "power_of_cutoff k": ("k", lambda v: power_of_cutoff(v, MASK)),
+    "child_seed seed": ("seed", lambda v: child_seed(v, 2)),
+    "child_seed index": ("index", lambda v: child_seed(5, v)),
+    "child_rng seed": ("seed", lambda v: child_rng(v, 2).random(2)),
+    "child_rng index": ("index", lambda v: child_rng(5, v).random(2)),
+    "generate_from_curve n": ("n", lambda v: generate_from_curve(CURVE, v, DENSITY, 1).values),
+    "generate_from_curve seed": (
+        "seed", lambda v: generate_from_curve(CURVE, 5, DENSITY, v).values
+    ),
+    "simulate_count_ratio n": ("n", lambda v: simulate_count_ratio(v, 0.5, 2, 1)),
+    "simulate_count_ratio trials": ("trials", lambda v: simulate_count_ratio(4, 0.5, v, 1)),
+    "simulate_count_ratio seed": ("seed", lambda v: simulate_count_ratio(4, 0.5, 2, v)),
+    "simulate_count_ratio n_nonnull": (
+        "n_nonnull", lambda v: simulate_count_ratio(4, 0.5, 2, 1, n_nonnull=v)
+    ),
+    "envelope_exit_fraction t_max": (
+        "t_max", lambda v: envelope_exit_fraction(1.0, 0.0, 0.5, v, 20, 1)
+    ),
+    "envelope_exit_fraction n_walks": (
+        "n_walks", lambda v: envelope_exit_fraction(1.0, 0.0, 0.5, 5, v, 1)
+    ),
+    "envelope_exit_fraction seed": (
+        "seed", lambda v: envelope_exit_fraction(1.0, 0.0, 0.5, 5, 20, v)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", COUNTS)
+def test_count_that_is_not_whole_is_refused(case):
+    name, call = COUNTS[case]
+    for value in (1.5, 2.5, -0.5, math.nan, math.inf, "3", "x", None):
+        with pytest.raises(DomainError, match=f"^{name} must be a whole number"):
+            call(value)
+
+
+@pytest.mark.parametrize("case", COUNTS)
+def test_whole_count_of_any_type_is_accepted(case):
+    _, call = COUNTS[case]
+    want = call(3)
+    for value in (3.0, np.int64(3), np.uint8(3), np.float64(3.0)):
+        assert np.array_equal(call(value), want)
+
+
+@pytest.mark.parametrize("case", [case for case in COUNTS if case.endswith(" seed")])
+def test_seed_wider_than_64_bits_is_accepted(case):
+    call = COUNTS[case][1]
+    call(2**64 + 3)
+    if not case.startswith("envelope"):
+        # The simulations read seeds modulo 2^64; the envelope's one
+        # stream takes the whole integer, which numpy refuses when negative.
+        assert np.array_equal(call(-1), call(2**64 - 1))
+        assert np.array_equal(call(2**64 + 3), call(3))

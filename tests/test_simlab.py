@@ -35,6 +35,7 @@ from accumtest import (
     simulate_count_ratio,
 )
 from accumtest import _tails, simlab
+from accumtest.errors import _MEMORY_BUDGET
 from accumtest.simlab import (
     STAT_FDP,
     STAT_KHAT,
@@ -110,7 +111,7 @@ class TestGenerateRankedTrial:
     def test_oversized_n_refused_before_allocation(self):
         # The config is what run_simulation and generate_ranked_trial
         # take, so no trial array exists when it is refused.
-        largest = simlab._TRIAL_BUDGET // simlab._row_bytes(1, 0, 0)
+        largest = _MEMORY_BUDGET // simlab._row_bytes(1, 0, 0)
         assert largest >= 100_000
         assert SimConfig(n=largest, n_nonnull=1, trials=1).n == largest
         tracemalloc.start()
@@ -676,7 +677,7 @@ class TestGenerateFromCurve:
 
     def test_oversized_n_refused_before_allocation(self):
         curve = SignalCurve(((0.0, 0.5), (1.0, 0.3)))
-        largest = simlab._TRIAL_BUDGET // simlab._row_bytes(1, 0, 0)
+        largest = _MEMORY_BUDGET // simlab._row_bytes(1, 0, 0)
         tracemalloc.start()
         try:
             for n in (largest + 1, 10**11):
@@ -706,7 +707,7 @@ class TestCountRatio:
         assert np.all(ratios <= 41.0)
 
     def test_oversized_draw_refused_before_allocation(self):
-        largest = simlab._TRIAL_BUDGET // simlab._RATIO_CELL_BYTES
+        largest = _MEMORY_BUDGET // simlab._RATIO_CELL_BYTES
         assert largest >= 2_000_000
         tracemalloc.start()
         try:
