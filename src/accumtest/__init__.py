@@ -54,7 +54,6 @@ _ENGINES = {
         "collect_trial_frames",
         "generate_from_curve",
         "generate_ranked_trial",
-        "normal_cdf",
         "path_table_columns",
         "power_table_columns",
         "run_simulation",

@@ -174,11 +174,13 @@ def _eval_array(spec: AccumulationSpec, t: np.ndarray) -> np.ndarray:
         return np.where(t > 1.0 - 1.0 / c, c, 0.0)
     if fam is Family.HINGE_EXP:
         c = spec.c_param
-        out = np.zeros_like(t)
-        mask = t > 1.0 - 1.0 / c
-        if mask.any():
-            with np.errstate(divide="ignore"):
-                out[mask] = -c * (math.log(c) + np.log1p(-t[mask]))
+        # Every element takes the same steps as -c * (log(c) + log1p(-t)),
+        # so no masked copy is made; the zero region is written last.
+        with np.errstate(divide="ignore"):
+            out = np.log1p(-t)
+        out += math.log(c)
+        out *= -c
+        out[t <= 1.0 - 1.0 / c] = 0.0
         return out
     return piece_levels_at(spec.pieces, t)
 

@@ -358,8 +358,8 @@ def random_walk_envelope(sigma2: float, b: float, epsilon: float, t):
     if not 0.0 < epsilon <= 1.0:
         raise DomainError(f"epsilon must lie in (0, 1], got {epsilon}")
     t_arr = np.asarray(t, dtype=float)
-    if not np.all(t_arr > 0.0):
-        raise DomainError("envelope times must be positive")
+    if not np.all((t_arr > 0.0) & (t_arr < math.inf)):
+        raise DomainError("envelope times must be positive and finite")
     level = math.sqrt(2.0 * math.log2(4.0 / epsilon))
     scale = level * max(math.sqrt(sigma2), b * level)
     out = scale * np.sqrt(t_arr * np.log1p(t_arr))
@@ -380,7 +380,8 @@ def envelope_exit_fraction(
     sigma2)``, as many walks at a time as fit in ``_WALK_BUDGET`` bytes,
     in order from the one stream ``np.random.default_rng(seed)``, not
     from per-walk generators like the simulations' trials; the result
-    does not depend on how many walks a block holds.  A ``t_max`` whose
+    does not depend on how many walks a block holds.  ``seed`` is read
+    modulo 2^64, as ``SimConfig`` reads it.  A ``t_max`` whose
     one walk needs more than the budget raises ``ContractError`` before
     anything is drawn.  The envelope guarantee promises a fraction at
     most ``epsilon`` in the appropriate moment regime, so this is the
@@ -388,7 +389,7 @@ def envelope_exit_fraction(
     """
     t_max = whole_number("t_max", t_max, DomainError)
     n_walks = whole_number("n_walks", n_walks, DomainError)
-    seed = whole_number("seed", seed, DomainError)
+    seed = whole_number("seed", seed, DomainError) % 2**64
     if t_max < 1 or n_walks < 1:
         raise DomainError("t_max and n_walks must be positive")
     _require_budget(
@@ -419,14 +420,19 @@ def centered_mgf(
     Returns per-theta estimates of ``E[exp(theta * (X - center))]``
     together with their standard errors; ``center`` defaults to the
     sample mean.  Used to audit the subexponential moment condition
-    ``mgf(theta) <= exp(theta^2 * sigma2 / 2)`` on a theta grid.
+    ``mgf(theta) <= exp(theta^2 * sigma2 / 2)`` on a theta grid.  A
+    sample, theta or center that is not finite raises ``DomainError``.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise DomainError("need a 1-d sample of size >= 2")
-    if center is None:
-        center = float(x.mean())
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    for name, values in (("samples", x), ("thetas", thetas)):
+        if not np.isfinite(values).all():
+            raise DomainError(f"{name} must be finite")
+    center = float(x.mean()) if center is None else float(center)
+    if not math.isfinite(center):
+        raise DomainError(f"center must be finite, got {center}")
     deviations = x - center
     estimates = np.empty(thetas.size)
     errors = np.empty(thetas.size)

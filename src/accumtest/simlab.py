@@ -13,13 +13,12 @@ Reproducibility rules used throughout:
   ``seed XOR mix64(t)``, so any subset of trials can be recomputed in
   any order with identical results.
 * One engine scores trials in blocks of rows, each row drawn from its
-  trial's own generator, in trial order.  One reducer keeps each trial's
-  power and FDP, two floats per method and level, and adds its paths into
-  running sums in trial order.  ``run_simulation`` reduces the engine's
-  blocks as they come, so it keeps no per-trial path or frame.
-  ``collect_trial_frames`` splits each block into one frame per trial,
-  and ``aggregate`` feeds any iterable of frames to the reducer as
-  one-row blocks.
+  trial's own generator, in trial order, and gives each block as one
+  ``TrialFrame`` with a leading trial axis.  ``aggregate`` is the one
+  reducer: it keeps each trial's power and FDP, two floats per method and
+  level, and adds its paths into running sums in trial order, so frames
+  of any size give the same bits.  ``run_simulation`` reduces the
+  engine's frames as they come, so it keeps no per-trial path.
 * A row lists its hypotheses by decreasing |prior z|, ties broken by
   index.  numpy's fastest argsort, which need not be stable, ranks the
   block; distinct keys have one sorted order, so only rows that hold a
@@ -31,7 +30,6 @@ Reproducibility rules used throughout:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
@@ -66,7 +64,6 @@ __all__ = [
     "TrialFrame",
     "AggregateResult",
     "default_methods",
-    "normal_cdf",
     "child_seed",
     "child_rng",
     "generate_ranked_trial",
@@ -85,9 +82,6 @@ _DEFAULT_ALPHAS = (0.05, 0.075, 0.1, 0.125, 0.15, 0.175, 0.2, 0.225, 0.25)
 _MASK64 = (1 << 64) - 1
 
 STAT_KHAT, STAT_FALSE_POS, STAT_POWER, STAT_FDP = range(4)
-
-# A block of trials as ``_score_rows`` returns it: stats, paths, true paths.
-_Block = tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]
 
 # Bytes one block of trials may hold.  Warm run_simulation of 1000
 # trials at n = 1000 took 0.38, 0.29, 0.23, 0.23 and 0.20 s at 256 KiB,
@@ -113,12 +107,6 @@ _RATIO_CELL_BYTES = 24
 # faster.
 _BLOCK_ARRAYS = 8
 _LEVEL_BYTES = 192
-
-
-def normal_cdf(x):
-    """Standard normal distribution function, relative error below 1e-14."""
-    out = _tails.ndtr(np.asarray(x, dtype=float))
-    return float(out) if np.ndim(x) == 0 else out
 
 
 def _mix64(value: int) -> int:
@@ -315,12 +303,17 @@ def generate_from_curve(
     return OrderedPValues(pvals, null_mask=~nonnull)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TrialFrame:
-    """Per-trial results: one stats row per (method, alpha).
+    """Scored trials, one per entry of the leading axis.
 
-    ``stats[m, a]`` holds (k_hat, false positives, power, FDP) for
-    method m at alpha_grid[a].  Paths are attached only on request.
+    ``stats[t, m, a]`` holds (k_hat, false positives, power, FDP) of
+    trial t for method m at alpha_grid[a].  Paths are attached only on
+    request: ``fdp_hat_paths[t, m]`` is method m's estimated FDP path in
+    trial t and ``fdp_true_path[t]`` the trial's true FDP path, each of
+    length n.  Arrays may be given as nested lists.  Raises
+    ``ContractError`` without any method or level, or when a shape
+    disagrees with the names, the grid or the other arrays.
     """
 
     method_names: tuple[str, ...]
@@ -329,21 +322,45 @@ class TrialFrame:
     fdp_hat_paths: Optional[np.ndarray] = None
     fdp_true_path: Optional[np.ndarray] = None
 
+    def __post_init__(self) -> None:
+        cells = (len(self.method_names), len(self.alpha_grid))
+        if 0 in cells:
+            raise ContractError("trial frames need at least one method and one level")
+        stats = np.asarray(self.stats)
+        if stats.shape[1:] != (*cells, 4):
+            raise ContractError(
+                f"trial stats have shape {stats.shape}, need (trials, {cells[0]}, "
+                f"{cells[1]}, 4) for the frame's methods and alpha grid"
+            )
+        object.__setattr__(self, "stats", stats)
+        if self.fdp_hat_paths is None and self.fdp_true_path is None:
+            return
+        trials = len(stats)
+        hat, true = map(np.shape, (self.fdp_hat_paths, self.fdp_true_path))
+        if len(true) != 2 or (hat, true[0]) != ((trials, cells[0], true[1]), trials):
+            raise ContractError(
+                f"trial paths have shapes {hat} and {true}, need ({trials}, "
+                f"{cells[0]}, n) and ({trials}, n) for the frame's trials and methods"
+            )
+        for name in ("fdp_hat_paths", "fdp_true_path"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name)))
+
 
 def _score_rows(
     pvals: np.ndarray,
     null: np.ndarray,
     methods: Sequence[Method],
-    levels: np.ndarray,
+    alpha_grid: tuple[float, ...],
     include_paths: bool,
-) -> _Block:
+) -> TrialFrame:
     """Score a block of trials, one per row of ``pvals`` and ``null``.
 
     ``pvals`` must already lie in [0, 1], as ``_ranked_block`` and
-    ``OrderedPValues`` check.  Returns the (rows, methods, levels, 4)
-    stats and, when ``include_paths``, the (rows, methods, n) estimated
-    paths and the (rows, n) true FDP paths.
+    ``OrderedPValues`` check.  The frame's paths are attached only when
+    ``include_paths``.
     """
+    names = _method_names(methods)
+    levels = np.array(alpha_grid)
     rows, n = pvals.shape
     # nulls_before[r, k] counts the nulls among row r's first k positions.
     nulls_before = np.zeros((rows, n + 1), dtype=np.intp)
@@ -375,15 +392,7 @@ def _score_rows(
     true_paths = None
     if include_paths:
         true_paths = nulls_before[:, 1:] / np.arange(1, n + 1, dtype=float)
-    return stats, paths, true_paths
-
-
-def _frames(
-    names: tuple[str, ...], alpha_grid: tuple[float, ...], block: _Block
-) -> list[TrialFrame]:
-    """One frame per trial of a ``_score_rows`` block, viewing its rows."""
-    arrays = [a for a in block if a is not None]
-    return [TrialFrame(names, alpha_grid, *row) for row in zip(*arrays)]
+    return TrialFrame(names, alpha_grid, stats, paths, true_paths)
 
 
 def run_trial(
@@ -394,20 +403,17 @@ def run_trial(
 ) -> TrialFrame:
     """Apply every method at every level to one trial's p-values.
 
-    Power is the share of non-nulls within the cutoff and FDP the share
-    of nulls among the rejections (0 when nothing is rejected).  An empty
-    method list or alpha grid is refused, as ``run_simulation`` and
-    ``SimConfig`` refuse them.
+    Returns a frame of one trial.  Power is the share of non-nulls within
+    the cutoff and FDP the share of nulls among the rejections (0 when
+    nothing is rejected).  An empty method list or alpha grid is refused,
+    as ``run_simulation`` and ``SimConfig`` refuse them.
     """
     if pvals.null_mask is None:
         raise ContractError("run_trial needs ground-truth labels")
-    names = _method_names(methods)
-    alphas = _alpha_grid(alpha_grid)
-    block = _score_rows(
+    return _score_rows(
         pvals.values[np.newaxis], pvals.null_mask[np.newaxis], methods,
-        np.array(alphas), include_paths,
+        _alpha_grid(alpha_grid), include_paths,
     )
-    return _frames(names, alphas, block)[0]
 
 
 @dataclass
@@ -433,101 +439,66 @@ def _mean_and_se(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, se
 
 
-def _reduce(
-    names: tuple[str, ...], alpha_grid: tuple[float, ...], blocks: Iterable[_Block]
-) -> AggregateResult:
-    """Means and standard errors over blocks of trials, in trial order.
+def aggregate(frames: Iterable[TrialFrame]) -> AggregateResult:
+    """Reduce frames of trials to means and standard errors in one pass.
 
-    Paths are None in every block or in none.  Power and FDP are kept in
-    one buffer that doubles from one row until each block fits, and path
-    rows are added into running sums one trial at a time.
+    ``frames`` may be any iterable, a generator included, and each frame
+    may hold any number of trials.  Of each trial's stats only power and
+    FDP are kept (576 bytes per trial for four methods at nine levels), in
+    one buffer that doubles from one row until the trials fit, and its
+    paths are added into running sums one trial at a time, so the result
+    does not depend on how the trials are split into frames.  All frames
+    must share the method names, the alpha grid and, if they have paths, n;
+    paths must be in every frame or in none.  A mismatch, or no trial at
+    all, raises ``ContractError``.
     """
-    kept = np.empty((1, len(names), len(alpha_grid), 2))
-    hat_sum = true_sum = None
+    layout = kept = hat_sum = true_sum = None
     trials = 0
-    for stats, paths, true_paths in blocks:
-        stop = trials + len(stats)
+    for frame in frames:
+        true_paths = frame.fdp_true_path
+        key = (frame.method_names, frame.alpha_grid, np.shape(true_paths)[1:])
+        if layout is None:
+            layout = key
+            kept = np.empty((1, *frame.stats.shape[1:3], 2))
+            if true_paths is not None:
+                hat_sum = np.zeros(frame.fdp_hat_paths.shape[1:])
+                true_sum = np.zeros(true_paths.shape[1:])
+        elif key != layout:
+            raise ContractError(
+                "trial frames disagree in methods, alpha grid or paths; cannot aggregate"
+            )
+        stop = trials + len(frame.stats)
         if stop > len(kept):
             grown = np.empty((1 << (stop - 1).bit_length(), *kept.shape[1:]))
             grown[:trials] = kept[:trials]
             kept = grown
         # STAT_POWER and STAT_FDP are adjacent, so this copies both at once
-        # and holds no reference to the block.
-        kept[trials:stop] = stats[..., STAT_POWER:STAT_FDP + 1]
+        # and holds no reference to the frame.
+        kept[trials:stop] = frame.stats[..., STAT_POWER:STAT_FDP + 1]
         trials = stop
-        if paths is not None:
-            if hat_sum is None:
-                hat_sum, true_sum = np.zeros(paths.shape[1:]), np.zeros(true_paths.shape[1:])
-            for hat, true in zip(paths, true_paths):
+        if true_paths is not None:
+            for hat, true in zip(frame.fdp_hat_paths, true_paths):
                 hat_sum += hat
                 true_sum += true
+    if not trials:
+        raise ContractError("aggregate needs at least one trial")
     kept = kept[:trials]
     paths = (None, None) if hat_sum is None else (hat_sum / trials, true_sum / trials)
     return AggregateResult(
-        names, alpha_grid, trials,
+        *layout[:2], trials,
         *_mean_and_se(kept[..., 0]), *_mean_and_se(kept[..., 1]), *paths,
     )
 
 
-def _frame_key(frame: TrialFrame) -> tuple:
-    """What frames must share to be aggregated together: names, grid, shapes."""
-    arrays = (frame.stats, frame.fdp_hat_paths, frame.fdp_true_path)
-    return (frame.method_names, frame.alpha_grid, *map(np.shape, arrays))
-
-
-def aggregate(frames: Iterable[TrialFrame]) -> AggregateResult:
-    """Reduce per-trial frames to means and standard errors in one pass.
-
-    ``frames`` may be any iterable, a generator included.  Each frame goes
-    to ``run_simulation``'s reducer as a block of one trial, so the result
-    does not depend on how the frames were produced.  Of its stats only
-    power and FDP are kept (576 bytes per trial for four methods at nine
-    levels), and its paths are added into running sums in order.  All
-    frames must come from the same nonempty method list and alpha grid,
-    with stats of shape (methods, levels, 4) and either no paths or paths
-    of shapes (methods, n) and (n,); mixing shapes is a hard error rather
-    than a silent broadcast.
-    """
-    frames = iter(frames)
-    first = next(frames, None)
-    if first is None:
-        raise ContractError("aggregate needs at least one trial")
-    key = _frame_key(first)
-    names, grid, shape, hat, true = key
-    cells = (len(names), len(grid))
-    if 0 in cells:
-        raise ContractError("trial frames need at least one method and one level")
-    if shape != (*cells, 4):
-        raise ContractError(
-            f"trial stats have shape {shape}, need {(*cells, 4)} "
-            "for the frame's methods and alpha grid"
-        )
-    has_paths = first.fdp_hat_paths is not None or first.fdp_true_path is not None
-    if has_paths and (len(true) != 1 or hat != (cells[0], *true)):
-        raise ContractError(
-            f"trial paths have shapes {hat} and {true}, need ({cells[0]}, n) "
-            "and (n,) for the frame's methods"
-        )
-
-    def blocks() -> Iterator[_Block]:
-        for frame in itertools.chain([first], frames):
-            if _frame_key(frame) != key:
-                raise ContractError("trial frames disagree in shape; cannot aggregate")
-            arrays = (frame.stats, frame.fdp_hat_paths, frame.fdp_true_path)
-            yield tuple(None if a is None else np.asarray(a)[np.newaxis] for a in arrays)
-
-    return _reduce(names, grid, blocks())
-
-
 def _blocks(
     config: SimConfig, methods: Sequence[Method], include_paths: bool
-) -> Iterator[_Block]:
-    """The engine: ``_score_rows`` over blocks of trials, in trial order."""
-    levels = np.array(config.alpha_grid)
-    step = _block_rows(config.n, len(methods), levels.size)
+) -> Iterator[TrialFrame]:
+    """The engine: one frame per block of trials, in trial order."""
+    _method_names(methods)  # refuses an empty list before any trial is drawn
+    step = _block_rows(config.n, len(methods), len(config.alpha_grid))
     for first in range(0, config.trials, step):
         pvals, null = _ranked_block(config, first, min(first + step, config.trials))
-        yield _score_rows(pvals, null, methods, levels, include_paths)
+        yield _score_rows(pvals, null, methods, config.alpha_grid, include_paths)
 
 
 def collect_trial_frames(
@@ -536,18 +507,13 @@ def collect_trial_frames(
     include_paths: bool = False,
     workers: Optional[int] = None,
 ) -> list[TrialFrame]:
-    """Run all trials in blocks of rows, split into one frame per trial.
+    """Run all trials, one frame per block of the engine, in trial order.
 
-    Frames come in trial order, and each equals ``run_trial`` on that
-    trial drawn alone.  ``workers`` is accepted for compatibility and
-    ignored: trials always run in this process.
+    Row t of the frames taken in order equals ``run_trial`` on trial t
+    drawn alone, bit for bit.  ``workers`` is accepted for compatibility
+    and ignored: trials always run in this process.
     """
-    names = _method_names(methods)
-    return [
-        frame
-        for block in _blocks(config, methods, include_paths)
-        for frame in _frames(names, config.alpha_grid, block)
-    ]
+    return list(_blocks(config, methods, include_paths))
 
 
 def run_simulation(
@@ -557,14 +523,13 @@ def run_simulation(
 ) -> AggregateResult:
     """End-to-end protocol from trial generation through aggregation.
 
-    The engine's blocks go to the reducer as they are scored, so no
-    per-trial frame is built and memory does not grow with trials x n.
-    The result equals ``aggregate(collect_trial_frames(...))`` bit for bit.
+    ``aggregate`` reduces the engine's frames as they are scored, so memory
+    does not grow with trials x n.  The result equals
+    ``aggregate(collect_trial_frames(...))`` bit for bit.
     """
     if methods is None:
         methods = default_methods()
-    names = _method_names(methods)
-    return _reduce(names, config.alpha_grid, _blocks(config, methods, include_paths))
+    return aggregate(_blocks(config, methods, include_paths))
 
 
 def simulate_count_ratio(

@@ -69,11 +69,11 @@ def hinge_exp_h(c):
 def stacked_mean_and_se(frames, stat):
     """Mean and standard error over trials of one stat, from all frames stacked.
 
-    ``np.stack`` of every frame's (methods, levels, 4) stats, then the
-    sample mean and ``std(ddof=1) / sqrt(trials)`` of the ``stat`` slice
-    along the trial axis, with a standard error of 0 for one trial.
+    ``np.concatenate`` of every frame's (trials, methods, levels, 4) stats,
+    then the sample mean and ``std(ddof=1) / sqrt(trials)`` of the ``stat``
+    slice along the trial axis, with a standard error of 0 for one trial.
     """
-    stack = np.stack([frame.stats for frame in frames])[:, :, :, stat]
+    stack = np.concatenate([frame.stats for frame in frames])[:, :, :, stat]
     mean = stack.mean(axis=0)
     if stack.shape[0] == 1:
         return mean, np.zeros_like(mean)

@@ -62,7 +62,7 @@ def shared_trials():
         seed=2030,
     )
     frames = collect_trial_frames(config, default_methods(2.0), workers=1)
-    stats = np.stack([frame.stats for frame in frames])
+    stats = np.concatenate([frame.stats for frame in frames])
     return {
         "names": list(frames[0].method_names),
         "alphas": (0.1, 0.2),
@@ -166,7 +166,7 @@ def test_criterion_05_limiting_power_convergence(scorecard):
     for trial in range(50):
         pvals = generate_from_curve(curve, 20_000, density, seed=9000 + trial)
         frame = run_trial(pvals, methods, [0.8])
-        powers.append(frame.stats[0, 0, STAT_POWER])
+        powers.append(frame.stats[0, 0, 0, STAT_POWER])
     gap = abs(float(np.mean(powers)) - target)
     elapsed = time.perf_counter() - start
     ok = gap <= 0.05 and elapsed < 120.0
@@ -324,7 +324,7 @@ def test_criterion_11_error_control_scales_with_n(shared_trials, scorecard):
         big_config, [Method("ForwardStop", forward_stop())], workers=1
     )
     big_mean, big_se = mean_and_se(
-        np.array([frame.stats[0, 0, STAT_FDP] for frame in frames])
+        np.concatenate([frame.stats[:, 0, 0, STAT_FDP] for frame in frames])
     )
     combined = math.hypot(small_se, big_se)
     ok = big_mean <= 0.2 + 4.0 * big_se and big_mean <= small_mean + 2.0 * combined

@@ -41,6 +41,21 @@ class TestEvaluate:
     def test_hinge_exp_at_threshold(self):
         assert evaluate(hinge_exp(2.0), 0.5) == 0.0
 
+    @pytest.mark.parametrize("c", [1.0000001, 1.5, 2.0, 3.0, 10.0])
+    def test_hinge_exp_bits_equal_direct_formula(self, c):
+        # The evaluator writes the zero region after the formula instead of
+        # computing the formula on a masked copy; no bit may change.
+        threshold = 1.0 - 1.0 / c
+        t = np.concatenate([
+            [0.0, 1.0, 1.0 - 1e-17, 0.5 + 2**-53, 0.5, threshold],
+            np.nextafter(threshold, [0.0, 1.0]),
+            np.random.default_rng(3).random(10_000),
+        ])
+        with np.errstate(divide="ignore"):
+            want = np.where(t > threshold, -c * (math.log(c) + np.log1p(-t)), 0.0)
+        got = evaluate(hinge_exp(c), t)
+        assert got.tobytes() == want.tobytes()
+
     def test_infinite_at_one_for_unbounded_families(self):
         assert evaluate(forward_stop(), 1.0) == math.inf
         assert evaluate(hinge_exp(2.0), 1.0) == math.inf

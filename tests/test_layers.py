@@ -247,6 +247,55 @@ def test_every_public_name_resolves():
         accumtest.no_such_name
 
 
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def tracer_wrap_targets() -> set[tuple[str, str]]:
+    """(module, name) of each package attribute that ``bench/tracer.py`` wraps.
+
+    A ``wrap(module, ...)`` call inside ``for module in (a, b):`` counts
+    as a call on a and on b.  The file is parsed, never imported.
+    """
+    targets = set()
+
+    def visit(node, loops):
+        if (
+            isinstance(node, ast.For) and isinstance(node.target, ast.Name)
+            and isinstance(node.iter, ast.Tuple)
+        ):
+            loops = {**loops, node.target.id: [e.id for e in node.iter.elts]}
+        if (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "wrap" and isinstance(node.args[0], ast.Name)
+        ):
+            name = ast.literal_eval(node.args[1])
+            targets.update((m, name) for m in loops.get(node.args[0].id, [node.args[0].id]))
+        for child in ast.iter_child_nodes(node):
+            visit(child, loops)
+
+    visit(ast.parse(TRACER.read_text()), {})
+    return {(m, name) for m, name in targets if m in {"cli", "dosage", "seqtest", "simlab"}}
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves():
+    # bench/run.py --trace 1 dies on a wrapped name that no longer exists.
+    targets = tracer_wrap_targets()
+    assert {("simlab", "aggregate"), ("simlab", "select_cutoff"), ("cli", "run_pipeline")} <= targets
+    for module, name in sorted(targets):
+        assert callable(getattr(importlib.import_module(f"accumtest.{module}"), name)), (module, name)
+
+
+def test_benchmark_tracer_call_to_collect_trial_frames_runs():
+    from accumtest import simlab
+
+    config = simlab.SimConfig(n=50, n_nonnull=5, trials=3, seed=1)
+    frames = simlab.collect_trial_frames(
+        config, simlab.default_methods(), include_paths=True, workers=1
+    )
+    assert sum(len(frame.stats) for frame in frames) == 3
+    assert all(frame.fdp_hat_paths.shape[1:] == (4, 50) for frame in frames)
+
+
 def test_only_densities_imports_scipy():
     def imports_scipy(path):
         for node in ast.walk(ast.parse(path.read_text())):

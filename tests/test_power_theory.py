@@ -337,6 +337,9 @@ class TestRandomWalkEnvelope:
         for t in (0.0, math.nan, np.array([1.0, math.nan])):
             with pytest.raises(DomainError):
                 random_walk_envelope(1.0, 0.0, 0.5, t)
+        for t in (math.inf, np.array([1.0, math.inf])):
+            with pytest.raises(DomainError, match="times must be positive and finite"):
+                random_walk_envelope(1.0, 0.0, 0.1, t)
 
     def test_gaussian_walks_rarely_exit(self):
         frac = envelope_exit_fraction(
@@ -351,6 +354,13 @@ class TestRandomWalkEnvelope:
             monkeypatch.setattr(power_theory, "_WALK_BUDGET", budget)
             got = [envelope_exit_fraction(1.0, 0.0, 0.5, t, 300, seed=7) for t in (1, 40)]
             assert got == want
+
+    def test_seed_read_modulo_2_64(self):
+        # A negative seed once raised numpy's bare "expected non-negative integer".
+        def fraction(seed):
+            return envelope_exit_fraction(1.0, 0.0, 1.0, 40, 500, seed)
+
+        assert fraction(-1) == fraction(2**64 - 1) != fraction(3) == fraction(2**64 + 3)
 
     def test_oversized_walk_refused_before_allocation(self):
         largest = power_theory._WALK_BUDGET // power_theory._STEP_BYTES
@@ -383,3 +393,13 @@ class TestSubexponentialBounds:
             estimates, errors = centered_mgf(samples, thetas, center=1.0)
             bound = np.exp(thetas**2 * sigma2 / 2.0)
             assert np.all(estimates <= bound + 4.0 * errors)
+
+    def test_non_finite_inputs_refused(self):
+        # NaN samples once gave NaN estimates, and inf ones a RuntimeWarning too.
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="samples must be finite"):
+                centered_mgf(np.array([1.0, bad]), [0.1])
+            with pytest.raises(DomainError, match="thetas must be finite"):
+                centered_mgf(np.array([1.0, 2.0]), [0.1, bad])
+            with pytest.raises(DomainError, match="center must be finite"):
+                centered_mgf(np.array([1.0, 2.0]), [0.1], center=bad)

@@ -25,7 +25,6 @@ from accumtest import (
     forward_stop,
     generate_from_curve,
     generate_ranked_trial,
-    normal_cdf,
     parse_curve,
     power_of_cutoff,
     run_accumulation_test,
@@ -51,10 +50,12 @@ import oracles
 
 
 class TestNormalFunctions:
+    """``_tails.ndtr`` is the Phi the engine draws two-sided p-values with."""
+
     def test_cdf_matches_high_precision_references(self):
         for x, want in oracles.NORMAL_CDF_REFERENCE.items():
-            assert abs(normal_cdf(x) - want) <= 1e-12
-            assert abs(normal_cdf(-x) - (1.0 - want)) <= 1e-12
+            assert abs(_tails.ndtr(x) - want) <= 1e-12
+            assert abs(_tails.ndtr(-x) - (1.0 - want)) <= 1e-12
 
 
 class TestChildStreams:
@@ -135,16 +136,16 @@ class TestRunTrial:
         mask = np.array([False] * 3 + [True] * 7)
         pvals = OrderedPValues(np.zeros(10), null_mask=mask)
         frame = run_trial(pvals, [Method("step", seq_step(2.0))], [0.3])
-        assert frame.stats[0, 0, STAT_POWER] == 1.0
-        assert frame.stats[0, 0, STAT_FDP] == pytest.approx(0.7)
+        assert frame.stats[0, 0, 0, STAT_POWER] == 1.0
+        assert frame.stats[0, 0, 0, STAT_FDP] == pytest.approx(0.7)
 
     def test_all_one_pvalues_reject_nothing(self):
         mask = np.array([False, True, True])
         pvals = OrderedPValues(np.ones(3), null_mask=mask)
         frame = run_trial(pvals, [Method("step", seq_step(2.0))], [0.2])
-        assert frame.stats[0, 0, STAT_KHAT] == 0
-        assert frame.stats[0, 0, STAT_POWER] == 0.0
-        assert frame.stats[0, 0, STAT_FDP] == 0.0
+        assert frame.stats[0, 0, 0, STAT_KHAT] == 0
+        assert frame.stats[0, 0, 0, STAT_POWER] == 0.0
+        assert frame.stats[0, 0, 0, STAT_FDP] == 0.0
 
     def test_hand_checked_instance(self):
         pvals = OrderedPValues(
@@ -152,15 +153,15 @@ class TestRunTrial:
             null_mask=[False, True, False, True, True],
         )
         frame = run_trial(pvals, [Method("step", seq_step(2.0))], [0.5])
-        assert frame.stats[0, 0, STAT_KHAT] == 1
-        assert frame.stats[0, 0, STAT_POWER] == pytest.approx(0.5)
-        assert frame.stats[0, 0, STAT_FDP] == 0.0
+        assert frame.stats[0, 0, 0, STAT_KHAT] == 1
+        assert frame.stats[0, 0, 0, STAT_POWER] == pytest.approx(0.5)
+        assert frame.stats[0, 0, 0, STAT_FDP] == 0.0
 
     def test_paths_on_request(self):
         pvals = OrderedPValues([0.1, 0.9], null_mask=[False, True])
         frame = run_trial(pvals, self.methods, [0.5], include_paths=True)
-        assert frame.fdp_hat_paths.shape == (2, 2)
-        assert np.allclose(frame.fdp_true_path, [0.0, 0.5])
+        assert frame.fdp_hat_paths.shape == (1, 2, 2)
+        assert np.allclose(frame.fdp_true_path, [[0.0, 0.5]])
 
     def test_mask_required(self):
         with pytest.raises(ContractError):
@@ -192,7 +193,7 @@ class TestRunTrial:
             pvals = generate_ranked_trial(config, t)
             mask = pvals.null_mask
             frame = run_trial(pvals, methods, alphas)
-            want = np.empty_like(frame.stats)
+            want = np.empty_like(frame.stats[0])
             for m, method in enumerate(methods):
                 path = method.path(pvals)
                 for a, alpha in enumerate(alphas):
@@ -203,14 +204,14 @@ class TestRunTrial:
                         power_of_cutoff(k, mask),
                         fdp(k, mask),
                     )
-            assert np.array_equal(frame.stats, want)
+            assert np.array_equal(frame.stats[0], want)
 
 
 class TestAggregate:
     def make_frame(self, power, fdp_value):
-        stats = np.zeros((1, 1, 4))
-        stats[0, 0, STAT_POWER] = power
-        stats[0, 0, STAT_FDP] = fdp_value
+        stats = np.zeros((1, 1, 1, 4))
+        stats[0, 0, 0, STAT_POWER] = power
+        stats[0, 0, 0, STAT_FDP] = fdp_value
         return TrialFrame(("m",), (0.1,), stats)
 
     def test_single_trial_passthrough(self):
@@ -229,7 +230,7 @@ class TestAggregate:
         assert agg.se_power[0, 0] == pytest.approx(0.1)
 
     def test_frames_given_as_nested_lists(self):
-        frame = TrialFrame(("a",), (0.1,), [[[1, 0, 1, 0]]], [[0.5, 0.25]], [0.0, 0.5])
+        frame = TrialFrame(("a",), (0.1,), [[[[1, 0, 1, 0]]]], [[[0.5, 0.25]]], [[0.0, 0.5]])
         agg = aggregate([frame, frame])
         assert agg.mean_power.tolist() == [[1.0]] and agg.mean_fdp.tolist() == [[0.0]]
         assert agg.mean_fdp_hat_path.tolist() == [[0.5, 0.25]]
@@ -237,7 +238,7 @@ class TestAggregate:
 
     def test_shape_mismatch_rejected(self):
         good = self.make_frame(0.2, 0.0)
-        bad = TrialFrame(("other",), (0.1,), np.zeros((1, 1, 4)))
+        bad = TrialFrame(("other",), (0.1,), np.zeros((1, 1, 1, 4)))
         with pytest.raises(ContractError):
             aggregate([good, bad])
         frames = [
@@ -260,9 +261,8 @@ class TestAggregate:
     def test_frames_without_methods_or_levels_rejected(self, names, grid):
         # They would give empty tables, where run_simulation refuses an
         # empty method list and SimConfig an empty grid.
-        frame = TrialFrame(names, grid, np.zeros((len(names), len(grid), 4)))
         with pytest.raises(ContractError, match="at least one method and one level"):
-            aggregate([frame] * 2)
+            TrialFrame(names, grid, np.zeros((1, len(names), len(grid), 4)))
 
     def test_generator_streams_like_a_list(self):
         config = SimConfig(n=60, n_nonnull=6, trials=5, seed=3)
@@ -272,32 +272,34 @@ class TestAggregate:
     def test_stats_wider_than_names_and_grid_rejected(self):
         # A 2 x 3 grid of stats under one name and one level would give
         # table columns of different lengths.
-        frame = TrialFrame(("m",), (0.1,), np.zeros((2, 3, 4)))
         with pytest.raises(ContractError):
-            aggregate([frame] * 2)
+            TrialFrame(("m",), (0.1,), np.zeros((1, 2, 3, 4)))
 
     def test_paths_disagreeing_with_names_or_each_other_rejected(self):
         # Path-table columns of lengths 10, 15, 15 and 21 once came out.
-        frame = TrialFrame(
-            ("a", "b"), (0.1,), np.zeros((2, 1, 4)),
-            fdp_hat_paths=np.zeros((3, 5)), fdp_true_path=np.zeros(7),
-        )
         with pytest.raises(ContractError, match="trial paths"):
-            aggregate([frame] * 2)
-        for hat, true in (((3, 5), (5,)), ((2, 5), (7,)), ((2, 5), None), (None, (5,))):
-            frame = TrialFrame(
-                ("a", "b"), (0.1,), np.zeros((2, 1, 4)),
-                fdp_hat_paths=None if hat is None else np.zeros(hat),
-                fdp_true_path=None if true is None else np.zeros(true),
+            TrialFrame(
+                ("a", "b"), (0.1,), np.zeros((1, 2, 1, 4)),
+                fdp_hat_paths=np.zeros((1, 3, 5)), fdp_true_path=np.zeros((1, 7)),
             )
+        cases = (
+            ((1, 3, 5), (1, 5)), ((1, 2, 5), (1, 7)), ((1, 2, 5), None), (None, (1, 5)),
+            # Paths of another trial count than the stats, or without a trial axis.
+            ((2, 2, 5), (2, 5)), ((1, 2, 5), (5,)), ((2, 5), (1, 5)),
+        )
+        for hat, true in cases:
             with pytest.raises(ContractError, match="trial paths"):
-                aggregate([frame] * 2)
+                TrialFrame(
+                    ("a", "b"), (0.1,), np.zeros((1, 2, 1, 4)),
+                    fdp_hat_paths=None if hat is None else np.zeros(hat),
+                    fdp_true_path=None if true is None else np.zeros(true),
+                )
 
-    @pytest.mark.parametrize("shape", [(1, 1, 3), (4,)])
+    # (1, 1, 4) is one trial's stats without the trial axis.
+    @pytest.mark.parametrize("shape", [(1, 1, 1, 3), (4,), (1, 1, 4)])
     def test_stats_without_four_per_level_rejected(self, shape):
-        frame = TrialFrame(("m",), (0.1,), np.zeros(shape))
-        with pytest.raises(ContractError):
-            aggregate([frame] * 2)
+        with pytest.raises(ContractError, match="trial stats have shape"):
+            TrialFrame(("m",), (0.1,), np.zeros(shape))
 
     def test_mismatched_last_frame_rejected(self):
         config = SimConfig(n=60, n_nonnull=6, trials=4, seed=3)
@@ -306,9 +308,12 @@ class TestAggregate:
             frames[-1], fdp_hat_paths=None, fdp_true_path=None
         )
         other_grid = dataclasses.replace(frames[-1], alpha_grid=(0.1,) * 9)
-        for last in (without_paths, other_grid):
-            with pytest.raises(ContractError):
-                aggregate(f for f in frames[:-1] + [last])
+        other_n = collect_trial_frames(
+            dataclasses.replace(config, n=61), default_methods(), include_paths=True
+        )[-1]
+        for last in (without_paths, other_grid, other_n):
+            with pytest.raises(ContractError, match="disagree"):
+                aggregate(f for f in frames + [last])
 
 
 class TestAggregateOracle:
@@ -322,15 +327,17 @@ class TestAggregateOracle:
             *oracles.stacked_mean_and_se(frames, STAT_POWER),
             *oracles.stacked_mean_and_se(frames, STAT_FDP),
         )
+        trials = sum(len(frame.stats) for frame in frames)
         hat_sum = true_sum = None
         if frames[0].fdp_hat_paths is not None:
-            hat_sum = np.zeros(frames[0].fdp_hat_paths.shape)
-            true_sum = np.zeros(frames[0].fdp_true_path.shape)
+            hat_sum = np.zeros(frames[0].fdp_hat_paths.shape[1:])
+            true_sum = np.zeros(frames[0].fdp_true_path.shape[1:])
             for frame in frames:
-                hat_sum += frame.fdp_hat_paths
-                true_sum += frame.fdp_true_path
+                for hat, true in zip(frame.fdp_hat_paths, frame.fdp_true_path):
+                    hat_sum += hat
+                    true_sum += true
         for agg in (aggregate(frames), aggregate(frame for frame in frames)):
-            assert agg.trials == len(frames)
+            assert agg.trials == trials
             got = (agg.mean_power, agg.se_power, agg.mean_fdp, agg.se_fdp)
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and a.shape == b.shape
@@ -338,8 +345,8 @@ class TestAggregateOracle:
             if hat_sum is None:
                 assert agg.mean_fdp_hat_path is None and agg.mean_fdp_true_path is None
             else:
-                assert agg.mean_fdp_hat_path.tobytes() == (hat_sum / len(frames)).tobytes()
-                assert agg.mean_fdp_true_path.tobytes() == (true_sum / len(frames)).tobytes()
+                assert agg.mean_fdp_hat_path.tobytes() == (hat_sum / trials).tobytes()
+                assert agg.mean_fdp_true_path.tobytes() == (true_sum / trials).tobytes()
 
     @pytest.mark.parametrize("include_paths", [True, False])
     @pytest.mark.parametrize("trials", [1, 2, 3, 1000])
@@ -370,7 +377,19 @@ class TestAggregateOracle:
         stats = np.random.default_rng(37).random((trials, n_methods, n_levels, 4))
         names = tuple(f"m{i}" for i in range(n_methods))
         grid = tuple(np.linspace(0.05, 0.95, n_levels))
-        self.check([TrialFrame(names, grid, row) for row in stats])
+        self.check([TrialFrame(names, grid, stats[t:t + 1]) for t in range(trials)])
+        self.check([TrialFrame(names, grid, stats)])
+
+    @pytest.mark.parametrize("include_paths", [True, False])
+    @pytest.mark.parametrize("trials", [4, 10, 1000])
+    def test_frame_sizes_do_not_change_bits(self, trials, include_paths):
+        config = SimConfig(n=40, n_nonnull=8, mu1=1.0, mu2=1.5, trials=trials, seed=29)
+        whole = joined(collect_trial_frames(config, default_methods(), include_paths))
+        parts = [sliced(whole, first, stop) for first, stop in ((0, 1), (1, 3), (3, trials))]
+        assert [len(part.stats) for part in parts] == [1, 2, trials - 3]
+        assert_bitwise_equal(aggregate(parts), aggregate([whole]))
+        self.check(parts)
+        self.check([whole])
 
 
 class TestCollectTrialFrames:
@@ -393,19 +412,31 @@ class TestCollectTrialFrames:
         with pytest.raises(ContractError, match="at least one method"):
             collect_trial_frames(self.config, [])
 
-    def test_run_simulation_builds_no_frame_and_calls_no_aggregate(self, monkeypatch):
-        # run_simulation hands the engine's blocks to the reducer; frames
-        # and aggregate are for callers that ask for them.
+    @pytest.mark.parametrize("include_paths", [True, False])
+    def test_run_simulation_aggregates_one_frame_per_block(self, monkeypatch, include_paths):
+        # 70 trials at n = 300 fill two blocks and part of a third.
+        config = SimConfig(n=300, n_nonnull=30, trials=70, seed=7)
         methods = default_methods()
-        want = aggregate(collect_trial_frames(self.config, methods, include_paths=True))
+        rows = simlab._block_rows(config.n, len(methods), len(config.alpha_grid))
+        blocks = math.ceil(config.trials / rows)
+        assert 1 < blocks < config.trials
+        frames = collect_trial_frames(config, methods, include_paths)
+        assert [len(f.stats) for f in frames] == [rows] * (blocks - 1) + [70 - rows * (blocks - 1)]
+        want = aggregate(frames)
+        built, reduced = [], []
 
-        def refused(*args, **kwargs):
-            raise AssertionError("run_simulation built a frame or called aggregate")
+        def counted_frame(*args, **kwargs):
+            built.append(TrialFrame(*args, **kwargs))
+            return built[-1]
 
-        monkeypatch.setattr(simlab, "TrialFrame", refused)
-        monkeypatch.setattr(simlab, "aggregate", refused)
-        assert_bitwise_equal(run_simulation(self.config, methods, include_paths=True), want)
-        run_simulation(self.config, methods, include_paths=False)
+        def counted_aggregate(frames):
+            reduced.append(None)
+            return aggregate(frames)
+
+        monkeypatch.setattr(simlab, "TrialFrame", counted_frame)
+        monkeypatch.setattr(simlab, "aggregate", counted_aggregate)
+        assert_bitwise_equal(run_simulation(config, methods, include_paths), want)
+        assert len(built) == blocks and len(reduced) == 1
 
     def test_aggregate_means_in_range(self):
         frames = collect_trial_frames(self.config, default_methods(), workers=1)
@@ -462,6 +493,27 @@ def reference_ranked_trial(config, trial_index):
     return pvals[order], null_mask[order]
 
 
+def joined(frames: list[TrialFrame]) -> TrialFrame:
+    """One frame holding every trial of ``frames``, in order."""
+    arrays = [
+        [getattr(frame, name) for frame in frames]
+        for name in ("stats", "fdp_hat_paths", "fdp_true_path")
+    ]
+    return TrialFrame(
+        frames[0].method_names, frames[0].alpha_grid,
+        *(None if a[0] is None else np.concatenate(a) for a in arrays),
+    )
+
+
+def sliced(frame: TrialFrame, first: int, stop: int) -> TrialFrame:
+    """Trials ``first`` to ``stop - 1`` of ``frame``."""
+    arrays = (frame.stats, frame.fdp_hat_paths, frame.fdp_true_path)
+    return TrialFrame(
+        frame.method_names, frame.alpha_grid,
+        *(None if a is None else a[first:stop] for a in arrays),
+    )
+
+
 def assert_frames_bitwise_equal(got: TrialFrame, want: TrialFrame):
     assert got.method_names == want.method_names
     assert got.alpha_grid == want.alpha_grid
@@ -489,15 +541,15 @@ class TestBlockEngine:
             run_trial(generate_ranked_trial(config, t), methods, config.alpha_grid, include_paths)
             for t in range(trials)
         ]
-        assert len(frames) == trials
-        for frame, want in zip(frames, one_row):
-            assert_frames_bitwise_equal(frame, want)
+        rows = simlab._block_rows(config.n, len(methods), len(config.alpha_grid))
+        assert len(frames) == math.ceil(trials / rows)
+        assert_frames_bitwise_equal(joined(frames), joined(one_row))
         assert_bitwise_equal(got, aggregate(one_row))
         if include_paths:
             # The stacked mean that aggregate computed before paths were summed.
-            stacked = np.stack([f.fdp_hat_paths for f in one_row]).mean(axis=0)
+            stacked = joined(one_row).fdp_hat_paths.mean(axis=0)
             assert got.mean_fdp_hat_path.tobytes() == stacked.tobytes()
-            stacked = np.stack([f.fdp_true_path for f in one_row]).mean(axis=0)
+            stacked = joined(one_row).fdp_true_path.mean(axis=0)
             assert got.mean_fdp_true_path.tobytes() == stacked.tobytes()
         else:
             assert got.mean_fdp_hat_path is None and got.mean_fdp_true_path is None
@@ -627,11 +679,10 @@ class TestBoundedMemory:
         for n, methods, grid in cases:
             config = SimConfig(n=n, n_nonnull=n // 10, alpha_grid=grid, trials=1, seed=8)
             rows = simlab._block_rows(n, len(methods), len(grid))
-            levels = np.array(config.alpha_grid)
             tracemalloc.start()
             try:
                 pvals, null = simlab._ranked_block(config, 0, rows)
-                simlab._score_rows(pvals, null, methods, levels, include_paths=True)
+                simlab._score_rows(pvals, null, methods, config.alpha_grid, include_paths=True)
                 del pvals, null
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
@@ -742,7 +793,7 @@ class TestPlusRuleAgainstDirectForm:
             hits = sum(1 for p in pvals[:k] if p > 1.0 - 1.0 / c)
             if (c + c * hits) / (1.0 + k) <= 0.25:
                 best = k
-        assert frame.stats[0, 0, STAT_KHAT] == best
+        assert frame.stats[0, 0, 0, STAT_KHAT] == best
 
     @pytest.mark.parametrize("c", [-1.0, math.nan])
     def test_bad_constant_is_refused_as_in_the_one_list_test(self, c):
