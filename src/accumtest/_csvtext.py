@@ -1,4 +1,6 @@
-"""CSV text of a block of columns, built by numpy as one character matrix.
+"""The package's CSV: :func:`read_table`, the one reader of its input
+files, and the text of a block of output columns, built by numpy as one
+character matrix.
 
 Each row of a block is laid out in fixed columns of a ``uint8``
 matrix: one field per cell, wide enough for any value of its column,
@@ -20,10 +22,11 @@ range.
 from __future__ import annotations
 
 import functools
+from typing import Callable, Optional
 
 import numpy as np
 
-__all__ = ["block_text", "check_column"]
+__all__ = ["BadRow", "block_text", "check_column", "read_table"]
 
 _NUL = 0
 _MINUS = ord("-")
@@ -281,3 +284,115 @@ _LAYOUTS = {
     "u": _int_layout,
     "U": _str_layout,
 }
+
+
+# Characters on which np.loadtxt and the csv route part ways: numpy
+# drops trailing NULs from strings (``1\x00`` reads back as ``1``), and
+# strips \x1c-\x1f around numbers as whitespace where float() refuses them.
+_LOADTXT_UNSAFE = "\x00\x1c\x1d\x1e\x1f"
+_FLAGS = {"0": False, "false": False, "1": True, "true": True}
+# Each kind of cell as np.loadtxt reads it, and as the csv route parses it.
+_LOADTXT_DTYPES = {float: float, bool: "U2", str: object}
+_PARSERS = {float: float, bool: lambda cell: _FLAGS[cell.strip().lower()], str: str.strip}
+
+
+class BadRow(Exception):
+    """The first data row the csv route refuses; ``args`` are its 1-based
+    number (the header is row 1), the (column, kind) field at fault or
+    None for a row of another width than the header's, and its cells."""
+
+
+def read_table(path, fields_of: Callable[[list[str]], list], full_width: bool = False):
+    """One value per data row for each field of a CSV, or None for an empty file.
+
+    The file is read as UTF-8 with a byte-order mark skipped, cells split
+    as the ``csv`` module splits them and blank rows skipped.
+    ``fields_of`` maps the header's cells to the fields, (column, kind)
+    pairs, or raises the caller's error.  A kind is ``float`` (what
+    ``float()`` accepts), ``bool`` (``0``, ``1``, ``true`` or ``false``
+    in any case, blanks around) or ``str`` (stripped); its field is a
+    float or bool array or a tuple of strings.  With ``full_width``,
+    every row has the header's cell count and the fields are every
+    column in order.  A plain file is read by one ``np.loadtxt`` call,
+    any other by the csv route, which imports ``csv`` and raises
+    :class:`BadRow`; both routes give the same result.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        fields = _loadtxt_route(handle, fields_of, full_width)
+        if fields is None:
+            handle.seek(0)
+            fields = _csv_route(handle, fields_of, full_width)
+    return fields
+
+
+def _loadtxt_route(handle, fields_of, full_width: bool) -> Optional[list]:
+    """The fields read by ``np.loadtxt``, or None for a file that is not
+    plain: a quoted header or first data row, a first ``bool`` cell other
+    than ``0`` or ``1``, a character of ``_LOADTXT_UNSAFE``, or a cell
+    or row numpy refuses (without ``usecols``, a row of another width)."""
+    header = handle.readline()
+    if not header or '"' in header:
+        return None
+    wanted = fields_of(header.rstrip("\r\n").split(","))
+    start = handle.tell()
+    line = handle.readline()
+    while line in ("\n", "\r\n", "\r"):
+        line = handle.readline()
+    if not line or '"' in line:
+        return None
+    cells = line.rstrip("\r\n").split(",")
+    for column, kind in wanted:
+        if kind is bool and (column >= len(cells) or cells[column] not in ("0", "1")):
+            return None
+    handle.seek(start)
+    while chunk := handle.read(1 << 20):
+        if any(char in chunk for char in _LOADTXT_UNSAFE):
+            return None
+    handle.seek(start)
+    dtype = [(f"f{i}", _LOADTXT_DTYPES[kind]) for i, (_, kind) in enumerate(wanted)]
+    usecols = None if full_width else [column for column, _ in wanted]
+    try:
+        table = np.loadtxt(
+            handle, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+            usecols=usecols, ndmin=1,
+        )
+    except (TypeError, ValueError):  # TypeError: a numpy refusing object fields
+        return None
+    fields = []
+    for name, (_, kind) in zip(table.dtype.names, wanted):
+        values = table[name]
+        if kind is bool:
+            flags = values == "1"
+            if not (flags | (values == "0")).all():
+                return None
+            values = flags
+        elif kind is str:
+            values = tuple(cell.strip() for cell in values.tolist())
+        fields.append(values)
+    return fields
+
+
+def _csv_route(handle, fields_of, full_width: bool) -> Optional[list]:
+    """The fields parsed row by row with the ``csv`` module."""
+    import csv
+
+    reader = csv.reader(handle)
+    header = next(reader, None)
+    if header is None:
+        return None
+    wanted = fields_of(header)
+    columns = [[] for _ in wanted]
+    for row_number, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if full_width and len(row) != len(header):
+            raise BadRow(row_number, None, row)
+        for field, values in zip(wanted, columns):
+            try:
+                values.append(_PARSERS[field[1]](row[field[0]]))
+            except (IndexError, KeyError, ValueError):
+                raise BadRow(row_number, field, row) from None
+    return [
+        tuple(values) if kind is str else np.array(values, dtype=kind)
+        for (_, kind), values in zip(wanted, columns)
+    ]

@@ -17,12 +17,10 @@ it, ``validate`` fails with exit status 4 before any check runs.
 ``dosage`` and ``simulate`` take their normal and Student-t tails from
 the package's own ``_tails``, and ``power`` works on knot curves alone.
 
-P-value files are read by one ``np.loadtxt`` call when the header and
-the first data row allow it, and otherwise row by row with the ``csv``
-module, which also words every error message; both routes give the
-same result.  Output tables are written in blocks, each formatted by
-numpy as one character matrix (``_csvtext``, imported when a table or a
-report line is written).
+P-values here and expression matrices in ``dosage`` are read by
+``_csvtext.read_table``, and output tables are written in blocks, each
+formatted by numpy as one character matrix (``_csvtext``, imported when
+a file is read or a table or report line is written).
 
 Every file-writing run also writes a JSON manifest next to its outputs
 holding the exact argument vector, so ``accumtest --replay MANIFEST``
@@ -39,11 +37,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
+import errno
 import json
 import os
 import sys
-from typing import Optional, Sequence, TextIO
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -93,11 +91,9 @@ def _write_csv(path: Optional[str], header: Sequence[str], columns) -> None:
 
     Rows are written in blocks of ``_WRITE_BLOCK_ROWS``, each formatted
     by :func:`accumtest._csvtext.block_text`, so the text held at once
-    stays small however long the table is.  Floats are written as
-    ``'%.17g'``, ints and bools as ``'%d'`` and strings as they are.
-    Columns of unequal length or strings holding a NUL raise
-    ValueError, and a dtype with no format TypeError, before anything
-    is written.
+    stays small however long the table is.  Columns of unequal length
+    or strings holding a NUL raise ValueError, and a dtype with no
+    format TypeError, before anything is written.
     """
     from ._csvtext import block_text, check_column
 
@@ -117,23 +113,20 @@ def _write_csv(path: Optional[str], header: Sequence[str], columns) -> None:
 
 def _check_out_dir(path: Optional[str]) -> None:
     """Raise the error ``open(path, "w")`` would for a directory that cannot
-    be reached, before a run's work instead of after it."""
+    be reached, or for a path that is a directory, before a run's work
+    instead of after it."""
     directory = os.path.dirname(path or "")
     if directory:
         try:
             os.stat(directory)
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, path) from None
+    if path and os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
-def _write_manifest(
-    path: str,
-    subcommand: str,
-    argv: Sequence[str],
-    args: argparse.Namespace,
-    inputs: Sequence[str],
-    outputs: Sequence[str],
-) -> None:
+def _write_manifest(args: argparse.Namespace, argv: Sequence[str], outputs: list[str]) -> None:
+    """Write ``OUT.manifest.json`` for a run whose ``--out`` is OUT."""
     parameters = {
         key: value
         for key, value in vars(args).items()
@@ -141,13 +134,13 @@ def _write_manifest(
     }
     payload = {
         "version": __version__,
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "arguments": list(argv),
         "parameters": parameters,
-        "inputs": list(inputs),
-        "outputs": list(outputs),
+        "inputs": [args.input] if hasattr(args, "input") else [],
+        "outputs": outputs,
     }
-    with open(path, "w") as handle:
+    with open(args.out + ".manifest.json", "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
@@ -166,133 +159,34 @@ def _read_pvalue_csv(path: str) -> OrderedPValues:
     """Load ordered p-values from a CSV with a ``p`` column.
 
     A column named ``is_null`` (values 0/1 or true/false) attaches
-    ground-truth labels used for FDP and power reporting.  Cells are
-    split as the ``csv`` module splits them; blank rows are skipped.
-
-    The route is picked once, from the header and the first data row.
-    Plain files are read by one ``np.loadtxt`` call
-    (:func:`_loadtxt_pvalues`), the rest row by row
-    (:func:`_read_pvalue_rows`).  A file the first route refuses is read
-    again by the second, which alone words the errors.
+    ground-truth labels used for FDP and power reporting.  Both are
+    named in any case with blanks around; other columns are ignored.
     """
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        parsed = _loadtxt_pvalues(handle)
-        if parsed is None:
-            handle.seek(0)
-            parsed = _read_pvalue_rows(path, handle)
-    values, mask = parsed
-    return OrderedPValues(values, null_mask=mask)
+    from ._csvtext import BadRow, read_table
 
+    def fields_of(header: list[str]) -> list[tuple[int, type]]:
+        names = [cell.strip().lower() for cell in header]
+        if "p" not in names:
+            raise ValidationError(f"{path}: no column named p")
+        wanted = [("p", float), ("is_null", bool)]
+        return [(names.index(name), kind) for name, kind in wanted if name in names]
 
-# Characters on which np.loadtxt and the csv route part ways: numpy
-# drops trailing NULs from strings (``1\x00`` reads back as ``1``), and
-# strips \x1c-\x1f around numbers as whitespace where float() refuses them.
-_LOADTXT_UNSAFE = "\x00\x1c\x1d\x1e\x1f"
-
-
-def _loadtxt_columns(handle: TextIO) -> Optional[tuple[int, Optional[int]]]:
-    """Indices of the p and is_null columns if ``np.loadtxt`` may read the file.
-
-    That needs an unquoted header naming ``p``, a first data row,
-    unquoted, whose is_null cell (if the column exists) is ``0`` or
-    ``1``, and no character of ``_LOADTXT_UNSAFE`` after the header.
-    The handle is then left at the end of the header.
-    """
-    header = handle.readline()
-    if '"' in header:
-        return None
-    p_col, null_col = _pvalue_columns(header.rstrip("\r\n").split(","))
-    if p_col is None:
-        return None
-    start = handle.tell()
-    line = handle.readline()
-    while line in ("\n", "\r\n", "\r"):
-        line = handle.readline()
-    if not line or '"' in line:
-        return None
-    if null_col is not None:
-        cells = line.rstrip("\r\n").split(",")
-        if null_col >= len(cells) or cells[null_col] not in ("0", "1"):
-            return None
-    handle.seek(start)
-    while chunk := handle.read(1 << 20):
-        if any(char in chunk for char in _LOADTXT_UNSAFE):
-            return None
-    handle.seek(start)
-    return p_col, null_col
-
-
-def _pvalue_columns(header: Sequence[str]) -> tuple[Optional[int], Optional[int]]:
-    """Indices of the ``p`` and ``is_null`` columns among the header's cells,
-    named in any case with blanks around; None for a column not there."""
-    names = [cell.strip().lower() for cell in header]
-    return tuple(names.index(name) if name in names else None for name in ("p", "is_null"))
-
-
-def _loadtxt_pvalues(handle: TextIO) -> Optional[tuple[np.ndarray, Optional[np.ndarray]]]:
-    """p-values and null labels read by one ``np.loadtxt`` call.
-
-    Returns None when the file is not plain (see :func:`_loadtxt_columns`)
-    or numpy refuses a cell, such as a label other than ``0`` or ``1``
-    after the first row.  p cells follow the same float rules as in
-    :func:`_read_pvalue_rows`, except that numpy refuses ``_`` digit
-    separators and non-ASCII digits.
-    """
-    columns = _loadtxt_columns(handle)
-    if columns is None:
-        return None
-    p_col, null_col = columns
-    options = dict(delimiter=",", quotechar='"', comments=None, ndmin=1)
     try:
-        if null_col is None:
-            return np.loadtxt(handle, dtype=float, usecols=p_col, **options), None
-        fields = [("p", float), ("is_null", "U2")]
-        table = np.loadtxt(handle, dtype=fields, usecols=(p_col, null_col), **options)
-    except ValueError:
-        return None
-    labels = table["is_null"]
-    is_null = labels == "1"
-    if not (is_null | (labels == "0")).all():
-        return None
-    return table["p"], is_null
-
-
-def _read_pvalue_rows(path: str, handle: TextIO) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """p-values and null labels parsed row by row with the ``csv`` module."""
-    reader = csv.reader(handle)
-    try:
-        p_col, null_col = _pvalue_columns(next(reader))
-    except StopIteration:
-        raise ValidationError(f"{path}: empty file") from None
-    if p_col is None:
-        raise ValidationError(f"{path}: no column named p")
-    values = []
-    labels = []
-    for row_number, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        try:
-            values.append(float(row[p_col]))
-        except (ValueError, IndexError):
-            raise ValidationError(f"{path}: row {row_number}: bad p cell") from None
-        if null_col is not None:
-            try:
-                cell = row[null_col].strip().lower()
-            except IndexError:
-                raise ValidationError(
-                    f"{path}: row {row_number}: missing is_null cell"
-                ) from None
-            if cell in ("1", "true"):
-                labels.append(True)
-            elif cell in ("0", "false"):
-                labels.append(False)
-            else:
-                raise ValidationError(
-                    f"{path}: row {row_number}: bad is_null cell {cell!r}"
-                )
-    if not values:
+        fields = read_table(path, fields_of)
+    except BadRow as bad:
+        row, (column, kind), cells = bad.args
+        if kind is float:
+            problem = "bad p cell"
+        elif column >= len(cells):
+            problem = "missing is_null cell"
+        else:
+            problem = f"bad is_null cell {cells[column].strip().lower()!r}"
+        raise ValidationError(f"{path}: row {row}: {problem}") from None
+    if fields is None:
+        raise ValidationError(f"{path}: empty file")
+    if not len(fields[0]):
         raise ValidationError(f"{path}: no p-value rows")
-    return np.array(values), np.array(labels) if null_col is not None else None
+    return OrderedPValues(fields[0], null_mask=fields[1] if len(fields) > 1 else None)
 
 
 def cmd_test(args: argparse.Namespace, argv: Sequence[str]) -> int:
@@ -321,8 +215,7 @@ def cmd_test(args: argparse.Namespace, argv: Sequence[str]) -> int:
     if args.out:
         columns = (np.arange(1, len(pvals) + 1), pvals.values, result.fdp_hat_path)
         _write_csv(args.out, ("k", "p", "fdp_hat"), columns)
-        manifest = args.out + ".manifest.json"
-        _write_manifest(manifest, "test", argv, args, [args.input], [args.out])
+        _write_manifest(args, argv, [args.out])
     return 0
 
 
@@ -341,21 +234,16 @@ def cmd_simulate(args: argparse.Namespace, argv: Sequence[str]) -> int:
     _check_out_dir(summary)
     agg = _lazy.run_simulation(config, methods, include_paths)
     header = ("method", "alpha", "mean_power", "se_power", "mean_fdp", "se_fdp")
-    columns = _lazy.power_table_columns(agg)
+    _write_csv(summary, header, _lazy.power_table_columns(agg))
     if not args.out:
-        _write_csv(None, header, columns)
         return 0
     outputs = [summary]
-    _write_csv(summary, header, columns)
     if include_paths:
         paths = f"{args.out}_paths.csv"
         outputs.append(paths)
-        _write_csv(
-            paths,
-            ("method", "k", "mean_fdp_hat", "mean_fdp_true"),
-            _lazy.path_table_columns(agg),
-        )
-    _write_manifest(f"{args.out}.manifest.json", "simulate", argv, args, [], outputs)
+        columns = _lazy.path_table_columns(agg)
+        _write_csv(paths, ("method", "k", "mean_fdp_hat", "mean_fdp_true"), columns)
+    _write_manifest(args, argv, outputs)
     return 0
 
 
@@ -381,8 +269,7 @@ def cmd_dosage(args: argparse.Namespace, argv: Sequence[str]) -> int:
     )
     _write_csv(args.out, ("method", "alpha", "discoveries"), result.columns)
     if args.out:
-        manifest = args.out + ".manifest.json"
-        _write_manifest(manifest, "dosage", argv, args, [args.input], [args.out])
+        _write_manifest(args, argv, [args.out])
     return 0
 
 

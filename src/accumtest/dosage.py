@@ -39,7 +39,6 @@ which divides it once per point where h is read: k/P, the gene's
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -1062,13 +1061,9 @@ def run_pipeline(
 
 
 def _parse_group(label: str, column: int) -> Group:
-    head = label.strip()[:1].upper()
-    if head == "C":
-        return Group.CONTROL
-    if head == "L":
-        return Group.LOW
-    if head == "H":
-        return Group.HIGH
+    for group in Group:
+        if label.strip()[:1].upper() == group.name[0]:
+            return group
     raise ValidationError(
         f"column {column} label {label!r} must start with C, L, or H"
     )
@@ -1078,48 +1073,34 @@ def read_expression_csv(path) -> ExpressionMatrix:
     """Load a matrix from CSV: header ``gene_id,<labels>``, one gene per row.
 
     Sample labels are assigned to arms by their first letter (C, L, or
-    H, case-insensitive).  Parsing errors report the offending row and
-    column using 1-based positions.
+    H, case-insensitive).  Every row must have the header's cell count.
+    Parsing errors report the offending row and column using 1-based
+    positions.
     """
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
+    from ._csvtext import BadRow, read_table
+
+    groups = []
+
+    def fields_of(header: list[str]) -> list[tuple[int, type]]:
         if not header or header[0].strip().lower() != "gene_id":
             raise ValidationError(f"{path}: first header column must be gene_id")
         if len(header) < 2:
             raise ValidationError(f"{path}: no sample columns")
-        groups = tuple(
-            _parse_group(label, column)
-            for column, label in enumerate(header[1:], start=2)
-        )
-        gene_ids = []
-        data = []
-        for row_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValidationError(
-                    f"{path}: row {row_number} has {len(row)} cells, "
-                    f"expected {len(header)}"
-                )
-            gene_ids.append(row[0].strip())
-            parsed = []
-            for column, cell in enumerate(row[1:], start=2):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise ValidationError(
-                        f"{path}: row {row_number}, column {column}: "
-                        f"non-numeric cell {cell.strip()!r}"
-                    ) from None
-            data.append(parsed)
-    if not data:
+        groups[:] = [_parse_group(label, j) for j, label in enumerate(header[1:], start=2)]
+        return [(0, str)] + [(column, float) for column in range(1, len(header))]
+
+    try:
+        fields = read_table(path, fields_of, full_width=True)
+    except BadRow as bad:
+        row, field, cells = bad.args
+        if field is None:
+            problem = f" has {len(cells)} cells, expected {len(groups) + 1}"
+        else:
+            problem = f", column {field[0] + 1}: non-numeric cell {cells[field[0]].strip()!r}"
+        raise ValidationError(f"{path}: row {row}{problem}") from None
+    if fields is None:
+        raise ValidationError(f"{path}: empty file")
+    gene_ids, *columns = fields
+    if not gene_ids:
         raise ValidationError(f"{path}: no gene rows")
-    return ExpressionMatrix(
-        gene_ids=tuple(gene_ids),
-        values=np.array(data, dtype=float),
-        groups=groups,
-    )
+    return ExpressionMatrix(gene_ids, np.column_stack(columns), tuple(groups))

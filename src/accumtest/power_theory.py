@@ -421,7 +421,8 @@ def centered_mgf(
     together with their standard errors; ``center`` defaults to the
     sample mean.  Used to audit the subexponential moment condition
     ``mgf(theta) <= exp(theta^2 * sigma2 / 2)`` on a theta grid.  A
-    sample, theta or center that is not finite raises ``DomainError``.
+    sample, theta or center that is not finite, or whose
+    ``exp(theta * (x - center))`` overflows, raises ``DomainError``.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1 or x.size < 2:
@@ -430,14 +431,30 @@ def centered_mgf(
     for name, values in (("samples", x), ("thetas", thetas)):
         if not np.isfinite(values).all():
             raise DomainError(f"{name} must be finite")
-    center = float(x.mean()) if center is None else float(center)
+    center = _unscaled(np.mean, x) if center is None else float(center)
     if not math.isfinite(center):
         raise DomainError(f"center must be finite, got {center}")
-    deviations = x - center
-    estimates = np.empty(thetas.size)
-    errors = np.empty(thetas.size)
-    for j, theta in enumerate(thetas):
-        values = np.exp(theta * deviations)
-        estimates[j] = values.mean()
-        errors[j] = values.std(ddof=1) / math.sqrt(values.size)
+    estimates, errors = np.empty((2, thetas.size))
+    with np.errstate(over="ignore"):
+        deviations = x - center
+        if not np.isfinite(deviations).all():
+            raise DomainError(f"samples minus center {center} overflow")
+        for j, theta in enumerate(thetas):
+            values = np.exp(theta * deviations)
+            if values.max() == np.inf:
+                raise DomainError(f"exp(theta * (x - center)) overflows at theta {theta}")
+            estimates[j] = _unscaled(np.mean, values)
+            errors[j] = _unscaled(np.std, values, ddof=1) / math.sqrt(values.size)
     return estimates, errors
+
+
+def _unscaled(statistic, values: np.ndarray, **options) -> float:
+    """``statistic(values)``, a statistic that scales with the values.  Where
+    it overflows, it is taken of the values scaled by a power of two near
+    their largest magnitude, which is exact, and scaled back."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = float(statistic(values, **options))
+        if not math.isfinite(result):
+            scale = math.ldexp(1.0, -math.frexp(float(np.abs(values).max()))[1])
+            result = float(statistic(values * scale, **options)) / scale
+    return result

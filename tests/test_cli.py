@@ -14,6 +14,7 @@ from accumtest import (
     DEFAULT_DOSAGE_ALPHAS,
     AccumTestError,
     SimConfig,
+    _csvtext,
     _tails,
     child_rng,
     cli,
@@ -606,30 +607,28 @@ class TestExitCodes:
         assert code == 3
 
 
-class TestMissingOutDirectory:
-    """An --out in a missing directory fails with the error line and exit
-    code that open() gives, after the inputs are read and before the engine
-    runs."""
+# Each command, the engine it runs and the suffix its --out prefix takes.
+ENGINE_RUNS = [
+    (
+        "run_accumulation_test",
+        ["test", "{p}", "--method", "forwardstop", "--alpha", "0.2"],
+        "",
+    ),
+    (
+        "run_simulation",
+        ["simulate", "--seed", "1", "--n", "10", "--n-nonnull", "1", "--trials", "2"],
+        "_summary.csv",
+    ),
+    ("run_pipeline", ["dosage", "{matrix}"], ""),
+]
 
-    @pytest.mark.parametrize(
-        "engine, argv, written",
-        [
-            (
-                "run_accumulation_test",
-                ["test", "{p}", "--method", "forwardstop", "--alpha", "0.2"],
-                "",
-            ),
-            (
-                "run_simulation",
-                ["simulate", "--seed", "1", "--n", "10", "--n-nonnull", "1", "--trials", "2"],
-                "_summary.csv",
-            ),
-            ("run_pipeline", ["dosage", "{matrix}"], ""),
-        ],
-    )
-    def test_fails_before_the_engine(
-        self, tmp_path, capsys, monkeypatch, engine, argv, written
-    ):
+
+class TestMissingOutDirectory:
+    """An --out in a missing directory, or naming a directory, fails with
+    the error line and exit code that open() gives, after the inputs are
+    read and before the engine runs."""
+
+    def run_without_engine(self, tmp_path, capsys, monkeypatch, engine, argv, out):
         def refuse(*args, **kwargs):
             raise AssertionError(f"{engine} ran")
 
@@ -638,12 +637,33 @@ class TestMissingOutDirectory:
             "p": write_pvalue_csv(tmp_path, [0.1, 0.5]),
             "matrix": write_null_matrix_csv(tmp_path, seed=1, n=5),
         }
-        out = str(tmp_path / "absent" / "x")
         argv = [arg.format(**inputs) for arg in argv] + ["--out", out]
-        code, stdout, err = run_cli(argv, capsys)
+        return run_cli(argv, capsys)
+
+    @pytest.mark.parametrize("engine, argv, written", ENGINE_RUNS)
+    def test_fails_before_the_engine(
+        self, tmp_path, capsys, monkeypatch, engine, argv, written
+    ):
+        out = str(tmp_path / "absent" / "x")
+        code, stdout, err = self.run_without_engine(
+            tmp_path, capsys, monkeypatch, engine, argv, out
+        )
         assert code == 3
         assert stdout == ""
         assert err == f"error: [Errno 2] No such file or directory: {out + written!r}\n"
+
+    @pytest.mark.parametrize("engine, argv, written", ENGINE_RUNS)
+    def test_directory_fails_before_the_engine(
+        self, tmp_path, capsys, monkeypatch, engine, argv, written
+    ):
+        out = str(tmp_path / "taken")
+        (tmp_path / ("taken" + written)).mkdir()
+        code, stdout, err = self.run_without_engine(
+            tmp_path, capsys, monkeypatch, engine, argv, out
+        )
+        assert code == 3
+        assert stdout == ""
+        assert err == f"error: [Errno 21] Is a directory: {out + written!r}\n"
 
     def test_missing_input_is_reported_first(self, tmp_path, capsys):
         out = str(tmp_path / "absent" / "x")
@@ -715,8 +735,9 @@ ROUTE_CASES = [
 ]
 
 
-def read_counting_routes(monkeypatch, path):
-    """``_read_pvalue_csv`` of ``path`` and the calls it made to each route."""
+def read_counting_routes(monkeypatch, path, read=cli._read_pvalue_csv):
+    """``read`` of ``path`` (its result, or its error message) and the calls
+    it made to each route."""
     calls = {"loadtxt": 0, "rows": 0}
 
     def counted(key, function):
@@ -727,8 +748,11 @@ def read_counting_routes(monkeypatch, path):
         return wrapper
 
     monkeypatch.setattr(np, "loadtxt", counted("loadtxt", np.loadtxt))
-    monkeypatch.setattr(cli, "_read_pvalue_rows", counted("rows", cli._read_pvalue_rows))
-    return calls, cli._read_pvalue_csv(str(path))
+    monkeypatch.setattr(_csvtext, "_csv_route", counted("rows", _csvtext._csv_route))
+    try:
+        return calls, read(str(path))
+    except AccumTestError as exc:
+        return calls, str(exc)
 
 
 class TestPValueReader:
@@ -820,23 +844,76 @@ def random_pvalue_file(rng) -> str:
     return end.join(lines) + (end if rng.random() < 0.8 else "")
 
 
-def csv_route(path):
-    """Result of the csv route alone, or its error message."""
-    with open(path, newline="") as handle:
+class CsvRouteOff(Exception):
+    """Raised in place of the csv route, so that a read sees the loadtxt route alone."""
+
+
+def read_on_route(read, path, route):
+    """``read(path)`` with one route of ``_csvtext.read_table`` alone.
+
+    Returns the fields that route gave (None if it raised) and what
+    ``read`` made of them: its result, or its error message.  Returns
+    None where ``route`` is ``"loadtxt"`` and that route refuses the file.
+    """
+    routes = {"loadtxt": _csvtext._loadtxt_route, "csv": _csvtext._csv_route}
+    given = [None]
+
+    def chosen(*args):
+        given[0] = routes[route](*args)
+        return given[0]
+
+    def csv_off(*args):
+        raise CsvRouteOff
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_csvtext, "_loadtxt_route", chosen if route == "loadtxt" else lambda *_: None)
+        patch.setattr(_csvtext, "_csv_route", chosen if route == "csv" else csv_off)
         try:
-            return cli._read_pvalue_rows(str(path), handle)
+            outcome = read(str(path))
+        except CsvRouteOff:
+            return None
         except AccumTestError as exc:
-            return str(exc)
+            outcome = str(exc)
+    return given[0], outcome
 
 
-def same_parse(got, expected) -> bool:
-    if isinstance(got, str) or isinstance(expected, str):
-        return got == expected
-    (values, mask), (want_values, want_mask) = got, expected
-    same_mask = (mask is None) == (want_mask is None) and (
-        mask is None or mask.tolist() == want_mask.tolist()
+def comparable(outcome):
+    """An error message as it is; a result as its fields, arrays by dtype, shape and bytes."""
+    if isinstance(outcome, str):
+        return outcome
+    return {
+        name: (value.dtype.str, value.shape, value.tobytes())
+        if isinstance(value, np.ndarray) else value
+        for name, value in vars(outcome).items()
+    }
+
+
+def same_fields(got, expected) -> bool:
+    """Equal fields of ``read_table``: tuples equal, arrays equal in dtype and bytes."""
+    if got is None or expected is None:
+        return got is expected
+    return len(got) == len(expected) and all(
+        a == b if isinstance(b, tuple) else (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+        for a, b in zip(got, expected)
     )
-    return same_mask and np.asarray(values, float).tobytes() == want_values.tobytes()
+
+
+def check_routes(read, path) -> bool:
+    """Assert that the loadtxt route refuses ``path`` or gives the csv route's
+    fields and outcome, and that ``read`` gives the csv route's result or its
+    exact error.  True where the loadtxt route read the file."""
+    text = repr(path.read_bytes())
+    csv_fields, expected = read_on_route(read, path, "csv")
+    fast = read_on_route(read, path, "loadtxt")
+    if fast is not None:
+        assert same_fields(fast[0], csv_fields), text
+        assert comparable(fast[1]) == comparable(expected), text
+    try:
+        got = read(str(path))
+    except AccumTestError as exc:
+        got = str(exc)
+    assert comparable(got) == comparable(expected), text
+    return fast is not None and fast[0] is not None
 
 
 def test_loadtxt_route_refuses_or_matches_csv_route(tmp_path):
@@ -844,23 +921,80 @@ def test_loadtxt_route_refuses_or_matches_csv_route(tmp_path):
     path = tmp_path / "p.csv"
     fast_reads = 0
     for _ in range(600):
-        text = random_pvalue_file(rng)
-        path.write_text(text, newline="")
-        expected = csv_route(path)
-        with open(path, newline="") as handle:
-            fast = cli._loadtxt_pvalues(handle)
-        if fast is not None:
-            fast_reads += 1
-            assert same_parse(fast, expected), repr(text)
-        try:
-            pvals = cli._read_pvalue_csv(str(path))
-        except AccumTestError as exc:
-            assert str(exc) == expected or (
-                not isinstance(expected, str) and "p-values must lie in" in str(exc)
-            ), repr(text)
-        else:
-            got = (pvals.values, pvals.null_mask)
-            assert same_parse(got, expected), repr(text)
+        path.write_text(random_pvalue_file(rng), newline="")
+        fast_reads += check_routes(cli._read_pvalue_csv, path)
+    # Both routes were exercised.
+    assert 100 < fast_reads < 500
+
+
+# Cells of expression files: plain ones, then other legal ones, then the rest.
+GENE_IDS = ["g1", " g2 ", "G3", "g 4", '"a,b"', '"q""r"', '" g5"', "", "#", "x\x1cy", "g\x00", "é"]
+VALUE_CELLS = [
+    "1", "-2.5", " 3.25 ", "1e-3", "+0.5", "7", "0.1", "-0.0", "1_0", '"4.5"', "nan", "inf",
+    "", " ", "\t2", "abc", "#", "0x1p-3", "٣", "\x1d1", "1\x1f", "2\x00", "\xa06", '"1,5"',
+]
+EXPRESSION_HEADERS = [
+    "gene_id,C1,C2,L1,L2,H1,H2", " Gene_ID ,c1,c2,l1,l2,h1,h2", "gene_id,C1,L1,H1",
+    '"gene_id","C1","C2","L1","L2","H1","H2"', "gene_id,C1,L1,X1", "name,C1,L1,H1",
+]
+
+
+def random_expression_file(rng) -> str:
+    header = EXPRESSION_HEADERS[rng.choice(6, p=[0.25, 0.25, 0.25, 0.15, 0.05, 0.05])]
+    width = header.count(",") + 1
+    end = LINE_ENDS[rng.integers(len(LINE_ENDS))]
+    # Each row takes plain cells, legal ones or any; a plain file only plain ones.
+    plain = rng.random() < 0.4
+    lines = [header]
+    for _ in range(rng.integers(0, 6)):
+        roll = rng.random()
+        if roll < 0.1:
+            lines.append("")
+            continue
+        tier = 0 if plain else rng.choice(3, p=[0.5, 0.25, 0.25])
+        ids = GENE_IDS[: (4, 7, None)[tier]]
+        values = VALUE_CELLS[: (8, 10, None)[tier]]
+        cells = [ids[rng.integers(len(ids))]]
+        cells += [values[rng.integers(len(values))] for _ in range(width - 1)]
+        if roll > 0.85 and not plain:
+            cells.append("1") if roll > 0.925 else cells.pop()
+        lines.append(",".join(cells))
+    bom = "\ufeff" if rng.random() < 0.2 else ""
+    return bom + end.join(lines) + (end if rng.random() < 0.8 else "")
+
+
+# Expression files of each route, and the gene ids read or the error.
+EXPRESSION_ROUTE_CASES = [
+    ('\ufeffgene_id,C1,L1,H1\r\n g1 ,1,2,3\r\n\r\n"a,b",4,5,6\r\n', 1, 0, ("g1", "a,b")),
+    ('gene_id,C1,L1,H1\n"g1",1,2,3\n', 0, 1, ("g1",)),
+    ("gene_id,C1,L1,H1\ng1,1,2,3\ng2,1_0,2,3\n", 1, 1, ("g1", "g2")),
+    ("gene_id,C1,L1,H1\ng1,1,2,3\ng2,1,2\n", 1, 1, "row 3 has 3 cells, expected 4"),
+    ("gene_id,C1,L1,H1\ng1,1,2,3\ng2,1,2,3,4\n", 1, 1, "row 3 has 5 cells, expected 4"),
+    ("gene_id,C1,L1,H1\ng1,1,2,3\ng\x002,1,2,3\n", 0, 1, ("g1", "g\x002")),
+]
+
+
+@pytest.mark.parametrize("text, loadtxt_calls, row_reads, outcome", EXPRESSION_ROUTE_CASES)
+def test_expression_route_is_picked_from_header_and_first_row(
+    tmp_path, monkeypatch, text, loadtxt_calls, row_reads, outcome
+):
+    path = tmp_path / "matrix.csv"
+    path.write_text(text, newline="", encoding="utf-8")
+    calls, matrix = read_counting_routes(monkeypatch, path, cli.read_expression_csv)
+    assert calls == {"loadtxt": loadtxt_calls, "rows": row_reads}
+    if isinstance(outcome, str):
+        assert matrix.endswith(outcome)
+    else:
+        assert matrix.gene_ids == outcome
+
+
+def test_expression_loadtxt_route_refuses_or_matches_csv_route(tmp_path):
+    rng = np.random.default_rng(20152)
+    path = tmp_path / "matrix.csv"
+    fast_reads = 0
+    for _ in range(600):
+        path.write_text(random_expression_file(rng), newline="", encoding="utf-8")
+        fast_reads += check_routes(cli.read_expression_csv, path)
     # Both routes were exercised.
     assert 100 < fast_reads < 500
 

@@ -65,10 +65,31 @@ def test_tails_is_a_leaf_that_the_package_import_does_not_load():
     assert out.strip() == "False"
 
 
+def csvtext_names(module: str) -> set[str]:
+    """Names that ``module`` imports from ``_csvtext``, or ``"_csvtext"``
+    itself where it imports the module whole."""
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module in ("_csvtext", "accumtest._csvtext"):
+            imported.update(alias.name for alias in node.names)
+    if "_csvtext" in package_imports(module) and not imported:
+        imported.add("_csvtext")
+    return imported
+
+
+def csvtext_users(wanted: set[str]) -> set[str]:
+    return {path.stem for path in PACKAGE.glob("*.py") if csvtext_names(path.stem) & wanted}
+
+
 def test_only_cli_uses_the_writer_which_imports_no_package_module():
     assert package_imports("_csvtext") == set()
+    assert csvtext_users({"block_text", "check_column", "_csvtext"}) == {"cli"}
+
+
+def test_only_cli_and_dosage_use_the_reader():
+    assert csvtext_users({"read_table", "BadRow"}) == {"cli", "dosage"}
     users = {path.stem for path in PACKAGE.glob("*.py") if "_csvtext" in package_imports(path.stem)}
-    assert users == {"cli"}
+    assert users == {"cli", "dosage"}
 
 
 def package_env() -> dict[str, str]:
@@ -195,6 +216,15 @@ def test_test_and_version_load_no_upper_module_nor_scipy(tmp_path, command):
     assert scipy_modules(loaded) == []
     # The writer loads when a table or report line is written, not for --version.
     assert ("accumtest._csvtext" in loaded) == (command == "test")
+
+
+def test_version_and_package_import_load_neither_csv_module(tmp_path):
+    # The csv module is imported only when an input file falls back to it.
+    loaded = modules_loaded_by(["--version"], tmp_path)
+    assert "accumtest.cli" in loaded
+    assert {"accumtest._csvtext", "csv"} & loaded == set()
+    out = run_python("import sys, accumtest\nprint(sorted({'accumtest._csvtext', 'csv'} & set(sys.modules)))")
+    assert out.strip() == "[]"
 
 
 SIMULATE_ARGV = ["simulate", "--seed", "1", "--trials", "2", "--n", "200",

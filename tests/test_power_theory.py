@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -403,3 +404,30 @@ class TestSubexponentialBounds:
                 centered_mgf(np.array([1.0, 2.0]), [0.1, bad])
             with pytest.raises(DomainError, match="center must be finite"):
                 centered_mgf(np.array([1.0, 2.0]), [0.1], center=bad)
+
+    def test_finite_inputs_give_finite_results_or_name_the_fault(self):
+        # Each once gave inf or NaN with an overflow warning, or blamed a
+        # center the caller never gave.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            estimates, errors = centered_mgf(np.array([0.0, 1.0]), [1000.0])
+            assert estimates[0] == pytest.approx(math.exp(500.0) / 2.0, rel=1e-12)
+            assert errors[0] == pytest.approx(math.exp(500.0) / 2.0, rel=1e-12)
+            estimates, errors = centered_mgf(np.array([1e308, 1e308]), [1.0, -3.0])
+            assert estimates.tolist() == [1.0, 1.0]
+            assert errors.tolist() == [0.0, 0.0]
+            with pytest.raises(DomainError, match=r"overflows at theta 2000\.0"):
+                centered_mgf(np.array([0.0, 1.0]), [2000.0])
+            with pytest.raises(DomainError, match=r"samples minus center .* overflow"):
+                centered_mgf(np.array([-1.7e308, 1.7e308, 1.7e308]), [0.0])
+
+    def test_scaling_moves_no_bit_where_nothing_overflows(self):
+        rng = np.random.Generator(np.random.Philox(key=7))
+        samples = rng.normal(size=1000) * 3.0
+        thetas = np.array([-2.0, -0.5, 0.25, 1.0, 2.0])
+        estimates, errors = centered_mgf(samples, thetas)
+        deviations = samples - samples.mean()
+        for j, theta in enumerate(thetas):
+            values = np.exp(theta * deviations)
+            assert estimates[j] == values.mean()
+            assert errors[j] == values.std(ddof=1) / math.sqrt(values.size)
