@@ -22,11 +22,13 @@ P-values here and expression matrices in ``dosage`` are read by
 formatted by numpy as one character matrix (``_csvtext``, imported when
 a file is read or a table or report line is written).
 
-Every file-writing run also writes a JSON manifest next to its outputs
+Every file-writing run also writes a JSON manifest next to its tables
 holding the exact argument vector, so ``accumtest --replay MANIFEST``
-reproduces the run byte for byte.  Floats are serialized by ``json`` in
-their shortest round-trip form (``0.1``, not ``0.10000000000000001``),
-which gives back the underlying doubles exactly.
+reproduces the run byte for byte.  ``_outputs`` names a run's files and
+refuses each before the engine runs; ``main`` writes the manifest last.
+Floats are serialized by ``json`` in their shortest round-trip form
+(``0.1``, not ``0.10000000000000001``), which gives back the underlying
+doubles exactly.
 
 Exit status: 0 on success, 2 for usage errors, 3 for malformed or
 out-of-range input data, 4 for numerical or precondition failures
@@ -111,36 +113,45 @@ def _write_csv(path: Optional[str], header: Sequence[str], columns) -> None:
             handle.write(block_text([array[start:stop] for array in arrays]))
 
 
-def _check_out_dir(path: Optional[str]) -> None:
-    """Raise the error ``open(path, "w")`` would for a directory that cannot
-    be reached, or for a path that is a directory, before a run's work
-    instead of after it."""
-    directory = os.path.dirname(path or "")
-    if directory:
-        try:
-            os.stat(directory)
-        except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, path) from None
-    if path and os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+def _outputs(args: argparse.Namespace) -> list[str]:
+    """The files a run writes, in write order: its tables, then
+    ``OUT.manifest.json``; none without ``--out``.
+
+    Each is refused, the first in write order named, with the error
+    ``open(path, "w")`` would raise for a directory that cannot be
+    reached or for a path that is a directory.
+    """
+    out = getattr(args, "out", None)
+    if not out:
+        return []
+    files = [out]
+    if args.subcommand == "simulate":
+        files = [out + "_summary.csv"] + ([] if args.no_paths else [out + "_paths.csv"])
+    files.append(out + ".manifest.json")
+    try:
+        os.stat(os.path.dirname(files[0]) or os.curdir)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, files[0]) from None
+    for path in files:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    return files
 
 
-def _write_manifest(args: argparse.Namespace, argv: Sequence[str], outputs: list[str]) -> None:
-    """Write ``OUT.manifest.json`` for a run whose ``--out`` is OUT."""
-    parameters = {
-        key: value
-        for key, value in vars(args).items()
-        if key != "func" and not callable(value)
-    }
+def _write_manifest(args: argparse.Namespace, argv: Sequence[str]) -> None:
+    """Write the manifest of a run that wrote files, naming the tables it wrote."""
+    files = _outputs(args)
+    if not files:
+        return
     payload = {
         "version": __version__,
         "subcommand": args.subcommand,
         "arguments": list(argv),
-        "parameters": parameters,
+        "parameters": {key: value for key, value in vars(args).items() if not callable(value)},
         "inputs": [args.input] if hasattr(args, "input") else [],
-        "outputs": outputs,
+        "outputs": files[:-1],
     }
-    with open(args.out + ".manifest.json", "w") as handle:
+    with open(files[-1], "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
@@ -189,7 +200,7 @@ def _read_pvalue_csv(path: str) -> OrderedPValues:
     return OrderedPValues(fields[0], null_mask=fields[1] if len(fields) > 1 else None)
 
 
-def cmd_test(args: argparse.Namespace, argv: Sequence[str]) -> int:
+def cmd_test(args: argparse.Namespace) -> int:
     # Checked before any work: mfdp itself runs only when is_null is given.
     if not args.mfdp_c >= 0.0:
         raise DomainError(f"mfdp constant must be nonnegative, got {args.mfdp_c}")
@@ -197,7 +208,7 @@ def cmd_test(args: argparse.Namespace, argv: Sequence[str]) -> int:
     spec = parse_spec(args.method)
     if args.shift_grid is not None:
         pvals = shift_discrete_pvalues(pvals, args.shift_grid)
-    _check_out_dir(args.out)
+    tables = _outputs(args)[:-1]
     result = run_accumulation_test(pvals, spec, args.alpha, rule=args.rule, c=args.c)
     # Every reported value is computed before any is printed, so a failing
     # metric leaves stdout empty instead of half a report.
@@ -212,42 +223,30 @@ def cmd_test(args: argparse.Namespace, argv: Sequence[str]) -> int:
         ]
     for name, value in report:
         print(f"{name} = {_fmt(value)}")
-    if args.out:
+    if tables:
         columns = (np.arange(1, len(pvals) + 1), pvals.values, result.fdp_hat_path)
-        _write_csv(args.out, ("k", "p", "fdp_hat"), columns)
-        _write_manifest(args, argv, [args.out])
+        _write_csv(tables[0], ("k", "p", "fdp_hat"), columns)
     return 0
 
 
-def cmd_simulate(args: argparse.Namespace, argv: Sequence[str]) -> int:
+def cmd_simulate(args: argparse.Namespace) -> int:
     # Options left unset take SimConfig's defaults, which the manifest records.
     fields = ("n", "n_nonnull", "mu1", "mu2", "alpha_grid", "trials")
     for name in fields:
         if getattr(args, name) is None:
             setattr(args, name, getattr(_lazy.SimConfig, name))
-    config = _lazy.SimConfig(
-        seed=args.seed, **{name: getattr(args, name) for name in fields}
-    )
-    methods = default_methods(args.c)
-    include_paths = bool(args.out) and not args.no_paths
-    summary = f"{args.out}_summary.csv" if args.out else None
-    _check_out_dir(summary)
-    agg = _lazy.run_simulation(config, methods, include_paths)
+    config = _lazy.SimConfig(seed=args.seed, **{name: getattr(args, name) for name in fields})
+    tables = _outputs(args)[:-1] or [None]
+    agg = _lazy.run_simulation(config, default_methods(args.c), len(tables) > 1)
     header = ("method", "alpha", "mean_power", "se_power", "mean_fdp", "se_fdp")
-    _write_csv(summary, header, _lazy.power_table_columns(agg))
-    if not args.out:
-        return 0
-    outputs = [summary]
-    if include_paths:
-        paths = f"{args.out}_paths.csv"
-        outputs.append(paths)
+    _write_csv(tables[0], header, _lazy.power_table_columns(agg))
+    if len(tables) > 1:
         columns = _lazy.path_table_columns(agg)
-        _write_csv(paths, ("method", "k", "mean_fdp_hat", "mean_fdp_true"), columns)
-    _write_manifest(args, argv, outputs)
+        _write_csv(tables[1], ("method", "k", "mean_fdp_hat", "mean_fdp_true"), columns)
     return 0
 
 
-def cmd_power(args: argparse.Namespace, argv: Sequence[str]) -> int:
+def cmd_power(args: argparse.Namespace) -> int:
     curve = _lazy.parse_curve(args.curve)
     threshold = _lazy.asymptotic_threshold(curve, args.alpha, args.mu)
     power = _lazy.asymptotic_power(curve, args.alpha, args.mu)
@@ -256,24 +255,22 @@ def cmd_power(args: argparse.Namespace, argv: Sequence[str]) -> int:
     return 0
 
 
-def cmd_dosage(args: argparse.Namespace, argv: Sequence[str]) -> int:
+def cmd_dosage(args: argparse.Namespace) -> int:
     if args.alpha_grid is None:
         args.alpha_grid = _lazy.DEFAULT_DOSAGE_ALPHAS
     matrix = _lazy.read_expression_csv(args.input)
-    _check_out_dir(args.out)
+    tables = _outputs(args)[:-1] or [None]
     result = _lazy.run_pipeline(
         matrix,
         methods=default_methods(args.c),
         alpha_grid=args.alpha_grid,
         include_baselines=not args.no_baselines,
     )
-    _write_csv(args.out, ("method", "alpha", "discoveries"), result.columns)
-    if args.out:
-        _write_manifest(args, argv, [args.out])
+    _write_csv(tables[0], ("method", "alpha", "discoveries"), result.columns)
     return 0
 
 
-def cmd_validate(args: argparse.Namespace, argv: Sequence[str]) -> int:
+def cmd_validate(args: argparse.Namespace) -> int:
     results = _lazy.run_suite(write=print)
     return 0 if all(r.passed for r in results) else 4
 
@@ -406,7 +403,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = exc.code
         return int(code) if isinstance(code, int) else 2
     try:
-        return args.func(args, argv)
+        code = args.func(args)
+        if code == 0:
+            _write_manifest(args, argv)
+        return code
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

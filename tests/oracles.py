@@ -415,3 +415,59 @@ def first_segment_below_fraction(knots, alpha, mu):
     """Index of the first segment whose right end lies below (1 - alpha) / (1 - mu)."""
     target = (1 - Fraction(alpha)) / (1 - Fraction(mu))
     return next(i for i, (_, v) in enumerate(knots[1:]) if Fraction(v) < target)
+
+
+def step_cutoff_law(null_mask, tail, c, alpha, plus=False):
+    """Exact law of the SeqStep cutoff, or of SeqStep+'s, on a fixed planting.
+
+    h(p) = c 1{p > 1 - 1/c}, so the running sum of h is c X_k, where X_k
+    counts the first k positions whose p-value exceeds 1 - 1/c: a sum of
+    independent Bernoullis, with probability 1/c at a null (``null_mask``
+    True) and ``tail`` = P(p > 1 - 1/c) at a non-null.  The path at
+    (k, x) is formed in the engine's floats: x copies of c summed by
+    ``np.cumsum``, then divided by k, or with c added and divided by
+    1 + k for the plus rule.  It qualifies when at most alpha, ties
+    included, and grows with x, so X_k qualifies exactly when it is at
+    most a threshold t_k.  The cutoff is k when X_k <= t_k and X_j > t_j
+    for every later j: a backward pass gives the chance that no later
+    position qualifies given X_k, and a forward pass the law of X_k.
+
+    Returns P(cutoff = k) for k = 0..n.  The work is O(n^2).
+    """
+    mask = np.asarray(null_mask, dtype=bool)
+    n, c = mask.size, float(c)
+    q = np.where(mask, 1.0 / c, float(tail))
+    sums = np.concatenate([[0.0], np.cumsum(np.full(n, c))])
+    # later[x] = P(no position after k qualifies | X_k = x), x = 0..k;
+    # beyond[k] keeps it where position k itself qualifies.
+    later, beyond, top = np.ones(n + 1), [None] * (n + 1), [0] * (n + 1)
+    for k in range(n, 0, -1):
+        path = (sums[: k + 1] + c) / (1.0 + k) if plus else sums[: k + 1] / float(k)
+        top[k] = int(np.count_nonzero(path <= alpha))
+        beyond[k] = later[: top[k]].copy()
+        later[: top[k]] = 0.0
+        later = (1.0 - q[k - 1]) * later[:k] + q[k - 1] * later[1 : k + 1]
+    law = np.zeros(n + 1)
+    law[0] = later[0]
+    counts = np.ones(1)
+    for k in range(1, n + 1):
+        step = np.zeros(k + 1)
+        step[:k] = (1.0 - q[k - 1]) * counts
+        step[1:] += q[k - 1] * counts
+        counts = step
+        law[k] = counts[: top[k]] @ beyond[k]
+    return law
+
+
+def step_risks(law, null_mask, c_over_alpha):
+    """Exact (power, FDR, mFDR) of a cutoff with law ``law`` on the planting
+    ``null_mask``: the means over the cutoff k of the share of non-nulls
+    in the first k, of V_k / k and of V_k / (k + c_over_alpha), where V_k
+    counts the nulls among the first k (both ratios 0 at k = 0)."""
+    mask = np.asarray(null_mask, dtype=bool)
+    k = np.arange(mask.size + 1)
+    false = np.concatenate([[0], np.cumsum(mask)])
+    power = (k - false) / np.count_nonzero(~mask)
+    fdp = false / np.maximum(k, 1)
+    mfdp = false / (k + c_over_alpha)
+    return float(law @ power), float(law @ fdp), float(law @ mfdp)

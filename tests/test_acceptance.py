@@ -1,4 +1,4 @@
-"""Acceptance suite: twelve gating criteria, one visible pass/fail line each.
+"""Acceptance suite: fourteen gating criteria, one visible pass/fail line each.
 
 Each criterion prints a single line to the real stdout (bypassing
 capture) so the run log always shows the full scorecard, then asserts.
@@ -6,6 +6,7 @@ Monte Carlo criteria use fixed seeds, so every number below is
 reproducible bit for bit.
 """
 
+import itertools
 import math
 import time
 
@@ -356,5 +357,73 @@ def test_criterion_12_byte_identical_determinism(tmp_path, scorecard):
         ok,
         "simulate --seed 7 reruns and worker counts 1 vs 8 produce "
         "byte-identical tables",
+    )
+    assert ok
+
+
+# Plantings of generate_from_curve for the exact step-family criteria:
+# criterion 5's curve, a flat 20 % of non-nulls (an ordering with no
+# information), and all non-nulls first, thinning to 45 %.
+STEP_CURVES = (
+    ((0.0, 0.5), (1.0, 0.3)),
+    ((0.0, 0.2), (1.0, 0.2)),
+    ((0.0, 1.0), (0.2, 1.0), (0.4, 0.7), (1.0, 0.45)),
+)
+
+
+def test_criterion_13_exact_step_family_error_control(scorecard):
+    start = time.perf_counter()
+    ratios = {False: 0.0, True: 0.0}
+    # Non-null p-values Beta(1, 2), Beta(0.3, 3) and uniform.
+    betas = ((1.0, 2.0), (0.3, 3.0), (1.0, 1.0))
+    for knots, n in itertools.product(STEP_CURVES, (50, 200)):
+        planting = generate_from_curve(SignalCurve(knots), n, AlternativeDensity.uniform(), 0)
+        mask = planting.null_mask
+        for (a, b), c in itertools.product(betas, (2.0, 2.5, 3.0)):
+            tail = float(oracles.beta_tail_mp(a, b)(1.0 / c))
+            for alpha, plus in itertools.product((0.05, 0.1, 0.2, 0.3), (False, True)):
+                law = oracles.step_cutoff_law(mask, tail, c, alpha, plus)
+                _, fdr, mfdr = oracles.step_risks(law, mask, c / alpha)
+                # SeqStep bounds the modified FDR, SeqStep+ the FDR.
+                ratios[plus] = max(ratios[plus], (fdr if plus else mfdr) / alpha)
+    elapsed = time.perf_counter() - start
+    ok = max(ratios.values()) <= 1.0 and elapsed < 30.0
+    scorecard(
+        13,
+        ok,
+        f"exact SeqStep mFDR <= {ratios[False]:.3f} alpha and SeqStep+ FDR <= "
+        f"{ratios[True]:.3f} alpha over 216 plantings and levels ({elapsed:.1f}s)",
+    )
+    assert ok
+
+
+def test_criterion_14_step_family_trials_match_exact_law(scorecard):
+    start = time.perf_counter()
+    curve = SignalCurve(((0.0, 0.5), (1.0, 0.3)))
+    density = AlternativeDensity.beta(1.0, 2.0)
+    methods = [
+        Method("SeqStep", seq_step(2.0)),
+        Method("SeqStep+", seq_step(2.0), rule="plus", c=2.0),
+    ]
+    alphas, trials = (0.5, 0.8), 1000
+    planted = [generate_from_curve(curve, 500, density, 31_000 + t) for t in range(trials)]
+    stats = np.concatenate([run_trial(pvals, methods, alphas).stats for pvals in planted])
+    mask = planted[0].null_mask  # the planting does not depend on the seed
+    worst = 0.0
+    for m, plus in enumerate((False, True)):
+        for a, alpha in enumerate(alphas):
+            # P(p > 1/2) = 1/4 for Beta(1, 2).
+            law = oracles.step_cutoff_law(mask, 0.25, 2.0, alpha, plus)
+            power, fdr, _ = oracles.step_risks(law, mask, 2.0 / alpha)
+            for stat, exact in ((STAT_POWER, power), (STAT_FDP, fdr)):
+                mean, se = mean_and_se(stats[:, m, a, stat])
+                worst = max(worst, abs(mean - exact) / se)
+    elapsed = time.perf_counter() - start
+    ok = worst <= 4.0 and elapsed < 30.0
+    scorecard(
+        14,
+        ok,
+        f"SeqStep and SeqStep+ power and FDP of {trials} trials at n=500 within "
+        f"{worst:.2f} SE of exact ({elapsed:.1f}s)",
     )
     assert ok

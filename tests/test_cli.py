@@ -493,17 +493,31 @@ class TestCmdDosage:
 
 class TestReplay:
     def test_replay_reproduces_bytes(self, tmp_path, capsys):
-        args = [
-            "simulate", "--seed", "21", "--trials", "2", "--n", "80",
-            "--n-nonnull", "8", "--out", str(tmp_path / "orig"),
+        # Each command's tables and manifest are deleted; the replay writes
+        # them again byte for byte and prints the same stdout.
+        inputs = {
+            "p": write_pvalue_csv(tmp_path, [0.01, 0.3, 0.02, 0.9]),
+            "matrix": write_null_matrix_csv(tmp_path, seed=3, n=20),
+        }
+        runs = [
+            ["test", "{p}", "--method", "hingeexp:C=2", "--alpha", "0.2"],
+            ["dosage", "{matrix}", "--alpha-grid", "0.1,0.3"],
+            ["simulate", "--seed", "21", "--trials", "2", "--n", "80", "--n-nonnull", "8"],
         ]
-        assert run_cli(args, capsys)[0] == 0
-        original = (tmp_path / "orig_summary.csv").read_bytes()
-        manifest_path = str(tmp_path / "orig.manifest.json")
-        (tmp_path / "orig_summary.csv").unlink()
-        code, _, _ = run_cli(["--replay", manifest_path], capsys)
-        assert code == 0
-        assert (tmp_path / "orig_summary.csv").read_bytes() == original
+        for i, argv in enumerate(runs):
+            run_dir = tmp_path / f"run{i}"
+            run_dir.mkdir()
+            argv = [arg.format(**inputs) for arg in argv] + ["--out", str(run_dir / "orig")]
+            code, stdout, _ = run_cli(argv, capsys)
+            assert code == 0
+            written = {path: path.read_bytes() for path in run_dir.iterdir()}
+            assert len(written) == (3 if argv[0] == "simulate" else 2)
+            saved = tmp_path / f"run{i}.json"
+            saved.write_bytes(written[run_dir / "orig.manifest.json"])
+            for path in written:
+                path.unlink()
+            assert run_cli(["--replay", str(saved)], capsys)[:2] == (0, stdout)
+            assert {path: path.read_bytes() for path in run_dir.iterdir()} == written
 
     def test_replay_requires_manifest_argument(self, capsys):
         assert run_cli(["--replay"], capsys)[0] == 2
@@ -623,12 +637,25 @@ ENGINE_RUNS = [
 ]
 
 
-class TestMissingOutDirectory:
-    """An --out in a missing directory, or naming a directory, fails with
-    the error line and exit code that open() gives, after the inputs are
-    read and before the engine runs."""
+# Each file of a run after its first, as ENGINE_RUNS gives the first.
+LATER_FILES = [
+    (*ENGINE_RUNS[0][:2], ".manifest.json"),
+    (*ENGINE_RUNS[1][:2], "_paths.csv"),
+    (*ENGINE_RUNS[1][:2], ".manifest.json"),
+    (*ENGINE_RUNS[2][:2], ".manifest.json"),
+]
 
-    def run_without_engine(self, tmp_path, capsys, monkeypatch, engine, argv, out):
+
+class TestMissingOutDirectory:
+    """An --out in a missing directory, or any file of the run naming a
+    directory, fails with the error line and exit code that open() gives,
+    after the inputs are read and before the engine runs."""
+
+    def run_without_engine(self, tmp_path, capsys, monkeypatch, engine, argv, out, taken=()):
+        """Run with the engine replaced by a failing callable, after making
+        each name in ``taken`` a directory; also return whether the listing
+        of ``tmp_path`` changed."""
+
         def refuse(*args, **kwargs):
             raise AssertionError(f"{engine} ran")
 
@@ -637,39 +664,77 @@ class TestMissingOutDirectory:
             "p": write_pvalue_csv(tmp_path, [0.1, 0.5]),
             "matrix": write_null_matrix_csv(tmp_path, seed=1, n=5),
         }
+        for name in taken:
+            (tmp_path / name).mkdir()
+        before = sorted(tmp_path.iterdir())
         argv = [arg.format(**inputs) for arg in argv] + ["--out", out]
-        return run_cli(argv, capsys)
+        code, stdout, err = run_cli(argv, capsys)
+        return code, stdout, err, sorted(tmp_path.iterdir()) != before
 
     @pytest.mark.parametrize("engine, argv, written", ENGINE_RUNS)
     def test_fails_before_the_engine(
         self, tmp_path, capsys, monkeypatch, engine, argv, written
     ):
         out = str(tmp_path / "absent" / "x")
-        code, stdout, err = self.run_without_engine(
+        code, stdout, err, changed = self.run_without_engine(
             tmp_path, capsys, monkeypatch, engine, argv, out
         )
-        assert code == 3
-        assert stdout == ""
+        assert (code, stdout, changed) == (3, "", False)
         assert err == f"error: [Errno 2] No such file or directory: {out + written!r}\n"
 
-    @pytest.mark.parametrize("engine, argv, written", ENGINE_RUNS)
+    @pytest.mark.parametrize("engine, argv, written", ENGINE_RUNS + LATER_FILES)
     def test_directory_fails_before_the_engine(
         self, tmp_path, capsys, monkeypatch, engine, argv, written
     ):
         out = str(tmp_path / "taken")
-        (tmp_path / ("taken" + written)).mkdir()
-        code, stdout, err = self.run_without_engine(
-            tmp_path, capsys, monkeypatch, engine, argv, out
+        code, stdout, err, changed = self.run_without_engine(
+            tmp_path, capsys, monkeypatch, engine, argv, out, ["taken" + written]
         )
-        assert code == 3
-        assert stdout == ""
+        assert (code, stdout, changed) == (3, "", False)
         assert err == f"error: [Errno 21] Is a directory: {out + written!r}\n"
+
+    def test_first_file_is_named_when_several_are_directories(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        engine, argv, _ = ENGINE_RUNS[1]
+        out = str(tmp_path / "taken")
+        taken = ["taken.manifest.json", "taken_paths.csv", "taken_summary.csv"]
+        code, stdout, err, changed = self.run_without_engine(
+            tmp_path, capsys, monkeypatch, engine, argv, out, taken
+        )
+        assert (code, stdout, changed) == (3, "", False)
+        assert err == f"error: [Errno 21] Is a directory: {out + '_summary.csv'!r}\n"
 
     def test_missing_input_is_reported_first(self, tmp_path, capsys):
         out = str(tmp_path / "absent" / "x")
         code, _, err = run_cli(["dosage", str(tmp_path / "ghost.csv"), "--out", out], capsys)
         assert code == 3
         assert "ghost.csv" in err
+
+
+@pytest.mark.parametrize(
+    "argv, tables",
+    [
+        (ENGINE_RUNS[0][1], ["x"]),
+        (ENGINE_RUNS[1][1], ["x_summary.csv", "x_paths.csv"]),
+        (ENGINE_RUNS[1][1] + ["--no-paths"], ["x_summary.csv"]),
+        (ENGINE_RUNS[2][1], ["x"]),
+    ],
+    ids=["test", "simulate", "simulate-no-paths", "dosage"],
+)
+def test_a_run_creates_its_manifest_outputs_and_manifest_alone(tmp_path, capsys, argv, tables):
+    inputs = {
+        "p": write_pvalue_csv(tmp_path, [0.1, 0.5]),
+        "matrix": write_null_matrix_csv(tmp_path, seed=1, n=5),
+    }
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    argv = [arg.format(**inputs) for arg in argv] + ["--out", str(run_dir / "x")]
+    assert run_cli(argv, capsys)[0] == 0
+    manifest = run_dir / "x.manifest.json"
+    outputs = json.loads(manifest.read_text())["outputs"]
+    assert outputs == [str(run_dir / name) for name in tables]
+    assert sorted(run_dir.iterdir()) == sorted([manifest] + [run_dir / name for name in tables])
 
 
 class TestValidateAndVersion:

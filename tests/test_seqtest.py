@@ -404,3 +404,43 @@ class TestDistributionalProperties:
         true = np.count_nonzero(null_mask[:k]) / k
         se = est.std(ddof=1) / math.sqrt(trials)
         assert est.mean() >= true - 4.0 * se
+
+
+# Plantings and levels for the exact law of the step cutoff: (null mask,
+# non-null tail, C, alpha).  In the first four, paths land on alpha in
+# floats: 3/10 and (3 + 0)/(1 + 9) round to the double 0.3, which lies
+# below the real 3/10, and 2/8, (2 + 0)/(1 + 7), 2/4 and (2 + 2)/(1 + 7)
+# are 0.25 and 0.5 exactly.
+STEP_LAW_CASES = [
+    ([True] * 10, 1 / 3, 3.0, 0.3),
+    ([False, True, False] + [True] * 7, 0.8, 3.0, 0.3),
+    ([False, False, True, False, True, True, True, True], 0.7, 2.0, 0.25),
+    ([False, False, True, False, True, True, True, True], 0.7, 2.0, 0.5),
+    ([False] * 3 + [True] * 6, 0.9, 2.5, 0.2),
+]
+
+
+class TestStepCutoffLaw:
+    """The exact law of the SeqStep and SeqStep+ cutoffs that
+    ``oracles.step_cutoff_law`` computes, against every outcome of the
+    steps scored by the package's paths and ``select_cutoff``."""
+
+    @pytest.mark.parametrize("plus", [False, True], ids=["plain", "plus"])
+    @pytest.mark.parametrize("mask, tail, c, alpha", STEP_LAW_CASES)
+    def test_law_matches_enumeration(self, mask, tail, c, alpha, plus):
+        mask = np.array(mask)
+        n = mask.size
+        # Row r holds the bits of r: 1 where p lies above 1 - 1/C.
+        above = (np.arange(2**n)[:, np.newaxis] >> np.arange(n)) & 1 == 1
+        q = np.where(mask, 1.0 / c, tail)
+        weights = np.prod(np.where(above, q, 1.0 - q), axis=1)
+        pvals = above.astype(float)
+        if plus:
+            paths = estimated_fdp_path_plus(pvals, seq_step(c), c)
+        else:
+            paths = estimated_fdp_path(pvals, seq_step(c))
+        want = np.bincount(select_cutoff(paths, alpha), weights=weights, minlength=n + 1)
+        law = oracles.step_cutoff_law(mask, tail, c, alpha, plus)
+        # Summing 2^n weights rounds, but each outcome weighs at least
+        # 0.1^10, so a cutoff wrong on any outcome moves far more than this.
+        np.testing.assert_allclose(law, want, rtol=0, atol=1e-13)
