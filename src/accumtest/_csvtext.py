@@ -1,6 +1,6 @@
 """The package's CSV: :func:`read_table`, the one reader of its input
-files, and the text of a block of output columns, built by numpy as one
-character matrix.
+files, and :func:`write_table` and :func:`cell_text`, its one writer,
+which builds the text of a block of rows with numpy as one matrix.
 
 Each row of a block is laid out in fixed columns of a ``uint8``
 matrix: one field per cell, wide enough for any value of its column,
@@ -21,12 +21,15 @@ range.
 
 from __future__ import annotations
 
+import contextlib
 import functools
-from typing import Callable, Optional
+import os
+import sys
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["BadRow", "block_text", "check_column", "read_table"]
+__all__ = ["BadRow", "cell_text", "read_table", "write_table"]
 
 _NUL = 0
 _MINUS = ord("-")
@@ -40,14 +43,39 @@ _FAST_MIN = 1e-280
 _FAST_MAX = 1e280
 _SPLITTER = 134217729.0  # 2^27 + 1
 _TIE_BAND = 2.0**-30
+# Rows formatted at once, which bounds the text held at once.
+_BLOCK_ROWS = 1 << 14
 
 
-def block_text(arrays: list[np.ndarray]) -> str:
-    """The CSV rows of equally long 1-d columns, each row ended by a newline.
+def write_table(path: Optional[str], header: Sequence[str], columns) -> None:
+    """Write a table given column by column to ``path``, or to stdout if None.
 
-    Raises as :func:`check_column` does.
+    Columns of unequal length or strings holding a NUL raise ValueError,
+    and a dtype with no format TypeError, before anything is written.
     """
-    layouts = [_layout(array) for array in arrays]
+    arrays = [np.asarray(column) for column in columns]
+    for array in arrays:
+        _check_column(array)
+    if len({len(array) for array in arrays}) > 1:
+        raise ValueError("columns differ in length")
+    # stdout is looked up here, so that a redirected stream is written to.
+    target = contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
+    with target as out:
+        out.write(",".join(header) + "\n")
+        for start in range(0, len(arrays[0]) if arrays else 0, _BLOCK_ROWS):
+            out.write(_block_text([array[start : start + _BLOCK_ROWS] for array in arrays]))
+
+
+def cell_text(value) -> str:
+    """One cell's text, as :func:`write_table` writes it; raises as it does."""
+    array = np.asarray(value).reshape(1)
+    _check_column(array)
+    return _block_text([array])[:-1]
+
+
+def _block_text(arrays: list[np.ndarray]) -> str:
+    """The CSV rows of equally long, checked 1-d columns, each row ended by a newline."""
+    layouts = [_LAYOUTS[array.dtype.kind](array) for array in arrays]
     out = np.zeros((len(arrays[0]), sum(width + 1 for width, _ in layouts)), np.uint8)
     end = 0
     for width, fill in layouts:
@@ -58,7 +86,7 @@ def block_text(arrays: list[np.ndarray]) -> str:
     return out.tobytes().translate(None, b"\0").decode()
 
 
-def check_column(array: np.ndarray) -> None:
+def _check_column(array: np.ndarray) -> None:
     """Raise TypeError for a dtype with no text format, ValueError for a NUL in a string.
 
     NUL marks the characters a cell leaves out, so a string holding one
@@ -73,12 +101,6 @@ def check_column(array: np.ndarray) -> None:
         texts = np.unique(array, return_inverse=True)[0]
         if "\0" in "".join(texts.tolist()):
             raise ValueError("cannot write a string holding a NUL character")
-
-
-def _layout(array: np.ndarray):
-    """The width of a column's field and the function that fills it."""
-    check_column(array)
-    return _LAYOUTS[array.dtype.kind](array)
 
 
 def _bool_layout(values: np.ndarray):
@@ -290,6 +312,9 @@ _LAYOUTS = {
 # drops trailing NULs from strings (``1\x00`` reads back as ``1``), and
 # strips \x1c-\x1f around numbers as whitespace where float() refuses them.
 _LOADTXT_UNSAFE = "\x00\x1c\x1d\x1e\x1f"
+# np.loadtxt opens a str path through numpy's DataSource, which
+# decompresses a file by these suffixes and fetches a name holding "://".
+_DECOMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 _FLAGS = {"0": False, "false": False, "1": True, "true": True}
 # Each kind of cell as np.loadtxt reads it, and as the csv route parses it.
 _LOADTXT_DTYPES = {float: float, bool: "U2", str: object}
@@ -313,23 +338,30 @@ def read_table(path, fields_of: Callable[[list[str]], list], full_width: bool = 
     in any case, blanks around) or ``str`` (stripped); its field is a
     float or bool array or a tuple of strings.  With ``full_width``,
     every row has the header's cell count and the fields are every
-    column in order.  A plain file is read by one ``np.loadtxt`` call,
-    any other by the csv route, which imports ``csv`` and raises
-    :class:`BadRow`; both routes give the same result.
+    column in order.  A plain file is read by one ``np.loadtxt`` call on
+    its path, any other by the csv route, which imports ``csv`` and
+    raises :class:`BadRow`; both routes give the same result.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        fields = _loadtxt_route(handle, fields_of, full_width)
+        fields = _loadtxt_route(handle, path, fields_of, full_width)
         if fields is None:
             handle.seek(0)
             fields = _csv_route(handle, fields_of, full_width)
     return fields
 
 
-def _loadtxt_route(handle, fields_of, full_width: bool) -> Optional[list]:
-    """The fields read by ``np.loadtxt``, or None for a file that is not
-    plain: a quoted header or first data row, a first ``bool`` cell other
-    than ``0`` or ``1``, a character of ``_LOADTXT_UNSAFE``, or a cell
-    or row numpy refuses (without ``usecols``, a row of another width)."""
+def _loadtxt_route(handle, path, fields_of, full_width: bool) -> Optional[list]:
+    """The fields ``np.loadtxt`` reads from ``path``, or None for a file
+    that is not plain: a quoted header or first data row, a first
+    ``bool`` cell other than ``0`` or ``1``, a character of
+    ``_LOADTXT_UNSAFE``, a ``str`` field wanted from rows holding both
+    ``"`` and ``\\r``, a name numpy would not open as a local file, or a
+    cell or row numpy refuses (without ``usecols``, a row of another
+    width).  ``handle``, the file as :func:`read_table` opened it, is
+    read for the screen alone."""
+    path = os.fspath(path)
+    if path.endswith(_DECOMPRESSED) or "://" in path:
+        return None
     header = handle.readline()
     if not header or '"' in header:
         return None
@@ -345,16 +377,21 @@ def _loadtxt_route(handle, fields_of, full_width: bool) -> Optional[list]:
         if kind is bool and (column >= len(cells) or cells[column] not in ("0", "1")):
             return None
     handle.seek(start)
+    quote = carriage = False
     while chunk := handle.read(1 << 20):
         if any(char in chunk for char in _LOADTXT_UNSAFE):
             return None
-    handle.seek(start)
+        quote |= '"' in chunk
+        carriage |= "\r" in chunk
+    # numpy reads a path with universal newlines: a quoted "a\rb" would read as a\nb.
+    if quote and carriage and any(kind is str for _, kind in wanted):
+        return None
     dtype = [(f"f{i}", _LOADTXT_DTYPES[kind]) for i, (_, kind) in enumerate(wanted)]
     usecols = None if full_width else [column for column, _ in wanted]
     try:
         table = np.loadtxt(
-            handle, dtype=dtype, delimiter=",", quotechar='"', comments=None,
-            usecols=usecols, ndmin=1,
+            path, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+            usecols=usecols, ndmin=1, skiprows=1, encoding="utf-8-sig",
         )
     except (TypeError, ValueError):  # TypeError: a numpy refusing object fields
         return None

@@ -17,15 +17,17 @@ it, ``validate`` fails with exit status 4 before any check runs.
 ``dosage`` and ``simulate`` take their normal and Student-t tails from
 the package's own ``_tails``, and ``power`` works on knot curves alone.
 
-P-values here and expression matrices in ``dosage`` are read by
-``_csvtext.read_table``, and output tables are written in blocks, each
-formatted by numpy as one character matrix (``_csvtext``, imported when
-a file is read or a table or report line is written).
+``_csvtext`` owns the table format: p-values here and expression
+matrices in ``dosage`` are read by its ``read_table``, tables are
+written by its ``write_table`` and report values by its ``cell_text``.
+It is imported when a file is read or a table or report line is
+written, so ``--version`` loads neither it nor ``csv``.
 
 Every file-writing run also writes a JSON manifest next to its tables
 holding the exact argument vector, so ``accumtest --replay MANIFEST``
-reproduces the run byte for byte.  ``_outputs`` names a run's files and
-refuses each before the engine runs; ``main`` writes the manifest last.
+reproduces the run byte for byte.  An empty ``--out`` is a usage error.
+``_outputs`` names a run's files and refuses each before the engine
+runs; ``main`` writes the manifest last.
 Floats are serialized by ``json`` in their shortest round-trip form
 (``0.1``, not ``0.10000000000000001``), which gives back the underlying
 doubles exactly.
@@ -38,7 +40,6 @@ out-of-range input data, 4 for numerical or precondition failures
 from __future__ import annotations
 
 import argparse
-import contextlib
 import errno
 import json
 import os
@@ -78,40 +79,6 @@ def __getattr__(name: str):
 
 _lazy = sys.modules[__name__]
 
-_WRITE_BLOCK_ROWS = 1 << 14
-
-
-def _fmt(value) -> str:
-    """One cell's text: the writer's rule for a single value."""
-    from ._csvtext import block_text
-
-    return block_text([np.asarray(value).reshape(1)])[:-1]
-
-
-def _write_csv(path: Optional[str], header: Sequence[str], columns) -> None:
-    """Write a table given column by column to ``path``, or to stdout if no path.
-
-    Rows are written in blocks of ``_WRITE_BLOCK_ROWS``, each formatted
-    by :func:`accumtest._csvtext.block_text`, so the text held at once
-    stays small however long the table is.  Columns of unequal length
-    or strings holding a NUL raise ValueError, and a dtype with no
-    format TypeError, before anything is written.
-    """
-    from ._csvtext import block_text, check_column
-
-    arrays = [np.asarray(column) for column in columns]
-    for array in arrays:
-        check_column(array)
-    if len({len(array) for array in arrays}) > 1:
-        raise ValueError("columns differ in length")
-    n_rows = len(arrays[0]) if arrays else 0
-    target = open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
-    with target as handle:
-        handle.write(",".join(header) + "\n")
-        for start in range(0, n_rows, _WRITE_BLOCK_ROWS):
-            stop = start + _WRITE_BLOCK_ROWS
-            handle.write(block_text([array[start:stop] for array in arrays]))
-
 
 def _outputs(args: argparse.Namespace) -> list[str]:
     """The files a run writes, in write order: its tables, then
@@ -119,17 +86,18 @@ def _outputs(args: argparse.Namespace) -> list[str]:
 
     Each is refused, the first in write order named, with the error
     ``open(path, "w")`` would raise for a directory that cannot be
-    reached or for a path that is a directory.
+    reached (missing, or a file) or for a path that is a directory.
     """
     out = getattr(args, "out", None)
-    if not out:
+    if out is None:
         return []
     files = [out]
     if args.subcommand == "simulate":
         files = [out + "_summary.csv"] + ([] if args.no_paths else [out + "_paths.csv"])
     files.append(out + ".manifest.json")
     try:
-        os.stat(os.path.dirname(files[0]) or os.curdir)
+        # The trailing separator makes a parent that is a file fail too.
+        os.stat(os.path.join(os.path.dirname(files[0]) or os.curdir, ""))
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, files[0]) from None
     for path in files:
@@ -164,6 +132,12 @@ def _alpha_list(text: str) -> tuple[float, ...]:
     if not values:
         raise argparse.ArgumentTypeError("alpha list is empty")
     return values
+
+
+def _out_path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("empty path")
+    return text
 
 
 def _read_pvalue_csv(path: str) -> OrderedPValues:
@@ -201,6 +175,8 @@ def _read_pvalue_csv(path: str) -> OrderedPValues:
 
 
 def cmd_test(args: argparse.Namespace) -> int:
+    from ._csvtext import cell_text, write_table
+
     # Checked before any work: mfdp itself runs only when is_null is given.
     if not args.mfdp_c >= 0.0:
         raise DomainError(f"mfdp constant must be nonnegative, got {args.mfdp_c}")
@@ -222,14 +198,16 @@ def cmd_test(args: argparse.Namespace) -> int:
             ("power", power_of_cutoff(result.k_hat, mask)),
         ]
     for name, value in report:
-        print(f"{name} = {_fmt(value)}")
+        print(f"{name} = {cell_text(value)}")
     if tables:
         columns = (np.arange(1, len(pvals) + 1), pvals.values, result.fdp_hat_path)
-        _write_csv(tables[0], ("k", "p", "fdp_hat"), columns)
+        write_table(tables[0], ("k", "p", "fdp_hat"), columns)
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from ._csvtext import write_table
+
     # Options left unset take SimConfig's defaults, which the manifest records.
     fields = ("n", "n_nonnull", "mu1", "mu2", "alpha_grid", "trials")
     for name in fields:
@@ -239,23 +217,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     tables = _outputs(args)[:-1] or [None]
     agg = _lazy.run_simulation(config, default_methods(args.c), len(tables) > 1)
     header = ("method", "alpha", "mean_power", "se_power", "mean_fdp", "se_fdp")
-    _write_csv(tables[0], header, _lazy.power_table_columns(agg))
+    write_table(tables[0], header, _lazy.power_table_columns(agg))
     if len(tables) > 1:
         columns = _lazy.path_table_columns(agg)
-        _write_csv(tables[1], ("method", "k", "mean_fdp_hat", "mean_fdp_true"), columns)
+        write_table(tables[1], ("method", "k", "mean_fdp_hat", "mean_fdp_true"), columns)
     return 0
 
 
 def cmd_power(args: argparse.Namespace) -> int:
+    from ._csvtext import cell_text
+
     curve = _lazy.parse_curve(args.curve)
     threshold = _lazy.asymptotic_threshold(curve, args.alpha, args.mu)
     power = _lazy.asymptotic_power(curve, args.alpha, args.mu)
-    print(f"T = {_fmt(threshold)}")
-    print(f"power = {_fmt(power)}")
+    print(f"T = {cell_text(threshold)}")
+    print(f"power = {cell_text(power)}")
     return 0
 
 
 def cmd_dosage(args: argparse.Namespace) -> int:
+    from ._csvtext import write_table
+
     if args.alpha_grid is None:
         args.alpha_grid = _lazy.DEFAULT_DOSAGE_ALPHAS
     matrix = _lazy.read_expression_csv(args.input)
@@ -266,7 +248,7 @@ def cmd_dosage(args: argparse.Namespace) -> int:
         alpha_grid=args.alpha_grid,
         include_baselines=not args.no_baselines,
     )
-    _write_csv(tables[0], ("method", "alpha", "discoveries"), result.columns)
+    write_table(tables[0], ("method", "alpha", "discoveries"), result.columns)
     return 0
 
 
@@ -312,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="treat inputs as k/G grid values and shift them to k/(G+1)",
     )
-    p_test.add_argument("--out", default=None, help="write the estimated FDP path CSV here")
+    p_test.add_argument("--out", type=_out_path, help="write the estimated FDP path CSV here")
     p_test.set_defaults(func=cmd_test)
 
     p_sim = sub.add_parser(
@@ -334,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="accepted for compatibility and ignored; trials always run in one process",
     )
-    p_sim.add_argument("--out", default=None, help="output prefix for summary/path CSVs")
+    p_sim.add_argument("--out", type=_out_path, help="output prefix for summary/path CSVs")
     p_sim.add_argument(
         "--no-paths", action="store_true", help="skip the averaged path table"
     )
@@ -363,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dos.add_argument(
         "--no-baselines", action="store_true", help="skip BH and Storey comparison rows"
     )
-    p_dos.add_argument("--out", default=None, help="write the discovery table here")
+    p_dos.add_argument("--out", type=_out_path, help="write the discovery table here")
     p_dos.set_defaults(func=cmd_dosage)
 
     p_val = sub.add_parser("validate", help="run the built-in self-check suite")

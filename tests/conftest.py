@@ -1,20 +1,25 @@
 import pytest
 
+_SCORECARD = pytest.StashKey[list]()
+
 
 @pytest.fixture
 def scorecard(request):
-    """Writer that puts one line per acceptance criterion into the live
-    terminal stream, so the scorecard is visible even though test
-    stdout is captured."""
-    reporter = request.config.pluginmanager.get_plugin("terminalreporter")
+    """Writer that records one line per acceptance criterion; the lines are
+    printed in pytest's terminal summary, which output capture leaves
+    alone, so a normal run shows the scorecard."""
+    lines = request.config.stash.setdefault(_SCORECARD, [])
 
     def announce(number: int, passed: bool, detail: str) -> None:
         verdict = "PASS" if passed else "FAIL"
-        line = f"acceptance {number:2d} {verdict}: {detail}"
-        if reporter is not None:
-            reporter.ensure_newline()
-            reporter.write_line(line)
-        else:
-            print(line)
+        lines.append(f"acceptance {number:2d} {verdict}: {detail}")
 
     return announce
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    lines = config.stash.get(_SCORECARD, [])
+    if lines:
+        terminalreporter.section("acceptance scorecard")
+        for line in lines:
+            terminalreporter.write_line(line)

@@ -1,7 +1,8 @@
 """Acceptance suite: fourteen gating criteria, one visible pass/fail line each.
 
-Each criterion prints a single line to the real stdout (bypassing
-capture) so the run log always shows the full scorecard, then asserts.
+Each criterion records a single line, then asserts.  The lines are
+printed together in pytest's terminal summary, so the run log always
+shows the full scorecard.
 Monte Carlo criteria use fixed seeds, so every number below is
 reproducible bit for bit.
 """

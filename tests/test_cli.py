@@ -647,9 +647,10 @@ LATER_FILES = [
 
 
 class TestMissingOutDirectory:
-    """An --out in a missing directory, or any file of the run naming a
-    directory, fails with the error line and exit code that open() gives,
-    after the inputs are read and before the engine runs."""
+    """An --out in a missing directory or under a file, or any file of the
+    run naming a directory, fails with the error line and exit code that
+    open() gives, after the inputs are read and before the engine runs; an
+    empty --out is a usage error."""
 
     def run_without_engine(self, tmp_path, capsys, monkeypatch, engine, argv, out, taken=()):
         """Run with the engine replaced by a failing callable, after making
@@ -692,6 +693,29 @@ class TestMissingOutDirectory:
         )
         assert (code, stdout, changed) == (3, "", False)
         assert err == f"error: [Errno 21] Is a directory: {out + written!r}\n"
+
+    @pytest.mark.parametrize("engine, argv, written", ENGINE_RUNS)
+    def test_parent_file_fails_before_the_engine(
+        self, tmp_path, capsys, monkeypatch, engine, argv, written
+    ):
+        (tmp_path / "afile").write_text("")
+        out = str(tmp_path / "afile" / "x")
+        code, stdout, err, changed = self.run_without_engine(
+            tmp_path, capsys, monkeypatch, engine, argv, out
+        )
+        assert (code, stdout, changed) == (3, "", False)
+        assert err == f"error: [Errno 20] Not a directory: {out + written!r}\n"
+
+    @pytest.mark.parametrize("engine, argv, written", ENGINE_RUNS)
+    def test_empty_out_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch, engine, argv, written
+    ):
+        code, stdout, err, changed = self.run_without_engine(
+            tmp_path, capsys, monkeypatch, engine, argv, ""
+        )
+        assert (code, stdout, changed) == (2, "", False)
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [f"accumtest {argv[0]}: error: argument --out: empty path"]
 
     def test_first_file_is_named_when_several_are_directories(
         self, tmp_path, capsys, monkeypatch
@@ -1030,7 +1054,9 @@ def random_expression_file(rng) -> str:
 
 # Expression files of each route, and the gene ids read or the error.
 EXPRESSION_ROUTE_CASES = [
-    ('\ufeffgene_id,C1,L1,H1\r\n g1 ,1,2,3\r\n\r\n"a,b",4,5,6\r\n', 1, 0, ("g1", "a,b")),
+    ('\ufeffgene_id,C1,L1,H1\n g1 ,1,2,3\n\n"a,b",4,5,6\n', 1, 0, ("g1", "a,b")),
+    # Gene ids are wanted, and the rows hold both " and \r.
+    ('\ufeffgene_id,C1,L1,H1\r\n g1 ,1,2,3\r\n\r\n"a,b",4,5,6\r\n', 0, 1, ("g1", "a,b")),
     ('gene_id,C1,L1,H1\n"g1",1,2,3\n', 0, 1, ("g1",)),
     ("gene_id,C1,L1,H1\ng1,1,2,3\ng2,1_0,2,3\n", 1, 1, ("g1", "g2")),
     ("gene_id,C1,L1,H1\ng1,1,2,3\ng2,1,2\n", 1, 1, "row 3 has 3 cells, expected 4"),
@@ -1062,6 +1088,68 @@ def test_expression_loadtxt_route_refuses_or_matches_csv_route(tmp_path):
         fast_reads += check_routes(cli.read_expression_csv, path)
     # Both routes were exercised.
     assert 100 < fast_reads < 500
+
+
+# Quoted cells holding line ends.  np.loadtxt reads a path with universal
+# newlines, which turn each \r and \r\n in them into \n.
+LINE_END_CELLS = ['"a\rb"', '"a\r\nb"', '"a\nb"', '"\r"', '" g\r\n"', '"\ng"', '"q""\r"']
+
+
+def random_line_end_file(rng, expression: bool) -> str:
+    """A legal file with a plain first data row, whose later gene ids, or
+    later cells of an extra p-value column, may hold quoted line ends."""
+    header = "gene_id,C1,C2,L1,L2,H1,H2" if expression else "p,is_null,name"
+    texts = GENE_IDS[:4] + ["x", ""] + LINE_END_CELLS
+    lines = [header]
+    for row in range(rng.integers(1, 6)):
+        text = texts[rng.integers(6 if row == 0 else len(texts))]
+        if expression:
+            values = [VALUE_CELLS[rng.integers(8)] for _ in range(6)]
+            lines.append(",".join([text] + values))
+        else:
+            lines.append(",".join([P_CELLS[rng.integers(5)], LABEL_CELLS[rng.integers(4)], text]))
+    end = LINE_ENDS[rng.integers(len(LINE_ENDS))]
+    return end.join(lines) + (end if rng.random() < 0.8 else "")
+
+
+@pytest.mark.parametrize("expression", [False, True], ids=["pvalues", "expression"])
+def test_loadtxt_route_reads_quoted_line_ends_as_the_csv_route(tmp_path, expression):
+    rng = np.random.default_rng(20153)
+    path = tmp_path / "lines.csv"
+    read = cli.read_expression_csv if expression else cli._read_pvalue_csv
+    fast_reads = 0
+    for _ in range(400):
+        path.write_text(random_line_end_file(rng, expression), newline="", encoding="utf-8")
+        fast_reads += check_routes(read, path)
+    # No p-value file is refused, since no text field is wanted; an
+    # expression file whose rows hold both " and \r is.
+    assert 100 < fast_reads < 400 if expression else fast_reads == 400
+
+
+def test_loadtxt_route_gives_numpy_the_path(tmp_path, monkeypatch):
+    path = write_pvalue_csv(tmp_path, [0.1, 0.5])
+    given = []
+    loadtxt = np.loadtxt
+
+    def spy(source, *args, **kwargs):
+        given.append(source)
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    assert cli._read_pvalue_csv(path).values.tolist() == [0.1, 0.5]
+    assert given == [path]
+
+
+@pytest.mark.parametrize("name", ["p.csv.gz", "p.bz2", "p.xz", "p.lzma", "file://localhost/p.csv"])
+def test_names_numpy_would_not_open_as_files_take_the_csv_route(tmp_path, monkeypatch, name):
+    # numpy's DataSource would decompress these or read them as a URL.
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("p\n0.1\n0.5\n")
+    calls, pvals = read_counting_routes(monkeypatch, name)
+    assert calls == {"loadtxt": 0, "rows": 1}
+    assert pvals.values.tolist() == [0.1, 0.5]
 
 
 def per_cell_fmt(value) -> str:
@@ -1121,32 +1209,32 @@ class TestCsvWriter:
 
     @pytest.mark.parametrize("block_rows", [7, 1 << 14])
     def test_file_bytes_equal_per_cell_output(self, tmp_path, monkeypatch, block_rows):
-        monkeypatch.setattr(cli, "_WRITE_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(_csvtext, "_BLOCK_ROWS", block_rows)
         header, columns = self.table()
         rows = list(zip(*columns))
         out = tmp_path / "t.csv"
-        cli._write_csv(str(out), header, columns)
+        _csvtext.write_table(str(out), header, columns)
         assert out.read_bytes() == per_cell_csv(header, rows).encode()
 
     def test_stdout_equals_per_cell_output(self, capsys):
         header, columns = self.table()
         rows = [tuple(row) for row in zip(*columns)]
-        cli._write_csv(None, header, zip(*rows))
+        _csvtext.write_table(None, header, zip(*rows))
         assert capsys.readouterr().out == per_cell_csv(header, rows)
 
     def test_python_scalars_and_empty_table(self, tmp_path):
         rows = [("a", 1, True, 0.1), ("b", -2, False, float("-inf"))]
         header = ("s", "i", "b", "f")
         out = tmp_path / "t.csv"
-        cli._write_csv(str(out), header, zip(*rows))
+        _csvtext.write_table(str(out), header, zip(*rows))
         assert out.read_text() == per_cell_csv(header, rows)
-        cli._write_csv(str(out), header, zip(*[]))
+        _csvtext.write_table(str(out), header, zip(*[]))
         assert out.read_text() == "s,i,b,f\n"
         for value in (
             7, np.int64(-3), True, np.bool_(False), 0.1, -0.0, np.nan,
             np.iinfo(np.int64).min, np.uint64(2**64 - 1), *self.SPECIAL,
         ):
-            assert cli._fmt(value) == per_cell_fmt(value)
+            assert _csvtext.cell_text(value) == per_cell_fmt(value)
 
     def test_random_bit_patterns(self, tmp_path):
         # Every kind of double: NaN payloads of either sign, infinities,
@@ -1155,19 +1243,33 @@ class TestCsvWriter:
         values = rng.integers(0, 2**64 - 1, 210_000, dtype=np.uint64, endpoint=True)
         values = values.view(np.float64)
         out = tmp_path / "t.csv"
-        cli._write_csv(str(out), ("x",), [values])
+        _csvtext.write_table(str(out), ("x",), [values])
         lines = out.read_text().split("\n")
         assert lines[0] == "x" and lines[-1] == ""
         assert lines[1:-1] == [per_cell_fmt(v) for v in values.tolist()]
 
+    def test_each_column_is_checked_once_per_table(self, tmp_path, monkeypatch):
+        checked = []
+        check = _csvtext._check_column
+
+        def counted(array):
+            checked.append(array)
+            check(array)
+
+        monkeypatch.setattr(_csvtext, "_check_column", counted)
+        monkeypatch.setattr(_csvtext, "_BLOCK_ROWS", 7)
+        header, columns = self.table()
+        _csvtext.write_table(str(tmp_path / "t.csv"), header, columns)
+        assert len(checked) == len(columns)
+
     def test_bad_columns_refused_before_writing(self, tmp_path):
         out = tmp_path / "t.csv"
         with pytest.raises(TypeError, match="complex128"):
-            cli._write_csv(str(out), ("a", "z"), [[1.0], np.array([1j])])
+            _csvtext.write_table(str(out), ("a", "z"), [[1.0], np.array([1j])])
         with pytest.raises(ValueError, match="length"):
-            cli._write_csv(str(out), ("a", "b"), [[1.0, 2.0], [1.0]])
+            _csvtext.write_table(str(out), ("a", "b"), [[1.0, 2.0], [1.0]])
         with pytest.raises(ValueError, match="NUL"):
-            cli._write_csv(str(out), ("s",), [["a", "a\0b"]])
+            _csvtext.write_table(str(out), ("s",), [["a", "a\0b"]])
         assert not out.exists()
         with pytest.raises(TypeError, match="object"):
-            cli._fmt(np.array(None))
+            _csvtext.cell_text(np.array(None))

@@ -83,7 +83,7 @@ def csvtext_users(wanted: set[str]) -> set[str]:
 
 def test_only_cli_uses_the_writer_which_imports_no_package_module():
     assert package_imports("_csvtext") == set()
-    assert csvtext_users({"block_text", "check_column", "_csvtext"}) == {"cli"}
+    assert csvtext_users({"write_table", "cell_text", "_csvtext"}) == {"cli"}
 
 
 def test_only_cli_and_dosage_use_the_reader():
