@@ -26,8 +26,9 @@ from .seqtest import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-# Each engine's ``__all__`` less the core names it re-exports, which
-# tests/test_layers.py checks.  ``cli`` resolves its engine names here too.
+# The one list of each engine's public names, less the core names it
+# re-exports.  Each engine sets its ``__all__`` from its entry here, and
+# ``cli`` resolves its engine names here too.
 _ENGINES = {
     "power_theory": (
         "CurveCheck",

@@ -21,7 +21,9 @@ range.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
+import errno
 import functools
 import os
 import sys
@@ -340,14 +342,34 @@ def read_table(path, fields_of: Callable[[list[str]], list], full_width: bool = 
     every row has the header's cell count and the fields are every
     column in order.  A plain file is read by one ``np.loadtxt`` call on
     its path, any other by the csv route, which imports ``csv`` and
-    raises :class:`BadRow`; both routes give the same result.
+    raises :class:`BadRow`; both routes give the same result.  A file
+    that is not UTF-8 raises ``OSError`` (``EILSEQ``) naming it and the
+    offset of its first undecodable byte.
     """
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        fields = _loadtxt_route(handle, path, fields_of, full_width)
-        if fields is None:
-            handle.seek(0)
-            fields = _csv_route(handle, fields_of, full_width)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            fields = _loadtxt_route(handle, path, fields_of, full_width)
+            if fields is None:
+                handle.seek(0)
+                fields = _csv_route(handle, fields_of, full_width)
+    except UnicodeDecodeError:
+        problem = f"not UTF-8 text at byte {_undecodable_at(path)}"
+        raise OSError(errno.EILSEQ, problem, os.fspath(path)) from None
     return fields
+
+
+def _undecodable_at(path) -> int:
+    """The offset of the first byte of ``path`` that UTF-8 cannot decode."""
+    done, rest = 0, b""
+    with open(path, "rb") as raw:
+        while chunk := raw.read(1 << 20):
+            data = rest + chunk
+            try:
+                used = codecs.utf_8_decode(data)[1]
+            except UnicodeDecodeError as exc:
+                return done + exc.start
+            done, rest = done + used, data[used:]
+    return done  # a sequence cut short by the end of the file
 
 
 def _loadtxt_route(handle, path, fields_of, full_width: bool) -> Optional[list]:

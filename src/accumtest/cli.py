@@ -33,14 +33,24 @@ Floats are serialized by ``json`` in their shortest round-trip form
 doubles exactly.
 
 Exit status: 0 on success, 2 for usage errors, 3 for malformed or
-out-of-range input data, 4 for numerical or precondition failures
-(including a failing validate suite).
+out-of-range input data (an input file that is not UTF-8 among them),
+4 for numerical or precondition failures (including a failing
+validate suite).  ``main`` prints every ``error:`` line, those of
+``--replay`` included.
+
+``python -m accumtest`` and the ``accumtest`` script run ``entry``,
+the one process entry.  It returns ``main``'s exit code after
+``gc.freeze()``, so the full collection at interpreter shutdown, about
+13 ms of a cold run, skips every object the run left; exit handlers,
+stream flushes and file closes still run.  ``main`` called in process
+freezes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import json
 import os
 import sys
@@ -363,32 +373,27 @@ def _replay(argv: Sequence[str]) -> int:
             manifest = json.load(handle)
         stored = manifest["arguments"] if isinstance(manifest, dict) else None
     except (OSError, ValueError, KeyError, RecursionError) as exc:
-        print(f"error: cannot replay {argv[1]}: {exc}", file=sys.stderr)
-        return 3
+        raise ValidationError(f"cannot replay {argv[1]}: {exc}") from None
     if not isinstance(stored, list) or any(not isinstance(s, str) for s in stored):
-        print(f"error: manifest {argv[1]} has no argument vector", file=sys.stderr)
-        return 3
+        raise ValidationError(f"manifest {argv[1]} has no argument vector")
     if stored and stored[0] == "--replay":
-        print("error: manifest replays another replay", file=sys.stderr)
-        return 3
+        raise ValidationError("manifest replays another replay")
     return main(stored)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "--replay":
-        return _replay(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return int(code) if isinstance(code, int) else 2
-    try:
+        if argv and argv[0] == "--replay":
+            return _replay(argv)
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         if code == 0:
             _write_manifest(args, argv)
         return code
+    except SystemExit as exc:  # argparse: usage errors, --help and --version
+        code = exc.code
+        return int(code) if isinstance(code, int) else 2
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -397,5 +402,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 4
 
 
+def entry() -> int:
+    """``main`` as a process: its exit code, with every object it left
+    frozen out of the collector's reach."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

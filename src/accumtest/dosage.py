@@ -48,25 +48,13 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import _tails
+from . import _ENGINES, _tails
 from .baselines import bh_select, storey_select
 from .errors import ContractError, DomainError, ValidationError, whole_number
 from .errors import _require_budget
 from .seqtest import Method, default_methods, select_cutoff
 
-__all__ = [
-    "Group",
-    "Sign",
-    "ExpressionMatrix",
-    "PipelineResult",
-    "welch_p_two_sided",
-    "welch_p_one_sided",
-    "permutation_pvalue",
-    "high_dose_ordering",
-    "run_pipeline",
-    "read_expression_csv",
-    "DEFAULT_DOSAGE_ALPHAS",
-]
+__all__ = list(_ENGINES["dosage"])
 
 # Bytes of (rows x P) arrays a batch may hold.  The elementwise passes
 # over them run fastest when a batch stays near the core's L2 cache: on

@@ -22,27 +22,14 @@ from typing import Optional
 
 import numpy as np
 
+from . import _ENGINES
 from ._pieces import shaped, unit_points
 from .accumfn import AccumulationSpec, nonnull_mean
 from .densities import AlternativeDensity
 from .errors import ContractError, DomainError, ValidationError, whole_number
 from .errors import _require_budget
 
-__all__ = [
-    "SignalCurve",
-    "CurveCheck",
-    "CurveReport",
-    "parse_curve",
-    "format_curve",
-    "validate_signal_curve",
-    "asymptotic_threshold",
-    "asymptotic_power",
-    "expected_fdp_curve",
-    "step_optimality_gap",
-    "random_walk_envelope",
-    "envelope_exit_fraction",
-    "centered_mgf",
-]
+__all__ = list(_ENGINES["power_theory"])
 
 # Bytes one block of ``envelope_exit_fraction``'s walks may hold, at
 # ``_STEP_BYTES`` per step: a float64 position, a boolean exit flag and
@@ -87,7 +74,7 @@ class SignalCurve:
         object.__setattr__(self, "knots", knots)
 
     @classmethod
-    def constant(cls, value: float, delta: float = 1e-9) -> "SignalCurve":
+    def constant(cls, value: float, delta: float = 1e-9) -> SignalCurve:
         return cls(((0.0, value), (1.0, value)), delta=delta)
 
     def __call__(self, t):

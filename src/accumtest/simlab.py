@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import _tails
+from . import _ENGINES, _tails
 from .accumfn import _eval_array
 from .densities import AlternativeDensity
 from .errors import ContractError, DomainError, whole_number
@@ -58,24 +58,7 @@ from .seqtest import estimated_fdp_path, estimated_fdp_path_plus  # noqa: F401
 if TYPE_CHECKING:
     from .power_theory import SignalCurve
 
-__all__ = [
-    "SimConfig",
-    "Method",
-    "TrialFrame",
-    "AggregateResult",
-    "default_methods",
-    "child_seed",
-    "child_rng",
-    "generate_ranked_trial",
-    "generate_from_curve",
-    "run_trial",
-    "aggregate",
-    "collect_trial_frames",
-    "run_simulation",
-    "simulate_count_ratio",
-    "power_table_columns",
-    "path_table_columns",
-]
+__all__ = [*_ENGINES["simlab"], "Method", "default_methods"]
 
 _DEFAULT_ALPHAS = (0.05, 0.075, 0.1, 0.125, 0.15, 0.175, 0.2, 0.225, 0.25)
 

@@ -17,9 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import accumfn, baselines, densities, dosage, power_theory, seqtest, simlab
+from . import _ENGINES, accumfn, baselines, densities, dosage, power_theory, seqtest, simlab
 
-__all__ = ["CheckResult", "run_suite", "CHECKS"]
+__all__ = list(_ENGINES["validation"])
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
 """End-to-end command-line behavior: outputs, exit codes, reproducibility."""
 
 import dataclasses
+import errno
+import gc
+import gzip
 import hashlib
 import io
 import json
@@ -14,6 +17,7 @@ from accumtest import (
     DEFAULT_DOSAGE_ALPHAS,
     AccumTestError,
     SimConfig,
+    ValidationError,
     _csvtext,
     _tails,
     child_rng,
@@ -548,6 +552,76 @@ class TestReplay:
         assert err.startswith(f"error: cannot replay {manifest}: ")
         assert len(err.splitlines()) == 1
 
+    def test_replay_failures_are_raised_for_main_to_print(self, tmp_path):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"arguments": ["--replay", "x.json"]}))
+        with pytest.raises(ValidationError, match="^manifest replays another replay$"):
+            cli._replay(["--replay", str(manifest)])
+
+
+MATRIX_HEADER = b"gene_id,C1,C2,L1,L2,H1,H2\n"
+MATRIX_ROWS = b"g2,1,2,3,4,5,7\ng3,2,1,4,3,9,8\n" * 300
+P_ROWS = b"0.125\n" * 3000
+
+# Input files that are not UTF-8: each command, its file's name and
+# bytes, and the route that meets the undecodable byte.  Reading the
+# header decodes the file's first 8 KiB, so a bad byte there ends the
+# loadtxt route before its screen; one past the ``*_ROWS`` padding
+# reaches the route that the header and first row pick, and a quoted
+# header, a quoted first id or a compressed name picks the csv route.
+UNDECODABLE = [
+    pytest.param("test", "real.csv.gz", gzip.compress(b"p\n0.1\n", mtime=0), "csv",
+                 id="test-gzip"),
+    pytest.param("test", "p.csv", b"p\n0.1\n0.\xe92\n", "loadtxt", id="test-first-block"),
+    pytest.param("test", "p.csv", b"p\n" + P_ROWS + b"0.5\xff\n", "loadtxt", id="test-loadtxt"),
+    pytest.param("test", "p.csv", b'"p"\n' + P_ROWS + b"0.\xe92\n", "csv", id="test-csv"),
+    pytest.param("test", "p.csv", b"p\n0.1\n0.2\xc3", "loadtxt", id="test-cut-short"),
+    pytest.param("dosage", "m.csv", MATRIX_HEADER + b"g\xe9,1,2,3,4,5,6\n", "loadtxt",
+                 id="dosage-first-block"),
+    pytest.param("dosage", "m.csv", MATRIX_HEADER + MATRIX_ROWS + b"g\xe9,1,2,3,4,5,6\n",
+                 "loadtxt", id="dosage-loadtxt"),
+    pytest.param("dosage", "m.csv", MATRIX_HEADER + b'"g1",1,2,3,4,5,6\n' + MATRIX_ROWS
+                 + b"g\xe9,1,2,3,4,5,6\n", "csv", id="dosage-csv"),
+]
+
+
+class TestUndecodableInput:
+    @pytest.mark.parametrize("command, name, data, route", UNDECODABLE)
+    def test_one_error_line_names_the_file_and_byte(
+        self, tmp_path, monkeypatch, capsys, command, name, data, route
+    ):
+        path = tmp_path / name
+        path.write_bytes(data)
+        # The first byte past ASCII is the one UTF-8 refuses in each file.
+        offset = next(i for i, byte in enumerate(data) if byte >= 0x80)
+        csv_route, rows = _csvtext._csv_route, []
+
+        def counted(*args):
+            rows.append(args)
+            return csv_route(*args)
+
+        monkeypatch.setattr(_csvtext, "_csv_route", counted)
+        argv = [command, str(path), "--out", str(tmp_path / "out.csv")]
+        if command == "test":
+            argv += ["--method", "forwardstop", "--alpha", "0.2"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: [Errno {errno.EILSEQ}] not UTF-8 text at byte {offset}: {str(path)!r}\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+        assert len(rows) == (route == "csv")
+
+    def test_offset_counts_across_the_read_blocks(self, tmp_path):
+        # A two-byte character straddles the 1 MiB block boundary.
+        block = 1 << 20
+        data = b"p\n" + b"1" * (block - 3) + "\u00e9".encode() + b"\n\xff\n"
+        path = tmp_path / "p.csv"
+        path.write_bytes(data)
+        assert _csvtext._undecodable_at(path) == block + 2
+        with pytest.raises(OSError, match=f"not UTF-8 text at byte {block + 2}:"):
+            _csvtext.read_table(path, lambda header: [(0, float)])
+
 
 class TestExitCodes:
     def test_no_subcommand_is_usage_error(self, capsys):
@@ -778,6 +852,52 @@ class TestValidateAndVersion:
         code, out, _ = run_cli(["--version"], capsys)
         assert code == 0
         assert out.startswith("accumtest ")
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--version"],
+            ["test", "p.csv", "--method", "forwardstop", "--alpha", "0.2", "--out", "path.csv"],
+            ["test", "ghost.csv", "--method", "forwardstop", "--alpha", "0.2"],
+            ["test", "p.csv", "--method", "forwardstop", "--alpha", "1"],
+            ["test", "p.csv", "--alpha", "0.2"],
+            ["--replay"],
+        ],
+        ids=["version", "test", "missing-file", "bad-alpha", "usage", "replay-usage"],
+    )
+    def test_python_m_keeps_main_exit_code_and_output(self, tmp_path, monkeypatch, capsys, argv):
+        (tmp_path / "p.csv").write_text("p,is_null\n0.01,0\n0.02,0\n0.7,1\n")
+        monkeypatch.chdir(tmp_path)
+        expected = run_cli(argv, capsys)
+        files = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        for path in tmp_path.iterdir():
+            if path.name != "p.csv":
+                path.unlink()
+        proc = subprocess.run(
+            [sys.executable, "-m", "accumtest", *argv],
+            cwd=tmp_path, env=package_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == expected[:2]
+        assert proc.stderr == expected[2]
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == files
+
+    def test_entry_freezes_the_collector_and_main_does_not(self, capsys):
+        code = (
+            "import gc\n"
+            "from accumtest import cli\n"
+            "print(cli.main(['--version']), gc.get_freeze_count() == 0)\n"
+            "print(cli.entry(), gc.get_freeze_count() > 0)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "--version"],
+            env=package_env(), capture_output=True, text=True, timeout=120,
+        )
+        version = f"accumtest {cli.__version__}"
+        assert proc.stdout.splitlines() == [version, "0 True", version, "0 True"]
+        assert run_cli(["--version"], capsys)[0] == 0
+        assert gc.get_freeze_count() == 0
 
 
 # Each file and what the reader returns for it: (p values, is_null mask)

@@ -134,6 +134,31 @@ def test_engine_table_is_each_engines_all_less_the_core_names():
         assert sorted(names) == sorted(set(engine.__all__) - core), module
 
 
+def test_engine_names_are_written_only_in_the_package_table():
+    # Each engine sets its __all__ from accumtest._ENGINES, so no other
+    # module of the package spells one of those names as a string.
+    names = {name for names in accumtest._ENGINES.values() for name in names}
+    found = {}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if node.value in names:
+                    found.setdefault(node.value, set()).add(path.name)
+    assert found == {name: {"__init__.py"} for name in names}
+
+
+# The core names an engine re-exports in its __all__.
+REEXPORTED = {"simlab": {"Method", "default_methods"}}
+
+
+@pytest.mark.parametrize("module", ["dosage", "simlab", "power_theory", "validation"])
+def test_star_import_of_an_engine_binds_its_table_entry(module):
+    namespace = {}
+    exec(f"from accumtest.{module} import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(accumtest._ENGINES[module]) | REEXPORTED.get(module, set())
+
+
 def test_package_import_loads_exactly_the_core():
     out = run_python(
         "import json, sys, accumtest\n"

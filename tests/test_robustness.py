@@ -6,7 +6,11 @@ Generated expression matrices, p-value CSVs, ``simulate`` options and
 when it fails and none when it succeeds, raise no RuntimeWarning, and
 finish within ``TIME_LIMIT_S``.  Successful runs must meet the
 invariants of their output: p-values in [0, 1], permutation p-values on
-{1/P, ..., 1}, and at most n discoveries.
+{1/P, ..., 1}, and at most n discoveries.  The fuzzers hold every case
+to the same contract: byte mutations of a small p-value file and of a
+small expression matrix, and argument vectors of ``test``, ``simulate``
+and ``power`` with bad numbers, methods and curves.  A failing case
+also writes no file.
 
 The public functions called outside the CLI get the edge values of
 ``NUMBERS`` in each numeric parameter, one at a time, and bad strings in
@@ -290,6 +294,117 @@ def test_power_fails_cleanly(seed):
         report = dict(line.split(" = ") for line in out.strip().splitlines())
         assert 0.0 <= float(report["T"]) <= 1.0
         assert 0.0 <= float(report["power"]) <= 1.0
+
+
+# --- byte and argument fuzzers ----------------------------------------------
+
+FUZZ_CASES = 120
+
+PVALUE_FILE = b"p,is_null\n0.01,0\n0.02,0\n0.3,1\n0.04,0\n0.9,1\n"
+MATRIX_FILE = (
+    b"gene_id,C0,C1,L0,L1,H0,H1\n"
+    b"g0,1.5,1.25,2.5,2.75,4.5,4.25\n"
+    b"g1,0.5,0.75,0.5,0.25,0.5,0.75\n"
+    b"g2,2,2.5,1.5,1,0.5,0.25\n"
+)
+# Bytes that reading tends to trip on: latin-1, a byte-order mark, NUL,
+# a bare carriage return, a quote and cells past the edges of float().
+TOKENS = (b"\xe9", b"\xef\xbb\xbf", b"\x00", b"\r", b'"', b"nan", b"1e999")
+
+
+def mutated(rng, data: bytes) -> bytes:
+    """``data`` with one to three deletions, single bytes or ``TOKENS`` put in."""
+    data = bytearray(data)
+    for _ in range(int(rng.integers(1, 4))):
+        at = int(rng.integers(len(data) + 1))
+        kind = rng.integers(3)
+        if kind == 0:
+            del data[at : at + int(rng.integers(1, 4))]
+        elif kind == 1:
+            data[at:at] = bytes([int(rng.integers(256))])
+        else:
+            data[at:at] = TOKENS[rng.integers(len(TOKENS))]
+    return bytes(data)
+
+
+def run_in(directory, argv):
+    """``run_main(argv)``, which must write no file into ``directory``
+    when it fails."""
+    before = set(directory.iterdir())
+    code, out, err = run_main(argv)
+    if code != 0:
+        assert set(directory.iterdir()) == before, (argv, err)
+    return code, out, err
+
+
+@pytest.mark.parametrize(
+    "seed, command, data",
+    [
+        (0, ["test", "input.csv", "--method", "forwardstop", "--alpha", "0.2"], PVALUE_FILE),
+        (1, ["dosage", "input.csv", "--alpha-grid", "0.1,0.3"], MATRIX_FILE),
+    ],
+    ids=["test", "dosage"],
+)
+def test_mutated_input_bytes_fail_cleanly(seed, command, data, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng([5, seed])
+    codes = set()
+    for case in range(FUZZ_CASES):
+        (tmp_path / "input.csv").write_bytes(mutated(rng, data))
+        codes.add(run_in(tmp_path, command + ["--out", f"out{case}.csv"])[0])
+    # The mutations reach both a clean run and a refused file.
+    assert {0, 3} <= codes
+
+
+FUZZ_VALUES = ("nan", "inf", "-inf", "", "1e999", "9" * 30, "-1", "0", "0x1", "1,,2", "abc")
+BAD_METHODS = (
+    "", "nosuch", "seqstep:C=", "seqstep:C=nan", "hingeexp:C=1e999", "forwardstop:C=2",
+    "piecewise:0,0.5", "piecewise:0,1,nan", "piecewise:;", "seqstep:C=2:3",
+)
+BAD_CURVES = (
+    "", "f:", "f:0,0.5", "f:0,nan;1,0.3", "g:0,1;1,1", "f:0,0.5;1",
+    "f:0,0.5;;1,0.3", "f:0,1e999;1,0.3", "f:1,0.5;0,0.3", "f:0,0.5;1,0.3;1,0.2",
+)
+
+
+def fuzzed_argv(rng, command: str) -> list[str]:
+    """A tiny ``command`` run with some options set to ``FUZZ_VALUES`` or
+    to a bad method or curve; every size stays tiny or is out of range."""
+
+    def pick(values):
+        return str(values[rng.integers(len(values))])
+
+    def fuzzed(good):
+        return pick(FUZZ_VALUES) if rng.random() < 0.15 else good
+
+    if command == "test":
+        argv = ["test", "input.csv", "--method", pick(METHODS + BAD_METHODS)]
+        argv += [f"--alpha={fuzzed('0.2')}", f"--c={fuzzed('2')}", f"--mfdp-c={fuzzed('1')}"]
+        argv += ["--rule", pick(("plain", "plus", "plain", "plus", "PLUS"))]
+        if rng.random() < 0.3:
+            argv.append(f"--shift-grid={fuzzed('10')}")
+    elif command == "simulate":
+        argv = ["simulate", f"--seed={fuzzed('1')}", f"--n={fuzzed('6')}"]
+        argv += [f"--n-nonnull={fuzzed('2')}", f"--trials={fuzzed('2')}"]
+        argv += [f"--mu1={fuzzed('2')}", f"--mu2={fuzzed('2')}", f"--c={fuzzed('2')}"]
+        argv += [f"--alpha-grid={fuzzed('0.1,0.2')}", f"--workers={fuzzed('1')}"]
+    else:
+        argv = ["power", "--curve", pick(("f:0,0.5;1,0.3",) + BAD_CURVES)]
+        argv += [f"--alpha={fuzzed('0.2')}", f"--mu={fuzzed('0.5')}"]
+    return argv
+
+
+@pytest.mark.parametrize("seed, command", enumerate(["test", "simulate", "power"]))
+def test_fuzzed_arguments_fail_cleanly(seed, command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "input.csv").write_bytes(PVALUE_FILE)
+    rng = np.random.default_rng([6, seed])
+    codes = set()
+    for case in range(FUZZ_CASES):
+        out = [] if command == "power" else ["--out", f"out{case}"]
+        codes.add(run_in(tmp_path, fuzzed_argv(rng, command) + out)[0])
+    # The cases reach a clean run, a usage error and a refused value.
+    assert {0, 2, 4} <= codes, codes
 
 
 # --- public functions ------------------------------------------------------
