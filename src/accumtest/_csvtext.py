@@ -97,12 +97,8 @@ def _check_column(array: np.ndarray) -> None:
     kind = array.dtype.kind
     if kind not in _LAYOUTS:
         raise TypeError(f"cannot write a column of dtype {array.dtype}")
-    if kind == "U":
-        # Without return_inverse, np.unique imports numpy.ma on numpy 2.4:
-        # 13 ms of every dosage and simulate run.
-        texts = np.unique(array, return_inverse=True)[0]
-        if "\0" in "".join(texts.tolist()):
-            raise ValueError("cannot write a string holding a NUL character")
+    if kind == "U" and "\0" in "".join(array.tolist()):
+        raise ValueError("cannot write a string holding a NUL character")
 
 
 def _bool_layout(values: np.ndarray):
@@ -435,22 +431,28 @@ def _csv_route(handle, fields_of, full_width: bool) -> Optional[list]:
     """The fields parsed row by row with the ``csv`` module."""
     import csv
 
-    reader = csv.reader(handle)
-    header = next(reader, None)
-    if header is None:
-        return None
-    wanted = fields_of(header)
-    columns = [[] for _ in wanted]
-    for row_number, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if full_width and len(row) != len(header):
-            raise BadRow(row_number, None, row)
-        for field, values in zip(wanted, columns):
-            try:
-                values.append(_PARSERS[field[1]](row[field[0]]))
-            except (IndexError, KeyError, ValueError):
-                raise BadRow(row_number, field, row) from None
+    # No cell is longer than the file.  The limit is process-wide, so the
+    # module's own is put back after the read.
+    limit = csv.field_size_limit(os.fstat(handle.fileno()).st_size)
+    try:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            return None
+        wanted = fields_of(header)
+        columns = [[] for _ in wanted]
+        for row_number, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if full_width and len(row) != len(header):
+                raise BadRow(row_number, None, row)
+            for field, values in zip(wanted, columns):
+                try:
+                    values.append(_PARSERS[field[1]](row[field[0]]))
+                except (IndexError, KeyError, ValueError):
+                    raise BadRow(row_number, field, row) from None
+    finally:
+        csv.field_size_limit(limit)
     return [
         tuple(values) if kind is str else np.array(values, dtype=kind)
         for (_, kind), values in zip(wanted, columns)

@@ -1,15 +1,18 @@
-"""Validation and evaluation helpers for piecewise-constant functions on [0,1].
+"""Piece and knot lists, and functions on [0, 1]: their one owner.
 
-Shared by the piecewise accumulation-function family and the piecewise
-alternative density; ``unit_points`` and ``shaped`` serve every function
-evaluated at points of [0, 1].  A piece list is a sequence of
-``(lo, hi, level)`` triples that must tile ``[0, 1]`` contiguously from
-0 to 1 and integrate to 1 within ``_UNIT_TOL``.  Each piece is half-open
-``[lo, hi)`` except the last, which is closed at 1.
+Shared by the piecewise accumulation-function family, the piecewise
+alternative density and the signal curves; ``unit_points`` and ``shaped``
+serve every function evaluated at points of [0, 1].  A piece list is a
+sequence of ``(lo, hi, level)`` triples that must tile ``[0, 1]`` from 0
+to 1 and integrate to 1 within ``_UNIT_TOL`` by ``piece_total``, the one
+step integral.  Each piece is half-open ``[lo, hi)`` except the last.
+As text, piece and knot lists share one grammar (``parse_rows``): rows
+split on ``;`` and numbers on ``,``, read by ``float()``, written ``%.17g``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -52,9 +55,29 @@ def unit_pieces(pieces: Iterable[Sequence[float]]) -> tuple[Piece, ...]:
     return tuple(out)
 
 
-def piece_total(pieces: Sequence[Piece]) -> float:
-    """Exact integral of the piecewise function, sum of level * width."""
-    return float(sum(level * (hi - lo) for lo, hi, level in pieces))
+def piece_total(pieces: Iterable[Piece]) -> float:
+    """Exact integral of the piecewise function, fsum of level * width."""
+    return math.fsum(level * (hi - lo) for lo, hi, level in pieces)
+
+
+def parse_rows(text: str, body: str, width: int, what: str) -> list[tuple[float, ...]]:
+    """The rows of ``body``, ``width`` numbers each; the first row that is
+    not raises ``ValidationError`` "bad <what> <row> in <text>"."""
+    rows = []
+    for chunk in body.split(";"):
+        try:
+            row = tuple(float(v) for v in chunk.split(","))
+        except ValueError:
+            row = ()
+        if len(row) != width:
+            raise ValidationError(f"bad {what} {chunk!r} in {text!r}")
+        rows.append(row)
+    return rows
+
+
+def format_rows(rows: Iterable[Sequence[float]]) -> str:
+    """The text of a list of rows, as :func:`parse_rows` reads it."""
+    return ";".join(",".join("%.17g" % v for v in row) for row in rows)
 
 
 def interior_edges(pieces: Sequence[Piece]) -> tuple[float, ...]:

@@ -23,8 +23,8 @@ HingeExp rise from 0 with slope C / (1 - t), so ``nonnull_mean``
 integrates the density's survival function P(p > 1 - e^-s) over
 s >= log C by adaptive Simpson quadrature, with a closed-form tail past
 s = 700; the integrand is bounded and smooth between the density's
-kinks.  ``unit_integral`` of these two families is their mean under the
-uniform density.
+kinks.  ``unit_integral`` of every family is its mean under the uniform
+density.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ import numpy as np
 from ._pieces import (
     Piece,
     _UNIT_TOL,
+    format_rows,
+    parse_rows,
     piece_levels_at,
     piece_total,
     shaped,
@@ -205,15 +207,12 @@ def evaluate(
 
 
 def unit_integral(spec: AccumulationSpec) -> float:
-    """Full integral of h over [0, 1]: exact for step functions, and
-    otherwise the mean of h(p) under the uniform density, to ``QUAD_TOL``.
+    """Full integral of h over [0, 1]: the mean of h(p) under the uniform
+    density, exact for step functions and otherwise to ``QUAD_TOL``.
 
     Exists to validate specs numerically; every well-formed spec should
     return 1.
     """
-    steps = spec.steps
-    if steps is not None:
-        return piece_total(steps)
     return nonnull_mean(spec, AlternativeDensity.uniform())
 
 
@@ -236,7 +235,7 @@ def truncated_integral(spec: AccumulationSpec, cap: float) -> float:
         raise DomainError(f"cap must be positive and finite, got {cap}")
     steps = spec.steps
     if steps is not None:
-        return math.fsum(min(level, cap) * (hi - lo) for lo, hi, level in steps)
+        return piece_total((lo, hi, min(level, cap)) for lo, hi, level in steps)
     c = 1.0 if spec.family is Family.FORWARD_STOP else spec.c_param
     return -math.expm1(-cap / c)
 
@@ -264,8 +263,7 @@ def nonnull_mean(spec: AccumulationSpec, density: AlternativeDensity) -> float:
     steps = spec.steps
     if steps is not None:
         edges = density.cdf(np.array([(lo, hi) for lo, hi, _ in steps]))
-        levels = np.array([level for _, _, level in steps])
-        return math.fsum(levels * (edges[:, 1] - edges[:, 0]))
+        return piece_total(zip(*edges.T, (level for _, _, level in steps)))
     c = 1.0 if spec.family is Family.FORWARD_STOP else spec.c_param
     integrand = lambda s: density.upper_tail(np.exp(-s))
     kinks = [-math.log1p(-x) for x in density.kinks()]
@@ -281,10 +279,7 @@ def format_spec(spec: AccumulationSpec) -> str:
         return "forwardstop"
     if fam in (Family.SEQ_STEP, Family.HINGE_EXP):
         return f"{fam.value}:C={spec.c_param:.17g}"
-    body = ";".join(
-        f"{lo:.17g},{hi:.17g},{level:.17g}" for lo, hi, level in spec.pieces
-    )
-    return f"piecewise:{body}"
+    return "piecewise:" + format_rows(spec.pieces)
 
 
 def parse_spec(text: str) -> AccumulationSpec:
@@ -318,14 +313,5 @@ def parse_spec(text: str) -> AccumulationSpec:
         family = Family.SEQ_STEP if head == "seqstep" else Family.HINGE_EXP
         return AccumulationSpec(family, c_param=c)
     if head == "piecewise":
-        pieces = []
-        for chunk in rest.split(";"):
-            parts = chunk.split(",")
-            if len(parts) != 3:
-                raise ValidationError(f"bad piece {chunk!r} in {text!r}")
-            try:
-                pieces.append(tuple(float(v) for v in parts))
-            except ValueError as exc:
-                raise ValidationError(f"bad piece {chunk!r} in {text!r}") from exc
-        return AccumulationSpec(Family.PIECEWISE, pieces=tuple(pieces))
+        return piecewise_constant(parse_rows(text, rest, 3, "piece"))
     raise ValidationError(f"unknown accumulation function {text!r}")

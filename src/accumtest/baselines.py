@@ -18,12 +18,9 @@ class RejectionSet:
 
     ``count`` hypotheses are rejected, namely those at ``indices``
     (original positions, ascending p within ties by position).
-    ``threshold_index`` is the step k at which the procedure stopped,
-    0 when nothing is rejected.
     """
 
     count: int
-    threshold_index: int
     indices: tuple[int, ...]
 
 
@@ -34,11 +31,9 @@ def _step_up(pvals: np.ndarray, alpha: float, denominator: float) -> RejectionSe
     ranks = np.arange(1, n + 1)
     passing = np.nonzero(sorted_p <= alpha * ranks / denominator)[0]
     if passing.size == 0:
-        return RejectionSet(count=0, threshold_index=0, indices=())
+        return RejectionSet(count=0, indices=())
     k = int(passing[-1]) + 1
-    return RejectionSet(
-        count=k, threshold_index=k, indices=tuple(int(i) for i in order[:k])
-    )
+    return RejectionSet(count=k, indices=tuple(int(i) for i in order[:k]))
 
 
 def bh_select(pvals, alpha: float) -> RejectionSet:

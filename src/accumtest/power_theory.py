@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import _ENGINES
-from ._pieces import shaped, unit_points
+from ._pieces import format_rows, parse_rows, shaped, unit_points
 from .accumfn import AccumulationSpec, nonnull_mean
 from .densities import AlternativeDensity
 from .errors import ContractError, DomainError, ValidationError, whole_number
@@ -73,10 +73,6 @@ class SignalCurve:
             raise DomainError("delta must be a positive real")
         object.__setattr__(self, "knots", knots)
 
-    @classmethod
-    def constant(cls, value: float, delta: float = 1e-9) -> SignalCurve:
-        return cls(((0.0, value), (1.0, value)), delta=delta)
-
     def __call__(self, t):
         arr, flat = unit_points(t, "curve evaluation points")
         ts = np.array([k[0] for k in self.knots])
@@ -84,25 +80,16 @@ class SignalCurve:
         return shaped(np.interp(flat, ts, vs), arr)
 
 
-def parse_curve(text: str, delta: float = 1e-9) -> SignalCurve:
+def parse_curve(text: str) -> SignalCurve:
     """Parse the knot-list form ``f:0,0.5;1,0.3``."""
     text = text.strip()
     if not text.startswith("f:"):
         raise ValidationError(f"curve text must start with 'f:', got {text!r}")
-    knots = []
-    for chunk in text[2:].split(";"):
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise ValidationError(f"bad knot {chunk!r} in {text!r}")
-        try:
-            knots.append((float(parts[0]), float(parts[1])))
-        except ValueError as exc:
-            raise ValidationError(f"bad knot {chunk!r} in {text!r}") from exc
-    return SignalCurve(tuple(knots), delta=delta)
+    return SignalCurve(tuple(parse_rows(text, text[2:], 2, "knot")))
 
 
 def format_curve(curve: SignalCurve) -> str:
-    return "f:" + ";".join(f"{t:.17g},{v:.17g}" for t, v in curve.knots)
+    return "f:" + format_rows(curve.knots)
 
 
 @dataclass(frozen=True)
@@ -117,12 +104,6 @@ class CurveCheck:
 class CurveReport:
     passed: bool
     checks: tuple[CurveCheck, ...]
-
-    def first_violation(self) -> Optional[CurveCheck]:
-        for check in self.checks:
-            if not check.passed:
-                return check
-        return None
 
 
 def _dyadic(values) -> tuple[list[int], int]:

@@ -271,3 +271,45 @@ class TestSerialization:
         for text in ["", "unknown", "seqstep", "seqstep:C=x", "piecewise:1,2", "seqstep:C=1"]:
             with pytest.raises((ValidationError, DomainError)):
                 parse_spec(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("piecewise:0,0.5;0.5,1,1.6", "bad piece '0,0.5' in 'piecewise:0,0.5;0.5,1,1.6'"),
+            ("piecewise:0,0.5,x;0.5,1,1.6", "bad piece '0,0.5,x' in 'piecewise:0,0.5,x;0.5,1,1.6'"),
+            (" piecewise:0,1,1;1,1,1,1 ", "bad piece '1,1,1,1' in 'piecewise:0,1,1;1,1,1,1'"),
+            ("piecewise:", "bad piece '' in 'piecewise:'"),
+        ],
+    )
+    def test_bad_piece_is_named_with_the_text(self, text, message):
+        with pytest.raises(ValidationError) as caught:
+            parse_spec(text)
+        assert str(caught.value) == message
+
+    def test_piece_list_text_round_trips_every_bit(self):
+        third = 1.0 / 3.0
+        spec = piecewise_constant([(0.0, third, 0.75), (third, 1.0, 1.125)])
+        text = "piecewise:0,0.33333333333333331,0.75;0.33333333333333331,1,1.125"
+        assert format_spec(spec) == text
+        assert parse_spec(text) == spec
+        assert parse_spec(format_spec(spec)).pieces == spec.pieces
+
+
+def random_piecewise_specs(count, seed):
+    """``count`` piecewise specs of 3 to 8 pieces, with random edges and
+    levels scaled to integrate to one."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k = int(rng.integers(3, 9))
+        edges = np.concatenate([[0.0], np.sort(rng.random(k - 1)), [1.0]])
+        levels = rng.random(k)
+        levels /= np.sum(levels * np.diff(edges))
+        yield piecewise_constant(zip(edges[:-1], edges[1:], levels))
+
+
+def test_unit_integral_is_the_uncapped_truncated_integral_bit_for_bit():
+    # One summation rule for every step integral: with the cap at the top
+    # level, min(h, cap) is h, so the two integrals are the same sum.
+    for spec in random_piecewise_specs(1000, 5):
+        top = max(level for _, _, level in spec.pieces)
+        assert unit_integral(spec).hex() == truncated_integral(spec, top).hex()

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: outputs, exit codes, reproducibility."""
 
+import csv
 import dataclasses
 import errno
 import gc
@@ -621,6 +622,44 @@ class TestUndecodableInput:
         assert _csvtext._undecodable_at(path) == block + 2
         with pytest.raises(OSError, match=f"not UTF-8 text at byte {block + 2}:"):
             _csvtext.read_table(path, lambda header: [(0, float)])
+
+
+# Past the csv module's default field limit of 131 072 characters.
+LONG_CELL = 140_000
+
+
+class TestLongQuotedCells:
+    """A quoted cell of any length reads as it does unquoted, and the csv
+    module's process-wide field limit is put back after the read."""
+
+    def runs(self, tmp_path, capsys, argv, template, cell):
+        limit = csv.field_size_limit()
+        results = []
+        for quoted in (False, True):
+            path = tmp_path / f"quoted-{quoted}.csv"
+            path.write_text(template.format(f'"{cell}"' if quoted else cell))
+            results.append(run_cli([argv[0], str(path)] + argv[1:], capsys))
+            assert csv.field_size_limit() == limit
+        return results
+
+    def test_long_p_cell_is_out_of_range(self, tmp_path, capsys):
+        argv = ["test", "--method", "forwardstop", "--alpha", "0.2"]
+        plain, quoted = self.runs(tmp_path, capsys, argv, "p\n{}\n", "1" * LONG_CELL)
+        assert quoted == plain == (3, "", "error: p-values must lie in [0, 1]\n")
+
+    def test_long_gene_id_is_read(self, tmp_path, capsys):
+        template = "gene_id,C1,C2,L1,L2,H1,H2\n{},1,2,3,4,5,7\ng2,2,1,4,3,9,8\n"
+        plain, quoted = self.runs(tmp_path, capsys, ["dosage"], template, "g" * LONG_CELL)
+        assert quoted == plain
+        assert quoted[0] == 0
+
+    def test_limit_is_put_back_when_a_row_is_refused(self, tmp_path):
+        limit = csv.field_size_limit()
+        path = tmp_path / "p.csv"
+        path.write_text('p\n"%s"\nx\n' % ("1" * LONG_CELL))
+        with pytest.raises(_csvtext.BadRow):
+            _csvtext.read_table(path, lambda header: [(0, float)])
+        assert csv.field_size_limit() == limit
 
 
 class TestExitCodes:

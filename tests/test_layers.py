@@ -496,3 +496,13 @@ def test_one_module_owns_the_memory_budget():
         if any(rule in path.read_text() for rule in ("MiB budget", "128 * 2**20"))
     }
     assert owners == {"errors"}
+
+
+def test_one_module_owns_the_list_grammar():
+    """Piece and knot lists are split, and a bad row is worded, in _pieces alone."""
+    owners = {
+        path.stem
+        for path in PACKAGE.glob("*.py")
+        if any(rule in path.read_text() for rule in ('split(";")', "!r} in {text!r}"))
+    }
+    assert owners == {"_pieces"}

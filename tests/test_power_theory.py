@@ -61,6 +61,28 @@ class TestSignalCurve:
         again = parse_curve(format_curve(curve))
         assert again.knots == curve.knots
 
+    def test_knot_list_text_is_pinned(self):
+        curve = parse_curve(" f:0,0.5;0.25,0.4;1,0.3 ")
+        assert curve.knots == ((0.0, 0.5), (0.25, 0.4), (1.0, 0.3))
+        text = "f:0,0.5;0.25,0.40000000000000002;1,0.29999999999999999"
+        assert format_curve(curve) == text
+        assert parse_curve(text) == curve
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0,0.5;1,0.3", "curve text must start with 'f:', got '0,0.5;1,0.3'"),
+            ("f:0,0.5;1", "bad knot '1' in 'f:0,0.5;1'"),
+            ("f:0,0.5;1,0.3,0", "bad knot '1,0.3,0' in 'f:0,0.5;1,0.3,0'"),
+            (" f:0,x;1,0.3", "bad knot '0,x' in 'f:0,x;1,0.3'"),
+            ("f:0,0.5;", "bad knot '' in 'f:0,0.5;'"),
+        ],
+    )
+    def test_bad_curve_text_is_named(self, text, message):
+        with pytest.raises(ValidationError) as caught:
+            parse_curve(text)
+        assert str(caught.value) == message
+
 
 class TestValidateSignalCurve:
     def test_shallow_decreasing_line_passes(self):
