@@ -60,10 +60,11 @@ import numpy as np
 
 from . import _HOME, __version__
 from .accumfn import parse_spec
-from .errors import AccumTestError, DomainError, ValidationError
+from .errors import AccumTestError, ValidationError
 from .seqtest import (
     OrderedPValues,
     Rule,
+    _mfdp_constant,
     default_methods,
     fdp,
     mfdp,
@@ -188,10 +189,9 @@ def cmd_test(args: argparse.Namespace) -> int:
     from ._csvtext import cell_text, write_table
 
     # Checked before any work: mfdp itself runs only when is_null is given.
-    if not args.mfdp_c >= 0.0:
-        raise DomainError(f"mfdp constant must be nonnegative, got {args.mfdp_c}")
-    pvals = _read_pvalue_csv(args.input)
+    _mfdp_constant(args.mfdp_c)
     spec = parse_spec(args.method)
+    pvals = _read_pvalue_csv(args.input)
     if args.shift_grid is not None:
         pvals = shift_discrete_pvalues(pvals, args.shift_grid)
     tables = _outputs(args)[:-1]

@@ -19,17 +19,15 @@ Because the high-dose arm is disjoint from the columns being permuted,
 steps 1 and 2 are invariant under any relabeling of control and
 low-dose columns, which is what makes the ordering legitimate.
 
-The calibration of step 3 (``_permutation_rows``) scores a relabeling
-from the sums of its pseudo-control group.  Each gene's true labeling
-is scored once, by ``_true_labeling``, which also gives the Welch
-p-values of steps 1 and 3.  One matrix product per batch of genes then
-gives every other relabeling's exact integer sums, and from those alone
-``_sum_screen`` settles most of them on one side of the true
-labeling's tail, under a written bound on the remainder terms of
-off-grid values.  Only the relabelings it leaves open, about 2 % on the
-benchmark's data sets, go through the float Welch arithmetic of
-``_welch_stats`` and the t-CDF.  Every rank and output bit is that of
-scoring each relabeling in full.
+The calibration of step 3 (``_permutation_rows``) scores each labeling
+by ``_labeling_tails`` and counts its rank hits by ``_rank_hits``, the
+true labeling first, whose test also gives the Welch p-values of steps 1
+and 3.  One matrix product per batch of genes gives every other
+relabeling's exact integer sums, and from those alone ``_sum_screen``
+settles most of them on one side of the true labeling's tail, under a
+written bound on the remainder terms of off-grid values.  Only those it
+leaves open, about 2 % on the benchmark's data sets, are scored.  Every
+rank and output bit is that of scoring each relabeling in full.
 
 A gene's rank, the count k of the P relabelings scoring at or below its
 true labeling, stays an integer from the engine to ``run_pipeline``,
@@ -430,34 +428,45 @@ def _thresholds(tail0: np.ndarray, df_lo: float, df_hi: float) -> np.ndarray:
     return np.stack([below, above], axis=-1)
 
 
+def _labeling_tails(
+    h: np.ndarray, r: np.ndarray, indicator: np.ndarray, s_c: np.ndarray,
+    q_c: np.ndarray, s: np.ndarray, q: np.ndarray, m_c: int, m_l: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d, tail, degenerate) of each labeling: the one scorer of labelings.
+
+    Element e is a labeling of a row with ``_exact_units`` h[e] and r[e],
+    0/1 first-group column ``indicator[:, e]`` and ``_welch_stats`` sums
+    s_c, q_c, s and q, which give d and degenerate.  Off-grid remainder
+    terms are summed by ``_pair_sums``; tail is the t-CDF at -|t|.
+    """
+    remainders = _pair_sums(_remainder_columns(h, r), indicator) if r.any() else None
+    del h, r, indicator  # a chunk's gathers, freed before the Welch arrays
+    d, x, df, degenerate = _welch_stats(s_c, q_c, s, q, m_c, m_l, remainders)
+    del remainders
+    return d, _tails.stdtr(df, x), degenerate
+
+
 def _true_labeling(
     h: np.ndarray, r: np.ndarray, m_first: int, m_second: int, plus
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The Welch test of each row under its true labeling, one t-CDF call.
 
     (h, r) are the ``_exact_units`` of rows whose first ``m_first``
-    columns form one group and the other ``m_second`` the second.
-    ``_welch_stats`` scores each relabeling from its own sums alone, so
-    these bits are those the true labeling would get in any permutation
-    pass.  ``plus`` (one bool, or one per row) is true where the
-    one-sided p scores mean(second) > mean(first).
+    columns form one group and the other ``m_second`` the second; that
+    column goes through ``_labeling_tails`` as in a permutation pass.
+    ``plus`` (one bool, or one per row) is true where the one-sided p
+    scores mean(second) > mean(first).
 
-    Returns (d, tail, degenerate, one, two) per row: d has the sign of
-    mean(second) - mean(first) and is exactly zero for equal means on
-    grid rows, tail is P(T_df <= -|t|), degenerate marks rows where both
-    spread terms vanish, and one and two are the one- and two-sided p,
-    never NaN (``_permutation_rows`` says why).
+    Returns per row the (d, tail, degenerate) of ``_labeling_tails``, d
+    exactly zero for equal means on grid rows, and the one- and two-sided
+    p, never NaN (``_permutation_rows`` says why).
     """
     hh = h * h
-    remainders = None
-    if r.any():
-        terms = _remainder_columns(h, r)
-        remainders = terms[:m_first].sum(axis=0), terms[m_first:].sum(axis=0)
-    d, x, df, degenerate = _welch_stats(
-        h[:, :m_first].sum(axis=1), hh[:, :m_first].sum(axis=1), h.sum(axis=1),
-        hh.sum(axis=1), m_first, m_second, remainders,
+    first = (np.arange(h.shape[1]) < m_first)[:, None] * 1.0
+    d, tail, degenerate = _labeling_tails(
+        h, r, first, h[:, :m_first].sum(axis=1), hh[:, :m_first].sum(axis=1),
+        h.sum(axis=1), hh.sum(axis=1), m_first, m_second,
     )
-    tail = _tails.stdtr(df, x)
     one = _one_sided(np.where(plus, d, -d), tail, degenerate)
     return d, tail, degenerate, one, _two_sided(d, tail, degenerate)
 
@@ -556,6 +565,29 @@ def _chunk_rows(columns: int) -> int:
     return max(1, _BATCH_BUDGET // (columns * 8 * _BATCH_ARRAYS))
 
 
+def _rank_hits(
+    rows: np.ndarray, g: int, d: np.ndarray, tail: np.ndarray, degenerate: np.ndarray,
+    plus_mask: np.ndarray, p_init: np.ndarray, p_two: np.ndarray, mirror: bool,
+) -> np.ndarray:
+    """The one counter of rank hits: per row of g, as (2, g) intp, the
+    labelings whose one- and two-sided p are at most the row's true p.
+
+    Element e of the ``_labeling_tails`` output (d, tail, degenerate) is
+    a labeling of row rows[e].  When ``mirror`` (m_c = m_l) its
+    complement, with the same tail and df bit for bit and d negated,
+    counts too: one-sided with the sign flipped, two-sided as it is.
+    """
+    signed = np.where(plus_mask[rows], d, -d)
+    p0 = p_init[rows]
+    hits = np.empty((2, g), dtype=np.intp)
+    hits[0] = np.bincount(rows[_one_sided(signed, tail, degenerate) <= p0], minlength=g)
+    hits[1] = np.bincount(rows[_two_sided(d, tail, degenerate) <= p_two[rows]], minlength=g)
+    if mirror:
+        hits[0] += np.bincount(rows[_one_sided(-signed, tail, degenerate) <= p0], minlength=g)
+        hits[1] *= 2
+    return hits
+
+
 def _permutation_rows(
     values: np.ndarray, m_c: int, m_l: int, plus_mask: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -564,23 +596,20 @@ def _permutation_rows(
     ``values`` has one row per gene and ``m_c + m_l`` columns with the
     true control values first.  The ``_exact_units`` of every row, its
     ``_true_labeling`` test and the ``_thresholds`` of that tail are
-    found once.  ``_score_batch`` then counts, in batches of
-    ``_chunk_rows``, the hits of every other relabeling; results do not
+    found once.  The ranks start from the true labeling's own
+    ``_rank_hits``, and ``_score_batch`` adds, in batches of
+    ``_chunk_rows``, those of every other relabeling; results do not
     depend on the batch size.
 
-    The true labeling's own hits are added here: 1 to each rank, and
-    when m_c = m_l 1 to the one-sided rank where its complement, with the
-    same tail and the negated difference, has a p of at most p_init; the
-    two-sided rank is then doubled, as each complement's two-sided p is
-    that of its relabeling.  The true p counts itself, as it is never
-    NaN.  A degenerate row gets 0, 1/2 or 1 from ``_one_sided`` and 0 or
-    1 from ``_two_sided`` whatever its tail, and at m_c = m_l = 1, where
-    the true labeling and its complement are all P, every row is
-    degenerate.  Otherwise se2 > 0, each spread term a_i / se2 lies in
-    [0, 1] and the largest, of group i, is at least about 1/2, so the sum
-    behind the Welch df is at least about 1/(4 (n_i - 1)) and at most
-    sum 1/(n_i - 1): df is finite and positive.  x = -|d / t| with finite
-    d and t > 0 lies in [-inf, 0], where the t-CDF is a number.
+    The true p counts itself, as it is never NaN.  A degenerate row gets
+    0, 1/2 or 1 from ``_one_sided`` and 0 or 1 from ``_two_sided``
+    whatever its tail, and at m_c = m_l = 1, where the true labeling and
+    its complement are all P, every row is degenerate.  Otherwise se2 >
+    0, each spread term a_i / se2 lies in [0, 1] and the largest, of
+    group i, is at least about 1/2, so the sum behind the Welch df is at
+    least about 1/(4 (n_i - 1)) and at most sum 1/(n_i - 1): df is finite
+    and positive.  x = -|d / t| with finite d and t > 0 lies in [-inf,
+    0], where the t-CDF is a number.
 
     Returns (p_init, rank, rank_two, p_two): the one-sided p under the
     true labels, its rank numerator #{relabelings with p <= p_init} as
@@ -592,17 +621,15 @@ def _permutation_rows(
     h, r = _exact_units(values)
     d, tail0, degenerate, p_init, p_two = _true_labeling(h, r, m_c, m_l, plus_mask)
     thresholds = _thresholds(tail0, *_df_bounds(m_c, m_l))
-    hits = np.ones((2, values.shape[0]), dtype=np.intp)
+    g, mirror = values.shape[0], m_c == m_l
+    hits = _rank_hits(np.arange(g), g, d, tail0, degenerate, plus_mask, p_init, p_two, mirror)
     rows = _chunk_rows(_batch_columns(m_c, m_l))
-    for start in range(0, values.shape[0], rows):
+    for start in range(0, g, rows):
         batch = slice(start, start + rows)
         hits[:, batch] += _score_batch(
             h[batch], r[batch], m_c, m_l, plus_mask[batch], thresholds[batch],
             p_init[batch], p_two[batch],
         )
-    if m_c == m_l:
-        hits[0] += _one_sided(np.where(plus_mask, -d, d), tail0, degenerate) <= p_init
-        hits[1] *= 2
     return p_init, hits[0], hits[1], p_two
 
 
@@ -726,11 +753,8 @@ def _sum_screen(
 
 
 def _settled_hits(
-    counts: np.ndarray,
-    plus_mask: np.ndarray,
-    p_init: np.ndarray,
-    mirror: bool,
-) -> tuple[np.ndarray, np.ndarray]:
+    counts: np.ndarray, plus_mask: np.ndarray, p_init: np.ndarray, mirror: bool
+) -> np.ndarray:
     """Per-row rank hits of the relabelings ``_sum_screen`` settled.
 
     ``counts`` holds per row the relabelings settled low, those of them
@@ -739,9 +763,8 @@ def _settled_hits(
     (low) or above it (high), so every rank comparison comes out as for
     the tail 0 or 1/2: its one-sided p as 0 where its directed difference
     is positive and 1 where negative (low), or as 1/2 (high), and its
-    mirror's the other way round; its two-sided p as 0 or 1.  Returns the
-    one-sided hits, the mirrors' included when ``mirror``, and the
-    two-sided hits without them.
+    mirror's the other way round; its two-sided p as 0 or 1.  Returns
+    them as ``_rank_hits`` does, mirrors on both sides when ``mirror``.
 
     A settled p of 1, a low relabeling's one-sided p where its
     difference is negative or a high one's two-sided p, would count only
@@ -761,17 +784,14 @@ def _settled_hits(
     low, up, high = counts
     half = high * (p_init >= 0.5)
     if mirror:
-        hits = low + 2 * half
-    else:
-        hits = np.where(plus_mask, up, low - up) + half
-    # A fresh array: the caller adds the open relabelings' hits in place.
-    return hits, low.copy()
+        return np.stack([low + 2 * half, 2 * low])
+    return np.stack([np.where(plus_mask, up, low - up) + half, low])
 
 
 def _score_batch(
     h: np.ndarray, r: np.ndarray, m_c: int, m_l: int, plus_mask: np.ndarray,
     thresholds: np.ndarray, p_init: np.ndarray, p_two: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Per-row one- and two-sided rank hits of all but the true labeling.
 
     (h, r) are the rows' ``_exact_units``, and ``thresholds``, ``p_init``
@@ -781,16 +801,12 @@ def _score_batch(
     relabelings after the true one, column 0 of the ``_partition_table``,
     and ``_sum_screen`` settles most of them from those alone;
     ``_settled_hits`` counts them per row.  Only the relabelings it
-    leaves open get ``_welch_stats`` (with the ``_pair_sums`` of their
-    remainders, on off-grid rows) and the t-CDF, a chunk of them at a
-    time, so that the pass holds O(open) floats, not O(open x m).  Every
-    comparison, and the rank, is that of the full evaluation.  When m_c
-    = m_l only the P/2 relabelings that keep column 0 in the control
-    group are scored: swapping the groups keeps the tail and df bit for
-    bit and negates the difference, so each complement's one-sided p
-    comes from the same tail with the sign flipped, and its two-sided p
-    is the same.  The one-sided hits count the complements, the
-    two-sided ones do not.
+    leaves open go through ``_labeling_tails`` and ``_rank_hits``, a
+    chunk of them at a time, so that the pass holds O(open) floats, not
+    O(open x m).  Every comparison, and the rank, is that of the full
+    evaluation.  When m_c = m_l only the P/2 relabelings that keep
+    column 0 in the control group are scored; both counters count each
+    one's complement with it.
     """
     mirror = m_c == m_l
     scored = _scored_columns(m_c, m_l)
@@ -820,35 +836,19 @@ def _score_batch(
     )
     pairs = np.flatnonzero(open_)
     del open_
-    hits, hits_two = _settled_hits(counts, plus_mask, p_init, mirror)
+    hits = _settled_hits(counts, plus_mask, p_init, mirror)
 
-    remainders = off_grid.any()
     step = max(1, g * _batch_columns(m_c, m_l) // (2 * (m_c + m_l) + 12))
     for start in range(0, pairs.size, step):
         chunk = pairs[start : start + step]
         rows, cols = np.divmod(chunk, others)
-        pair_sums = None
-        if remainders:
-            terms = _remainder_columns(h.take(rows, axis=0), r.take(rows, axis=0))
-            pair_sums = _pair_sums(terms, table.take(cols + 1, axis=1))
-            del terms
-        d, x, df, degenerate = _welch_stats(
+        d, tail, degenerate = _labeling_tails(
+            h.take(rows, axis=0), r.take(rows, axis=0), table.take(cols + 1, axis=1),
             sums.take(chunk), sums.take(chunk + g * others), s[rows, 0], q[rows, 0],
-            m_c, m_l, pair_sums,
+            m_c, m_l,
         )
-        del pair_sums
-        tail = _tails.stdtr(df, x)
-        del df, x
-        signed = np.where(plus_mask[rows], d, -d)
-        p0 = p_init[rows]
-        one = _one_sided(signed, tail, degenerate)
-        hits += np.bincount(rows[one <= p0], minlength=g)
-        if mirror:
-            mirrored = _one_sided(-signed, tail, degenerate)
-            hits += np.bincount(rows[mirrored <= p0], minlength=g)
-        two = _two_sided(d, tail, degenerate)
-        hits_two += np.bincount(rows[two <= p_two[rows]], minlength=g)
-    return hits, hits_two
+        hits += _rank_hits(rows, g, d, tail, degenerate, plus_mask, p_init, p_two, mirror)
+    return hits
 
 
 def permutation_pvalue(

@@ -325,11 +325,16 @@ def fdp(k: int, null_mask) -> float:
     return float(np.count_nonzero(mask[:k])) / k
 
 
-def mfdp(k: int, null_mask, c: float) -> float:
-    """Modified FDP with c added to the denominator: false / (c + k)."""
+def _mfdp_constant(c: float) -> float:
     c = float(c)
     if not c >= 0.0:
         raise DomainError(f"mfdp constant must be nonnegative, got {c}")
+    return c
+
+
+def mfdp(k: int, null_mask, c: float) -> float:
+    """Modified FDP with c added to the denominator: false / (c + k)."""
+    c = _mfdp_constant(c)
     mask = _require_mask(null_mask)
     k = _check_k(k, mask.size)
     if k == 0:

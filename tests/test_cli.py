@@ -111,6 +111,19 @@ class TestCmdTest:
                 code, out, err = run_cli(args + ["--mfdp-c", bad], capsys)
                 assert code == 4 and out == "" and err.startswith("error:")
 
+    def test_bad_method_is_refused_before_the_input_is_read(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The input holds an out-of-range p, whose error must not hide the
+        # method's: the method is parsed before any file is opened.
+        path = write_pvalue_csv(tmp_path, [0.1, 1.5])
+        reads = []
+        monkeypatch.setattr(_csvtext, "read_table", lambda *args, **kw: reads.append(args))
+        method = "piecewise:0,0.5;0.5,1,1.6"
+        code, out, err = run_cli(["test", path, "--method", method, "--alpha", "0.2"], capsys)
+        assert code == 3 and out == "" and reads == []
+        assert err.splitlines() == [f"error: bad piece '0,0.5' in '{method}'"]
+
     def test_path_csv_round_trip(self, tmp_path, capsys):
         path = write_pvalue_csv(tmp_path, [0.01, 0.95, 0.02, 0.8, 0.9])
         out_path = str(tmp_path / "path.csv")

@@ -1,5 +1,6 @@
 """Dosage pipeline: Welch tests, partition calibration, ordering, counts."""
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -58,6 +59,19 @@ from accumtest.dosage import (
 import oracles
 
 FROZEN_SHIFTED_WELCH = 0.3465935070873342
+
+# Digest of the kernel probe in test_engine_bytes_are_pinned, and the
+# digests it pins: the (p_init, rank, rank_two, p_two) of
+# ``_permutation_rows``, then the ``run_pipeline`` count table.
+DOSAGE_KERNEL_DIGEST = "ed2db82021a2cf06e38ee5659976bc1599fb3ac403c58ce9289be8c51b5637b7"
+PINNED_TIES = (
+    "1307db443a1a8def37c7758f5085e1334866e9f2248c93b87111ad6ca37063eb",
+    "af101776b017c8a6e07e2ccf4763051856ce6810d76dd415068d826c5212dfb6",
+)
+PINNED_OFF_GRID = (
+    "310703aae4f41e05977c73910df74daaa438f8c256417e2cfe92aef9fa4426c8",
+    "59b02251259d16e884bd3d56c5b3eef99baebe9630b285be5f942cb9aa81de85",
+)
 
 
 def make_matrix(values, m_c, m_l, m_h, ids=None):
@@ -680,6 +694,45 @@ class TestRunPipeline:
             run_pipeline(matrix, alpha_grid=(1.0,))
         assert "alpha" in str(info.value)
 
+    @pytest.mark.parametrize(
+        "m_c,m_l,decimals,digests",
+        [
+            # Two-decimal values split (4, 4): exact ties, and each scored
+            # relabeling stands for its complement too.
+            (4, 4, 2, PINNED_TIES),
+            # Full-precision values split (5, 3): remainders off the grid.
+            (5, 3, None, PINNED_OFF_GRID),
+        ],
+    )
+    def test_engine_bytes_are_pinned(self, m_c, m_l, decimals, digests):
+        """Digests of the permutation engine's four per-gene arrays and of
+        the count table, as they were recorded.
+
+        They hold only where the Philox normal stream and
+        ``_tails.stdtr`` give the bits they gave when the digests were
+        recorded (numpy 2.4.6, x86-64 with AVX-512); elsewhere the test
+        is skipped and the engine's other tests still hold.
+        """
+        df = np.geomspace(0.5, 60.0, 40)[:, None]
+        probe = hashlib.sha256(
+            np.random.Generator(np.random.Philox(key=31)).normal(size=256).tobytes()
+            + _tails.stdtr(df, -np.geomspace(1e-3, 40.0, 50)).tobytes()
+        ).hexdigest()
+        if probe != DOSAGE_KERNEL_DIGEST:
+            pytest.skip("elementwise kernels differ from where the digests were recorded")
+        matrix = gaussian_matrix(
+            31, 240, m_c, m_l, 3, planted=30, low_shift=0.8, high_shift=1.5,
+            decimals=decimals,
+        )
+        order, _, plus = high_dose_ordering(matrix)
+        pooled = np.hstack([matrix.columns(Group.CONTROL), matrix.columns(Group.LOW)])
+        arrays = _permutation_rows(pooled[order], m_c, m_l, plus)
+        got = (
+            hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest(),
+            hashlib.sha256(repr(run_pipeline(matrix).columns).encode()).hexdigest(),
+        )
+        assert got == digests
+
 
 class TestExpressionMatrix:
     def test_missing_group_is_named(self):
@@ -1140,8 +1193,9 @@ class TestTailScreen:
         each tail comes from scipy's inverse t.  The relabelings the
         screen may settle, low at x <= below and high at x >= above with
         a finite df, never the true labeling, must add to each row's
-        one-sided, mirrored and two-sided ranks, through
-        ``_settled_hits``, what their exact comparisons add."""
+        one-sided and two-sided ranks, through ``_settled_hits``, what
+        their exact comparisons add, mirrors included on both sides when
+        ``mirror``."""
         rng = np.random.Generator(np.random.Philox(key=77))
         k = 400
         targets = [1e-16, 3e-17, 2.0**-52, 6e-16, 0.5, 0.0, 1e-3, 0.2, 0.4999]
@@ -1194,10 +1248,12 @@ class TestTailScreen:
             for mirror in (False, True):
                 hits, hits_two = _settled_hits(counts, plus, one[:, 0], mirror)
                 want = np.array(settled_hits(one, one[:, 0]))
+                want_two = np.array(settled_hits(two, two[:, 0]))
                 if mirror:
                     want += settled_hits(mirrored, one[:, 0])
+                    want_two += settled_hits(two, two[:, 0])
                 assert hits.tolist() == want.tolist()
-                assert hits_two.tolist() == settled_hits(two, two[:, 0])
+                assert hits_two.tolist() == want_two.tolist()
 
     def test_thresholds_at_the_ends_of_the_table(self, monkeypatch):
         lo, hi = _df_bounds(2, 2)
