@@ -62,8 +62,11 @@ from . import _HOME, __version__
 from .accumfn import parse_spec
 from .errors import AccumTestError, ValidationError
 from .seqtest import (
+    Method,
     OrderedPValues,
     Rule,
+    _alpha_levels,
+    _grid_size,
     _mfdp_constant,
     default_methods,
     fdp,
@@ -188,14 +191,19 @@ def _read_pvalue_csv(path: str) -> OrderedPValues:
 def cmd_test(args: argparse.Namespace) -> int:
     from ._csvtext import cell_text, write_table
 
-    # Checked before any work: mfdp itself runs only when is_null is given.
+    # Each option is checked before the input is read, by the function that
+    # applies it; mfdp itself runs only when is_null is given.
     _mfdp_constant(args.mfdp_c)
     spec = parse_spec(args.method)
+    if args.shift_grid is not None:
+        _grid_size(args.shift_grid)
+    c = Method("", spec, args.rule, args.c).plus_constant
+    _alpha_levels(args.alpha)
     pvals = _read_pvalue_csv(args.input)
     if args.shift_grid is not None:
         pvals = shift_discrete_pvalues(pvals, args.shift_grid)
     tables = _outputs(args)[:-1]
-    result = run_accumulation_test(pvals, spec, args.alpha, rule=args.rule, c=args.c)
+    result = run_accumulation_test(pvals, spec, args.alpha, rule=args.rule, c=c)
     # Every reported value is computed before any is printed, so a failing
     # metric leaves stdout empty instead of half a report.
     report = [("k_hat", result.k_hat)]
@@ -247,14 +255,18 @@ def cmd_power(args: argparse.Namespace) -> int:
 
 def cmd_dosage(args: argparse.Namespace) -> int:
     from ._csvtext import write_table
+    from .dosage import _alpha_grid
 
     if args.alpha_grid is None:
         args.alpha_grid = _lazy.DEFAULT_DOSAGE_ALPHAS
+    # Both options are checked before the input is read, as in cmd_test.
+    methods = default_methods(args.c)
+    _alpha_grid(args.alpha_grid)
     matrix = _lazy.read_expression_csv(args.input)
     tables = _outputs(args)[:-1] or [None]
     result = _lazy.run_pipeline(
         matrix,
-        methods=default_methods(args.c),
+        methods=methods,
         alpha_grid=args.alpha_grid,
         include_baselines=not args.no_baselines,
     )

@@ -437,7 +437,9 @@ def _labeling_tails(
     Element e is a labeling of a row with ``_exact_units`` h[e] and r[e],
     0/1 first-group column ``indicator[:, e]`` and ``_welch_stats`` sums
     s_c, q_c, s and q, which give d and degenerate.  Off-grid remainder
-    terms are summed by ``_pair_sums``; tail is the t-CDF at -|t|.
+    terms are summed by ``_pair_sums``; tail is the t-CDF at -|t|.  h, r
+    and indicator are read only if r has a nonzero entry, so labelings
+    of grid rows alone may pass them empty.
     """
     remainders = _pair_sums(_remainder_columns(h, r), indicator) if r.any() else None
     del h, r, indicator  # a chunk's gathers, freed before the Welch arrays
@@ -838,12 +840,16 @@ def _score_batch(
     del open_
     hits = _settled_hits(counts, plus_mask, p_init, mirror)
 
+    # Only off-grid rows have remainder terms: a batch without one gathers
+    # none of h, r and the table, and its empty r tells _labeling_tails so.
+    gathered = slice(None) if off_grid.any() else slice(0)
     step = max(1, g * _batch_columns(m_c, m_l) // (2 * (m_c + m_l) + 12))
     for start in range(0, pairs.size, step):
         chunk = pairs[start : start + step]
         rows, cols = np.divmod(chunk, others)
         d, tail, degenerate = _labeling_tails(
-            h.take(rows, axis=0), r.take(rows, axis=0), table.take(cols + 1, axis=1),
+            h.take(rows[gathered], axis=0), r.take(rows[gathered], axis=0),
+            table.take(cols[gathered] + 1, axis=1),
             sums.take(chunk), sums.take(chunk + g * others), s[rows, 0], q[rows, 0],
             m_c, m_l,
         )
@@ -961,6 +967,17 @@ class PipelineResult:
 DEFAULT_DOSAGE_ALPHAS = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
 
 
+def _alpha_grid(values: Sequence[float]) -> tuple[float, ...]:
+    """``values`` as a tuple of floats, refused if empty or outside [0, 1)."""
+    alphas = tuple(float(a) for a in values)
+    if not alphas:
+        raise DomainError("alpha grid must be nonempty")
+    for a in alphas:
+        if not 0.0 <= a < 1.0:
+            raise DomainError(f"alpha must lie in [0, 1), got {a}")
+    return alphas
+
+
 def run_pipeline(
     matrix: ExpressionMatrix,
     methods: Optional[Sequence[Method]] = None,
@@ -980,21 +997,16 @@ def run_pipeline(
     see the same genes without the ordering.  Both kinds come from the
     permutation pass: the t-test p-value is the true labeling's.
 
-    A level of exactly zero yields zero discoveries for every method by
-    definition.  Levels must lie in [0, 1).  ``_permutation_rows`` scores
-    the gene rows in batches sized so that the (rows x P) float64 arrays
-    a pass holds stay within a fixed byte budget; results do not depend
-    on the batch size.  The count table is built as columns, ready for a
-    column-wise writer.
+    Levels must lie in [0, 1).  ``_permutation_rows`` scores the gene
+    rows in batches sized so that the (rows x P) float64 arrays a pass
+    holds stay within a fixed byte budget; results do not depend on the
+    batch size.  The counts fill one (names x levels) array, a row per
+    method and then per baseline, where only positive levels' columns are
+    written: a level of 0 yields no discovery by definition.
     """
     if methods is None:
         methods = default_methods()
-    alphas = tuple(float(a) for a in alpha_grid)
-    if not alphas:
-        raise DomainError("alpha grid must be nonempty")
-    for a in alphas:
-        if not 0.0 <= a < 1.0:
-            raise DomainError(f"alpha must lie in [0, 1), got {a}")
+    alphas = _alpha_grid(alpha_grid)
     m_c = matrix.group_size(Group.CONTROL)
     m_l = matrix.group_size(Group.LOW)
     if include_baselines and (m_c < 2 or m_l < 2):
@@ -1010,17 +1022,8 @@ def run_pipeline(
     for values in (order, p_high, plus, p_init, rank, p_final):
         values.setflags(write=False)
 
-    levels = np.array(alphas)
-    positive = levels > 0.0
-    discoveries: list[int] = []
-    names: list[str] = []
-    for method in methods:
-        names.append(method.name)
-        inputs = p_final if method.spec.bounded else rank / (count + 1.0)
-        counts = np.zeros(len(alphas), dtype=int)
-        counts[positive] = select_cutoff(method.path(inputs), levels[positive])
-        discoveries.extend(counts.tolist())
-
+    names = [method.name for method in methods]
+    baselines = ()
     if include_baselines:
         p_perm_two = rank_two / count
         baselines = (
@@ -1029,16 +1032,20 @@ def run_pipeline(
             ("BH-perm", bh_select, p_perm_two),
             ("Storey-perm", storey_select, p_perm_two),
         )
-        for name, select, pvals in baselines:
-            names.append(name)
-            discoveries.extend(
-                0 if alpha == 0.0 else select(pvals, alpha).count for alpha in alphas
-            )
+        names += [name for name, _, _ in baselines]
+    levels = np.array(alphas)
+    positive = levels > 0.0
+    discoveries = np.zeros((len(names), levels.size), dtype=np.intp)
+    for row, method in zip(discoveries, methods):
+        inputs = p_final if method.spec.bounded else rank / (count + 1.0)
+        row[positive] = select_cutoff(method.path(inputs), levels[positive])
+    for row, (_, select, pvals) in zip(discoveries[len(methods):], baselines):
+        row[positive] = [select(pvals, alpha).count for alpha in levels[positive]]
 
     columns = (
         tuple(name for name in names for _ in alphas),
         alphas * len(names),
-        tuple(discoveries),
+        tuple(discoveries.ravel().tolist()),
     )
     return PipelineResult(
         order, p_high, plus, p_init, rank, p_final,

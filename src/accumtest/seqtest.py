@@ -172,6 +172,16 @@ def _fdp_path(
     return np.divide(out, 1.0 + k, out=out)
 
 
+def _alpha_levels(alpha: Union[float, Sequence[float], np.ndarray]) -> np.ndarray:
+    """``alpha`` as an array of levels, refused unless each lies in (0, 1)."""
+    levels = np.asarray(alpha, dtype=float)
+    if levels.ndim > 1:
+        raise DomainError("alpha must be one level or a 1-d sequence of levels")
+    if not np.all((levels > 0.0) & (levels < 1.0)):
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    return levels
+
+
 def select_cutoff(
     path: Union[Sequence[float], np.ndarray],
     alpha: Union[float, Sequence[float], np.ndarray],
@@ -189,11 +199,7 @@ def select_cutoff(
     level for a sequence; a 2-d path gives int arrays of shape
     ``(rows,)`` and ``(rows, levels)``.
     """
-    levels = np.asarray(alpha, dtype=float)
-    if levels.ndim > 1:
-        raise DomainError("alpha must be one level or a 1-d sequence of levels")
-    if not np.all((levels > 0.0) & (levels < 1.0)):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    levels = _alpha_levels(alpha)
     arr = np.asarray(path, dtype=float)
     if arr.ndim not in (1, 2) or arr.size == 0:
         raise DomainError("path must be a nonempty 1-d sequence or 2-d block of paths")
@@ -352,6 +358,13 @@ def power_of_cutoff(k: int, null_mask) -> float:
     return float(np.count_nonzero(~mask[:k])) / total
 
 
+def _grid_size(grid_size: int) -> int:
+    grid_size = whole_number("grid_size", grid_size, ValidationError)
+    if not 1 <= grid_size < 2**53:
+        raise ValidationError(f"grid_size must lie in [1, 2^53), got {grid_size}")
+    return grid_size
+
+
 def shift_discrete_pvalues(pvals: PValueInput, grid_size: int) -> OrderedPValues:
     """Remap grid p-values k/G to k/(G+1), clearing exact ones.
 
@@ -371,9 +384,7 @@ def shift_discrete_pvalues(pvals: PValueInput, grid_size: int) -> OrderedPValues
         is not a whole number from 1 to 2^53 - 1, past which k/(G+1)
         rounds to k/G.
     """
-    grid_size = whole_number("grid_size", grid_size, ValidationError)
-    if not 1 <= grid_size < 2**53:
-        raise ValidationError(f"grid_size must lie in [1, 2^53), got {grid_size}")
+    grid_size = _grid_size(grid_size)
     mask = pvals.null_mask if isinstance(pvals, OrderedPValues) else None
     values = _as_values(pvals)
     numerators = np.rint(values * grid_size)

@@ -25,7 +25,8 @@ Reproducibility rules used throughout:
   tie are sorted again, stably.
 * The engine evaluates h once per run of methods that share an
   accumulation function (SeqStep and SeqStep+), and finds each cutoff by
-  a binary search in the path's running minimum from the end.
+  a binary search in the path's running minimum from the end.  One step
+  turns a block's (rows x methods x levels) cutoffs into its stats.
 """
 
 from __future__ import annotations
@@ -339,8 +340,9 @@ def _score_rows(
     """Score a block of trials, one per row of ``pvals`` and ``null``.
 
     ``pvals`` must already lie in [0, 1], as ``_ranked_block`` and
-    ``OrderedPValues`` check.  The frame's paths are attached only when
-    ``include_paths``.
+    ``OrderedPValues`` check.  The cutoffs of every method and level fill
+    one array, and one step turns it into the stats.  The frame's paths
+    are attached only when ``include_paths``.
     """
     names = _method_names(methods)
     levels = np.array(alpha_grid)
@@ -348,11 +350,10 @@ def _score_rows(
     # nulls_before[r, k] counts the nulls among row r's first k positions.
     nulls_before = np.zeros((rows, n + 1), dtype=np.intp)
     np.cumsum(null, axis=1, out=nulls_before[:, 1:])
-    nonnull = n - nulls_before[:, -1:]
+    nonnull = n - nulls_before[:, -1:, np.newaxis]
     if not nonnull.all():
         raise ContractError("power is undefined without any non-null hypothesis")
-    offsets = np.arange(0, rows * (n + 1), n + 1).reshape(-1, 1)
-    stats = np.empty((rows, len(methods), levels.size, 4))
+    k_hat = np.empty((rows, len(methods), levels.size), dtype=np.intp)
     paths = np.empty((rows, len(methods), n)) if include_paths else None
     path = None if include_paths else np.empty((rows, n))
     spec = sums = None
@@ -366,12 +367,11 @@ def _score_rows(
         if include_paths:
             path = paths[:, m]
         _fdp_path(sums, method.plus_constant, out=path)
-        k_hat = select_cutoff(path, levels)
-        false_pos = nulls_before.take(k_hat + offsets)
-        stats[:, m, :, STAT_KHAT] = k_hat
-        stats[:, m, :, STAT_FALSE_POS] = false_pos
-        stats[:, m, :, STAT_POWER] = (k_hat - false_pos) / nonnull
-        stats[:, m, :, STAT_FDP] = false_pos / np.maximum(k_hat, 1)
+        k_hat[:, m] = select_cutoff(path, levels)
+    offsets = np.arange(0, rows * (n + 1), n + 1).reshape(-1, 1, 1)
+    false_pos = nulls_before.take(k_hat + offsets)
+    power, fdp = (k_hat - false_pos) / nonnull, false_pos / np.maximum(k_hat, 1)
+    stats = np.stack([k_hat, false_pos, power, fdp], axis=-1)  # in STAT_* order
     true_paths = None
     if include_paths:
         true_paths = nulls_before[:, 1:] / np.arange(1, n + 1, dtype=float)

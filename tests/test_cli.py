@@ -509,6 +509,38 @@ class TestCmdDosage:
         assert "high" in err
 
 
+@pytest.mark.parametrize(
+    "argv, code, line",
+    [
+        (["test", "--method", "forwardstop", "--alpha", "2"], 4,
+         "alpha must lie in (0, 1), got 2.0"),
+        (["test", "--method", "forwardstop", "--alpha", "0.2", "--rule", "plus"], 4,
+         "the plus rule needs an explicit constant c"),
+        (["test", "--method", "seqstep:C=2", "--alpha", "0.2", "--rule", "plus", "--c", "-1"],
+         4, "plus-rule constant must be nonnegative, got -1.0"),
+        (["test", "--method", "forwardstop", "--alpha", "0.2", "--shift-grid", "0"], 3,
+         "grid_size must lie in [1, 2^53), got 0"),
+        (["dosage", "--alpha-grid", "1"], 4, "alpha must lie in [0, 1), got 1.0"),
+        (["dosage", "--c", "1"], 4, "hingeexp requires C > 1, got 1.0"),
+    ],
+    ids=["test-alpha", "test-plus-without-c", "test-plus-negative-c", "test-shift-grid",
+         "dosage-alpha-grid", "dosage-c"],
+)
+def test_bad_option_is_refused_before_the_input_is_read(tmp_path, capsys, argv, code, line):
+    # Each input is malformed, so its error would be the one line if the
+    # file were read before the option is checked.
+    if argv[0] == "test":
+        path = write_pvalue_csv(tmp_path, [0.1, 1.5])
+    else:
+        path = tmp_path / "matrix.csv"
+        path.write_text("gene_id,C1,C2,L1,L2,H1,H2\ng1,1,2,3,x,5,6\n")
+    before = sorted(tmp_path.iterdir())
+    out_path = str(tmp_path / "out.csv")
+    got = run_cli([argv[0], str(path), *argv[1:], "--out", out_path], capsys)
+    assert got == (code, "", f"error: {line}\n")
+    assert sorted(tmp_path.iterdir()) == before
+
+
 class TestReplay:
     def test_replay_reproduces_bytes(self, tmp_path, capsys):
         # Each command's tables and manifest are deleted; the replay writes

@@ -398,6 +398,32 @@ class TestRunPipeline:
         for name in result.method_names:
             assert result.count(name, 0.0) == 0
 
+    @pytest.mark.parametrize(
+        "kwargs, counts",
+        [
+            ({"alpha_grid": (0.0, 0.0)}, (0,) * 16),
+            (
+                {"alpha_grid": (0.2, 0.0, 0.05, 0.0)},
+                (18, 0, 2, 0, 52, 0, 10, 0, 38, 0, 10, 0, 20, 0, 0, 0,
+                 7, 0, 0, 0, 56, 0, 7, 0, 0, 0, 0, 0, 51, 0, 0, 0),
+            ),
+            ({"methods": [], "alpha_grid": (0.0, 0.1, 0.3)},
+             (0, 0, 16, 0, 28, 80, 0, 0, 27, 0, 27, 80)),
+            ({"methods": [], "include_baselines": False}, ()),
+        ],
+    )
+    def test_columns_at_zero_levels_and_without_methods_are_pinned(self, kwargs, counts):
+        # The counts are pinned, and repr pins the types too: Python str,
+        # float and int.
+        matrix = gaussian_matrix(43, 80, 3, 3, 2, planted=30, low_shift=2.0, high_shift=2.5)
+        result = run_pipeline(matrix, **kwargs)
+        alphas = kwargs.get("alpha_grid", DEFAULT_DOSAGE_ALPHAS)
+        names = [m.name for m in kwargs.get("methods", default_methods())]
+        if kwargs.get("include_baselines", True):
+            names += ["BH-t", "Storey-t", "BH-perm", "Storey-perm"]
+        want = (tuple(n for n in names for _ in alphas), alphas * len(names), counts)
+        assert repr(result.columns) == repr(want)
+
     def test_counts_monotone_in_alpha(self):
         matrix = gaussian_matrix(2, 40, 3, 3, 2, planted=10, low_shift=2.0, high_shift=3.0)
         grid = (0.05, 0.1, 0.2, 0.3)

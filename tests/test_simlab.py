@@ -206,6 +206,40 @@ class TestRunTrial:
                     )
             assert np.array_equal(frame.stats[0], want)
 
+    @pytest.mark.parametrize("mu1", [1.5, math.inf])
+    def test_block_stats_equal_loop_over_public_metrics(self, monkeypatch, mu1):
+        # A repeated spec, the plus rule with its own c, and an unsorted
+        # grid that repeats a level; mu1 = inf ties the non-nulls' priors.
+        methods = (
+            Method("SeqStep", seq_step(2.0)),
+            Method("SeqStep+", seq_step(2.0), rule=Rule.PLUS, c=0.5),
+            Method("ForwardStop", forward_stop()),
+            Method("SeqStep again", seq_step(2.0)),
+            Method("ForwardStop+", forward_stop(), rule=Rule.PLUS, c=3.0),
+        )
+        alphas = (0.3, 0.03, 0.11, 0.03, 0.6)
+        config = SimConfig(n=90, n_nonnull=15, mu1=mu1, mu2=2.0, alpha_grid=alphas,
+                           trials=8, seed=6)
+        rows = 3  # blocks of 3, 3 and 2 trials
+        budget = rows * simlab._row_bytes(config.n, len(methods), len(alphas))
+        monkeypatch.setattr(simlab, "_BLOCK_BUDGET", budget)
+        frames = collect_trial_frames(config, methods)
+        assert [len(frame.stats) for frame in frames] == [3, 3, 2]
+        stats = np.concatenate([frame.stats for frame in frames])
+        want = np.empty_like(stats)
+        for t in range(config.trials):
+            pvals = generate_ranked_trial(config, t)
+            mask = pvals.null_mask
+            for m, method in enumerate(methods):
+                path = method.path(pvals)
+                for a, alpha in enumerate(alphas):
+                    k = select_cutoff(path, alpha)
+                    want[t, m, a] = (
+                        k, np.count_nonzero(mask[:k]), power_of_cutoff(k, mask), fdp(k, mask)
+                    )
+        assert stats.tobytes() == want.tobytes()
+        assert (stats[..., STAT_KHAT] > 0).any()
+
 
 class TestAggregate:
     def make_frame(self, power, fdp_value):
